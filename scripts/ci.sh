@@ -53,3 +53,8 @@ timeout 300 python scripts/smoke_chaos.py
 
 echo "== mvcc smoke (update storm: zero failed / degraded snapshot reads) =="
 timeout 300 python scripts/smoke_mvcc.py
+
+echo "== e2e benchmark smoke (four workloads at smoke size, oracle on) =="
+# The repo's benchmark (BENCHMARK.json) end to end: every answer is
+# checked against the naive matcher; a wrong one exits non-zero.
+timeout 120 python3 benchmarks/e2e/run.py --smoke

@@ -135,9 +135,12 @@ class EvalResult:
         """Matches in document order (cached; ``matches`` is final)."""
         cached = self._sorted_matches
         if cached is None:
-            cached = sorted(
-                self.matches, key=lambda m: tuple(e.start for e in m)
-            )
+            keys = _start_keys(self.matches)
+            matches = self.matches
+            cached = [
+                matches[i]
+                for i in sorted(range(len(keys)), key=keys.__getitem__)
+            ]
             self._sorted_matches = cached
         return cached
 
@@ -145,9 +148,27 @@ class EvalResult:
         """Canonical representation used by the differential tests (cached)."""
         cached = self._match_keys
         if cached is None:
-            cached = sorted(tuple(e.start for e in m) for m in self.matches)
+            cached = _start_keys(self.matches)
+            # The DAG-buffer engines emit in this order already (disjoint
+            # partitions flushed in document order, each canonical), and
+            # sorting a sorted list is one linear pass.
+            cached.sort()
             self._match_keys = cached
         return cached
+
+
+def _start_keys(matches: Sequence[Match]) -> list[tuple[int, ...]]:
+    """The tuple of start labels of each match, in ``matches`` order.
+
+    Built one column per pattern node and zipped, which costs a list
+    comprehension per column instead of a generator per match.
+    """
+    if not matches:
+        return []
+    return list(zip(*[
+        [match[slot].start for match in matches]
+        for slot in range(len(matches[0]))
+    ]))
 
 
 class CountingCursor:

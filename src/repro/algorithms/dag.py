@@ -31,7 +31,7 @@ from repro.errors import EvaluationError
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import ElementEntry, element_codec
-from repro.tpq.enumeration import iter_matches
+from repro.tpq.enumeration import MatchPlan
 from repro.tpq.pattern import Pattern
 
 
@@ -58,6 +58,8 @@ class DagBuffer:
         sink: Callable[[list[Match]], None] | None = None,
     ):
         self.query = query
+        # Compiled once per run; every partition flush reuses it.
+        self._plan = MatchPlan(query)
         self.counters = counters
         self.emit_matches = emit_matches
         self.spill_pager = spill_pager
@@ -281,31 +283,35 @@ class DagBuffer:
             )
         else:
             candidates = {
-                tag: self._lists.get(tag, []) for tag in self.query.tags()
+                tag: self._lists.get(tag, ()) for tag in self._plan.tags
             }
-        # Project linked records down to bare element labels once per
-        # candidate, so emitted match tuples need no per-component
-        # conversion (matches repeat each candidate many times over).
-        # Dict iteration order here is admission order (insertion-ordered
-        # dict), and the `found.sort()` below canonicalizes emission
-        # order anyway — RL103-safe without an explicit sort.
-        candidates = {
-            tag: [element_of(entry) for entry in entries]
-            for tag, entries in candidates.items()
-        }
+        count_only = self.sink is None and not self.emit_matches
+        if self.spill_pager is not None or not count_only:
+            # Project linked records down to bare element labels once per
+            # candidate, so emitted match tuples need no per-component
+            # conversion (matches repeat each candidate many times over).
+            # The enumerator reads pools by tag, so the dict's iteration
+            # order cannot reach the output (RL103).
+            candidates = {
+                tag: list(map(element_of, entries))
+                for tag, entries in candidates.items()
+            }
         if self.spill_pager is not None:
             candidates = self._spill_and_reload(candidates)
-        found = list(iter_matches(self.query, candidates))
-        # ElementEntry components compare start-first and starts are
-        # document-unique, so the plain sort realizes enumerate_matches'
-        # tuple-of-starts order without building a key per match.
-        found.sort()
-        self.match_count += len(found)
-        self.counters.matches += len(found)
-        if self.sink is not None:
-            self.sink(found)
-        elif self.emit_matches:
-            self.matches.extend(found)
+        if count_only:
+            produced = self._plan.count(candidates)
+        else:
+            # Already in tuple-of-starts order (see MatchPlan.matches), and
+            # partitions are disjoint and flushed in document order, so
+            # the accumulated output is canonical without a sort.
+            found = self._plan.matches(candidates)
+            produced = len(found)
+            if self.sink is not None:
+                self.sink(found)
+            else:
+                self.matches.extend(found)
+        self.match_count += produced
+        self.counters.matches += produced
         self.output_seconds += time.perf_counter() - begin
         self._reset()
 

@@ -580,8 +580,9 @@ class _ViewJoinRun:
         binary search under the element scheme (Section III-B advantage 3).
         """
         # `buffered` is insertion-ordered by admission (DagBuffer fills it
-        # in document order per tag), and DagBuffer.flush sorts matches
-        # before emission — iteration order here cannot leak into output.
+        # in document order per tag), and the flush-time enumerator looks
+        # every list up by tag — iteration order here cannot leak into
+        # output.
         candidates: dict[str, list] = {
             tag: list(entries) for tag, entries in buffered.items()
         }

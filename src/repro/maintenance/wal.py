@@ -84,7 +84,12 @@ class UpdateLog:
         return self._torn_tail
 
     def tip(self) -> int:
-        """Highest valid LSN in the log (0 when empty or absent)."""
+        """Highest valid LSN in the log (0 when empty or absent).
+
+        Cached: only :meth:`append` and a scan refresh it, so records
+        another writer appended since are not seen here (``append``
+        checks the file's length and rescans; this does not).
+        """
         if self._tip is None:
             self._tip = 0
             for lsn, __ in self._records():
@@ -103,7 +108,7 @@ class UpdateLog:
             lines.append(_record_line(lsn, delta_to_dict(delta)))
         if not lines:
             return lsn
-        blob = "".join(lines).encode("utf-8")
+        blob = intended = "".join(lines).encode("utf-8")
         crashed = False
         state = faults.STATE
         if state is not None:
@@ -119,6 +124,11 @@ class UpdateLog:
                 f"injected torn fault at wal-append ({self.path})"
             )
         self._tip = lsn
+        if blob == intended:
+            # Records this object wrote unaltered extend the verified
+            # prefix; after a garbled write it stays short of the file,
+            # so the next append rescans.
+            self._valid_end += len(blob)
         return lsn
 
     def read(self, after: int = 0) -> list[tuple[int, Delta]]:
@@ -134,7 +144,20 @@ class UpdateLog:
         return self.read(after=0)
 
     def _ensure_clean_tail(self) -> int:
-        """Drop torn trailing bytes (crash debris); returns the tip LSN."""
+        """Drop torn trailing bytes (crash debris); returns the tip LSN.
+
+        A long-lived log (one per store-backed service) is scanned once:
+        while the file is exactly as long as the prefix this object has
+        verified or written, the cached tip stands.  Any other length —
+        another writer's records, a torn or garbled append — forces the
+        full rescan.
+        """
+        if (
+            self._tip is not None
+            and not self._torn_tail
+            and self._file_size() == self._valid_end
+        ):
+            return self._tip
         records = list(self._records())
         tip = records[-1][0] if records else 0
         if self._torn_tail:
@@ -143,6 +166,12 @@ class UpdateLog:
             self._torn_tail = False
         self._tip = tip
         return tip
+
+    def _file_size(self) -> int:
+        try:
+            return self.path.stat().st_size
+        except FileNotFoundError:
+            return 0
 
     @staticmethod
     def _parse_record(text: str) -> tuple[int, dict]:

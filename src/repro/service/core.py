@@ -334,6 +334,7 @@ class QueryService:
         if self._store_path is not None:
             self.planner.adopt_catalog_views()
         self._store_version = catalog.version
+        self._wal = None  # the store's UpdateLog, made by the first commit
         self._snapshot_dir: str | None = None
         self._snapshot_version: int | None = None
         #: Disk generation of the private temp snapshot (its numbering
@@ -464,9 +465,13 @@ class QueryService:
                 catalog=snap_catalog,
                 planner=self.planner.clone_for_snapshot(snap_catalog),
             )
-        wal = None
-        if self._store_path is not None:
-            wal = UpdateLog(pathlib.Path(self._store_path) / WAL_FILENAME)
+        wal = self._wal
+        if wal is None and self._store_path is not None:
+            # One log object for the service's lifetime: it verifies the
+            # file once and then only when its length says it changed.
+            wal = self._wal = UpdateLog(
+                pathlib.Path(self._store_path) / WAL_FILENAME
+            )
         report = maintain(
             self.catalog, deltas, wal=wal, force_rebuild=force_rebuild
         )

@@ -58,7 +58,9 @@ class LinkedEntry(NamedTuple):
 
     @property
     def element(self) -> ElementEntry:
-        return ElementEntry(self.start, self.end, self.level)
+        # The three labels lead the record: a prefix copy, with no
+        # per-field attribute reads (called once per flushed candidate).
+        return tuple.__new__(ElementEntry, self[:3])
 
 
 class ElementColumns:

@@ -1,15 +1,30 @@
-"""Match-enumeration tests: enumerate_matches vs the naive oracle."""
+"""Match-enumeration tests: the factorized enumerator vs the naive
+oracle and vs the retired odometer (``tests/odometer_reference.py``)."""
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import engine
+from repro.algorithms.base import Counters
+from repro.algorithms.dag import DagBuffer
+from repro.algorithms.preempt import QuantumBudget
 from repro.datasets import random_trees
-from repro.tpq.enumeration import count_matches, enumerate_matches, iter_matches
+from repro.datasets import xmark as xmark_data
+from repro.storage.catalog import ViewCatalog
+from repro.storage.records import ElementEntry
+from repro.tpq.enumeration import MatchPlan, count_matches, enumerate_matches
 from repro.tpq.matching import solution_nodes
 from repro.tpq.naive import find_embeddings
 from repro.tpq.parser import parse_pattern
+from repro.tpq.pattern import Axis, pattern_from_edges
+from repro.workloads import xmark as xmark_queries
+from repro.xmltree.document import DocumentBuilder
+from tests.odometer_reference import odometer_matches
 
 
 def test_enumerate_from_full_tag_lists(small_doc):
@@ -86,9 +101,414 @@ def test_count_matches_equals_enumeration(seed, query):
     assert count_matches(pattern, sols) == len(enumerate_matches(pattern, sols))
 
 
-def test_iter_matches_order_free(small_doc):
+def keys_of(matches):
+    return [tuple(entry.start for entry in match) for match in matches]
+
+
+def odometer_keys(pattern, candidates):
+    return sorted(keys_of(odometer_matches(pattern, candidates)))
+
+
+def assert_strictly_increasing(keys):
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_matches_odometer_reference(small_doc):
     q = parse_pattern("//a//c")
     candidates = {tag: list(small_doc.tag_list(tag)) for tag in q.tags()}
-    assert sorted(
-        tuple(n.start for n in m) for m in iter_matches(q, candidates)
-    ) == [tuple(n.start for n in m) for m in enumerate_matches(q, candidates)]
+    assert keys_of(enumerate_matches(q, candidates)) == odometer_keys(
+        q, candidates
+    )
+
+
+# -- seeded differential property suite ---------------------------------------
+
+TAGS = "abcdef"
+
+
+def random_pattern(rng: random.Random, fanouts: tuple[int, ...]):
+    """A pattern whose branching nodes have the given numbers of children
+    (in creation order), every other node one child or none, over the
+    first ``1 + sum(fanouts)`` tags of ``TAGS``; each edge is pc with
+    probability 1/4."""
+    tags = list(TAGS[:1 + sum(fanouts)])
+    rng.shuffle(tags)
+    root = tags.pop()
+    edges = []
+    frontier = [root]
+    for fanout in fanouts:
+        parent = frontier.pop(rng.randrange(len(frontier)))
+        for _ in range(fanout):
+            child = tags.pop()
+            axis = Axis.CHILD if rng.random() < 1 / 4 else Axis.DESCENDANT
+            edges.append((parent, child, axis))
+            frontier.append(child)
+    return pattern_from_edges(root, edges)
+
+
+def random_case(rng: random.Random, seed: int, size: int):
+    """A random pattern and a document over exactly the pattern's tags
+    (at least three), so pools are dense and every tag nests inside
+    itself."""
+    pattern = random_pattern(rng, SHAPES[seed % len(SHAPES)])
+    doc = random_trees.generate(
+        size=size, tags=list(TAGS[:max(3, len(pattern))]), max_depth=7,
+        seed=seed,
+    )
+    return doc, pattern
+
+
+#: children per branching node: paths, 2-way and >= 3-way twigs, nested twigs
+SHAPES = [(), (1,), (1, 1, 1), (2,), (2, 1), (3,), (4,), (2, 2), (3, 2), (5,)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_differential_against_naive_and_odometer(seed):
+    """Random documents x random patterns, fed the *whole* per-tag
+    lists: the enumerator must do all the pruning itself."""
+    rng = random.Random(seed)
+    doc, pattern = random_case(rng, seed, rng.choice((60, 140)))
+    candidates = {
+        tag: list(doc.tag_list(tag)) for tag in pattern.tags()
+    }
+    keys = keys_of(enumerate_matches(pattern, candidates))
+    assert keys == keys_of(find_embeddings(doc, pattern))
+    assert keys == odometer_keys(pattern, candidates)
+    assert_strictly_increasing(keys)
+    assert count_matches(pattern, candidates) == len(keys)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_differential_on_thinned_pools(seed):
+    """Drop random candidates (and sometimes a whole pool): bindings lose
+    their whole child range and must be pruned, as the odometer does."""
+    rng = random.Random(1000 + seed)
+    doc, pattern = random_case(rng, seed, 200)
+    candidates = {
+        tag: [node for node in doc.tag_list(tag) if rng.random() < 0.7]
+        for tag in pattern.tags()
+    }
+    if seed % 8 == 0:
+        candidates[rng.choice(pattern.tags())] = []
+    keys = keys_of(enumerate_matches(pattern, candidates))
+    assert keys == odometer_keys(pattern, candidates)
+    assert_strictly_increasing(keys)
+    assert count_matches(pattern, candidates) == len(keys)
+
+
+def test_single_node_pattern(small_doc):
+    q = parse_pattern("//c")
+    pool = list(small_doc.tag_list("c"))
+    assert enumerate_matches(q, {"c": pool}) == [(node,) for node in pool]
+    assert count_matches(q, {"c": pool}) == len(pool)
+    assert enumerate_matches(q, {"c": []}) == []
+
+
+def test_recursive_parlist_xmark():
+    """Q19 touches the self-nesting ``parlist``: nested candidates of one
+    pattern node share descendants, and both must keep them."""
+    doc = xmark_data.generate(scale=0.5, seed=3)
+    spec = xmark_queries.BY_NAME["Q19"]
+    candidates = solution_nodes(doc, spec.query)
+    parlists = candidates["parlist"]
+    assert any(
+        outer.start < inner.start < outer.end
+        for outer, inner in zip(parlists, parlists[1:])
+    )
+    keys = keys_of(enumerate_matches(spec.query, candidates))
+    assert keys == keys_of(find_embeddings(doc, spec.query))
+    assert keys == odometer_keys(spec.query, candidates)
+    assert_strictly_increasing(keys)
+
+
+def test_plan_is_reusable_across_candidate_sets(small_doc, recursive_doc):
+    """One compiled plan serves every partition of a run."""
+    q = parse_pattern("//a//e")
+    plan = MatchPlan(q)
+    for doc in (small_doc, recursive_doc, small_doc):
+        candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
+        assert keys_of(plan.matches(candidates)) == keys_of(
+            find_embeddings(doc, q)
+        )
+        assert plan.count(candidates) == len(find_embeddings(doc, q))
+
+
+# -- output sensitivity: dead candidates must not be expanded -------------------
+
+def decoy_doc(paths: dict[str, list[tuple[str, int]]]):
+    """``root`` holding one ``r`` per entry of ``paths``: the named chain
+    of wrapper tags, then ``x`` with the given (tag, repeat) leaf runs."""
+    b = DocumentBuilder("decoys")
+
+    def descend(chain, leaves):
+        if not chain:
+            for tag, repeat in leaves:
+                for _ in range(repeat):
+                    b.leaf(tag)
+            return
+        with b.element(chain[0]):
+            descend(chain[1:], leaves)
+
+    with b.element("root"):
+        for chain, leaves in paths.items():
+            descend(["r", *chain.split(), "x"], leaves)
+    return b.build()
+
+
+def peak_bytes_of(run):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+FAT = 400  # a dead x holds FAT ** 2 (or ** 3) sub-matches: >= 16 MB built
+
+DEAD_WEIGHT_CASES = [
+    # a pc-edge above the branching node rejects the fat x (it sits under w)
+    ("//r/x[//y]//z",
+     {"": [("y", 1), ("z", 1)], "w": [("y", FAT), ("z", FAT)]}),
+    # the same, three-way: the product would be FAT ** 3
+    ("//r/x[//y][//v]//z",
+     {"": [("y", 1), ("v", 1), ("z", 1)],
+      "w": [("y", 60), ("v", 60), ("z", 60)]}),
+    # the fat x is admitted, but its r has no q//t: a sibling branch kills it
+    ("//r[//q//t]//x[//y]//z",
+     {"q t": [("y", 1), ("z", 1)], "q": [("y", FAT), ("z", FAT)]}),
+]
+
+
+@pytest.mark.parametrize("xpath,paths", DEAD_WEIGHT_CASES)
+def test_dead_candidates_are_not_expanded(xpath, paths):
+    """Pools straight from the tag lists: what the filter would have
+    dropped must cost integers, not sub-matches."""
+    doc = decoy_doc(paths)
+    q = parse_pattern(xpath)
+    candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
+    truth = keys_of(find_embeddings(doc, q))
+    assert 1 <= len(truth) <= 2
+    found, peak = peak_bytes_of(lambda: enumerate_matches(q, candidates))
+    assert keys_of(found) == truth
+    assert peak < 1_000_000
+    assert count_matches(q, candidates) == len(truth)
+
+
+def test_dead_nested_chains_are_not_expanded():
+    """No branching at all: ``//r/a//b//c`` where the only ``a`` under an
+    ``r`` is small and a deep a/b/c nest elsewhere holds ~depth ** 3 / 6
+    dead chains."""
+    depth = 150
+    b = DocumentBuilder("nest")
+    with b.element("root"):
+        with b.element("r"):
+            with b.element("a"):
+                with b.element("b"):
+                    b.leaf("c")
+        with b.element("w"):
+            def nest(tags):
+                if not tags:
+                    return
+                with b.element(tags[0]):
+                    nest(tags[1:])
+            nest(["a"] * depth + ["b"] * depth + ["c"] * depth)
+    doc = b.build()
+    q = parse_pattern("//r/a//b//c")
+    candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
+    found, peak = peak_bytes_of(lambda: enumerate_matches(q, candidates))
+    assert keys_of(found) == keys_of(find_embeddings(doc, q))
+    assert len(found) == 1
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("algorithm,scheme", [
+    ("TS", "E"), ("VJ", "E"), ("VJ", "LEp"),
+])
+def test_engine_flush_with_dead_weight(algorithm, scheme):
+    """Single-node views filter nothing, so the flush sees the fat pools."""
+    xpath, paths = DEAD_WEIGHT_CASES[0]
+    doc = decoy_doc(paths)
+    q = parse_pattern(xpath)
+    views = [parse_pattern(f"//{tag}") for tag in q.tags()]
+    with ViewCatalog(doc) as catalog:
+        result, peak = peak_bytes_of(
+            lambda: engine.evaluate(q, catalog, views, algorithm, scheme)
+        )
+    assert result.match_keys() == keys_of(find_embeddings(doc, q))
+    assert peak < 4_000_000
+
+
+def test_nested_live_parents_over_a_pruned_slot():
+    """Recursive ``a``: both admit the same live ``b``; a fat ``b`` outside
+    every ``a`` forces the pruning walk over the ad-edge."""
+    b = DocumentBuilder("nested-parents")
+    with b.element("root"):
+        with b.element("a"):
+            with b.element("a"):
+                with b.element("b"):
+                    b.leaf("c")
+                    b.leaf("d")
+            with b.element("b"):
+                b.leaf("c")
+                b.leaf("d")
+        with b.element("b"):
+            for tag in "c" * FAT + "d" * FAT:
+                b.leaf(tag)
+    doc = b.build()
+    q = parse_pattern("//a//b[//c]//d")
+    candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
+    found, peak = peak_bytes_of(lambda: enumerate_matches(q, candidates))
+    assert len(found) == 3
+    assert keys_of(found) == keys_of(find_embeddings(doc, q))
+    assert peak < 1_000_000
+
+
+def test_live_and_dead_candidates_share_a_slot():
+    """Pruning keeps the survivors' offsets straight: live x alternate
+    with fat dead ones in one pool."""
+    b = DocumentBuilder("mixed")
+    with b.element("root"):
+        for fat in (False, True, False, True, False):
+            with b.element("r"):
+                if fat:
+                    with b.element("w"):
+                        with b.element("x"):
+                            for tag in "y" * 8 + "z" * 8:
+                                b.leaf(tag)
+                else:
+                    with b.element("x"):
+                        for tag in "yzz":
+                            b.leaf(tag)
+    doc = b.build()
+    q = parse_pattern("//r/x[//y]//z")
+    candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
+    keys = keys_of(enumerate_matches(q, candidates))
+    assert len(keys) == 6
+    assert keys == keys_of(find_embeddings(doc, q))
+    assert keys == odometer_keys(q, candidates)
+    assert_strictly_increasing(keys)
+
+
+# -- through the engines: partitions, resume, sink, count-only ----------------
+
+def many_partitions_doc(partitions: int = 120):
+    """Q14-shaped: many small disjoint root-tag subtrees, a few matches
+    each, some with none."""
+    rng = random.Random(14)
+    b = DocumentBuilder("tiny-partitions")
+    with b.element("root"):
+        for _ in range(partitions):
+            with b.element("a"):
+                for _ in range(rng.randint(0, 2)):
+                    with b.element("b"):
+                        for _ in range(rng.randint(0, 2)):
+                            b.leaf("d")
+                for _ in range(rng.randint(0, 3)):
+                    b.leaf("c")
+    return b.build()
+
+
+TWIG = parse_pattern("//a[//b//d]//c")
+TWIG_VIEWS = [parse_pattern("//a//c"), parse_pattern("//b//d")]
+
+
+@pytest.mark.parametrize("algorithm,scheme", [
+    ("TS", "E"), ("VJ", "E"), ("VJ", "LE"), ("VJ", "LEp"),
+])
+@pytest.mark.parametrize("mode", ["memory", "disk"])
+def test_many_tiny_partitions(algorithm, scheme, mode):
+    doc = many_partitions_doc()
+    truth = keys_of(find_embeddings(doc, TWIG))
+    with ViewCatalog(doc) as catalog:
+        result = engine.evaluate(
+            TWIG, catalog, TWIG_VIEWS, algorithm, scheme, mode=mode
+        )
+    assert result.counters.flushes > 40
+    # the accumulated list is canonical as emitted: no sort behind it
+    assert keys_of(result.matches) == truth
+    assert result.match_keys() == truth
+    assert result.sorted_matches() == result.matches
+
+
+@pytest.mark.parametrize("mode", ["memory", "disk"])
+def test_resume_across_flush_boundaries(mode):
+    """Two matches per quantum over many partitions: suspensions fall
+    before, inside (surplus carried as ``pending``) and after flushes.
+    What was emitted plus what is pending is always a prefix of the
+    one-shot answer, and the final counters are the one-shot ones."""
+    doc = many_partitions_doc(40)
+    with ViewCatalog(doc) as catalog:
+        one = engine.evaluate(TWIG, catalog, TWIG_VIEWS, "VJ", "LEp", mode=mode)
+        pages: list = []
+        state = None
+        carried = 0
+        while True:
+            result, state = engine.evaluate_quantum(
+                TWIG, catalog, TWIG_VIEWS, "VJ", "LEp", mode=mode,
+                budget=QuantumBudget(max_matches=2), state=state,
+            )
+            pages.extend(result.matches)
+            if state is None:
+                break
+            carried += bool(state.pending)
+            seen = pages + state.pending
+            assert seen == one.matches[:len(seen)]
+    assert carried > 0
+    assert pages == one.matches
+    assert result.match_count == one.match_count
+    assert result.counters.as_dict() == one.counters.as_dict()
+
+
+@pytest.mark.parametrize("mode", ["memory", "disk"])
+def test_sink_batches_are_canonical(mode):
+    doc = many_partitions_doc()
+    with ViewCatalog(doc) as catalog:
+        one = engine.evaluate(TWIG, catalog, TWIG_VIEWS, "VJ", "LE", mode=mode)
+        batches: list[list] = []
+        streamed = engine.evaluate(
+            TWIG, catalog, TWIG_VIEWS, "VJ", "LE", mode=mode,
+            sink=batches.append,
+        )
+    assert len(batches) == one.counters.flushes
+    assert [match for batch in batches for match in batch] == one.matches
+    assert streamed.counters.as_dict() == one.counters.as_dict()
+
+
+@pytest.mark.parametrize("algorithm,scheme", [("TS", "E"), ("VJ", "LEp")])
+@pytest.mark.parametrize("mode", ["memory", "disk"])
+def test_count_only_equals_emitting(algorithm, scheme, mode):
+    doc = many_partitions_doc()
+    with ViewCatalog(doc) as catalog:
+        one = engine.evaluate(
+            TWIG, catalog, TWIG_VIEWS, algorithm, scheme, mode=mode
+        )
+        counted = engine.evaluate(
+            TWIG, catalog, TWIG_VIEWS, algorithm, scheme, mode=mode,
+            emit_matches=False,
+        )
+    assert counted.matches == []
+    assert counted.match_count == one.match_count == len(one.matches)
+    assert counted.counters.as_dict() == one.counters.as_dict()
+    # disk mode: the spill/reload accounting does not depend on emission
+    assert counted.io.logical_reads == one.io.logical_reads
+    assert counted.io.pages_written == one.io.pages_written
+    assert counted.peak_buffer_entries == one.peak_buffer_entries
+
+
+def test_count_only_flush_builds_no_match(monkeypatch):
+    def forbidden(self, candidates):
+        raise AssertionError("a count-only flush enumerated its matches")
+
+    monkeypatch.setattr(MatchPlan, "matches", forbidden)
+    counters = Counters()
+    dag = DagBuffer(parse_pattern("//a//b"), counters, emit_matches=False)
+    dag.set_partition_root(ElementEntry(0, 100, 0))
+    dag.add("a", ElementEntry(0, 100, 0))
+    dag.add("b", ElementEntry(3, 4, 1))
+    dag.add("b", ElementEntry(7, 8, 1))
+    dag.flush()
+    assert (dag.match_count, counters.matches, counters.flushes) == (2, 2, 1)
+    assert dag.matches == []

@@ -229,6 +229,86 @@ def test_wal_tolerates_torn_tail(tmp_path):
     assert not fresh.torn_tail_detected
 
 
+def count_record_parses(monkeypatch) -> list[str]:
+    """Record every ``UpdateLog._parse_record`` call from here on."""
+    parsed: list[str] = []
+    original = UpdateLog._parse_record
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(UpdateLog, "_parse_record", staticmethod(counting))
+    return parsed
+
+
+def test_wal_long_lived_log_scans_once(tmp_path, monkeypatch):
+    """One log object appends without re-reading its own history."""
+    path = tmp_path / WAL_FILENAME
+    UpdateLog(path).append([DeleteSubtree(root_start=n) for n in range(5)])
+    parsed = count_record_parses(monkeypatch)
+    log = UpdateLog(path)
+    for n in range(50):
+        assert log.append([DeleteSubtree(root_start=n)]) == 6 + n
+    assert len(parsed) == 5  # the first append's scan, nothing after
+    assert [lsn for lsn, __ in UpdateLog(path).replay()] == list(range(1, 56))
+
+
+def test_wal_long_lived_log_sees_another_writer(tmp_path, monkeypatch):
+    """Records appended through another handle (``viewjoin update``
+    beside a running service) change the file's length, which forces
+    the rescan: LSNs stay contiguous."""
+    path = tmp_path / WAL_FILENAME
+    log = UpdateLog(path)
+    assert log.append([DeleteSubtree(root_start=1)]) == 1
+    assert UpdateLog(path).append([DeleteSubtree(root_start=2)]) == 2
+    parsed = count_record_parses(monkeypatch)
+    assert log.append([DeleteSubtree(root_start=3)]) == 3
+    assert len(parsed) == 2
+    assert log.append([DeleteSubtree(root_start=4)]) == 4
+    assert len(parsed) == 2  # trusted again once the lengths agree
+    assert [lsn for lsn, __ in UpdateLog(path).replay()] == [1, 2, 3, 4]
+
+
+def test_wal_long_lived_log_truncates_a_tail_torn_behind_its_back(tmp_path):
+    path = tmp_path / WAL_FILENAME
+    log = UpdateLog(path)
+    log.append([DeleteSubtree(root_start=1), DeleteSubtree(root_start=2)])
+    with open(path, "ab") as handle:
+        handle.write(b'999 {"crc":1,"lsn"')
+    assert log.append([DeleteSubtree(root_start=3)]) == 3
+    fresh = UpdateLog(path)
+    assert [lsn for lsn, __ in fresh.replay()] == [1, 2, 3]
+    assert not fresh.torn_tail_detected
+
+
+@pytest.mark.parametrize("kind", ["torn", "garble"])
+def test_wal_long_lived_log_rescans_after_an_injected_fault(tmp_path, kind):
+    """A faulted append leaves bytes the log never verified; the same
+    object's next append must find and drop them, not build on them."""
+    from repro.errors import FaultInjected
+    from repro.resilience import FaultPlan, faults
+
+    path = tmp_path / WAL_FILENAME
+    log = UpdateLog(path)
+    log.append([DeleteSubtree(root_start=1)])
+    faults.install(FaultPlan.parse(f"seed=1;wal-append={kind}:1.0"))
+    try:
+        if kind == "torn":
+            with pytest.raises(FaultInjected):
+                log.append([DeleteSubtree(root_start=2)])
+        else:
+            log.append([DeleteSubtree(root_start=2)])
+    finally:
+        faults.uninstall()
+    assert log.append([DeleteSubtree(root_start=3)]) == 2
+    fresh = UpdateLog(path)
+    assert fresh.read() == [
+        (1, DeleteSubtree(root_start=1)), (2, DeleteSubtree(root_start=3)),
+    ]
+    assert not fresh.torn_tail_detected
+
+
 # -- repair classification -----------------------------------------------------
 
 

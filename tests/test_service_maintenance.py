@@ -102,6 +102,36 @@ def test_apply_updates_commits_store_and_workers_reattach(doc, tmp_path):
         assert svc.evaluate("//c").match_keys == truth
 
 
+def test_commits_do_not_reparse_the_update_log(tmp_path, monkeypatch):
+    """Regression: ``apply_updates`` made a fresh ``UpdateLog`` per call,
+    so every commit re-read, re-parsed and re-CRCed the whole
+    never-truncated ``wal.jsonl`` (19 900 record parses for these 200
+    commits).  The service keeps one log; a commit parses O(1) records."""
+    from repro.maintenance import RenameTag, UpdateLog, WAL_FILENAME
+    from tests.test_maintenance import count_record_parses
+
+    small = random_trees.generate(size=30, max_depth=5, seed=3)
+    store = tmp_path / "store"
+    with ViewCatalog(small) as catalog:
+        catalog.add(parse_pattern("//a//b", name="w1"), "LEp")
+        save_catalog(catalog, store)
+
+    parsed = count_record_parses(monkeypatch)
+    with QueryService.open(str(store)) as svc:
+        target = first(svc.catalog.document, "f")
+        for commit in range(200):
+            svc.apply_updates([
+                RenameTag(node_start=target.start, new_tag="fe"[commit % 2])
+            ])
+        assert len(parsed) <= 200
+        assert svc.evaluate("//a//b").match_keys == truth_keys(
+            svc.catalog.document, "//a//b"
+        )
+    monkeypatch.undo()
+    log = UpdateLog(store / WAL_FILENAME)
+    assert [lsn for lsn, __ in log.replay()] == list(range(1, 201))
+
+
 def test_worker_memo_detects_store_rewrite(doc, tmp_path):
     """Regression: a memoized worker attachment must notice the on-disk
     store being rewritten even when the parent-passed version repeats."""
