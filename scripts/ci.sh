@@ -37,7 +37,7 @@ python scripts/smoke_parallel.py
 echo "== maintenance smoke (canned WAL replay vs golden rebuild) =="
 python scripts/smoke_maintenance.py
 
-echo "== shared-batch smoke (CSE vs independent byte-equality) =="
+echo "== shared-batch smoke (batch vs loop of evaluate() byte-equality) =="
 timeout 120 python scripts/smoke_shared.py
 
 echo "== advisor smoke (adoption cycle: identical answers, less work) =="

@@ -135,7 +135,7 @@ class EvalResult:
         """Matches in document order (cached; ``matches`` is final)."""
         cached = self._sorted_matches
         if cached is None:
-            keys = _start_keys(self.matches)
+            keys = start_keys(self.matches)
             matches = self.matches
             cached = [
                 matches[i]
@@ -148,7 +148,7 @@ class EvalResult:
         """Canonical representation used by the differential tests (cached)."""
         cached = self._match_keys
         if cached is None:
-            cached = _start_keys(self.matches)
+            cached = start_keys(self.matches)
             # The DAG-buffer engines emit in this order already (disjoint
             # partitions flushed in document order, each canonical), and
             # sorting a sorted list is one linear pass.
@@ -157,7 +157,7 @@ class EvalResult:
         return cached
 
 
-def _start_keys(matches: Sequence[Match]) -> list[tuple[int, ...]]:
+def start_keys(matches: Sequence[Match]) -> list[tuple[int, ...]]:
     """The tuple of start labels of each match, in ``matches`` order.
 
     Built one column per pattern node and zipped, which costs a list

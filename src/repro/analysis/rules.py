@@ -772,8 +772,8 @@ class WaitDisciplineRule(Rule):
 #: catalog: package-relative path -> qualnames.  The shared-scan batch
 #: contract is *plan once per distinct canonical query*: planning and
 #: materialization are hoisted out of the per-item loop into batch
-#: pre-passes (``QueryService._plan_batch`` / ``_materialize_batch`` /
-#: ``_evaluate_shared``), which are the sanctioned, unregistered sites.
+#: pre-passes (``QueryService._plan_batch`` and the node pre-pass of
+#: ``_read_batch``), which are the sanctioned, unregistered sites.
 BATCH_FUNCTIONS: dict[str, frozenset[str]] = {
     "service/core.py": frozenset({
         "QueryService.evaluate_batch",
@@ -843,7 +843,7 @@ class BatchPlanningRule(Rule):
                     f"batch entry point {qualname} calls {target!r} inside"
                     " its per-item loop — plan/materialize once per"
                     " distinct canonical query before the loop"
-                    " (_plan_batch / _materialize_batch)",
+                    " (_plan_batch / the _read_batch pre-pass)",
                     symbol=qualname,
                 ))
                 continue

@@ -168,13 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           " wall-clock")
     bat.add_argument("--result-cache", type=int, default=0, metavar="N",
                      help="enable a keyed result cache of N entries")
-    bat.add_argument("--shared", action="store_true", default=None,
-                     dest="shared",
-                     help="force the shared-scan batch executor (plan CSE"
-                          " + stream replay); default honours REPRO_SHARED")
-    bat.add_argument("--no-shared", action="store_false", dest="shared",
-                     help="force one independent evaluation per query"
-                          " (the differential reference path)")
     bat.add_argument("--record-log", default=None, metavar="PATH",
                      dest="record_log",
                      help="record the batch into a WorkloadLog JSON file"
@@ -497,11 +490,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             if args.workers > 1:
                 batch = service.evaluate_parallel(
                     args.queries, workers=args.workers, emit_matches=False,
-                    shared=args.shared,
                 )
             else:
                 batch = service.evaluate_batch(
-                    args.queries, emit_matches=False, shared=args.shared,
+                    args.queries, emit_matches=False,
                 )
             elapsed.append(time.perf_counter() - begin)
         assert batch is not None
@@ -526,16 +518,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if args.result_cache:
             print(f"result cache: {service.result_cache_stats.as_dict()}")
         metrics = service.shared_metrics()
-        if metrics["batches"]:
-            print(
-                "shared executor:"
-                f" {metrics['jobs_run']} job(s) for"
-                f" {metrics['queries']} query(ies) across"
-                f" {metrics['batches']} batch(es);"
-                f" {metrics['replayed_queries']} replayed,"
-                f" {metrics['stream_hits']} stream hit(s);"
-                f" executed work {metrics['executed_work']}"
-            )
+        print(
+            "shared executor:"
+            f" {metrics['jobs_run']} job(s) for"
+            f" {metrics['queries']} query(ies) across"
+            f" {metrics['batches']} batch(es);"
+            f" {metrics['replayed_queries']} replayed,"
+            f" {metrics['stream_hits']} stream hit(s);"
+            f" executed work {metrics['executed_work']}"
+        )
         log = service.advisor_log
         if args.record_log is not None and log is not None:
             log.harvest_catalog(service.catalog)

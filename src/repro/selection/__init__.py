@@ -24,7 +24,6 @@ from repro.selection.online import (
     Measurement,
     QueryObservation,
     WorkloadLog,
-    advisor_enabled,
     advisor_view_name,
     measure_view_cardinalities,
     plan_adoption,
@@ -63,7 +62,6 @@ __all__ = [
     "Measurement",
     "QueryObservation",
     "WorkloadLog",
-    "advisor_enabled",
     "advisor_view_name",
     "measure_view_cardinalities",
     "plan_adoption",

@@ -37,7 +37,6 @@ cache/worker invalidation on adopt/drop).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -55,19 +54,6 @@ from repro.tpq.pattern import Pattern
 #: therefore drop when its payoff decays).  User-registered views are
 #: never dropped by the controller.
 ADVISOR_PREFIX = "adv:"
-
-
-def advisor_enabled() -> bool:
-    """Global kill switch for the online advisor.
-
-    ``REPRO_ADVISOR=0`` (checked when a service is constructed) disables
-    recording and the advisor loop entirely, whatever the service flag
-    says — the escape hatch for deployments that must pin their view
-    set.  The default leaves the per-service ``advisor`` flag in charge.
-    """
-    return os.environ.get("REPRO_ADVISOR", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 def advisor_view_name(xpath: str) -> str:
@@ -715,7 +701,6 @@ __all__ = [
     "Measurement",
     "QueryObservation",
     "WorkloadLog",
-    "advisor_enabled",
     "advisor_view_name",
     "measure_view_cardinalities",
     "plan_adoption",

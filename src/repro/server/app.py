@@ -18,7 +18,8 @@ Quanta execute on a **single-thread** executor: :class:`QueryService` is
 not thread-safe, so one lane serializes all engine work — and because
 each unit of work is one *bounded* quantum, the lane is round-robin fair
 across concurrent clients instead of head-of-line blocked behind a heavy
-query (``scripts/bench_serve.py`` measures exactly this).
+query (the ``serve_http`` workload of ``benchmarks/e2e/run.py``
+measures exactly this).
 
 Load shedding is wired to the PR 5 circuit breaker: the effective
 concurrency limit halves per quarantined view, so a store that is

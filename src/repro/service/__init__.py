@@ -11,15 +11,14 @@ Public surface::
     batch = service.evaluate_batch(queries)
     fast  = service.evaluate_parallel(queries, workers=4)
 
-``evaluate_parallel`` is byte-identical to ``evaluate_batch`` in match
-keys and merged work/I-O counters (see :mod:`repro.service.core` for the
-determinism contract); :class:`EvalJob`/:func:`run_job` are the lower
-level explicit-plan API the benchmark harness drives.
-
-Both batch entry points default to the shared-scan executor
-(:mod:`repro.service.shared`): duplicate eval nodes within (and across)
-batches run once and replay to every consumer, with ``REPRO_SHARED=0``
-or ``shared=False`` forcing the independent per-query path.
+Every read goes through one pipeline (resolve → lookup → materialize →
+execute → settle; see :mod:`repro.service.core`).  ``evaluate_batch``
+and ``evaluate_parallel`` are byte-identical to a loop of ``evaluate``
+in match keys and merged work/I-O counters (the determinism contract),
+while duplicate eval nodes within (and across) batches run once and
+replay to every consumer (:mod:`repro.service.shared`);
+:class:`EvalJob`/:func:`run_job` are the lower level explicit-plan API
+the benchmark harness drives.
 
 Preemptible serving sits next to the batch API: ``evaluate_quantum``
 answers the first quantum of a query under a
@@ -37,14 +36,10 @@ query into a :class:`~repro.selection.online.WorkloadLog` and (on a
 configurable cadence, or via explicit ``advisor_cycle()`` calls)
 auto-materializes/drops views under a storage budget using measured
 counters — the online adaptive view advisor
-(:mod:`repro.selection.online`); ``REPRO_ADVISOR=0`` disables it.
+(:mod:`repro.selection.online`).
 """
 
-from repro.selection.online import (
-    Measurement,
-    WorkloadLog,
-    advisor_enabled,
-)
+from repro.selection.online import Measurement, WorkloadLog
 from repro.service.continuation import decode_token, encode_token
 from repro.service.core import (
     BatchResult,
@@ -59,12 +54,7 @@ from repro.service.jobs import (
     merge_results,
     run_job,
 )
-from repro.service.shared import (
-    SharedStats,
-    node_digest,
-    node_key,
-    shared_enabled,
-)
+from repro.service.shared import SharedStats, node_digest, node_key
 from repro.service.streams import StreamCache
 from repro.service.worker import run_worker_jobs
 
@@ -80,7 +70,6 @@ __all__ = [
     "SharedStats",
     "StreamCache",
     "WorkloadLog",
-    "advisor_enabled",
     "decode_token",
     "encode_token",
     "merge_results",
@@ -88,5 +77,4 @@ __all__ = [
     "node_key",
     "run_job",
     "run_worker_jobs",
-    "shared_enabled",
 ]

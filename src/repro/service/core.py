@@ -8,13 +8,31 @@ queries through a plan-cached :class:`~repro.planner.Planner`, and fans
 independent queries out across a :class:`~concurrent.futures.ProcessPoolExecutor`
 whose workers reattach the persisted store and run the existing engine.
 
+One read pipeline
+-----------------
+``evaluate``, ``evaluate_batch``, ``evaluate_parallel``,
+``evaluate_quantum`` and ``resume_quantum`` are thin compositions of
+stages that each exist once: **resolve** (``_resolve_read`` pins the
+generation's catalog/planner pair), **lookup** (``_lookup``: refuted →
+result cache), **materialize**, **execute** (``_execute`` in-process or
+across the resilient pool, ``_quantum_step`` for one engine quantum)
+and **settle** (``_settle``: breaker success or failure, result-cache
+put, then raise, degrade from base views over the *resolved*
+generation's document, or report a typed error — whichever the entry
+point promises).  A batch adds one step between lookup and execute: its
+queries are hash-consed into distinct eval nodes
+(:mod:`repro.service.shared`), each node runs once, and its stream plus
+recorded counters replay to every consumer.  Singles skip that step,
+its ``SharedStats`` and the stream cache.
+
 Determinism contract
 --------------------
 Every job runs **cold** (buffer pool dropped per repeat, stats reset per
-run) and the per-job counters are folded in job-index order, so
-``evaluate_parallel`` returns match keys and aggregated work/I-O counters
-byte-identical to ``evaluate_batch`` over the same queries — whatever the
-worker count or scheduling order.  Wall-clock fields are the only
+run) and the per-job counters are folded in job-index order, so a batch
+— in-process or across any number of workers — returns match keys and
+aggregated work/I-O counters byte-identical to a loop of ``evaluate``
+over the same queries (a duplicate's would-be accounting equals the
+original's, so replaying it is exact).  Wall-clock fields are the only
 non-deterministic outputs.
 
 Cache layers
@@ -27,21 +45,10 @@ Cache layers
   §16): a maintenance commit rolls the keys instead of purging, so
   readers pinned to an older generation keep their hits; view-set
   changes within a generation still invalidate explicitly;
-* the shared executor's **stream cache** (:mod:`repro.service.streams`),
+* the batch executor's **stream cache** (:mod:`repro.service.streams`),
   memoizing eval-node match streams across batches, keyed by
   ``(catalog epoch, node hash)`` — per generation, like the result
   cache — and cleared with it on view-set changes.
-
-Shared-scan batches
--------------------
-``evaluate_batch`` / ``evaluate_parallel`` default to the shared-scan
-executor (:mod:`repro.service.shared`): queries are hash-consed into
-distinct eval nodes, each node runs once, and its stream plus recorded
-counters replay to every consumer — byte-identical outcomes to the
-independent per-query path (the determinism contract makes a
-duplicate's would-be accounting equal to the original's), at a fraction
-of the executed work.  ``REPRO_SHARED=0`` or ``shared=False`` forces
-the independent path.
 
 Snapshot reads (MVCC)
 ---------------------
@@ -65,21 +72,19 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from repro.algorithms.base import Counters, Mode
+from repro.algorithms.base import Counters, Mode, start_keys
 from repro.algorithms.engine import (
     Algorithm,
     combo_label,
     evaluate_quantum as engine_evaluate_quantum,
 )
-from repro.algorithms.preempt import PlanState, QuantumBudget
+from repro.algorithms.preempt import QuantumBudget
 from repro.caching import CacheStats, LRUCache
 from repro.errors import (
     ContinuationExpired,
-    ContinuationMalformed,
     QueryTimeout,
-    ReproError,
     ServiceError,
     StorageError,
     StoreCorrupt,
@@ -94,7 +99,6 @@ from repro.selection.online import (
     CalibratedStatistics,
     Measurement,
     WorkloadLog,
-    advisor_enabled,
     advisor_view_name,
     plan_adoption,
     rebalance_to_budget,
@@ -109,13 +113,16 @@ from repro.service.jobs import (
     merge_results,
     run_job,
 )
-from repro.service.continuation import decode_token, encode_token
+from repro.service.continuation import (
+    Continuation,
+    decode_token,
+    encode_token,
+)
 from repro.service.shared import (
     SharedNode,
     SharedStats,
     node_digest,
     node_key,
-    shared_enabled,
 )
 from repro.service.streams import StreamCache
 from repro.service.worker import run_worker_jobs
@@ -251,6 +258,19 @@ class _GenerationPin:
     planner: Planner
 
 
+class _Read(NamedTuple):
+    """One read's resolved catalog/planner pair (``as_of`` as the caller
+    gave it), output shape, and failure policy: ``"raise"`` the typed
+    exception, ``"degrade"`` to base views, or a typed ``"error"``."""
+
+    catalog: ViewCatalog
+    planner: Planner
+    mode: Mode
+    emit_matches: bool
+    as_of: int | None
+    on_failure: str
+
+
 class QueryService:
     """Plan-cached, optionally parallel query answering over one catalog.
 
@@ -270,9 +290,9 @@ class QueryService:
             query stream into a :class:`WorkloadLog` and (when
             ``advisor_interval > 0``) periodically run
             :meth:`advisor_cycle` to auto-materialize/drop views under
-            ``advisor_budget_bytes``.  ``REPRO_ADVISOR=0`` overrides the
-            flag, disabling recording and the loop entirely — no
-            per-query overhead beyond one attribute check.
+            ``advisor_budget_bytes``.  Off (the default), recording and
+            the loop are disabled entirely — no per-query overhead
+            beyond one attribute check.
         advisor_budget_bytes: storage budget for advisor-owned views.
         advisor_interval: recorded outcomes between automatic advisor
             cycles; 0 leaves cycles to explicit :meth:`advisor_cycle`
@@ -363,7 +383,7 @@ class QueryService:
         # session id is a monotone counter — no randomness (RL103) and
         # unguessable ids are not a goal: the token, not the sid, is the
         # capability, and sids die with the state they index.
-        self._continuations: dict[str, dict[str, int]] = {}
+        self._continuations: dict[str, int] = {}  # sid -> generation
         self._continuation_seq = 0
         self._continuations_issued = 0
         self._continuations_completed = 0
@@ -374,9 +394,9 @@ class QueryService:
         self._pool_respawns = 0
         self._deadline_expiries = 0
         # One None-check per answered query is the advisor's entire
-        # disabled-path overhead (`advisor=False` or REPRO_ADVISOR=0).
+        # disabled-path overhead.
         self._advisor_log: WorkloadLog | None = (
-            WorkloadLog() if advisor and advisor_enabled() else None
+            WorkloadLog() if advisor else None
         )
         self._advisor_budget = float(advisor_budget_bytes)
         self._advisor_interval = int(advisor_interval)
@@ -487,7 +507,12 @@ class QueryService:
                 )
                 self._store_version = self.catalog.version
             self.planner.sync_catalog()
-            self._auto_gc()
+            if (
+                self._store_path is not None
+                and self._generation_budget is not None
+            ):
+                # Post-commit GC under the configured high-water mark.
+                self.gc_generations()
         return report
 
     # -- MVCC generations (DESIGN.md §16) -------------------------------------
@@ -549,11 +574,7 @@ class QueryService:
         hard = {current} | {
             gen for gen, count in self._user_pins.items() if count > 0
         }
-        soft = {
-            record["generation"]
-            for record in self._continuations.values()
-            if "generation" in record
-        }
+        soft = set(self._continuations.values())
         soft |= set(self._generation_snapshots)
         soft -= hard
         if self._store_path is None:
@@ -589,8 +610,8 @@ class QueryService:
                 )
             self._generation_cache_evictions += evicted
             stale = [
-                sid for sid, record in self._continuations.items()
-                if record.get("generation") in reaped
+                sid for sid, generation in self._continuations.items()
+                if generation in reaped
             ]
             # Purged server-side (the resume that observes the loss is
             # what counts as the *expiry*, typed, at the sid miss).
@@ -599,18 +620,11 @@ class QueryService:
             self._continuations_purged += len(stale)
         return report
 
-    def _auto_gc(self) -> None:
-        """Post-commit GC under the configured high-water mark."""
-        if self._store_path is not None and self._generation_budget is not None:
-            self.gc_generations()
-
     def _generation_referenced(self, generation: int) -> bool:
         """Does anything (session or user pin) still rest on it?"""
-        if self._user_pins.get(generation):
-            return True
-        return any(
-            record.get("generation") == generation
-            for record in self._continuations.values()
+        return bool(
+            self._user_pins.get(generation)
+            or generation in self._continuations.values()
         )
 
     def _release_generation(self, generation: int) -> None:
@@ -627,23 +641,32 @@ class QueryService:
             pin.catalog.close()
 
     def _resolve_read(
-        self, as_of: int | None
-    ) -> tuple[ViewCatalog, Planner]:
-        """The catalog/planner pair a read pinned ``as_of`` runs over:
-        the live pair for the current generation (or ``None``), a
-        frozen snapshot for a pinned older one, a typed error for a
-        generation this service does not hold."""
+        self,
+        as_of: int | None,
+        mode: Mode | str,
+        emit_matches: bool,
+        on_failure: str,
+    ) -> _Read:
+        """Pin the catalog/planner pair a read ``as_of`` runs over — the
+        live pair for the current generation (or ``None``), a frozen
+        snapshot for a pinned older one, a typed error for a generation
+        this service does not hold — exactly once per read."""
         if as_of is None or as_of == self.catalog.generation:
-            return self.catalog, self.planner
-        pin = self._generation_snapshots.get(as_of)
-        if pin is None:
-            raise ServiceError(
-                f"generation {as_of} is not pinned on this service"
-                f" (current generation is {self.catalog.generation};"
-                " call pin_generation() before committing updates, or"
-                " the generation has been garbage-collected)"
-            )
-        return pin.catalog, pin.planner
+            catalog, planner = self.catalog, self.planner
+        else:
+            pin = self._generation_snapshots.get(as_of)
+            if pin is None:
+                raise ServiceError(
+                    f"generation {as_of} is not pinned on this service"
+                    f" (current generation is {self.catalog.generation};"
+                    " call pin_generation() before committing updates, or"
+                    " the generation has been garbage-collected)"
+                )
+            catalog, planner = pin.catalog, pin.planner
+        return _Read(
+            catalog, planner, Mode.parse(mode), emit_matches, as_of,
+            on_failure,
+        )
 
     @property
     def plan_cache_stats(self) -> CacheStats:
@@ -724,8 +747,7 @@ class QueryService:
         log = self._advisor_log
         if log is None:
             raise ServiceError(
-                "advisor is disabled on this service"
-                " (advisor=False or REPRO_ADVISOR=0)"
+                "advisor is disabled on this service (advisor=False)"
             )
         self._advisor_since_cycle = 0
         self._advisor_cycles += 1
@@ -854,7 +876,7 @@ class QueryService:
         """
         before = self.catalog.materializations
         for query in queries:
-            self._materialize_plan(self.planner.plan(query))
+            self._materialize_plan(self.planner.plan(query), self.catalog)
         return self.catalog.materializations - before
 
     def warmup_jobs(self, jobs: Sequence[EvalJob]) -> int:
@@ -875,11 +897,8 @@ class QueryService:
                 )
         return self.catalog.materializations - before
 
-    def _materialize_plan(
-        self, plan: Plan, catalog: ViewCatalog | None = None
-    ) -> None:
-        if catalog is None:
-            catalog = self.catalog
+    @staticmethod
+    def _materialize_plan(plan: Plan, catalog: ViewCatalog) -> None:
         for view in plan.all_views:
             catalog.add(view, plan.scheme)
 
@@ -898,11 +917,12 @@ class QueryService:
         (DESIGN.md §16): the current one, or any generation kept alive
         by :meth:`pin_generation` / a suspended continuation — the
         answer is byte-identical to evaluating before the commits that
-        superseded it.
+        superseded it.  Like :meth:`evaluate_batch` this in-process
+        entry point has no degraded mode: store corruption raises
+        :class:`StoreCorrupt`.
         """
-        outcome = self._evaluate_one(
-            query, Mode.parse(mode), emit_matches, as_of=as_of
-        )
+        read = self._resolve_read(as_of, mode, emit_matches, "raise")
+        outcome = self._read_one(read, read.planner.plan(query))
         self._advisor_observe((outcome,))
         return outcome
 
@@ -911,35 +931,18 @@ class QueryService:
         queries: Sequence[Pattern | str],
         mode: Mode | str = Mode.MEMORY,
         emit_matches: bool = True,
-        shared: bool | None = None,
         as_of: int | None = None,
     ) -> BatchResult:
         """Evaluate ``queries`` in-process; merge counters in input order.
 
-        By default (``shared=None`` honours ``REPRO_SHARED``) the batch
-        runs through the shared-scan executor: byte-identical queries
-        are deduped before planning, identical eval nodes run once, and
-        recorded streams/counters replay to every consumer — outcomes
-        stay byte-identical to ``shared=False`` (one independent
-        evaluation per input), which remains available as the
-        differential escape hatch.
+        Byte-identical queries are deduped before planning, identical
+        eval nodes run once, and recorded streams/counters replay to
+        every consumer (:mod:`repro.service.shared`) — outcomes and
+        merged totals stay byte-identical to a loop of :meth:`evaluate`
+        over the same inputs, at a fraction of the executed work.
         """
-        mode = Mode.parse(mode)
-        if shared is None:
-            shared = shared_enabled()
-        begin = time.perf_counter()
-        if shared:
-            outcomes = self._evaluate_shared(
-                queries, mode, emit_matches, workers=0,
-                deadline=Deadline.after(None), degrade=False,
-                resilient=False, as_of=as_of,
-            )
-        else:
-            outcomes = [
-                self._evaluate_one(query, mode, emit_matches, as_of=as_of)
-                for query in queries
-            ]
-        return self._assemble(outcomes, time.perf_counter() - begin)
+        read = self._resolve_read(as_of, mode, emit_matches, "raise")
+        return self._read_batch(read, queries)
 
     def evaluate_parallel(
         self,
@@ -949,17 +952,14 @@ class QueryService:
         emit_matches: bool = True,
         deadline_s: float | None = None,
         degrade: bool = True,
-        shared: bool | None = None,
     ) -> BatchResult:
         """Fan ``queries`` out over ``workers`` processes.
 
         Results and merged counters are byte-identical to
         :meth:`evaluate_batch` on the same queries; only wall-clock
         differs.  ``workers <= 1`` degenerates to the sequential path.
-        By default (``shared=None`` honours ``REPRO_SHARED``) the batch
-        is first hash-consed into distinct eval nodes and only those
-        become jobs (:mod:`repro.service.shared`); ``shared=False``
-        dispatches one job per non-cached input.
+        The batch is first hash-consed into distinct eval nodes and only
+        those become jobs (:mod:`repro.service.shared`).
 
         Resilience: ``deadline_s`` bounds the whole batch (expired jobs
         come back as ``error`` outcomes instead of hanging); lost
@@ -970,78 +970,9 @@ class QueryService:
         re-answered from base views over the base document
         (``degraded=True`` on the outcome, correctness preserved).
         """
-        mode = Mode.parse(mode)
-        if shared is None:
-            shared = shared_enabled()
-        begin = time.perf_counter()
-        deadline = Deadline.after(deadline_s)
-        if shared:
-            outcomes = self._evaluate_shared(
-                queries, mode, emit_matches, workers=workers,
-                deadline=deadline, degrade=degrade, resilient=True,
-            )
-            return self._assemble(outcomes, time.perf_counter() - begin)
-        generation = self.catalog.generation
-        plans = self._plan_batch(queries)
-        outcomes: list[QueryOutcome | None] = [None] * len(queries)
-        jobs: list[EvalJob] = []
-        plan_at: dict[int, Plan] = {}
-        for i, plan in enumerate(plans):
-            canonical = plan.query.to_xpath()
-            if self.planner.refutes(plan.query):
-                outcomes[i] = self._refuted_outcome(plan, canonical)
-                continue
-            cached = self._result_cache.get(
-                (generation, canonical, mode.value, emit_matches)
-            )
-            if cached is not None:
-                outcomes[i] = replace(cached, cached=True)
-                continue
-            plan_at[i] = plan
-            jobs.append(
-                EvalJob.from_patterns(
-                    i, plan.query, plan.all_views, plan.algorithm,
-                    plan.scheme, mode=mode, emit_matches=emit_matches,
-                )
-            )
-        self._materialize_batch([plan_at[i] for i in sorted(plan_at)])
-        try:
-            results, failures = self._run_jobs_resilient(
-                jobs, workers, warm=True, deadline=deadline
-            )
-        except StoreCorrupt as exc:
-            # The snapshot save itself hit corruption: every dispatched
-            # job fails typed and (optionally) degrades below.
-            results = []
-            failures = [
-                JobFailure(
-                    index=job.index, kind="store-corrupt",
-                    message=str(exc), views=exc.views, pages=exc.pages,
-                )
-                for job in jobs
-            ]
-        for result in results:
-            plan = plan_at[result.index]
-            outcome = self._outcome_from(result, plan)
-            for name in self._plan_view_names(plan):
-                self.breaker.record_success(name)
-            self._result_cache.put(
-                (generation, outcome.query, mode.value, emit_matches),
-                outcome,
-            )
-            outcomes[result.index] = outcome
-        for failure in failures:
-            plan = plan_at[failure.index]
-            self._note_failure(plan, failure)
-            if degrade and failure.kind != "timeout":
-                outcomes[failure.index] = self._evaluate_degraded(
-                    plan, mode, emit_matches
-                )
-            else:
-                self._failed_queries += 1
-                outcomes[failure.index] = self._error_outcome(plan, failure)
-        assert all(outcome is not None for outcome in outcomes)
-        return self._assemble(outcomes, time.perf_counter() - begin)
+        on_failure = "degrade" if degrade else "error"
+        read = self._resolve_read(None, mode, emit_matches, on_failure)
+        return self._read_batch(read, queries, workers, deadline_s)
 
     def evaluate_jobs(
         self, jobs: Sequence[EvalJob], workers: int = 0
@@ -1051,13 +982,12 @@ class QueryService:
         ``workers > 1``.  Results come back in job-index order."""
         jobs = list(jobs)
         self.warmup_jobs(jobs)
-        return self.run_jobs(jobs, workers=workers, warm=True)
+        return self.run_jobs(jobs, workers=workers)
 
     def run_jobs(
         self,
         jobs: Sequence[EvalJob],
         workers: int = 0,
-        warm: bool = True,
         deadline_s: float | None = None,
     ) -> list[JobResult]:
         """Run already-warm jobs, in-process or across worker processes.
@@ -1067,34 +997,55 @@ class QueryService:
         :class:`StoreCorrupt`) — the explicit-plan API has no degraded
         mode; use :meth:`evaluate_parallel` for that.
         """
-        results, failures = self._run_jobs_resilient(
-            list(jobs), workers, warm=warm,
-            deadline=Deadline.after(deadline_s),
+        items = self._execute(
+            list(jobs), workers, Deadline.after(deadline_s), self.catalog
         )
-        if failures:
-            raise self._failure_error(failures[0])
-        return results
+        for item in items:
+            if isinstance(item, JobFailure):
+                raise self._failure_error(item)
+        return items
 
-    def _run_jobs_resilient(
+    def _execute(
         self,
         jobs: list[EvalJob],
         workers: int,
-        warm: bool,
         deadline: Deadline,
-    ) -> tuple[list[JobResult], list[JobFailure]]:
-        """Run jobs with bounded retries; never hangs, never raises for a
-        single job's failure.
+        catalog: ViewCatalog,
+    ) -> list[JobResult | JobFailure]:
+        """The execute stage: run jobs in-process over ``catalog`` (the
+        resolved read's; ``workers <= 1``) or across the worker pool.
+        Never hangs, never raises for a single job's failure: returns
+        one :class:`JobResult` or typed :class:`JobFailure` per job, in
+        job-index order.  Each result is recorded exactly once (first
+        success wins), and jobs run cold, so counters merged from them
+        are byte-identical to a failure-free sequential pass."""
+        if workers > 1 and jobs:
+            try:
+                return self._dispatch(jobs, workers, deadline)
+            except StoreCorrupt as exc:
+                # The snapshot save itself hit corruption: every
+                # dispatched job fails typed.
+                return [JobFailure.from_corrupt(exc, job) for job in jobs]
+        items: list[JobResult | JobFailure] = []
+        for job in jobs:
+            if deadline.expired:
+                items.append(JobFailure(
+                    index=job.index, kind="timeout",
+                    message="batch deadline expired before this job ran",
+                ))
+                continue
+            try:
+                items.append(run_job(catalog, job, expect_warm=True))
+            except StoreCorrupt as exc:
+                items.append(JobFailure.from_corrupt(exc, job))
+        return items
 
-        Returns ``(results, failures)``, both in job-index order, their
-        indices disjoint and jointly covering the input.  Each job's
-        result is recorded exactly once (first success wins), and jobs
-        run cold, so counters merged from ``results`` are byte-identical
-        to a failure-free sequential pass over the same successes.
-        """
-        if not jobs:
-            return [], []
-        if workers <= 1:
-            return self._run_jobs_sequential(jobs, warm, deadline)
+    def _dispatch(
+        self, jobs: list[EvalJob], workers: int, deadline: Deadline
+    ) -> list[JobResult | JobFailure]:
+        """Pool dispatch with bounded retries: lost workers are
+        respawned and their unfinished jobs resubmitted; the deadline
+        abandons a stalled pool instead of joining it."""
         store = self._ensure_snapshot()
         # The stripe-level MVCC pin: resolve the dispatched store's
         # current generation once, here, and hand it to every stripe so
@@ -1106,8 +1057,7 @@ class QueryService:
         else:
             dispatch_generation = self._snapshot_generation
         pending: dict[int, EvalJob] = {job.index: job for job in jobs}
-        results: dict[int, JobResult] = {}
-        failures: dict[int, JobFailure] = {}
+        settled: dict[int, JobResult | JobFailure] = {}
         for attempt, delay in enumerate(self.retry_policy.delays("run-jobs")):
             if not pending:
                 break
@@ -1115,7 +1065,7 @@ class QueryService:
                 self._job_retries += len(pending)
                 wait(deadline.clamp(delay))
             if deadline.expired:
-                self._mark_timeouts(pending, failures)
+                self._mark_timeouts(pending, settled)
                 break
             batch = [pending[index] for index in sorted(pending)]
             stripes = [batch[k::workers] for k in range(workers)]
@@ -1140,15 +1090,11 @@ class QueryService:
                     pool_broken = True
                     continue
                 for item in items:
-                    if item.index not in pending:
-                        continue
-                    del pending[item.index]
-                    if isinstance(item, JobResult):
-                        results[item.index] = item
-                    else:
-                        # Typed worker-side failure (store corruption):
-                        # permanent, never retried — bytes do not heal.
-                        failures[item.index] = item
+                    # A typed worker-side failure (store corruption) is
+                    # as final as a result: never retried — bytes do
+                    # not heal.
+                    if pending.pop(item.index, None) is not None:
+                        settled[item.index] = item
             if not_done:
                 # Deadline hit with workers still running (e.g. stalled):
                 # abandon this pool rather than joining a stuck process.
@@ -1156,7 +1102,7 @@ class QueryService:
                 for future in not_done:
                     future.cancel()
                 self._discard_executor(join=False)
-                self._mark_timeouts(pending, failures)
+                self._mark_timeouts(pending, settled)
                 break
             if pool_broken:
                 # A worker died mid-stripe; respawn the pool and resubmit
@@ -1164,57 +1110,27 @@ class QueryService:
                 self._pool_respawns += 1
                 self._discard_executor(join=False)
         for index in sorted(pending):
-            failures[index] = JobFailure(
+            settled[index] = JobFailure(
                 index=index,
                 kind="worker-lost",
                 message=(
                     f"worker died on every one of"
                     f" {self.retry_policy.max_attempts} attempt(s)"
                 ),
-                views=tuple(
-                    name or xpath for xpath, name in pending[index].views
-                ),
+                views=pending[index].view_names,
             )
-        return (
-            [results[index] for index in sorted(results)],
-            [failures[index] for index in sorted(failures)],
-        )
+        return [settled[index] for index in sorted(settled)]
 
-    def _run_jobs_sequential(
-        self, jobs: list[EvalJob], warm: bool, deadline: Deadline
-    ) -> tuple[list[JobResult], list[JobFailure]]:
-        results: list[JobResult] = []
-        failures: list[JobFailure] = []
-        for job in jobs:
-            if deadline.expired:
-                failures.append(JobFailure(
-                    index=job.index, kind="timeout",
-                    message="batch deadline expired before this job ran",
-                ))
-                continue
-            try:
-                results.append(run_job(self.catalog, job, expect_warm=warm))
-            except StoreCorrupt as exc:
-                failures.append(JobFailure(
-                    index=job.index, kind="store-corrupt",
-                    message=str(exc),
-                    views=exc.views or tuple(
-                        name or xpath for xpath, name in job.views
-                    ),
-                    pages=exc.pages,
-                ))
-        return results, failures
-
+    @staticmethod
     def _mark_timeouts(
-        self, pending: dict[int, EvalJob], failures: dict[int, JobFailure]
+        pending: dict[int, EvalJob],
+        settled: dict[int, JobResult | JobFailure],
     ) -> None:
         for index in sorted(pending):
-            failures[index] = JobFailure(
+            settled[index] = JobFailure(
                 index=index, kind="timeout",
                 message="batch deadline expired before this job finished",
-                views=tuple(
-                    name or xpath for xpath, name in pending[index].views
-                ),
+                views=pending[index].view_names,
             )
         pending.clear()
 
@@ -1251,11 +1167,8 @@ class QueryService:
         workers instead of blocking on them (they exit on their own once
         their current task — bounded by the injected-stall ceiling —
         completes or their pipe closes)."""
-        # Quantum state lives in-process (the token carries the full
-        # cursor state), so a pool respawn does not invalidate
-        # continuations wholesale: only sessions whose pinned generation
-        # is no longer resolvable anywhere are dropped.
-        self._expire_reaped_sessions()
+        # Suspended queries survive a respawn: quantum state lives
+        # in-process (the token carries the full cursor state).
         if self._executor is None:
             return
         executor = self._executor
@@ -1265,10 +1178,9 @@ class QueryService:
 
     # -- internals ------------------------------------------------------------
 
+    @staticmethod
     def _plan_batch(
-        self,
-        queries: Sequence[Pattern | str],
-        planner: Planner | None = None,
+        queries: Sequence[Pattern | str], planner: Planner
     ) -> list[Plan]:
         """One plan per input, planning only once per distinct query text.
 
@@ -1277,8 +1189,6 @@ class QueryService:
         entry; the text memo here just keeps byte-identical duplicates
         from paying even the cache lookup.
         """
-        if planner is None:
-            planner = self.planner
         plans: list[Plan] = []
         by_text: dict[str, Plan] = {}
         for query in queries:
@@ -1290,51 +1200,42 @@ class QueryService:
             plans.append(plan)
         return plans
 
-    def _materialize_batch(
-        self, plans: Sequence[Plan], catalog: ViewCatalog | None = None
-    ) -> None:
-        """Materialize every plan's views once, in first-need order.
+    def _read_one(self, read: _Read, plan: Plan) -> QueryOutcome:
+        """A single read: the pipeline without the batch's node dedupe,
+        so it touches neither ``SharedStats`` nor the stream cache."""
+        outcome = self._lookup(read, plan)
+        if outcome is not None:
+            return outcome
+        self._materialize_plan(plan, read.catalog)
+        [item] = self._execute(
+            [self._job_for(read, 0, plan)], 0, Deadline.after(None),
+            read.catalog,
+        )
+        return self._settle(read, plan, item)
 
-        Page layout — and with it physical-read accounting — follows the
-        order views first hit the store, so this mirrors the independent
-        path's per-query materialization order exactly
-        (:meth:`~repro.storage.catalog.ViewCatalog.add` is idempotent,
-        so repeats were no-ops there too).
-        """
-        seen: set[int] = set()
-        for plan in plans:
-            if id(plan) in seen:
-                continue
-            seen.add(id(plan))
-            self._materialize_plan(plan, catalog)
-
-    def _evaluate_shared(
+    def _read_batch(
         self,
+        read: _Read,
         queries: Sequence[Pattern | str],
-        mode: Mode,
-        emit_matches: bool,
-        workers: int,
-        deadline: Deadline,
-        degrade: bool,
-        resilient: bool,
-        as_of: int | None = None,
-    ) -> list[QueryOutcome]:
-        """Shared-scan batch execution (plan CSE + stream replay).
+        workers: int = 0,
+        deadline_s: float | None = None,
+    ) -> BatchResult:
+        """A batch read: the pipeline with plan CSE + stream replay.
 
-        Phase 1 resolves each input in order: refuted queries answer
-        immediately, repeats of an already-seen eval node join its
-        consumer list, result-cache hits replay as before, and the rest
-        found new nodes.  Phase 2 answers each distinct node once — from
-        the epoch-keyed stream cache when possible, otherwise by running
-        its job (sequentially here, or through the resilient dispatcher
-        for ``evaluate_parallel``).  Phase 3 fans results out: every
-        consumer receives the node's match stream and the run's recorded
-        counters (replay accounting — see :mod:`repro.service.shared`),
-        so outcomes and merged totals are byte-identical to the
-        independent path while only the distinct nodes did work.
+        Phase 1 resolves each input in order: repeats of an already-seen
+        eval node join its consumer list, ``_lookup`` answers refuted
+        queries and result-cache hits, and the rest found new nodes.
+        Phase 2 answers each distinct node once — from the epoch-keyed
+        stream cache when possible, otherwise by running its job.
+        Phase 3 settles each node once and fans the outcome out with the
+        run's recorded counters (replay accounting — see
+        :mod:`repro.service.shared`), so outcomes and merged totals are
+        byte-identical to a loop of :meth:`evaluate` while only the
+        distinct nodes did work.
         """
-        catalog, planner = self._resolve_read(as_of)
-        generation = catalog.generation
+        begin = time.perf_counter()
+        deadline = Deadline.after(deadline_s)
+        catalog, planner = read.catalog, read.planner
         stats = self._shared_stats
         stats.batches += 1
         stats.queries += len(queries)
@@ -1342,25 +1243,16 @@ class QueryService:
         outcomes: list[QueryOutcome | None] = [None] * len(plans)
         nodes: dict[tuple, SharedNode] = {}
         for i, plan in enumerate(plans):
-            canonical = plan.query.to_xpath()
-            if planner.refutes(plan.query):
-                outcomes[i] = self._refuted_outcome(plan, canonical)
-                continue
-            key = node_key(plan, mode, emit_matches)
+            key = node_key(plan, read.mode, read.emit_matches)
             node = nodes.get(key)
             if node is not None:
                 node.consumers.append(i)
                 continue
-            cached = self._result_cache.get(
-                (generation, canonical, mode.value, emit_matches)
-            )
-            if cached is not None:
-                outcomes[i] = replace(cached, cached=True)
-                continue
-            nodes[key] = SharedNode(
-                ordinal=len(nodes), digest=node_digest(key), plan=plan,
-                consumers=[i],
-            )
+            outcomes[i] = self._lookup(read, plan)
+            if outcomes[i] is None:
+                nodes[key] = SharedNode(
+                    digest=node_digest(key), plan=plan, consumers=[i]
+                )
         stats.distinct_nodes += len(nodes)
         # The resolved pair's epoch stamps: frozen for a snapshot pair,
         # so pinned readers keep hitting their pre-commit streams.
@@ -1373,113 +1265,122 @@ class QueryService:
                 stats.stream_hits += 1
             else:
                 fresh.append(node)
-        self._materialize_batch([node.plan for node in fresh], catalog)
-        jobs = [
-            EvalJob.from_patterns(
-                node.first, node.plan.query, node.plan.all_views,
-                node.plan.algorithm, node.plan.scheme, mode=mode,
-                emit_matches=emit_matches, generation=as_of,
-            )
-            for node in fresh
-        ]
+        # Materialize in first-need order: page layout — and with it
+        # physical-read accounting — follows the order views first hit
+        # the store, exactly as a loop of ``evaluate`` would lay it out.
+        for node in fresh:
+            self._materialize_plan(node.plan, catalog)
+        jobs = [self._job_for(read, node.first, node.plan) for node in fresh]
         stats.jobs_run += len(jobs)
-        if resilient:
-            try:
-                results, failures = self._run_jobs_resilient(
-                    jobs, workers, warm=True, deadline=deadline
-                )
-            except StoreCorrupt as exc:
-                results = []
-                failures = [
-                    JobFailure(
-                        index=job.index, kind="store-corrupt",
-                        message=str(exc), views=exc.views, pages=exc.pages,
-                    )
-                    for job in jobs
-                ]
-        else:
-            # The sequential entry point has no degraded mode: a typed
-            # failure propagates raw, exactly like ``_evaluate_one``.
-            results = [
-                run_job(catalog, job, expect_warm=True) for job in jobs
-            ]
-            failures = []
-        for result in results:
-            stats.executed.merge(result.counters)
-            stats.executed_io.merge(result.io)
-        resolved = {result.index: result for result in results}
-        failed = {failure.index: failure for failure in failures}
-        # Sequential batches see evolving result-cache state (a repeat
-        # later in the batch would have hit the entry its first
-        # occurrence just stored); the parallel path checks the cache
-        # for every input up front, so its repeats all report cold.
-        dupes_cached = not resilient and self._result_cache.capacity > 0
+        ran = {
+            item.index: item
+            for item in self._execute(jobs, workers, deadline, catalog)
+        }
+        for item in ran.values():
+            if isinstance(item, JobResult):
+                stats.executed.merge(item.counters)
+                stats.executed_io.merge(item.io)
+        # A repeat later in the batch would, in a loop of ``evaluate``,
+        # have hit the entry its first occurrence just stored.
+        dupes_cached = self._result_cache.capacity > 0
         for node in nodes.values():
-            result = node.replayed
-            if result is None:
-                result = resolved.get(node.first)
-            if result is not None:
-                if node.replayed is None:
-                    self._stream_cache.put((epoch, node.digest), result)
-                outcome = self._outcome_from(result, node.plan)
-                outcome.shared = node.replayed is not None
-                self._result_cache.put(
-                    (generation, outcome.query, mode.value, emit_matches),
-                    outcome,
-                )
-                if resilient:
-                    names = self._plan_view_names(node.plan)
-                    for __ in node.consumers:
-                        for name in names:
-                            self.breaker.record_success(name)
-                outcomes[node.first] = outcome
-                for i in node.consumers[1:]:
-                    outcomes[i] = replace(
-                        outcome, cached=dupes_cached, shared=True
-                    )
-                stats.replayed_queries += len(node.consumers) - (
-                    0 if node.replayed is not None else 1
-                )
+            item = (
+                node.replayed if node.replayed is not None
+                else ran[node.first]
+            )
+            if isinstance(item, JobFailure):
+                # Every consumer is a query that failed: each feeds the
+                # breaker and is degraded (or reported) on its own, as
+                # its independent evaluation would have been.
+                for i in node.consumers:
+                    outcomes[i] = self._settle(read, node.plan, item)
                 continue
-            failure = failed[node.first]
-            for i in node.consumers:
-                self._note_failure(node.plan, failure)
-                if degrade and failure.kind != "timeout":
-                    outcomes[i] = self._evaluate_degraded(
-                        node.plan, mode, emit_matches
-                    )
-                else:
-                    self._failed_queries += 1
-                    outcomes[i] = self._error_outcome(node.plan, failure)
+            if node.replayed is None:
+                self._stream_cache.put((epoch, node.digest), item)
+            outcome = self._settle(read, node.plan, item)
+            outcome.shared = node.replayed is not None
+            outcomes[node.first] = outcome
+            for i in node.consumers[1:]:
+                outcomes[i] = replace(
+                    outcome, cached=dupes_cached, shared=True
+                )
+            stats.replayed_queries += len(node.consumers) - (
+                0 if node.replayed is not None else 1
+            )
         assert all(outcome is not None for outcome in outcomes)
-        return outcomes
+        counters, io = Counters(), IOStats()
+        for outcome in outcomes:
+            counters.merge(outcome.counters)
+            io.merge(outcome.io)
+        # Batch chokepoint of the workload recorder: every batch outcome
+        # passes through here exactly once (``evaluate`` records its
+        # own), outside the per-job loops.
+        self._advisor_observe(outcomes)
+        return BatchResult(
+            outcomes, counters, io, time.perf_counter() - begin
+        )
 
-    def _evaluate_one(
-        self,
-        query: Pattern | str,
-        mode: Mode,
-        emit_matches: bool,
-        as_of: int | None = None,
+    # -- pipeline stages (each exists once) ------------------------------------
+
+    @staticmethod
+    def _result_key(read: _Read, plan: Plan) -> tuple:
+        """Result-cache key: generation first, so a commit rolls the
+        keys and pinned readers keep their pre-commit hits."""
+        return (
+            read.catalog.generation, plan.query.to_xpath(),
+            read.mode.value, read.emit_matches,
+        )
+
+    def _lookup(
+        self, read: _Read, plan: Plan, cacheable: bool = True
+    ) -> QueryOutcome | None:
+        """The lookup stage: answer without executing — refuted by the
+        DataGuide, or replayed from the result cache (skipped for
+        quanta: a paginated answer is a stream, not a cacheable value).
+        Returns ``None`` when the plan must run."""
+        if read.planner.refutes(plan.query):
+            return self._empty_outcome(plan, refuted=True)
+        if cacheable:
+            cached = self._result_cache.get(self._result_key(read, plan))
+            if cached is not None:
+                return replace(cached, cached=True)
+        return None
+
+    @staticmethod
+    def _job_for(read: _Read, index: int, plan: Plan) -> EvalJob:
+        return EvalJob.from_patterns(
+            index, plan.query, plan.all_views, plan.algorithm, plan.scheme,
+            mode=read.mode, emit_matches=read.emit_matches,
+            generation=read.as_of,
+        )
+
+    def _settle(
+        self, read: _Read, plan: Plan, item: JobResult | JobFailure
     ) -> QueryOutcome:
-        catalog, planner = self._resolve_read(as_of)
-        plan = planner.plan(query)
-        canonical = plan.query.to_xpath()
-        if planner.refutes(plan.query):
-            return self._refuted_outcome(plan, canonical)
-        key = (catalog.generation, canonical, mode.value, emit_matches)
-        cached = self._result_cache.get(key)
-        if cached is not None:
-            return replace(cached, cached=True)
-        self._materialize_plan(plan, catalog)
-        job = EvalJob.from_patterns(
-            0, plan.query, plan.all_views, plan.algorithm, plan.scheme,
-            mode=mode, emit_matches=emit_matches, generation=as_of,
+        """The settle stage: what every executed plan goes through.
+
+        A result resets the breaker's operational-failure counts for
+        the plan's views and enters the result cache.  A failure is
+        raised as its typed exception where the entry point has no
+        degraded mode (``read.on_failure == "raise"``); otherwise it
+        feeds the breaker and is answered anyway: degraded from base
+        views, or — when the read does not degrade, and always for
+        timeouts (the budget is spent) — as a typed error outcome.
+        """
+        if isinstance(item, JobResult):
+            self._note_success(plan.views)
+            outcome = self._outcome_from(item, plan)
+            self._result_cache.put(self._result_key(read, plan), outcome)
+            return outcome
+        if read.on_failure == "raise":
+            raise self._failure_error(item)
+        self._note_failure(plan, item)
+        if read.on_failure == "degrade" and item.kind != "timeout":
+            return self._evaluate_degraded(read, plan)
+        self._failed_queries += 1
+        return self._empty_outcome(
+            plan, error=f"{item.kind}: {item.message}"
         )
-        outcome = self._outcome_from(
-            run_job(catalog, job, expect_warm=True), plan
-        )
-        self._result_cache.put(key, outcome)
-        return outcome
 
     @staticmethod
     def _outcome_from(result: JobResult, plan: Plan) -> QueryOutcome:
@@ -1514,11 +1415,13 @@ class QueryService:
         always ``done``.
 
         Quanta run in-process, bypassing the worker pool and the result
-        cache (a paginated answer is a stream, not a cacheable value);
-        refuted queries and non-ViewJoin plans answer in a single done
-        outcome.  Store corruption mid-quantum degrades exactly like
-        :meth:`evaluate_parallel`: breaker fed, query re-answered from
-        base views, ``degraded=True``.
+        cache (a paginated answer is a stream, not a cacheable value).
+        Only ViewJoin can suspend: any other plan is an ordinary single
+        read answered in one done, non-preemptible quantum, and refuted
+        queries answer in a single done outcome.  Store corruption —
+        under any plan — degrades exactly like :meth:`evaluate_parallel`:
+        breaker fed, query re-answered from base views,
+        ``degraded=True``.
 
         The issued continuation token is stamped with the generation the
         evaluation pinned (``as_of``, or the current one): maintenance
@@ -1526,54 +1429,28 @@ class QueryService:
         byte-identically against that generation's snapshot until GC
         reaps it.
         """
-        mode = Mode.parse(mode)
-        catalog, planner = self._resolve_read(as_of)
-        plan = planner.plan(query)
-        canonical = plan.query.to_xpath()
-        if planner.refutes(plan.query):
-            return self._quantum_from_outcome(
-                self._refuted_outcome(plan, canonical)
-            )
+        read = self._resolve_read(as_of, mode, emit_matches, "degrade")
+        plan = read.planner.plan(query)
         if Algorithm.parse(plan.algorithm) is not Algorithm.VIEWJOIN:
-            outcome = self._evaluate_one(query, mode, emit_matches,
-                                         as_of=as_of)
+            outcome = self._read_one(read, plan)
             self._advisor_observe((outcome,))
             return self._quantum_from_outcome(outcome, preemptible=False)
+        refuted = self._lookup(read, plan, cacheable=False)
+        if refuted is not None:
+            return self._quantum_from_outcome(refuted)
+        catalog = read.catalog
         self._materialize_plan(plan, catalog)
-        begin = time.perf_counter()
-        try:
-            result, state = engine_evaluate_quantum(
-                plan.query, catalog, plan.all_views, plan.algorithm,
-                plan.scheme, mode=mode, emit_matches=emit_matches,
-                budget=budget, as_of=as_of,
-            )
-        except StoreCorrupt as exc:
-            return self._degraded_quantum(
-                plan, mode, emit_matches, exc, begin, catalog=catalog
-            )
-        self._quanta_served += 1
-        outcome = QuantumOutcome(
-            query=canonical,
-            combo=combo_label(plan.algorithm, plan.scheme),
-            page=[tuple(e.start for e in m) for m in result.matches],
-            match_count=result.match_count,
-            counters=result.counters,
-            io=result.io,
-            elapsed_s=time.perf_counter() - begin,
-            done=state is None,
-            plan_views=[view.to_xpath() for view in plan.all_views],
-        )
-        if state is None:
-            for name in self._plan_view_names(plan):
-                self.breaker.record_success(name)
-            return outcome
-        sid = self._new_continuation(catalog.generation)
-        outcome.preempted = True
-        outcome.token = encode_token(self._continuation_payload(
-            plan, mode, emit_matches, budget, sid, state, quanta=1,
-            io=result.io, catalog=catalog,
+        return self._quantum_step(read, Continuation(
+            generation=catalog.generation,
+            store_version=catalog.store_version,
+            maintenance_epoch=catalog.maintenance_epoch,
+            query=plan.query,
+            views=plan.all_views,
+            scheme=Scheme.parse(plan.scheme),
+            mode=read.mode,
+            emit=emit_matches,
+            budget=budget,
         ))
-        return outcome
 
     def resume_quantum(self, token: str) -> QuantumOutcome:
         """Resume a suspended query for one more quantum.
@@ -1588,105 +1465,104 @@ class QueryService:
                 A maintenance commit alone no longer expires tokens: the
                 chain resumes against its generation's pinned snapshot.
         """
-        payload = decode_token(token)
-        parts = self._continuation_parts(payload)
-        sid = parts["sid"]
-        if sid not in self._continuations:
-            self._continuations_expired += 1
-            raise ContinuationExpired(
-                f"continuation {sid!r} is not live on this service"
+        cont = Continuation.from_payload(decode_token(token))
+        if cont.sid not in self._continuations:
+            raise self._expired(
+                cont,
+                f"continuation {cont.sid!r} is not live on this service"
                 " (its generation was garbage-collected, or it expired"
                 " with a quarantine, advisor drop, or shutdown — or was"
-                " issued by another service instance)"
+                " issued by another service instance)",
             )
-        generation = parts["generation"]
         try:
-            catalog, planner = self._resolve_read(generation)
-        except ServiceError:
-            self._continuations.pop(sid, None)
-            self._continuations_expired += 1
-            raise ContinuationExpired(
-                f"continuation's pinned store generation {generation}"
-                " has been garbage-collected (re-issue the query"
-                " against the current generation)"
-            ) from None
-        if (
-            parts["maintenance_epoch"] != catalog.maintenance_epoch
-            or parts["store_version"] != catalog.store_version
-        ):
-            self._continuations.pop(sid, None)
-            self._continuations_expired += 1
-            self._release_generation(generation)
-            raise ContinuationExpired(
-                "continuation's epoch stamps do not match its pinned"
-                " generation (issued by another service instance?)"
+            read = self._resolve_read(
+                cont.generation, cont.mode, cont.emit, "degrade"
             )
-        views = parts["views"]
-        for view in views:
+        except ServiceError:
+            raise self._expired(
+                cont,
+                f"continuation's pinned store generation {cont.generation}"
+                " has been garbage-collected (re-issue the query"
+                " against the current generation)",
+            ) from None
+        catalog = read.catalog
+        if (
+            cont.maintenance_epoch != catalog.maintenance_epoch
+            or cont.store_version != catalog.store_version
+        ):
+            raise self._expired(
+                cont,
+                "continuation's epoch stamps do not match its pinned"
+                " generation (issued by another service instance?)",
+            )
+        for view in cont.views:
             try:
-                catalog.get(view, parts["scheme"])
+                catalog.get(view, cont.scheme)
             except StorageError:
-                self._continuations.pop(sid, None)
-                self._continuations_expired += 1
-                self._release_generation(generation)
-                raise ContinuationExpired(
+                raise self._expired(
+                    cont,
                     f"planned view {view.to_xpath()!r} is no longer"
-                    " materialized (quarantined or dropped)"
+                    " materialized (quarantined or dropped)",
                 ) from None
+        return self._quantum_step(read, cont)
+
+    def _quantum_step(self, read: _Read, cont: Continuation) -> QuantumOutcome:
+        """One engine quantum of a new (``cont.state is None``) or
+        resumed chain — the quantum form of execute + settle.  A
+        finished chain records the breaker success and retires its
+        session; a suspended one gets (or keeps) its session and a fresh
+        token; store corruption ends the chain in one degraded done
+        quantum through the same ``_settle`` as every other read."""
         begin = time.perf_counter()
+        quanta = cont.quanta + 1
         try:
             result, state = engine_evaluate_quantum(
-                parts["query"], catalog, views, Algorithm.VIEWJOIN,
-                parts["scheme"], mode=parts["mode"],
-                emit_matches=parts["emit"], budget=parts["budget"],
-                state=parts["state"], as_of=generation,
+                cont.query, read.catalog, cont.views, Algorithm.VIEWJOIN,
+                cont.scheme, mode=cont.mode, emit_matches=cont.emit,
+                budget=cont.budget, state=cont.state,
+                as_of=cont.generation,
             )
         except StoreCorrupt as exc:
-            self._continuations.pop(sid, None)
-            plan = planner.plan(parts["query"])
-            outcome = self._degraded_quantum(
-                plan, parts["mode"], parts["emit"], exc, begin,
-                quanta=parts["quanta"] + 1, catalog=catalog,
+            plan = read.planner.plan(cont.query)
+            outcome = self._quantum_from_outcome(
+                self._settle(read, plan, JobFailure.from_corrupt(exc)),
+                quanta=quanta,
             )
-            self._release_generation(generation)
+            outcome.elapsed_s = time.perf_counter() - begin
+            self._end_session(cont)
             return outcome
         self._quanta_served += 1
-        quanta = parts["quanta"] + 1
-        prior = parts["io"]
         io = IOStats(
-            logical_reads=result.io.logical_reads + prior[0],
-            physical_reads=result.io.physical_reads + prior[1],
-            pages_written=result.io.pages_written + prior[2],
+            logical_reads=result.io.logical_reads + cont.io[0],
+            physical_reads=result.io.physical_reads + cont.io[1],
+            pages_written=result.io.pages_written + cont.io[2],
             read_seconds=result.io.read_seconds,
             write_seconds=result.io.write_seconds,
         )
         outcome = QuantumOutcome(
-            query=parts["query"].to_xpath(),
-            combo=combo_label(Algorithm.VIEWJOIN, parts["scheme"]),
-            page=[tuple(e.start for e in m) for m in result.matches],
+            query=cont.query.to_xpath(),
+            combo=combo_label(Algorithm.VIEWJOIN, cont.scheme),
+            page=start_keys(result.matches),
             match_count=result.match_count,
             counters=result.counters,
             io=io,
             elapsed_s=time.perf_counter() - begin,
             done=state is None,
             quanta=quanta,
-            plan_views=[view.to_xpath() for view in views],
+            plan_views=[view.to_xpath() for view in cont.views],
         )
         if state is None:
-            self._continuations.pop(sid, None)
-            self._continuations_completed += 1
-            self._release_generation(generation)
+            self._note_success(cont.views)
+            if cont.sid:
+                self._continuations_completed += 1
+            self._end_session(cont)
             return outcome
-        record = self._continuations[sid]
-        record["quanta"] = quanta
-        next_payload = dict(payload)
-        next_payload["quanta"] = quanta
-        next_payload["io"] = [
-            io.logical_reads, io.physical_reads, io.pages_written,
-        ]
-        next_payload["state"] = state.to_payload()
+        sid = cont.sid or self._new_continuation(cont.generation)
         outcome.preempted = True
-        outcome.token = encode_token(next_payload)
+        outcome.token = encode_token(replace(
+            cont, sid=sid, state=state, quanta=quanta,
+            io=(io.logical_reads, io.physical_reads, io.pages_written),
+        ).to_payload())
         return outcome
 
     def continuation_metrics(self) -> dict[str, int]:
@@ -1703,145 +1579,26 @@ class QueryService:
     def _new_continuation(self, generation: int) -> str:
         self._continuation_seq += 1
         sid = f"c{self._continuation_seq}"
-        self._continuations[sid] = {"quanta": 1, "generation": generation}
+        self._continuations[sid] = generation
         self._continuations_issued += 1
         return sid
 
-    def _expire_continuations(self) -> int:
-        """Invalidate every live continuation (shutdown only); stale
-        tokens resume as typed :class:`ContinuationExpired` instead of
-        touching recycled state.  Returns how many were dropped."""
-        dropped = len(self._continuations)
-        if dropped:
-            self._continuations.clear()
-            self._continuations_purged += dropped
-        return dropped
+    def _end_session(self, cont: Continuation) -> None:
+        """Retire a chain's session and, once nothing else rests on its
+        generation, the pinned snapshot.  A first quantum has neither
+        (its generation is the caller's to hold)."""
+        if cont.sid:
+            self._continuations.pop(cont.sid, None)
+            self._release_generation(cont.generation)
 
-    def _expire_reaped_sessions(self) -> int:
-        """Drop only the sessions whose pinned generation is no longer
-        resolvable — neither the live generation nor a held snapshot.
-        Sessions on resolvable generations survive pool respawns and
-        maintenance commits untouched (their state is in-process)."""
-        live = {self.catalog.generation} | set(self._generation_snapshots)
-        stale = [
-            sid for sid, record in self._continuations.items()
-            if record.get("generation") not in live
-        ]
-        for sid in stale:
-            del self._continuations[sid]
-        self._continuations_purged += len(stale)
-        return len(stale)
-
-    def _continuation_payload(
-        self,
-        plan: Plan,
-        mode: Mode,
-        emit_matches: bool,
-        budget: QuantumBudget | None,
-        sid: str,
-        state: PlanState,
-        quanta: int,
-        io: IOStats,
-        catalog: ViewCatalog,
-    ) -> dict:
-        return {
-            "sid": sid,
-            "generation": catalog.generation,
-            "store_version": catalog.store_version,
-            "maintenance_epoch": catalog.maintenance_epoch,
-            "query": plan.query.to_xpath(),
-            "views": [
-                [view.to_xpath(), view.name] for view in plan.all_views
-            ],
-            "algorithm": Algorithm.parse(plan.algorithm).value,
-            "scheme": Scheme.parse(plan.scheme).value,
-            "mode": mode.value,
-            "emit": emit_matches,
-            "budget": budget.as_dict() if budget is not None else None,
-            "quanta": quanta,
-            "io": [io.logical_reads, io.physical_reads, io.pages_written],
-            "state": state.to_payload(),
-        }
-
-    def _continuation_parts(self, payload: dict) -> dict:
-        """Validate a decoded token payload, field by field.
-
-        A payload that passed the codec's checksum can still be hostile
-        (re-encoded with a fresh checksum); every structural assumption
-        is checked here so a bad token dies typed at the boundary, not
-        as an ``AttributeError`` inside a cursor.
-        """
-        def bad(message: str) -> None:
-            raise ContinuationMalformed(
-                f"continuation payload is invalid: {message}"
-            )
-
-        sid = payload.get("sid")
-        if not isinstance(sid, str) or not sid:
-            bad("missing session id")
-        for key in (
-            "generation", "store_version", "maintenance_epoch", "quanta"
-        ):
-            if not isinstance(payload.get(key), int):
-                bad(f"{key} must be an int")
-        if payload["quanta"] < 1:
-            bad("quanta must be positive")
-        if payload.get("algorithm") != Algorithm.VIEWJOIN.value:
-            bad("only ViewJoin plans are resumable")
-        if not isinstance(payload.get("emit"), bool):
-            bad("emit must be a bool")
-        if not isinstance(payload.get("query"), str):
-            bad("query must be a string")
-        if not isinstance(payload.get("scheme"), str):
-            bad("scheme must be a string")
-        if not isinstance(payload.get("mode"), str):
-            bad("mode must be a string")
-        views_payload = payload.get("views")
-        if not isinstance(views_payload, list) or not views_payload:
-            bad("views must be a non-empty list")
-        for item in views_payload:
-            if (
-                not isinstance(item, (list, tuple)) or len(item) != 2
-                or not isinstance(item[0], str)
-                or not (item[1] is None or isinstance(item[1], str))
-            ):
-                bad("views must be [xpath, name] pairs")
-        prior_io = payload.get("io")
-        if (
-            not isinstance(prior_io, list) or len(prior_io) != 3
-            or any(
-                not isinstance(value, int) or value < 0
-                for value in prior_io
-            )
-        ):
-            bad("io must be three non-negative ints")
-        try:
-            query = parse_pattern(payload["query"])
-            views = [
-                parse_pattern(xpath, name=name)
-                for xpath, name in views_payload
-            ]
-            scheme = Scheme.parse(payload["scheme"])
-            mode = Mode.parse(payload["mode"])
-        except ReproError as exc:
-            raise ContinuationMalformed(
-                f"continuation plan is invalid: {exc}"
-            ) from None
-        return {
-            "sid": sid,
-            "generation": payload["generation"],
-            "store_version": payload["store_version"],
-            "maintenance_epoch": payload["maintenance_epoch"],
-            "query": query,
-            "views": views,
-            "scheme": scheme,
-            "mode": mode,
-            "emit": payload["emit"],
-            "budget": QuantumBudget.from_dict(payload.get("budget")),
-            "state": PlanState.from_payload(payload.get("state")),
-            "quanta": payload["quanta"],
-            "io": prior_io,
-        }
+    def _expired(
+        self, cont: Continuation, reason: str
+    ) -> ContinuationExpired:
+        """Retire a dead token's session, count the expiry, and hand
+        back the typed error for the caller to raise."""
+        self._end_session(cont)
+        self._continuations_expired += 1
+        return ContinuationExpired(reason)
 
     @staticmethod
     def _quantum_from_outcome(
@@ -1866,36 +1623,18 @@ class QueryService:
             plan_views=list(outcome.plan_views),
         )
 
-    def _degraded_quantum(
-        self,
-        plan: Plan,
-        mode: Mode,
-        emit_matches: bool,
-        exc: StoreCorrupt,
-        begin: float,
-        quanta: int = 1,
-        catalog: ViewCatalog | None = None,
-    ) -> QuantumOutcome:
-        """Store corruption mid-quantum: feed the breaker, re-answer from
-        base views, and finish the chain in one degraded done quantum."""
-        failure = JobFailure(
-            index=0, kind="store-corrupt", message=str(exc),
-            views=exc.views or tuple(self._plan_view_names(plan)),
-            pages=exc.pages,
-        )
-        self._note_failure(plan, failure)
-        outcome = self._quantum_from_outcome(
-            self._evaluate_degraded(plan, mode, emit_matches, catalog),
-            quanta=quanta,
-        )
-        outcome.elapsed_s = time.perf_counter() - begin
-        return outcome
-
     # -- resilience -----------------------------------------------------------
 
     @staticmethod
     def _plan_view_names(plan: Plan) -> list[str]:
         return [view.name or view.to_xpath() for view in plan.views]
+
+    def _note_success(self, views: Sequence[Pattern]) -> None:
+        """A healthy execution resets its views' operational-failure
+        counts — on every read path, once per executed plan.  (Base
+        views never hold breaker state, so passing them is harmless.)"""
+        for view in views:
+            self.breaker.record_success(view.name or view.to_xpath())
 
     def _note_failure(self, plan: Plan, failure: JobFailure) -> None:
         """Feed one failure to the circuit breaker; quarantine trips."""
@@ -1928,46 +1667,39 @@ class QueryService:
         # pages), and a live-generation session that did plan over a
         # now-dropped view dies typed at resume's per-view check.
 
-    def _evaluate_degraded(
-        self,
-        plan: Plan,
-        mode: Mode,
-        emit_matches: bool,
-        catalog: ViewCatalog | None = None,
-    ) -> QueryOutcome:
+    def _evaluate_degraded(self, read: _Read, plan: Plan) -> QueryOutcome:
         """Re-answer a failed query from base views over the base
         document — a fresh in-memory catalog, untouched by whatever
-        damaged the store.  ``catalog`` picks which generation's
-        document is the base truth (a pinned snapshot's for a snapshot
-        read, the live one otherwise).  Fault injection is suspended for
-        the rerun: the chaos harness simulates *store* failures, and
-        this path is the recovery route that must stay correct."""
-        if catalog is None:
-            catalog = self.catalog
+        damaged the store.  The read's resolved catalog supplies the
+        document that is the base truth (a pinned snapshot's for a
+        snapshot read, the live one otherwise).  Fault injection is
+        suspended for the rerun: the chaos harness simulates *store*
+        failures, and this path is the recovery route that must stay
+        correct."""
         self._degraded_queries += 1
         base_views = [
             self.planner._base_view(qnode) for qnode in plan.query.nodes
         ]
         job = EvalJob.from_patterns(
             0, plan.query, base_views, plan.algorithm, plan.scheme,
-            mode=mode, emit_matches=emit_matches,
+            mode=read.mode, emit_matches=read.emit_matches,
         )
-        fallback = ViewCatalog(
-            catalog.document,
-            partial_distance=catalog.partial_distance,
-        )
-        try:
-            with faults.suspended():
-                result = run_job(fallback, job, expect_warm=False)
-        finally:
-            fallback.close()
+        with ViewCatalog(
+            read.catalog.document,
+            partial_distance=read.catalog.partial_distance,
+        ) as fallback, faults.suspended():
+            result = run_job(fallback, job, expect_warm=False)
         outcome = self._outcome_from(result, plan)
         outcome.plan_views = [view.to_xpath() for view in base_views]
         outcome.degraded = True
         return outcome
 
     @staticmethod
-    def _error_outcome(plan: Plan, failure: JobFailure) -> QueryOutcome:
+    def _empty_outcome(
+        plan: Plan, refuted: bool = False, error: str = ""
+    ) -> QueryOutcome:
+        """An answer with no engine run behind it: refuted by the
+        DataGuide, or a typed ``"<kind>: <detail>"`` failure."""
         return QueryOutcome(
             query=plan.query.to_xpath(),
             combo=combo_label(plan.algorithm, plan.scheme),
@@ -1976,7 +1708,8 @@ class QueryService:
             counters=Counters(),
             io=IOStats(),
             elapsed_s=0.0,
-            error=f"{failure.kind}: {failure.message}",
+            refuted=refuted,
+            error=error,
         )
 
     def resilience_metrics(self) -> dict[str, object]:
@@ -1993,38 +1726,6 @@ class QueryService:
             "generations_reaped": self._generations_reaped,
             "generation_cache_evictions": self._generation_cache_evictions,
         }
-
-    @staticmethod
-    def _refuted_outcome(plan: Plan, canonical: str) -> QueryOutcome:
-        return QueryOutcome(
-            query=canonical,
-            combo=combo_label(plan.algorithm, plan.scheme),
-            match_keys=[],
-            match_count=0,
-            counters=Counters(),
-            io=IOStats(),
-            elapsed_s=0.0,
-            refuted=True,
-        )
-
-    def _assemble(
-        self, outcomes: Sequence[QueryOutcome], elapsed: float
-    ) -> BatchResult:
-        counters = Counters()
-        io = IOStats()
-        for outcome in outcomes:
-            counters.merge(outcome.counters)
-            io.merge(outcome.io)
-        # Batch chokepoint of the workload recorder: every batch/parallel
-        # outcome passes through here exactly once (``evaluate`` records
-        # its own), outside the per-job loops.
-        self._advisor_observe(outcomes)
-        return BatchResult(
-            outcomes=list(outcomes),
-            counters=counters,
-            io=io,
-            elapsed_s=elapsed,
-        )
 
     def snapshot(self) -> str:
         """Ensure (and return) an on-disk store reflecting the current
@@ -2066,7 +1767,10 @@ class QueryService:
         if self._closed:
             return
         self._closed = True
-        self._expire_continuations()
+        # Stale tokens resume as typed ContinuationExpired instead of
+        # touching recycled state.
+        self._continuations_purged += len(self._continuations)
+        self._continuations.clear()
         self._discard_executor(join=True)
         self._stream_cache.close()
         for pin in self._generation_snapshots.values():

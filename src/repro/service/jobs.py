@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.algorithms.base import Counters, Mode
 from repro.algorithms.engine import Algorithm, combo_label, evaluate
-from repro.errors import ServiceError, StorageError
+from repro.errors import ServiceError, StorageError, StoreCorrupt
 from repro.storage.catalog import Scheme, ViewCatalog
 from repro.storage.pager import IOStats
 from repro.tpq.parser import parse_pattern
@@ -86,6 +86,11 @@ class EvalJob:
     def combo(self) -> str:
         return combo_label(self.algorithm, self.scheme)
 
+    @property
+    def view_names(self) -> tuple[str, ...]:
+        """Catalog names of the views this job reads."""
+        return tuple(name or xpath for xpath, name in self.views)
+
     def patterns(self) -> tuple[Pattern, list[Pattern]]:
         """Rebuild the query and view patterns from their canonical text."""
         query = parse_pattern(self.query, name=self.query_name)
@@ -130,6 +135,20 @@ class JobFailure:
     views: tuple[str, ...] = ()
     #: page ids implicated by a checksum failure, when known.
     pages: tuple[int, ...] = ()
+
+    @classmethod
+    def from_corrupt(
+        cls, exc: StoreCorrupt, job: EvalJob | None = None
+    ) -> "JobFailure":
+        """The one place a checksum failure becomes a typed job failure;
+        ``job`` attributes it when the exception names no views itself."""
+        return cls(
+            index=job.index if job is not None else 0,
+            kind="store-corrupt",
+            message=str(exc),
+            views=exc.views or (job.view_names if job is not None else ()),
+            pages=exc.pages,
+        )
 
 
 def run_job(

@@ -1,12 +1,13 @@
 """Plan-level common-subexpression elimination for batched queries.
 
-The shared-scan batch executor (``QueryService.evaluate_batch`` /
-``evaluate_parallel``) canonicalizes every query in a batch into an
-**eval node** — the full identity of one engine run: canonical query
-text, the exact view list (order included), engine combo, mode and
-emit flag.  Nodes are hash-consed across the batch, each distinct node
-is executed exactly once, and its match stream plus recorded work/I-O
-counters fan out to every consumer query.
+A batch read (``QueryService.evaluate_batch`` / ``evaluate_parallel``)
+canonicalizes every query into an **eval node** — the full identity of
+one engine run: canonical query text, the exact view list (order
+included), engine combo, mode and emit flag.  Nodes are hash-consed
+across the batch, each distinct node is executed exactly once, and its
+match stream plus recorded work/I-O counters fan out to every consumer
+query.  This is the one step a batch adds to the service's read
+pipeline (:mod:`repro.service.core`); single reads skip it.
 
 Replay accounting
 -----------------
@@ -15,36 +16,21 @@ counters and I/O a pure function of the job itself, so a duplicate's
 independent evaluation would have produced byte-identical accounting to
 the first's.  Fan-out therefore *replays* the recorded counters to every
 consumer — per-query outcomes and the merged batch totals stay
-byte-identical to the independent path — while :class:`SharedStats`
-separately records the work actually executed, which is what the
-benchmark's amortized-speedup numbers report.
-
-``REPRO_SHARED=0`` forces the independent path everywhere (checked at
-call time), which is how the differential tests pin the equivalence.
+byte-identical to a loop of ``evaluate`` over the same queries (which is
+how the differential tests pin the equivalence) — while
+:class:`SharedStats` separately records the work actually executed,
+which is what the benchmark's amortized-speedup numbers report.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 
 from repro.algorithms.base import Counters, Mode
 from repro.planner import Plan
 from repro.service.jobs import JobResult
 from repro.storage.pager import IOStats
-
-
-def shared_enabled() -> bool:
-    """Global default for the shared-scan batch path.
-
-    ``REPRO_SHARED=0`` (checked per batch, not cached) forces the
-    independent per-query path — the reference behaviour the
-    differential tests compare the shared executor against.
-    """
-    return os.environ.get("REPRO_SHARED", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 def node_key(plan: Plan, mode: Mode, emit_matches: bool) -> tuple:
@@ -78,7 +64,6 @@ def node_digest(key: tuple) -> str:
 class SharedNode:
     """One distinct eval node within a batch plus its consumer queries."""
 
-    ordinal: int
     digest: str
     plan: Plan
     #: batch positions answered by this node, in input order.
@@ -93,7 +78,7 @@ class SharedNode:
 
 @dataclass
 class SharedStats:
-    """Actual work executed by the shared path (monotone per service).
+    """Actual work executed by batch reads (monotone per service).
 
     ``executed`` / ``executed_io`` aggregate only the runs that really
     happened; the difference against the batch's merged (replayed)

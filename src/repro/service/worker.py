@@ -59,20 +59,6 @@ _ATTACHED: dict[tuple[str, int], tuple[int | None, ViewCatalog]] = {}
 _MAX_ATTACHED = 8
 
 
-def _job_views(job: EvalJob) -> tuple[str, ...]:
-    return tuple(name or xpath for xpath, name in job.views)
-
-
-def _attach_failure(exc: StoreCorrupt, job: EvalJob) -> JobFailure:
-    return JobFailure(
-        index=job.index,
-        kind="store-corrupt",
-        message=str(exc),
-        views=exc.views or _job_views(job),
-        pages=exc.pages,
-    )
-
-
 def _run_one(
     catalog: ViewCatalog, job: EvalJob
 ) -> JobResult | JobFailure:
@@ -82,13 +68,7 @@ def _run_one(
     try:
         return run_job(catalog, job, expect_warm=True)
     except StoreCorrupt as exc:
-        return JobFailure(
-            index=job.index,
-            kind="store-corrupt",
-            message=str(exc),
-            views=exc.views or _job_views(job),
-            pages=exc.pages,
-        )
+        return JobFailure.from_corrupt(exc, job)
 
 
 def _evict_path(path: str, keep: int | None = None) -> None:
@@ -176,7 +156,7 @@ def run_worker_jobs(
         try:
             catalog = load_catalog(path, pool_capacity=pool_capacity)
         except StoreCorrupt as exc:
-            return [_attach_failure(exc, job) for job in jobs]
+            return [JobFailure.from_corrupt(exc, job) for job in jobs]
         try:
             return [_run_one(catalog, job) for job in jobs]
         finally:
@@ -210,7 +190,7 @@ def _attach_and_run(
     except StoreCorrupt as exc:
         # The store is unreadable at attach: the job fails typed
         # rather than hanging or crashing the pool.
-        return _attach_failure(exc, job)
+        return JobFailure.from_corrupt(exc, job)
     except StorageError as exc:
         # Pinned generation reaped (or never published): typed per-job
         # failure.
@@ -218,6 +198,6 @@ def _attach_and_run(
             index=job.index,
             kind="error",
             message=str(exc),
-            views=_job_views(job),
+            views=job.view_names,
         )
     return _run_one(catalog, job)

@@ -6,7 +6,7 @@ the workload log contract (recording, decay, JSON round-trip), the
 budgeted adoption controller (adopt/keep/drop churn under a drifting
 workload, determinism for a fixed log), and the service integration
 (cache/planner coherence on adopt and drop, parallel equality, the
-``REPRO_ADVISOR`` kill switch).
+``advisor=False`` default).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.selection.online import (
     CalibratedStatistics,
     Measurement,
     WorkloadLog,
-    advisor_enabled,
     advisor_view_name,
     measure_view_cardinalities,
     plan_adoption,
@@ -452,21 +451,8 @@ def test_advisor_disabled_by_default(doc):
     with ViewCatalog(doc) as catalog:
         with QueryService(catalog) as service:
             assert service.advisor_log is None
-            metrics = service.advisor_metrics()
-            assert not metrics["enabled"]
-            with pytest.raises(ServiceError):
-                service.advisor_cycle()
-
-
-def test_repro_advisor_env_kill_switch(doc, monkeypatch):
-    monkeypatch.setenv("REPRO_ADVISOR", "0")
-    assert not advisor_enabled()
-    with ViewCatalog(doc) as catalog:
-        with QueryService(catalog, advisor=True) as service:
-            assert service.advisor_log is None
             service.evaluate("//a//b")  # records nothing, raises nothing
-            assert not service.advisor_metrics()["enabled"]
+            metrics = service.advisor_metrics()
+            assert not metrics["enabled"] and metrics["recorded"] == 0
             with pytest.raises(ServiceError):
                 service.advisor_cycle()
-    monkeypatch.setenv("REPRO_ADVISOR", "1")
-    assert advisor_enabled()

@@ -1,24 +1,26 @@
 """Differential tests for the shared-scan batch executor (DESIGN.md §13).
 
-The acceptance contract: for any batch, the shared path (plan CSE +
+The acceptance contract: for any batch, a batch read (plan CSE +
 memoized sub-plan streams + counter replay) returns outcomes and merged
-work/I-O totals *byte-identical* to the independent per-query path —
-across engines, schemes, worker counts and result-cache configurations —
-while running strictly fewer jobs on duplicate-heavy batches.  The
-``REPRO_SHARED`` escape hatch and the ``repro.workloads.batches``
-generator are covered here too.
+work/I-O totals *byte-identical* to the independent reference — a loop
+of ``evaluate()`` over the same queries on a fresh service — across
+engines, schemes, worker counts and result-cache configurations, while
+running strictly fewer jobs on duplicate-heavy batches.  The
+``repro.workloads.batches`` generator is covered here too.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.base import Counters
 from repro.caching import LRUCache
 from repro.datasets import random_trees
 from repro.errors import DatasetError, StorageError
-from repro.service import QueryService, node_digest, node_key, shared_enabled
+from repro.service import QueryService, node_digest, node_key
 from repro.service.streams import StreamCache
 from repro.storage.catalog import ViewCatalog
+from repro.storage.pager import IOStats
 from repro.storage.records import MatchKeyCodec
 from repro.workloads import repeated_batch
 
@@ -51,10 +53,15 @@ def fingerprint(outcome):
 
 
 def run_batch(
-    doc, queries, views, *, shared, workers=0,
+    doc, queries, views, *, batched, workers=0,
     algorithm="VJ", scheme="LEp", cache=0,
 ):
-    """One fresh service, one batch; return all deterministic outputs."""
+    """One fresh service; return all deterministic outputs.
+
+    ``batched`` answers the queries as one batch (in-process, or over
+    ``workers`` processes); otherwise the independent reference runs:
+    one ``evaluate()`` per query, merged in input order.
+    """
     with ViewCatalog(doc) as catalog:
         with QueryService(
             catalog, algorithm=algorithm, scheme=scheme,
@@ -62,21 +69,25 @@ def run_batch(
         ) as svc:
             for view in views:
                 svc.register(view)
-            if workers:
-                batch = svc.evaluate_parallel(
-                    queries, workers=workers, shared=shared
-                )
+            if not batched:
+                outcomes = [svc.evaluate(query) for query in queries]
+                counters, io = Counters(), IOStats()
+                for outcome in outcomes:
+                    counters.merge(outcome.counters)
+                    io.merge(outcome.io)
             else:
-                batch = svc.evaluate_batch(queries, shared=shared)
+                if workers:
+                    batch = svc.evaluate_parallel(queries, workers=workers)
+                else:
+                    batch = svc.evaluate_batch(queries)
+                outcomes, counters, io = (
+                    batch.outcomes, batch.counters, batch.io
+                )
             metrics = svc.shared_metrics()
     return (
-        [fingerprint(outcome) for outcome in batch.outcomes],
-        batch.counters.as_dict(),
-        (
-            batch.io.logical_reads,
-            batch.io.physical_reads,
-            batch.io.pages_written,
-        ),
+        [fingerprint(outcome) for outcome in outcomes],
+        counters.as_dict(),
+        (io.logical_reads, io.physical_reads, io.pages_written),
         metrics,
     )
 
@@ -89,23 +100,24 @@ def test_shared_is_byte_identical_across_engines_and_schemes(
     doc, algorithm, scheme
 ):
     kwargs = dict(algorithm=algorithm, scheme=scheme)
-    fast = run_batch(doc, BATCH.queries, BATCH.views, shared=True, **kwargs)
-    slow = run_batch(doc, BATCH.queries, BATCH.views, shared=False, **kwargs)
+    fast = run_batch(doc, BATCH.queries, BATCH.views, batched=True, **kwargs)
+    slow = run_batch(doc, BATCH.queries, BATCH.views, batched=False, **kwargs)
     assert fast[0] == slow[0]       # per-outcome observables, in order
     assert fast[1] == slow[1]       # merged counters
     assert fast[2] == slow[2]       # merged I/O
     # ...while the shared run dispatched only the distinct nodes.
     assert fast[3]["jobs_run"] == len(BATCH.distinct())
     assert fast[3]["jobs_run"] < len(BATCH.queries)
-    assert slow[3]["batches"] == 0  # independent path left shared stats alone
+    assert slow[3]["batches"] == 0  # singles leave the shared stats alone
 
 
 @pytest.mark.parametrize("cache", [0, 8])
 def test_shared_is_byte_identical_with_result_cache(doc, cache):
-    # Sequential batches see evolving result-cache state: with a cache,
-    # a repeat later in the batch reports cached=True on *both* paths.
-    fast = run_batch(doc, BATCH.queries, BATCH.views, shared=True, cache=cache)
-    slow = run_batch(doc, BATCH.queries, BATCH.views, shared=False, cache=cache)
+    # With a cache, a repeat later in the batch reports cached=True on
+    # *both* paths: the loop's repeat hits the entry its first occurrence
+    # stored, and the batch flags its replayed duplicates the same way.
+    fast = run_batch(doc, BATCH.queries, BATCH.views, batched=True, cache=cache)
+    slow = run_batch(doc, BATCH.queries, BATCH.views, batched=False, cache=cache)
     assert fast[:3] == slow[:3]
     cached_flags = [fp[6] for fp in fast[0]]
     assert any(cached_flags) == (cache > 0)
@@ -113,12 +125,10 @@ def test_shared_is_byte_identical_with_result_cache(doc, cache):
 
 def test_shared_is_byte_identical_under_workers(doc):
     fast = run_batch(
-        doc, BATCH.queries, BATCH.views, shared=True, workers=2, cache=8
+        doc, BATCH.queries, BATCH.views, batched=True, workers=2, cache=8
     )
-    slow = run_batch(
-        doc, BATCH.queries, BATCH.views, shared=False, workers=2, cache=8
-    )
-    sequential = run_batch(doc, BATCH.queries, BATCH.views, shared=True)
+    slow = run_batch(doc, BATCH.queries, BATCH.views, batched=False, cache=8)
+    sequential = run_batch(doc, BATCH.queries, BATCH.views, batched=True)
     assert fast[:3] == slow[:3]
     # Parallel merged totals equal the sequential shared run's, too (the
     # service-wide determinism contract extends to the shared executor).
@@ -128,16 +138,16 @@ def test_shared_is_byte_identical_under_workers(doc):
 
 def test_singleton_batch_matches_and_runs_one_job(doc):
     queries = [BATCH.queries[0]]
-    fast = run_batch(doc, queries, BATCH.views, shared=True)
-    slow = run_batch(doc, queries, BATCH.views, shared=False)
+    fast = run_batch(doc, queries, BATCH.views, batched=True)
+    slow = run_batch(doc, queries, BATCH.views, batched=False)
     assert fast[:3] == slow[:3]
     assert fast[3]["jobs_run"] == 1
 
 
 def test_refuted_queries_resolve_identically(doc):
     queries = ["//zzz//yyy", BATCH.queries[0], "//zzz//yyy"]
-    fast = run_batch(doc, queries, BATCH.views, shared=True)
-    slow = run_batch(doc, queries, BATCH.views, shared=False)
+    fast = run_batch(doc, queries, BATCH.views, batched=True)
+    slow = run_batch(doc, queries, BATCH.views, batched=False)
     assert fast[:3] == slow[:3]
     assert fast[0][0][7] and fast[0][2][7]  # refuted flags
     assert fast[3]["jobs_run"] == 1
@@ -150,7 +160,7 @@ def test_duplicates_replay_in_original_positions(doc):
         with QueryService(catalog) as svc:
             for view in BATCH.views:
                 svc.register(view)
-            batch = svc.evaluate_batch(BATCH.queries, shared=True)
+            batch = svc.evaluate_batch(BATCH.queries)
             metrics = svc.shared_metrics()
             # Per-input truth: each outcome equals its query's solo answer.
             solo = {
@@ -178,9 +188,9 @@ def test_second_batch_replays_from_the_stream_cache(doc):
         with QueryService(catalog) as svc:   # result cache off
             for view in BATCH.views:
                 svc.register(view)
-            first = svc.evaluate_batch(BATCH.queries, shared=True)
+            first = svc.evaluate_batch(BATCH.queries)
             ran = svc.shared_metrics()["jobs_run"]
-            second = svc.evaluate_batch(BATCH.queries, shared=True)
+            second = svc.evaluate_batch(BATCH.queries)
             metrics = svc.shared_metrics()
     assert metrics["jobs_run"] == ran        # nothing re-executed
     assert metrics["stream_hits"] == len(BATCH.distinct())
@@ -201,33 +211,15 @@ def test_large_streams_spill_and_rehydrate_byte_identically():
     with ViewCatalog(doc) as catalog:
         with QueryService(catalog) as svc:
             svc.register("//a//b")
-            first = svc.evaluate_batch(queries, shared=True)
+            first = svc.evaluate_batch(queries)
             assert first.outcomes[0].match_count >= 256
             spilled = svc.shared_metrics()["stream_spilled_streams"]
             assert spilled >= 1
-            second = svc.evaluate_batch(queries, shared=True)
+            second = svc.evaluate_batch(queries)
             assert svc.shared_metrics()["stream_hits"] >= 1
-            truth = svc.evaluate_batch(queries, shared=False)
-    assert second.outcomes[0].match_keys == truth.outcomes[0].match_keys
-    assert first.outcomes[0].match_keys == truth.outcomes[0].match_keys
-
-
-# -- REPRO_SHARED escape hatch -------------------------------------------------
-
-def test_env_escape_hatch_forces_the_independent_path(doc, monkeypatch):
-    monkeypatch.setenv("REPRO_SHARED", "0")
-    assert not shared_enabled()
-    with ViewCatalog(doc) as catalog:
-        with QueryService(catalog) as svc:
-            for view in BATCH.views:
-                svc.register(view)
-            batch = svc.evaluate_batch(BATCH.queries)   # shared=None
-            assert svc.shared_metrics()["batches"] == 0
-            assert not any(o.shared for o in batch.outcomes)
-            monkeypatch.setenv("REPRO_SHARED", "1")
-            assert shared_enabled()
-            svc.evaluate_batch(BATCH.queries)
-            assert svc.shared_metrics()["batches"] == 1
+            truth = svc.evaluate(queries[0])  # singles bypass the streams
+    assert second.outcomes[0].match_keys == truth.match_keys
+    assert first.outcomes[0].match_keys == truth.match_keys
 
 
 # -- eval-node identity --------------------------------------------------------

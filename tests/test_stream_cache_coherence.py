@@ -54,9 +54,9 @@ def truth_keys(doc, query):
 
 def prime(svc):
     """Fill the stream cache and prove a second batch replays from it."""
-    svc.evaluate_batch(QUERIES, shared=True)
+    svc.evaluate_batch(QUERIES)
     hits = svc.shared_metrics()["stream_hits"]
-    svc.evaluate_batch(QUERIES, shared=True)
+    svc.evaluate_batch(QUERIES)
     assert svc.shared_metrics()["stream_hits"] > hits
     assert len(svc._stream_cache) > 0
     return svc.shared_metrics()["stream_hits"]
@@ -64,7 +64,7 @@ def prime(svc):
 
 def assert_batch_is_fresh_truth(svc, hits_before):
     """Post-mutation batch: recomputed (no stream hits), correct."""
-    batch = svc.evaluate_batch(QUERIES, shared=True)
+    batch = svc.evaluate_batch(QUERIES)
     assert svc.shared_metrics()["stream_hits"] == hits_before
     for query, outcome in zip(QUERIES, batch.outcomes):
         assert outcome.match_keys == truth_keys(
@@ -85,7 +85,7 @@ def test_register_invalidates_streams(service):
 
 def test_apply_updates_rolls_stream_keys(service):
     hits = prime(service)
-    before = service.evaluate_batch(QUERIES, shared=True).match_counts
+    before = service.evaluate_batch(QUERIES).match_counts
     epoch = service.catalog.maintenance_epoch
     victim = [n for n in service.catalog.document.nodes if n.tag == "c"][0]
     report = service.apply_updates([DeleteSubtree(root_start=victim.start)])
@@ -105,14 +105,14 @@ def test_apply_updates_rolls_stream_keys(service):
 def test_insert_that_defeats_refutation_is_visible(service):
     # A query refuted by the pre-update DataGuide must be recomputed (not
     # replayed as refuted) once an insert makes it satisfiable.
-    first = service.evaluate_batch(["//zzz", "//a//b"], shared=True)
+    first = service.evaluate_batch(["//zzz", "//a//b"])
     assert first.outcomes[0].refuted
     root = service.catalog.document.nodes[0]
     service.apply_updates([
         InsertSubtree(parent_start=root.start, position=0,
                       rows=(("zzz", 0),)),
     ])
-    second = service.evaluate_batch(["//zzz", "//a//b"], shared=True)
+    second = service.evaluate_batch(["//zzz", "//a//b"])
     assert not second.outcomes[0].refuted
     assert second.outcomes[0].match_count == 1
 
@@ -159,7 +159,7 @@ def test_invalidate_results_reclaims_spill_pages(doc):
     with ViewCatalog(wide) as catalog:
         with QueryService(catalog) as svc:
             svc.register("//a//b")
-            svc.evaluate_batch(["//a//b"], shared=True)
+            svc.evaluate_batch(["//a//b"])
             assert svc.shared_metrics()["stream_spilled_streams"] >= 1
             svc.invalidate_results()
             assert len(svc._stream_cache) == 0
@@ -167,7 +167,7 @@ def test_invalidate_results_reclaims_spill_pages(doc):
             metrics = svc.shared_metrics()
             assert metrics["stream_spill_pages_written"] >= 1
             # ...and the next batch still answers correctly.
-            again = svc.evaluate_batch(["//a//b"], shared=True)
+            again = svc.evaluate_batch(["//a//b"])
             assert again.outcomes[0].match_keys == truth_keys(
                 wide, "//a//b"
             )
