@@ -6,7 +6,10 @@ aggressive 1 ms wall-time quantum, pages a query through ``POST /query``
 protocol's equality contract: the concatenated pages and the final
 cumulative counters must be byte-identical to the service's one-shot
 answer.  Also checks the NDJSON streaming path, and that a replayed
-spent token dies as ``410 Gone``.
+spent token dies as ``410 Gone``.  A second leg serves a 50 000-match
+XMark query under the shipped ``ServerConfig()`` (1024-match pages): the
+same equality contract, and every continuation token — the flushed
+buffer plus a rank, not the matches still owed — under a fixed ceiling.
 
 The whole script runs under a hard wall-clock guard (a serving
 regression that hangs must fail CI, not wedge it) on top of ci.sh's
@@ -21,6 +24,8 @@ import sys
 import threading
 
 HARD_TIMEOUT_S = 90.0
+#: A token rides in a request line; asyncio's stream limit is 64 KiB.
+TOKEN_CEILING = 16 * 1024
 
 
 def _request(port, method, path, body=None, headers=None):
@@ -35,6 +40,58 @@ def _request(port, method, path, body=None, headers=None):
         return resp.status, json.loads(resp.read() or b"{}")
     finally:
         conn.close()
+
+
+def _page_to_done(port, query):
+    """``POST /query`` then ``GET /next`` until ``done``: the pages, the
+    last response, and every token seen on the way."""
+    status, data = _request(port, "POST", "/query", {"query": query})
+    assert status == 200, (status, data)
+    pages = [tuple(p) for p in data["page"]]
+    tokens = []
+    while not data["done"]:
+        tokens.append(data["token"])
+        status, data = _request(port, "GET", "/next?token=" + data["token"])
+        assert status == 200, (status, data)
+        pages.extend(tuple(p) for p in data["page"])
+    return pages, data, tokens
+
+
+def page_bounded_leg() -> str:
+    """Default config, an answer fifty pages long."""
+    from repro.datasets import xmark
+    from repro.server import BackgroundServer, ServerConfig
+    from repro.service import QueryService
+    from repro.storage.catalog import ViewCatalog
+    from repro.workloads import xmark as queries
+
+    spec = queries.BY_NAME["Q8"]
+    query = spec.query.to_xpath()
+    doc = xmark.generate(scale=queries.STANDARD_SCALE, seed=11)
+    with ViewCatalog(doc) as catalog, QueryService(catalog) as service:
+        for view in spec.views:
+            service.register(view)
+        one = service.evaluate(query)
+        config = ServerConfig(port=0)
+        assert one.match_count > 20 * config.quantum_matches
+        with BackgroundServer(service, config) as bg:
+            pages, data, tokens = _page_to_done(bg.port, query)
+    assert pages == list(one.match_keys), (
+        f"paged {len(pages)} keys != one-shot {len(one.match_keys)}"
+    )
+    assert data["match_count"] == one.match_count
+    assert data["counters"] == one.counters.as_dict(), (
+        "cumulative counters diverged from the one-shot run"
+    )
+    largest = max(map(len, tokens))
+    assert largest < TOKEN_CEILING, (
+        f"a {largest}-byte continuation token: the surplus of a flush"
+        " must stay factorized"
+    )
+    return (
+        f"{len(pages)} matches in {len(tokens) + 1} default-config pages,"
+        f" largest token {largest} B"
+    )
 
 
 def main() -> int:
@@ -56,19 +113,8 @@ def main() -> int:
                 port=0, quantum_ms=1.0, quantum_steps=0, quantum_matches=8
             )
             with BackgroundServer(service, config) as bg:
-                status, data = _request(
-                    bg.port, "POST", "/query", {"query": query}
-                )
-                assert status == 200, (status, data)
-                pages = [tuple(p) for p in data["page"]]
-                spent = data.get("token")
-                while not data["done"]:
-                    spent = data["token"]
-                    status, data = _request(
-                        bg.port, "GET", "/next?token=" + data["token"]
-                    )
-                    assert status == 200, (status, data)
-                    pages.extend(tuple(p) for p in data["page"])
+                pages, data, tokens = _page_to_done(bg.port, query)
+                spent = tokens[-1] if tokens else None
 
                 assert pages == list(one.match_keys), (
                     f"paged {len(pages)} keys != one-shot"
@@ -109,10 +155,11 @@ def main() -> int:
                 status, health = _request(bg.port, "GET", "/health")
                 assert status == 200 and health["status"] == "ok"
 
+    paged = page_bounded_leg()
     print(
         f"serve smoke OK: {len(pages)} matches over {quanta} quanta"
         f" (1 ms quantum), pages + counters == one-shot,"
-        f" spent token -> 410, NDJSON stream equal"
+        f" spent token -> 410, NDJSON stream equal; {paged}"
     )
     return 0
 

@@ -103,6 +103,11 @@ class Counters:
 
 Match = tuple[ElementEntry, ...]
 
+#: ``emit_matches`` value asking the DAG-buffer engines for each match as
+#: its tuple of start labels (what ``EvalResult.match_keys`` derives from
+#: entry matches), built directly from the start columns.
+KEYS = "keys"
+
 
 @dataclass
 class EvalResult:
@@ -110,7 +115,9 @@ class EvalResult:
 
     ``matches`` holds output tuples aligned with the query pattern's
     preorder tags; it is empty when the run was started with
-    ``emit_matches=False`` (``match_count`` is always filled in).
+    ``emit_matches=False`` (``match_count`` is always filled in).  With
+    ``keys`` set the run emitted in the :data:`KEYS` form and the tuples
+    hold start labels, in canonical order, instead of entries.
     """
 
     matches: list[Match]
@@ -124,6 +131,7 @@ class EvalResult:
     #: paper's lambda=1 choice rests on evaluation being CPU-bound; this
     #: split makes the claim observable.
     output_seconds: float = 0.0
+    keys: bool = False
     _sorted_matches: list[Match] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -133,6 +141,8 @@ class EvalResult:
 
     def sorted_matches(self) -> list[Match]:
         """Matches in document order (cached; ``matches`` is final)."""
+        if self.keys:
+            return self.matches
         cached = self._sorted_matches
         if cached is None:
             keys = start_keys(self.matches)
@@ -146,6 +156,8 @@ class EvalResult:
 
     def match_keys(self) -> list[tuple[int, ...]]:
         """Canonical representation used by the differential tests (cached)."""
+        if self.keys:
+            return self.matches  # emitted as keys, canonical as emitted
         cached = self._match_keys
         if cached is None:
             cached = start_keys(self.matches)

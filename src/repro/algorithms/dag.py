@@ -26,12 +26,18 @@ import time
 from bisect import bisect_left
 from typing import Callable, Mapping, Sequence
 
-from repro.algorithms.base import Counters, Match, element_of
+from repro.algorithms.base import (
+    KEYS,
+    Counters,
+    EvalResult,
+    Match,
+    element_of,
+)
 from repro.errors import EvaluationError
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import ElementEntry, element_codec
-from repro.tpq.enumeration import MatchPlan
+from repro.tpq.enumeration import Enumeration, MatchPlan
 from repro.tpq.pattern import Pattern
 
 
@@ -41,7 +47,8 @@ class DagBuffer:
     Args:
         query: the query pattern (flush enumerates its matches).
         counters: run counters (candidate adds are attributed here).
-        emit_matches: keep output tuples (True) or only count them.
+        emit_matches: keep output tuples (True; :data:`KEYS` for tuples
+            of start labels instead of entries) or only count them.
         spill_pager: when given, partitions are spilled to this pager and
             read back before enumeration (the disk-based approach).
         sink: when given, each flushed partition's matches are pushed to
@@ -53,15 +60,16 @@ class DagBuffer:
         self,
         query: Pattern,
         counters: Counters,
-        emit_matches: bool = True,
+        emit_matches: bool | str = True,
         spill_pager: Pager | None = None,
         sink: Callable[[list[Match]], None] | None = None,
     ):
         self.query = query
         # Compiled once per run; every partition flush reuses it.
-        self._plan = MatchPlan(query)
+        self.plan = MatchPlan(query)
         self.counters = counters
         self.emit_matches = emit_matches
+        self.keys = emit_matches == KEYS
         self.spill_pager = spill_pager
         self.sink = sink
         self.matches: list[Match] = []
@@ -263,7 +271,8 @@ class DagBuffer:
         self,
         extend: Callable[[Mapping[str, Sequence[ElementEntry]]],
                          Mapping[str, Sequence[ElementEntry]]] | None = None,
-    ) -> None:
+        hold: bool = False,
+    ) -> Enumeration | None:
         """Close the current partition: extend, enumerate, reset.
 
         Args:
@@ -271,10 +280,14 @@ class DagBuffer:
                 and returning the complete lists for *all* query tags (it
                 fetches the tags outside Q' via view pointers).  When None
                 the buffered lists must already cover every query tag.
+            hold: rank and charge the partition's matches but build none:
+                the opened enumeration is returned (None when there is
+                nothing to emit) and the caller expands it in slices —
+                the preemptible run's sliceable flush.
         """
         if self.partition_root is None:
             self._reset()
-            return
+            return None
         begin = time.perf_counter()
         self.counters.flushes += 1
         if extend is not None:
@@ -283,7 +296,7 @@ class DagBuffer:
             )
         else:
             candidates = {
-                tag: self._lists.get(tag, ()) for tag in self._plan.tags
+                tag: self._lists.get(tag, ()) for tag in self.plan.tags
             }
         count_only = self.sink is None and not self.emit_matches
         if self.spill_pager is not None or not count_only:
@@ -298,22 +311,41 @@ class DagBuffer:
             }
         if self.spill_pager is not None:
             candidates = self._spill_and_reload(candidates)
+        held = None
         if count_only:
-            produced = self._plan.count(candidates)
+            produced = self.plan.count(candidates)
         else:
-            # Already in tuple-of-starts order (see MatchPlan.matches), and
+            # Already in tuple-of-starts order (see Enumeration), and
             # partitions are disjoint and flushed in document order, so
             # the accumulated output is canonical without a sort.
-            found = self._plan.matches(candidates)
-            produced = len(found)
-            if self.sink is not None:
-                self.sink(found)
+            opened = self.plan.open(candidates)
+            produced = opened.total
+            if hold:
+                held = opened if produced else None
             else:
-                self.matches.extend(found)
+                found = opened.take(0, produced, self.keys)
+                if self.sink is not None:
+                    self.sink(found)
+                else:
+                    self.matches.extend(found)
         self.match_count += produced
         self.counters.matches += produced
         self.output_seconds += time.perf_counter() - begin
         self._reset()
+        return held
+
+    def result(self, matches: list[Match] | None = None) -> EvalResult:
+        """The run's outcome so far; ``matches`` overrides the
+        accumulated list (a quantum's page)."""
+        return EvalResult(
+            matches=self.matches if matches is None else matches,
+            match_count=self.match_count,
+            counters=self.counters,
+            peak_buffer_entries=self.peak_entries,
+            peak_buffer_bytes=self.peak_bytes,
+            output_seconds=self.output_seconds,
+            keys=self.keys,
+        )
 
     def _reset(self) -> None:
         self._lists = {}

@@ -64,7 +64,7 @@ def evaluate(
     algorithm: Algorithm | str,
     scheme: Scheme | str,
     mode: Mode | str = Mode.MEMORY,
-    emit_matches: bool = True,
+    emit_matches: bool | str = True,
     use_index: bool = False,
     strict_pc: bool = False,
     sink=None,
@@ -80,7 +80,10 @@ def evaluate(
         algorithm: IJ / TS / PS / VJ (or full names).
         scheme: T / E / LE / LEp — must be valid for the algorithm.
         mode: memory- or disk-based output approach.
-        emit_matches: materialize output tuples (False counts only).
+        emit_matches: the output form — True materializes entry tuples,
+            False counts only, :data:`~repro.algorithms.base.KEYS` has
+            TS/PS/VJ emit each match as its tuple of start labels
+            (``result.keys`` is then set; IJ ignores it and emits entries).
         use_index: attach B+-tree indexes to the per-tag lists (TS/VJ).
         strict_pc: TwigStack only — level-exact pc-edge admission.
         sink: TS/VJ only — stream each flushed partition's matches to this
@@ -172,7 +175,7 @@ def evaluate_quantum(
     algorithm: Algorithm | str,
     scheme: Scheme | str,
     mode: Mode | str = Mode.MEMORY,
-    emit_matches: bool = True,
+    emit_matches: bool | str = True,
     budget: QuantumBudget | None = None,
     state: PlanState | None = None,
     use_index: bool = False,

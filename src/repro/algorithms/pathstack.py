@@ -31,7 +31,7 @@ def pathstack(
     query: Pattern,
     sources: Mapping[str, TagSource],
     mode: Mode = Mode.MEMORY,
-    emit_matches: bool = True,
+    emit_matches: bool | str = True,
     spill_pager: Pager | None = None,
 ) -> EvalResult:
     """Evaluate a path ``query`` with PathStack over per-tag streams.
@@ -53,14 +53,7 @@ def pathstack(
     try:
         _sweep(query, sources, counters, dag)
         dag.flush()
-        return EvalResult(
-            matches=dag.matches,
-            match_count=dag.match_count,
-            counters=counters,
-            peak_buffer_entries=dag.peak_entries,
-            peak_buffer_bytes=dag.peak_bytes,
-            output_seconds=dag.output_seconds,
-        )
+        return dag.result()
     finally:
         if own_spill and spill is not None:
             spill.close()

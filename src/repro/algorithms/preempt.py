@@ -10,10 +10,12 @@ position is a handful of integers:
 * the cached-solution map ``sol`` (Function 2's deferred admissions);
 * the open DAG partition — its root's end label and the per-tag buffered
   candidate lists;
-* the sorted matches a flush produced beyond the quantum's output page
-  (``pending`` — the odometer enumerator's emitted-count equivalent:
-  enumeration itself is atomic per partition because matches are sorted
-  before emission, so pagination happens on the sorted output);
+* what a flush still owes, **factorized**: the flushed partition's
+  projected candidate pools and the rank of the next match to emit
+  (``pools`` / ``offset``).  A flush extends, spills, ranks and charges
+  its matches once; they are then built in slices
+  (``Enumeration.take``), here or in a later quantum, so the snapshot
+  is bounded by the buffer and not by the answer;
 * the cumulative work counters, emitted-match total and peak-buffer
   high-water marks.
 
@@ -30,14 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algorithms.base import Counters, Match
+from repro.algorithms.base import Counters
 from repro.errors import ContinuationMalformed, EvaluationError
 from repro.storage.records import ElementEntry, LinkedEntry
 
 #: Version of the serialized :class:`PlanState` payload.  Bumped whenever
 #: the snapshot shape changes; tokens carrying another version are
 #: rejected as malformed instead of being misinterpreted.
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,9 @@ class QuantumBudget:
     """Bounds on one quantum of a preemptible evaluation.
 
     Any combination of limits may be set; the run suspends at the first
-    one reached.  Every quantum completes at least one driver step (and
-    drains at least one pending match), so bounded budgets always make
-    progress — a pathological budget can slow a query down but never
+    one reached.  Every quantum completes at least one driver step (or
+    builds at least one slice of owed matches), so bounded budgets always
+    make progress — a pathological budget can slow a query down but never
     wedge it.
 
     Args:
@@ -57,8 +59,8 @@ class QuantumBudget:
             driver steps (``time.perf_counter`` durations, so the check
             is deterministic-safe for the algorithms package).
         max_matches: output-page size — emitted matches per quantum;
-            at least 1.  A flush producing more carries the surplus in
-            the snapshot's ``pending`` list.
+            at least 1.  A flush producing more leaves the surplus
+            factorized in the snapshot (``pools`` / ``offset``).
     """
 
     max_steps: int | None = None
@@ -178,43 +180,20 @@ def _unpack_entries(payload) -> list:
     return entries
 
 
-def _pack_matches(matches: list[Match]) -> list:
-    """Flatten pending match tuples to ``[arity, ints]`` (3 ints/component)."""
-    if not matches:
-        return [0, []]
-    arity = len(matches[0])
-    flat: list[int] = []
-    for match in matches:
-        for entry in match:
-            flat.extend((entry.start, entry.end, entry.level))
-    return [arity, flat]
-
-
-def _unpack_matches(payload) -> list[Match]:
-    if (
-        not isinstance(payload, (list, tuple)) or len(payload) != 2
-        or not isinstance(payload[0], int) or not isinstance(payload[1], list)
-    ):
-        raise ContinuationMalformed("pending matches have a bad shape")
-    arity, flat = payload
-    if arity < 0 or any(not isinstance(value, int) for value in flat):
-        raise ContinuationMalformed("pending matches must be integers")
-    if arity == 0:
-        if flat:
-            raise ContinuationMalformed("pending matches without an arity")
-        return []
-    stride = arity * 3
-    if len(flat) % stride:
-        raise ContinuationMalformed(
-            f"pending data length {len(flat)} is not a multiple of {stride}"
-        )
-    matches: list[Match] = []
-    for i in range(0, len(flat), stride):
-        matches.append(tuple(
-            ElementEntry(flat[j], flat[j + 1], flat[j + 2])
-            for j in range(i, i + stride, 3)
-        ))
-    return matches
+def _entry_lists(payload, what: str, kinds: str) -> dict[str, list]:
+    """Per-tag entry lists from ``[[tag, kind, width, ints], ...]``,
+    each ``kind`` one of ``kinds``."""
+    if not isinstance(payload, list):
+        raise ContinuationMalformed(f"{what} lists must be a list")
+    lists: dict[str, list] = {}
+    for item in payload:
+        if (
+            not isinstance(item, (list, tuple)) or len(item) != 4
+            or not isinstance(item[0], str) or item[1] not in tuple(kinds)
+        ):
+            raise ContinuationMalformed(f"{what} item has a bad shape")
+        lists[item[0]] = _unpack_entries(item[1:])
+    return lists
 
 
 def _tag_map(payload, what: str) -> dict[str, int]:
@@ -248,7 +227,12 @@ class PlanState:
     sol: dict[str, int]
     partition_end: int | None
     buffered: dict[str, list]
-    pending: list[Match] = field(default_factory=list)
+    #: a flushed partition's projected candidate pools, by query tag,
+    #: while matches of it are still owed (else empty) ...
+    pools: dict[str, list] = field(default_factory=dict)
+    #: ... and the rank, in the pools' canonical enumeration, of the
+    #: first match not yet emitted.
+    offset: int = 0
     counters: Counters = field(default_factory=Counters)
     steps: int = 0
     done: bool = False
@@ -267,7 +251,11 @@ class PlanState:
                 [tag, *_pack_entries(entries)]
                 for tag, entries in self.buffered.items()
             ],
-            "pending": _pack_matches(self.pending),
+            "pools": [
+                [tag, *_pack_entries(entries)]
+                for tag, entries in self.pools.items()
+            ],
+            "offset": self.offset,
             "counters": self.counters.as_dict(),
             "steps": self.steps,
             "done": self.done,
@@ -294,17 +282,12 @@ class PlanState:
         partition_end = payload.get("partition_end")
         if partition_end is not None and not isinstance(partition_end, int):
             raise ContinuationMalformed("partition_end must be an int")
-        buffered_payload = payload.get("buffered")
-        if not isinstance(buffered_payload, list):
-            raise ContinuationMalformed("buffered lists must be a list")
-        buffered: dict[str, list] = {}
-        for item in buffered_payload:
-            if (
-                not isinstance(item, (list, tuple)) or len(item) != 4
-                or not isinstance(item[0], str)
-            ):
-                raise ContinuationMalformed("buffered item has a bad shape")
-            buffered[item[0]] = _unpack_entries(item[1:])
+        buffered = _entry_lists(
+            payload.get("buffered"), "buffered",
+            _KIND_ELEMENT + _KIND_LINKED,
+        )
+        # flushed pools were projected to bare element entries
+        pools = _entry_lists(payload.get("pools"), "owed pool", _KIND_ELEMENT)
         counters_payload = payload.get("counters")
         blank = Counters().as_dict()
         if (
@@ -319,6 +302,7 @@ class PlanState:
         scalars = {}
         for key, kind in (
             ("steps", int), ("match_count", int), ("peak_entries", int),
+            ("offset", int),
         ):
             value = payload.get(key)
             if not isinstance(value, kind) or value < 0:
@@ -335,7 +319,7 @@ class PlanState:
             sol=_tag_map(payload.get("sol"), "cached solutions"),
             partition_end=partition_end,
             buffered=buffered,
-            pending=_unpack_matches(payload.get("pending")),
+            pools=pools,
             counters=Counters(**counters_payload),
             done=done,
             output_seconds=float(output_seconds),

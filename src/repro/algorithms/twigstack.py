@@ -36,7 +36,7 @@ def twigstack(
     query: Pattern,
     sources: Mapping[str, TagSource],
     mode: Mode = Mode.MEMORY,
-    emit_matches: bool = True,
+    emit_matches: bool | str = True,
     spill_pager: Pager | None = None,
     strict_pc: bool = False,
     sink=None,
@@ -74,7 +74,7 @@ class _TwigStackRun:
         query: Pattern,
         sources: Mapping[str, TagSource],
         mode: Mode,
-        emit_matches: bool,
+        emit_matches: bool | str,
         spill_pager: Pager | None,
         sink=None,
         strict_pc: bool = False,
@@ -105,14 +105,7 @@ class _TwigStackRun:
                     break  # degenerate single-node query at end of stream
                 self._act_on(qnode)
             self.dag.flush()
-            return EvalResult(
-                matches=self.dag.matches,
-                match_count=self.dag.match_count,
-                counters=self.counters,
-                peak_buffer_entries=self.dag.peak_entries,
-                peak_buffer_bytes=self.dag.peak_bytes,
-                output_seconds=self.dag.output_seconds,
-            )
+            return self.dag.result()
         finally:
             if self._own_spill and self.spill_pager is not None:
                 self.spill_pager.close()

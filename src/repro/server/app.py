@@ -19,7 +19,10 @@ not thread-safe, so one lane serializes all engine work — and because
 each unit of work is one *bounded* quantum, the lane is round-robin fair
 across concurrent clients instead of head-of-line blocked behind a heavy
 query (the ``serve_http`` workload of ``benchmarks/e2e/run.py``
-measures exactly this).
+measures exactly this).  The JSON of a long page is lane work as well,
+a chunk of matches per turn: the loop thread only moves bytes, and no
+second busy thread competes with the running quantum for the
+interpreter lock.
 
 Load shedding is wired to the PR 5 circuit breaker: the effective
 concurrency limit halves per quarantined view, so a store that is
@@ -55,6 +58,18 @@ from repro.service import QuantumOutcome, QueryService
 
 _MAX_REQUEST_BYTES = 1 << 20
 _SERVER_NAME = "viewjoin-serve"
+#: Matches per ``json.dumps`` call when a page is encoded.  A longer
+#: page is encoded on the engine lane, one chunk per turn: a chunk is
+#: 2.5 ms of interpreter lock, a quarter of a 10 ms quantum, so a
+#: 50 000-match page holds up neither the loop nor another client's
+#: quantum for more than that.  (Sizing on ``serve_http``, light p50 / heavy p50 in ms:
+#: 2048 -> 11 / 260, 4096 -> 15 / 215, 8192 -> 22 / 170; parent 130 / 225.)
+_PAGE_CHUNK = 4096
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 410: "Gone",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 503: "Service Unavailable",
+}
 
 
 @dataclass(frozen=True)
@@ -165,7 +180,7 @@ class ViewJoinServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            request = await self._read_request(reader, writer)
             if request is None:
                 return
             method, target, headers, body = request
@@ -187,11 +202,25 @@ class ViewJoinServer:
             except ConnectionError:
                 pass
 
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader):
+    async def _read_request(self, reader: asyncio.StreamReader, writer):
         try:
             head = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError:
+            # Take the rest of the oversized head off the socket first:
+            # closing on unread data resets the connection, and the
+            # client would never see the answer.
+            seen = b""
+            for _ in range(_MAX_REQUEST_BYTES >> 16):
+                chunk = await reader.read(1 << 16)
+                if not chunk or b"\r\n\r\n" in seen + chunk:
+                    break
+                seen = chunk[-3:]
+            await self._send_json(
+                writer, 431,
+                {"error": "request head exceeds the server's limit"},
+            )
             return None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
@@ -276,12 +305,13 @@ class ViewJoinServer:
                     query, mode=mode, budget=self._budget
                 )
             )
+            body = await self._outcome_pieces(outcome)  # lane work too
         except ReproError as exc:
             await self._send_json(writer, 400, {"error": str(exc)})
             return
         finally:
             self._release()
-        await self._send_json(writer, 200, outcome_payload(outcome))
+        await self._send(writer, 200, body)
 
     async def _handle_next(self, writer, token: str) -> None:
         if not token:
@@ -300,6 +330,7 @@ class ViewJoinServer:
             outcome = await self._run_quantum(
                 lambda: self.service.resume_quantum(token)
             )
+            body = await self._outcome_pieces(outcome)  # lane work too
         except ContinuationMalformed as exc:
             await self._send_json(writer, 400, {"error": str(exc)})
             return
@@ -311,7 +342,7 @@ class ViewJoinServer:
             return
         finally:
             self._release()
-        await self._send_json(writer, 200, outcome_payload(outcome))
+        await self._send(writer, 200, body)
 
     async def _stream_query(self, writer, query: str, mode) -> None:
         """NDJSON: one line per quantum, resumed server-side.
@@ -334,11 +365,9 @@ class ViewJoinServer:
                 )
             )
             while True:
-                line = dict(outcome_payload(outcome))
-                line.pop("token", None)  # server-driven: token stays here
-                writer.write(
-                    json.dumps(line, separators=(",", ":")).encode() + b"\n"
-                )
+                # server-driven: the token stays here
+                writer.writelines(await self._outcome_pieces(outcome, token=False))
+                writer.write(b"\n")
                 await writer.drain()
                 if outcome.done:
                     break
@@ -377,6 +406,7 @@ class ViewJoinServer:
             self._idle.set()
 
     async def _run_quantum(self, call):
+        """One unit of lane work: a quantum, or a chunk of a long page."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, call)
 
@@ -409,36 +439,78 @@ class ViewJoinServer:
             "generation": {"current": self.service.generation},
         }
 
+    async def _outcome_pieces(
+        self, outcome: QuantumOutcome, token: bool = True
+    ) -> list[bytes]:
+        """``outcome_payload`` as JSON, byte for byte what one
+        ``json.dumps`` of it gives, in pieces.
+
+        A page longer than ``_PAGE_CHUNK`` is encoded chunk by chunk on
+        the engine lane.  Encoding 50 000 matches is tens of
+        milliseconds under the interpreter lock: on the loop it would
+        stall every connection, and beside the lane it would halve the
+        speed of whatever quantum is running (two busy threads take
+        turns).  As lane work it is one more bounded unit in the same
+        round robin, interleaved with other clients' quanta.
+        """
+        payload = outcome_payload(outcome)
+        if not token:
+            del payload["token"]
+        items = list(payload.items())
+        at = list(payload).index("page")  # keys come before it and after it
+        page = outcome.page
+        if len(page) <= _PAGE_CHUNK:
+            chunks = [_dumps(page)]
+        else:
+            chunks = [
+                await self._run_quantum(
+                    lambda start=start: _dumps(page[start:start + _PAGE_CHUNK])
+                )
+                for start in range(0, len(page), _PAGE_CHUNK)
+            ]
+        return [
+            _dumps(dict(items[:at]))[:-1], b',"page":[',
+            b",".join(chunk[1:-1] for chunk in chunks),
+            b"],", _dumps(dict(items[at + 1:]))[1:],
+        ]
+
     async def _send_json(
         self, writer, status: int, payload: dict,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
+        await self._send(writer, status, [_dumps(payload)], extra_headers)
+
+    async def _send(
+        self, writer, status: int, body: list[bytes],
+        extra_headers: dict[str, str] | None = None,
+    ) -> None:
         self.responses[status] = self.responses.get(status, 0) + 1
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        reason = {
-            200: "OK", 400: "Bad Request", 404: "Not Found",
-            410: "Gone", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable",
-        }.get(status, "OK")
         head = [
-            f"HTTP/1.1 {status} {reason}",
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
             f"Server: {_SERVER_NAME}",
             "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
+            f"Content-Length: {sum(map(len, body))}",
             "Connection: close",
         ]
         for name, value in (extra_headers or {}).items():
             head.append(f"{name}: {value}")
-        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n")
+        writer.writelines(body)
         await writer.drain()
 
 
+def _dumps(value) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
 def outcome_payload(outcome: QuantumOutcome) -> dict:
-    """The wire shape of one quantum (also NDJSON's per-line shape)."""
+    """The wire shape of one quantum (also NDJSON's per-line shape,
+    which leaves ``token`` out).  ``page`` is the outcome's own list of
+    int tuples, in canonical order; JSON writes a tuple as an array."""
     return {
         "query": outcome.query,
         "combo": outcome.combo,
-        "page": [list(key) for key in outcome.page],
+        "page": outcome.page,
         "match_count": outcome.match_count,
         "done": outcome.done,
         "token": outcome.token,

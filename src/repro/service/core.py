@@ -74,7 +74,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
-from repro.algorithms.base import Counters, Mode, start_keys
+from repro.algorithms.base import KEYS, Counters, Mode
 from repro.algorithms.engine import (
     Algorithm,
     combo_label,
@@ -204,9 +204,10 @@ class BatchResult:
 class QuantumOutcome:
     """One quantum of a preemptible evaluation.
 
-    ``page`` holds only this quantum's match keys; concatenating the
-    pages of one continuation chain yields exactly the uninterrupted
-    run's matches, in the same order, each exactly once.  ``counters``
+    ``page`` holds only this quantum's match keys — tuples of start
+    labels, as the engine emitted them; concatenating the pages of one
+    continuation chain yields exactly the uninterrupted run's matches,
+    in the same (canonical) order, each exactly once.  ``counters``
     and ``match_count`` are cumulative over the chain (the final
     quantum's equal a one-shot run's); ``io`` accumulates the logical/
     physical read and page-write counts across quanta, while its
@@ -1518,7 +1519,8 @@ class QueryService:
         try:
             result, state = engine_evaluate_quantum(
                 cont.query, read.catalog, cont.views, Algorithm.VIEWJOIN,
-                cont.scheme, mode=cont.mode, emit_matches=cont.emit,
+                cont.scheme, mode=cont.mode,
+                emit_matches=KEYS if cont.emit else False,
                 budget=cont.budget, state=cont.state,
                 as_of=cont.generation,
             )
@@ -1542,7 +1544,7 @@ class QueryService:
         outcome = QuantumOutcome(
             query=cont.query.to_xpath(),
             combo=combo_label(Algorithm.VIEWJOIN, cont.scheme),
-            page=start_keys(result.matches),
+            page=result.matches,
             match_count=result.match_count,
             counters=result.counters,
             io=io,

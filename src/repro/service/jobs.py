@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.algorithms.base import Counters, Mode
+from repro.algorithms.base import KEYS, Counters, Mode
 from repro.algorithms.engine import Algorithm, combo_label, evaluate
 from repro.errors import ServiceError, StorageError, StoreCorrupt
 from repro.storage.catalog import Scheme, ViewCatalog
@@ -192,7 +192,7 @@ def run_job(
         begin = time.perf_counter()
         result = evaluate(
             query, catalog, views, job.algorithm, job.scheme,
-            mode=job.mode, emit_matches=job.emit_matches,
+            mode=job.mode, emit_matches=KEYS if job.emit_matches else False,
             as_of=job.generation,
         )
         timings.append(time.perf_counter() - begin)

@@ -9,15 +9,15 @@ from the candidates.  Structural checks are done purely on region labels:
 * pc-edge: nesting plus ``child.level == parent.level + 1`` (region labels
   of ancestors have pairwise distinct levels, so this pins the parent).
 
-The enumeration is **factorized**.  Pattern nodes are visited children
-first; for every candidate of a node, the matches of the pattern subtree
-rooted there are computed exactly once and stored contiguously, in
-candidate order.  The candidates of a child that fall inside a parent
-candidate's region form one index range of the child's sorted pool
-(binary search), so the child's sub-matches under that parent are one
-slice of the stored list, and a branching node's matches are the product
-of its children's slices — built by list comprehensions, never one
-interpreted step per (binding, sibling sub-match) pair.
+The enumeration is **factorized**.  For every candidate of a node, the
+matches of the pattern subtree rooted there are computed exactly once
+and stored contiguously, in candidate order.  The candidates of a child
+that fall inside a parent candidate's region form one index range of
+the child's sorted pool (binary search), so the child's sub-matches
+under that parent are one slice of the stored list, and a branching
+node's matches are the product of its children's slices — built by list
+comprehensions, never one interpreted step per (binding, sibling
+sub-match) pair.
 
 It is also **output-sensitive**: no sub-match is built before two walks
 over integers have run.  The first, children first, does the binary
@@ -27,6 +27,12 @@ sub-match below, or no surviving parent above) wherever they would
 outweigh the output.  What is then expanded is at most (pattern size) x
 (number of matches) sub-matches, so candidates a filter would have
 dropped cost integer work, not tuples.
+
+And it is **ranked**: the counts of the first walk number every match,
+so an opened :class:`Enumeration` builds any range ``lo..hi`` of the
+output on its own, in O(pattern size x (hi - lo)) — what lets a flush
+be emitted in bounded slices, and a suspended one be carried as its
+candidate pools plus one integer.
 
 The order needs no sort.  Slot ``i`` of an output tuple is the ``i``-th
 pattern node in preorder, so a subtree owns a contiguous run of slots
@@ -45,12 +51,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from operator import itemgetter
 from typing import Mapping, Sequence, TypeVar
 
 from repro.errors import PatternError
 from repro.tpq.pattern import Pattern
 
 Entry = TypeVar("Entry")
+
+_range_end = itemgetter(1)
 
 
 class MatchPlan:
@@ -62,7 +71,7 @@ class MatchPlan:
     orders — is resolved here, not per flush.
     """
 
-    __slots__ = ("tags", "_pc", "_steps", "_inner_edges")
+    __slots__ = ("tags", "_pc", "_children", "_steps", "_inner_edges")
 
     def __init__(self, pattern: Pattern):
         nodes = pattern.nodes  # preorder: a node's slot is its index
@@ -72,9 +81,14 @@ class MatchPlan:
         self._pc = tuple(
             node.parent is not None and node.axis.is_pc for node in nodes
         )
+        #: per slot: the child slots, in pattern order
+        self._children = tuple(
+            tuple(slot_of[child.tag] for child in node.children)
+            for node in nodes
+        )
         # (slot, child slots), in reverse preorder: children come first.
         self._steps = tuple(
-            (slot, tuple(slot_of[child.tag] for child in nodes[slot].children))
+            (slot, self._children[slot])
             for slot in range(len(nodes) - 1, -1, -1)
         )
         # (slot, child slot) for every child that has children itself, in
@@ -83,7 +97,7 @@ class MatchPlan:
             (slot, child)
             for slot, children in reversed(self._steps)
             for child in children
-            if nodes[child].children
+            if self._children[child]
         )
 
     def _bind(self, candidates: Mapping[str, Sequence[Entry]]):
@@ -97,18 +111,22 @@ class MatchPlan:
             ) from None
 
     def _survey(self, pools):
-        """``(admits, counts, sums)`` by slot: the walk that reads labels.
+        """``(starts, admits, counts, sums)`` by slot: the walk that reads
+        labels.
 
-        ``admits[c][j]`` says which candidates of slot ``c`` candidate ``j``
-        of ``c``'s parent admits: on an ad-edge the index range ``(lo, hi)``
-        of the starts inside its region, on a pc-edge the list of indexes
-        in that range at the right ``level``.  ``counts[s][j]`` is the
-        number of sub-matches rooted at candidate ``j`` of slot ``s``: the
-        product, over child edges, of the summed counts of the admitted
-        child candidates.  ``sums[s]`` are the prefix sums of ``counts[s]``
-        (what makes an ad-edge's sum one subtraction).  Children first,
-        integers only.
+        ``starts[s]`` is the start column of slot ``s``.  ``admits[c][j]``
+        says which
+        candidates of slot ``c`` candidate ``j`` of ``c``'s parent admits:
+        on an ad-edge the index range ``(lo, hi)`` of the starts inside
+        its region, on a pc-edge the list of indexes in that range at the
+        right ``level``.  ``counts[s][j]`` is the number of sub-matches
+        rooted at candidate ``j`` of slot ``s``: the product, over child
+        edges, of the summed counts of the admitted child candidates.
+        ``sums[s]`` are the prefix sums of ``counts[s]`` (what makes an
+        ad-edge's sum one subtraction).  Children first, integers only.
         """
+        starts: list = [None] * len(pools)
+        starts[0] = [entry.start for entry in pools[0]]
         admits: list = [None] * len(pools)
         counts: list = [None] * len(pools)
         sums: list = [None] * len(pools)
@@ -117,7 +135,9 @@ class MatchPlan:
             totals = [1] * len(pool)
             for child in children:
                 child_pool = pools[child]
-                child_starts = [entry.start for entry in child_pool]
+                child_starts = starts[child] = [
+                    entry.start for entry in child_pool
+                ]
                 pc = self._pc[child]
                 below = counts[child] if pc else sums[child]
                 spans = admits[child] = []
@@ -138,7 +158,7 @@ class MatchPlan:
                         totals[j] *= below[hi] - below[lo]
             counts[slot] = totals
             sums[slot] = list(accumulate(totals, initial=0))
-        return admits, counts, sums
+        return starts, admits, counts, sums
 
     def _prune(self, admits, counts, sums) -> None:
         """Zero, in place, the counts of candidates that occur in no match.
@@ -175,64 +195,282 @@ class MatchPlan:
             counts[child] = live
             sums[child] = list(accumulate(live, initial=0))
 
+    def open(self, candidates: Mapping[str, Sequence[Entry]]) -> "Enumeration":
+        """Rank the matches of ``candidates`` without building one.
+
+        Runs the two integer walks; the returned enumeration expands any
+        rank range on demand (:meth:`Enumeration.take`).
+        """
+        pools = self._bind(candidates)
+        starts, admits, counts, sums = self._survey(pools)
+        if sums[0][-1]:
+            self._prune(admits, counts, sums)
+        return Enumeration(self, pools, starts, admits, counts, sums)
+
     def matches(
         self, candidates: Mapping[str, Sequence[Entry]]
     ) -> list[tuple[Entry, ...]]:
-        """All matches, strictly increasing in their tuple of starts.
-
-        Output-sensitive: the integer walks come first, and sub-matches
-        are built for the candidates :meth:`_prune` leaves a count.
-        """
-        pools = self._bind(candidates)
-        admits, counts, sums = self._survey(pools)
-        if not sums[0][-1]:
-            return []
-        self._prune(admits, counts, sums)
-        pc = self._pc
-        # found[s]: the sub-matches rooted at slot s, grouped by candidate
-        # in pool order.  Candidate j owns counts[s][j] of them, so its
-        # group is found[s][sums[s][j]:sums[s][j + 1]] and an admitted
-        # index range is a single slice.
-        found: list = [None] * len(pools)
-        for slot, children in self._steps:
-            pool = pools[slot]
-            if not children:
-                found[slot] = [(entry,) for entry in pool]
-                continue
-            out: list = []
-            alive = counts[slot]
-            for j, entry in enumerate(pool):
-                if alive[j]:
-                    head = (entry,)
-                    partial = None
-                    for child in children:
-                        picks = admits[child][j]
-                        below = found[child]
-                        cuts = sums[child]
-                        if pc[child]:
-                            below = [
-                                match
-                                for k in picks
-                                for match in below[cuts[k]:cuts[k + 1]]
-                            ]
-                        else:
-                            below = below[cuts[picks[0]]:cuts[picks[1]]]
-                        if partial is None:
-                            partial = [head + match for match in below]
-                        else:
-                            partial = [
-                                prefix + match
-                                for prefix in partial
-                                for match in below
-                            ]
-                    out += partial
-            found[slot] = out
-        return found[0]
+        """All matches, strictly increasing in their tuple of starts."""
+        opened = self.open(candidates)
+        return opened.take(0, opened.total)
 
     def count(self, candidates: Mapping[str, Sequence[Entry]]) -> int:
         """``len(self.matches(candidates))`` without building a match."""
-        sums = self._survey(self._bind(candidates))[2]
+        sums = self._survey(self._bind(candidates))[3]
         return sums[0][-1]
+
+
+class Enumeration:
+    """One candidate set, surveyed and pruned: every match has a rank.
+
+    The counts and prefix sums of :meth:`MatchPlan._survey` number the
+    sub-matches of every slot in the canonical order — candidate by
+    candidate in pool order, and under one candidate the product of its
+    children's admitted sub-matches, first child outermost — so "the
+    sub-matches ``a..b`` of slot ``s``" is a well-defined list and the
+    matches are the root's.  :meth:`take` builds exactly such a range:
+
+    * the candidates that lie wholly inside the range are expanded in
+      bulk (:meth:`_whole`): each child's sub-matches are fetched once
+      for the whole run of candidates and sliced per candidate, and the
+      products are list comprehensions;
+    * the one candidate at either end that the range cuts is unranked
+      (:meth:`_rows`): its share is an interval of the mixed-radix
+      numbers over its children's admitted counts, which splits into at
+      most a partial first row, whole middle rows and a partial last row
+      per child, and every piece recurses into a child with a sub-range.
+
+    What one ``take`` builds is therefore O(pattern size x (hi - lo))
+    tuples, wherever the bulk of the matches sits in the pattern.
+    """
+
+    __slots__ = (
+        "plan", "pools", "total", "_starts", "_admits", "_counts", "_sums",
+    )
+
+    def __init__(self, plan: MatchPlan, pools, starts, admits, counts, sums):
+        self.plan = plan
+        #: the candidate pools by slot (``plan.tags`` order)
+        self.pools = pools
+        #: number of matches
+        self.total: int = sums[0][-1]
+        self._starts = starts
+        self._admits = admits
+        self._counts = counts
+        self._sums = sums
+
+    def take(self, lo: int, hi: int, keys: bool = False) -> list[tuple]:
+        """Matches ``lo..hi`` (clamped to ``0..total``) of the canonical
+        order, strictly increasing in their tuple of starts.
+
+        With ``keys`` a match is the tuple of its start labels instead of
+        the tuple of pooled entries: the same expansion over the start
+        columns, so no entry tuple is built first.
+        """
+        lo = max(lo, 0)
+        hi = min(hi, self.total)
+        if lo >= hi:
+            return []
+        return self._ranks(self._starts if keys else self.pools, 0, lo, hi)
+
+    def _ranks(self, cols, slot: int, a: int, b: int) -> list[tuple]:
+        """Sub-matches ``a..b`` of ``slot`` (``a < b``, both in range)."""
+        if not self.plan._children[slot]:
+            # A leaf candidate roots one sub-match: ranks are indexes.
+            return self._whole(cols, slot, a, b)
+        cuts = self._sums[slot]
+        p = bisect_right(cuts, a) - 1  # cuts[p] <= a < cuts[p + 1]
+        q = bisect_left(cuts, b) - 1   # cuts[q] < b <= cuts[q + 1]
+        if p == q and (cuts[p] < a or b < cuts[q + 1]):
+            return self._rows(cols, slot, p, a - cuts[p], b - cuts[p])
+        out: list[tuple] = []
+        if cuts[p] < a:
+            out = self._rows(
+                cols, slot, p, a - cuts[p], cuts[p + 1] - cuts[p]
+            )
+            p += 1
+        cut = b < cuts[q + 1]
+        out += self._whole(cols, slot, p, q if cut else q + 1)
+        if cut:
+            out += self._rows(cols, slot, q, 0, b - cuts[q])
+        return out
+
+    def _picked(self, child: int, p: int, q: int) -> tuple[int, int]:
+        """The index range of pc-edge ``child`` from the first to the
+        last pick of candidates ``p..q`` of its parent slot."""
+        chosen = [picks for picks in self._admits[child][p:q] if picks]
+        if not chosen:
+            return 0, 0
+        return (
+            min([picks[0] for picks in chosen]),
+            max([picks[-1] for picks in chosen]) + 1,
+        )
+
+    def _whole(self, cols, slot: int, p: int, q: int) -> list[tuple]:
+        """Every sub-match of candidates ``p..q`` of ``slot``."""
+        col = cols[slot]
+        kids = self.plan._children
+        if not kids[slot]:
+            return [(value,) for value in col[p:q]]
+        sums = self._sums
+        size = sums[slot][q] - sums[slot][p]
+        if not size:
+            return []
+        # Fetch each child's sub-matches once, over the hull of what the
+        # candidates admit.  The hull is their union unless it spans
+        # sub-matches that no candidate of this run admits (dead ones of
+        # an unpruned slot, a straggler between two nested candidates of
+        # a recursive tag, the other levels between a pc-edge's picks).
+        # What the run admits numbers at most `size`; a hull within that
+        # keeps every slot's share of a `take` within the range asked
+        # for, and a wider one is cut down by halving the run.
+        pc = self.plan._pc
+        fetched = []
+        for child in kids[slot]:
+            spans = self._admits[child]
+            if pc[child]:
+                lo, hi = self._picked(child, p, q)
+            elif q - p == 1:
+                lo, hi = spans[p]
+            else:
+                # Regions nest or are disjoint and parents come by
+                # ascending start: the first range starts first.
+                lo = spans[p][0]
+                hi = max(spans[p:q], key=_range_end)[1]
+            cuts = sums[child]
+            if cuts[hi] - cuts[lo] > size:
+                if q - p == 1:
+                    # A pc-edge whose picks are sparse among heavier
+                    # candidates at other levels: pick by pick.
+                    return self._rows(cols, slot, p, 0, size)
+                mid = (p + q) // 2
+                return (
+                    self._whole(cols, slot, p, mid)
+                    + self._whole(cols, slot, mid, q)
+                )
+            fetched.append(
+                (child, spans, cuts, cuts[lo],
+                 self._whole(cols, child, lo, hi))
+            )
+        alive = self._counts[slot]
+        out: list[tuple] = []
+        for j in range(p, q):
+            if alive[j]:
+                head = (col[j],)
+                partial = None
+                for child, spans, cuts, base, found in fetched:
+                    picks = spans[j]
+                    if pc[child]:
+                        below = [
+                            match
+                            for k in picks
+                            for match in found[cuts[k] - base:
+                                               cuts[k + 1] - base]
+                        ]
+                    else:
+                        below = found[cuts[picks[0]] - base:
+                                      cuts[picks[1]] - base]
+                    if partial is None:
+                        partial = [head + match for match in below]
+                    else:
+                        partial = [
+                            prefix + match
+                            for prefix in partial
+                            for match in below
+                        ]
+                out += partial
+        return out
+
+    def _rows(self, cols, slot: int, j: int, x: int, y: int) -> list[tuple]:
+        """Sub-matches ``x..y`` of candidate ``j`` of ``slot``, numbered
+        within the candidate."""
+        children = self.plan._children[slot]
+        # widths[i]: the rows that share one sub-match of children[i],
+        # i.e. the product of the later children's admitted counts.
+        widths = [1] * len(children)
+        for i in range(len(children) - 1, 0, -1):
+            widths[i - 1] = widths[i] * self._admitted(children[i], j)
+        return self._product(
+            cols, j, (cols[slot][j],), children, widths, 0, x, y
+        )
+
+    def _product(
+        self, cols, j: int, prefix: tuple, children, widths, i: int,
+        x: int, y: int,
+    ) -> list[tuple]:
+        """Rows ``x..y`` of ``prefix`` x ``children[i]`` x ``children[i +
+        1]`` x ... under candidate ``j`` of the children's parent slot
+        (first child outermost, ``x < y``)."""
+        child = children[i]
+        if i == len(children) - 1:
+            return [
+                prefix + match
+                for match in self._under(cols, child, j, x, y)
+            ]
+        width = widths[i]
+        first, skip = divmod(x, width)
+        last, stop = divmod(y, width)
+        if first == last:
+            (match,) = self._under(cols, child, j, first, first + 1)
+            return self._product(
+                cols, j, prefix + match, children, widths, i + 1, skip, stop
+            )
+        out: list[tuple] = []
+        if skip:
+            (match,) = self._under(cols, child, j, first, first + 1)
+            out = self._product(
+                cols, j, prefix + match, children, widths, i + 1, skip, width
+            )
+            first += 1
+        if first < last:
+            # Whole rows: (last - first) * width of them lie in x..y, so
+            # the shared tail is no longer than the range asked for.
+            tail = self._product(
+                cols, j, (), children, widths, i + 1, 0, width
+            )
+            heads = [
+                prefix + match
+                for match in self._under(cols, child, j, first, last)
+            ]
+            out += [head + rest for head in heads for rest in tail]
+        if stop:
+            (match,) = self._under(cols, child, j, last, last + 1)
+            out += self._product(
+                cols, j, prefix + match, children, widths, i + 1, 0, stop
+            )
+        return out
+
+    def _admitted(self, child: int, j: int) -> int:
+        """How many sub-matches of ``child`` candidate ``j`` of its
+        parent slot admits."""
+        picks = self._admits[child][j]
+        cuts = self._sums[child]
+        if not self.plan._pc[child]:
+            return cuts[picks[1]] - cuts[picks[0]]
+        return sum([cuts[k + 1] - cuts[k] for k in picks])
+
+    def _under(self, cols, child: int, j: int, u: int, v: int) -> list[tuple]:
+        """Sub-matches ``u..v`` of ``child`` among those candidate ``j``
+        of its parent slot admits (``u < v``)."""
+        picks = self._admits[child][j]
+        cuts = self._sums[child]
+        if not self.plan._pc[child]:
+            base = cuts[picks[0]]
+            return self._ranks(cols, child, base + u, base + v)
+        out: list[tuple] = []
+        seen = 0  # admitted sub-matches before pick k
+        for k in picks:
+            if seen >= v:
+                break
+            width = cuts[k + 1] - cuts[k]
+            if width and seen + width > u:
+                out += self._ranks(
+                    cols, child,
+                    cuts[k] + max(u - seen, 0),
+                    cuts[k] + min(v - seen, width),
+                )
+            seen += width
+        return out
 
 
 def enumerate_matches(

@@ -3,6 +3,7 @@ oracle and vs the retired odometer (``tests/odometer_reference.py``)."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from repro.algorithms import engine
 from repro.algorithms.base import Counters
 from repro.algorithms.dag import DagBuffer
-from repro.algorithms.preempt import QuantumBudget
+from repro.algorithms.preempt import PlanState, QuantumBudget
 from repro.datasets import random_trees
 from repro.datasets import xmark as xmark_data
 from repro.storage.catalog import ViewCatalog
@@ -113,6 +114,28 @@ def assert_strictly_increasing(keys):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def assert_sliceable(pattern, candidates, rng, keys):
+    """However the rank range is cut, the slices — as entries and as
+    start keys — concatenate to the whole answer."""
+    opened = MatchPlan(pattern).open(candidates)
+    assert opened.total == len(keys)
+    whole = opened.take(0, opened.total)
+    assert keys_of(whole) == keys
+    assert opened.take(-3, opened.total + 3, keys=True) == keys  # clamped
+    for _ in range(4):
+        cuts = sorted(
+            rng.randrange(opened.total + 1) for _ in range(rng.randint(1, 5))
+        )
+        bounds = [0, *cuts, opened.total]
+        for as_keys in (False, True):
+            taken = [
+                match
+                for lo, hi in zip(bounds, bounds[1:])
+                for match in opened.take(lo, hi, keys=as_keys)
+            ]
+            assert taken == (keys if as_keys else whole)
+
+
 def test_matches_odometer_reference(small_doc):
     q = parse_pattern("//a//c")
     candidates = {tag: list(small_doc.tag_list(tag)) for tag in q.tags()}
@@ -176,6 +199,7 @@ def test_differential_against_naive_and_odometer(seed):
     assert keys == odometer_keys(pattern, candidates)
     assert_strictly_increasing(keys)
     assert count_matches(pattern, candidates) == len(keys)
+    assert_sliceable(pattern, candidates, rng, keys)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -194,6 +218,7 @@ def test_differential_on_thinned_pools(seed):
     assert keys == odometer_keys(pattern, candidates)
     assert_strictly_increasing(keys)
     assert count_matches(pattern, candidates) == len(keys)
+    assert_sliceable(pattern, candidates, rng, keys)
 
 
 def test_single_node_pattern(small_doc):
@@ -202,6 +227,10 @@ def test_single_node_pattern(small_doc):
     assert enumerate_matches(q, {"c": pool}) == [(node,) for node in pool]
     assert count_matches(q, {"c": pool}) == len(pool)
     assert enumerate_matches(q, {"c": []}) == []
+    assert_sliceable(q, {"c": pool}, random.Random(0), keys_of(
+        [(node,) for node in pool]
+    ))
+    assert MatchPlan(q).open({"c": []}).take(0, 5) == []
 
 
 def test_recursive_parlist_xmark():
@@ -219,6 +248,7 @@ def test_recursive_parlist_xmark():
     assert keys == keys_of(find_embeddings(doc, spec.query))
     assert keys == odometer_keys(spec.query, candidates)
     assert_strictly_increasing(keys)
+    assert_sliceable(spec.query, candidates, random.Random(19), keys)
 
 
 def test_plan_is_reusable_across_candidate_sets(small_doc, recursive_doc):
@@ -392,6 +422,121 @@ def test_live_and_dead_candidates_share_a_slot():
     assert_strictly_increasing(keys)
 
 
+# -- ranked access: a slice costs its own size, wherever it lies ---------------
+
+def test_slices_around_unneeded_sub_matches():
+    """Two ways a run of candidates can span sub-matches none of them
+    admits, in a slot the pruning walk leaves alone (``r0``'s 50-fold
+    product keeps the ``x`` sub-matches under the match count): a fat
+    ``x`` under another ``r`` between two light ones (the run is halved),
+    and a fat ``x`` one level too deep between two picks of one ``r``
+    (picks are fetched one by one)."""
+    b = DocumentBuilder("stragglers")
+
+    def x(width):
+        with b.element("x"):
+            for tag in "y" * width + "z" * width:
+                b.leaf(tag)
+
+    with b.element("root"):
+        with b.element("r"):            # r0: 50 q x (2 y x 2 z)
+            for _ in range(50):
+                b.leaf("q")
+            x(2)
+        with b.element("r"):            # r1: one match
+            b.leaf("q")
+            x(1)
+        with b.element("r"):            # r2: its only x is a grandchild
+            b.leaf("q")
+            with b.element("w"):
+                x(5)
+        with b.element("r"):            # r3: picks x, not w/x, x
+            b.leaf("q")
+            x(1)
+            with b.element("w"):
+                x(5)
+            x(1)
+    doc = b.build()
+    q = parse_pattern("//r[//q]/x[//y]//z")
+    candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
+    keys = keys_of(find_embeddings(doc, q))
+    assert len(keys) == 200 + 1 + 0 + 2
+    opened = MatchPlan(q).open(candidates)
+    assert opened.take(0, opened.total, keys=True) == keys
+    assert opened.take(200, 203, keys=True) == keys[200:]   # r1..r3, whole
+    assert opened.take(201, 203, keys=True) == keys[201:]   # r3 alone
+    assert opened.take(199, 202, keys=True) == keys[199:202]
+    assert_sliceable(q, candidates, random.Random(5), keys)
+
+
+def synthetic(spec):
+    """Pools from ``{tag: [(start, end, level), ...]}``."""
+    return {
+        tag: [ElementEntry(*labels) for labels in rows]
+        for tag, rows in spec.items()
+    }
+
+
+def pairs_below_the_root(n):
+    """One ``a`` over ``n`` (b, c) pairs: the bulk sits two levels down."""
+    return parse_pattern("//a//b//c"), synthetic({
+        "a": [(0, 4 * n + 1, 0)],
+        "b": [(4 * i + 1, 4 * i + 4, 1) for i in range(n)],
+        "c": [(4 * i + 2, 4 * i + 3, 2) for i in range(n)],
+    })
+
+
+def product_at_the_root(n):
+    """One ``a`` over ``n`` b and ``n`` c: n * n matches, one product."""
+    return parse_pattern("//a[//b]//c"), synthetic({
+        "a": [(0, 4 * n + 1, 0)],
+        "b": [(2 * i + 1, 2 * i + 2, 1) for i in range(n)],
+        "c": [(2 * (n + i) + 1, 2 * (n + i) + 2, 1) for i in range(n)],
+    })
+
+
+@pytest.mark.parametrize("build,n,total", [
+    (pairs_below_the_root, 200_000, 200_000),
+    (product_at_the_root, 1_000, 1_000_000),
+])
+@pytest.mark.parametrize("as_keys", [False, True])
+def test_take_stores_only_its_slice(build, n, total, as_keys):
+    """``take(lo, lo + k)`` allocates O(pattern size x k), whatever ``lo``
+    and ``total`` are: a few hundred bytes per row, never the tens of
+    megabytes the whole answer (or one whole child slot) would take."""
+    pattern, candidates = build(n)
+    opened = MatchPlan(pattern).open(candidates)
+    assert opened.total == total
+    k = 2000
+    peaks = []
+    for lo in (0, 1, total // 2 - 7, total // 3, total - k):
+        rows, peak = peak_bytes_of(
+            lambda: opened.take(lo, lo + k, keys=as_keys)
+        )
+        assert len(rows) == k
+        peaks.append(peak)
+    # ~56-80 bytes per tuple, a handful of tuples per row and slot
+    assert max(peaks) < 600 * k
+    double = peak_bytes_of(
+        lambda: opened.take(total // 2, total // 2 + 2 * k, keys=as_keys)
+    )[1]
+    assert double < 600 * 2 * k
+
+
+def test_take_addresses_the_product_by_rank():
+    """Row ``i * n + j`` of ``//a[//b]//c`` is (a, b_i, c_j)."""
+    n = 40
+    pattern, candidates = product_at_the_root(n)
+    opened = MatchPlan(pattern).open(candidates)
+    b, c = candidates["b"], candidates["c"]
+    for lo, hi in ((0, 1), (n - 1, n + 1), (3 * n + 7, 9 * n + 2),
+                   (n * n - 1, n * n)):
+        assert opened.take(lo, hi, keys=True) == [
+            (0, b[rank // n].start, c[rank % n].start)
+            for rank in range(lo, hi)
+        ]
+
+
 # -- through the engines: partitions, resume, sink, count-only ----------------
 
 def many_partitions_doc(partitions: int = 120):
@@ -436,10 +581,12 @@ def test_many_tiny_partitions(algorithm, scheme, mode):
 @pytest.mark.parametrize("mode", ["memory", "disk"])
 def test_resume_across_flush_boundaries(mode):
     """Two matches per quantum over many partitions: suspensions fall
-    before, inside (surplus carried as ``pending``) and after flushes.
-    What was emitted plus what is pending is always a prefix of the
-    one-shot answer, and the final counters are the one-shot ones."""
+    before, inside (the surplus stays factorized: pools and a rank) and
+    after flushes.  The pages so far plus what the state still owes are
+    always a prefix of the one-shot answer, and the final counters are
+    the one-shot ones."""
     doc = many_partitions_doc(40)
+    plan = MatchPlan(TWIG)
     with ViewCatalog(doc) as catalog:
         one = engine.evaluate(TWIG, catalog, TWIG_VIEWS, "VJ", "LEp", mode=mode)
         pages: list = []
@@ -450,12 +597,25 @@ def test_resume_across_flush_boundaries(mode):
                 TWIG, catalog, TWIG_VIEWS, "VJ", "LEp", mode=mode,
                 budget=QuantumBudget(max_matches=2), state=state,
             )
+            assert 1 <= len(result.matches) <= 2 or state is None
             pages.extend(result.matches)
             if state is None:
                 break
-            carried += bool(state.pending)
-            seen = pages + state.pending
+            state = PlanState.from_payload(
+                json.loads(json.dumps(state.to_payload()))
+            )
+            owed = []
+            if state.pools:
+                carried += 1
+                opened = plan.open(state.pools)
+                assert 0 < state.offset < opened.total
+                owed = opened.take(state.offset, opened.total)
+            else:
+                assert state.offset == 0
+            seen = pages + owed
             assert seen == one.matches[:len(seen)]
+            # charged at the flush, not as the slices are built
+            assert result.match_count == len(seen)
     assert carried > 0
     assert pages == one.matches
     assert result.match_count == one.match_count
@@ -502,7 +662,7 @@ def test_count_only_flush_builds_no_match(monkeypatch):
     def forbidden(self, candidates):
         raise AssertionError("a count-only flush enumerated its matches")
 
-    monkeypatch.setattr(MatchPlan, "matches", forbidden)
+    monkeypatch.setattr(MatchPlan, "open", forbidden)
     counters = Counters()
     dag = DagBuffer(parse_pattern("//a//b"), counters, emit_matches=False)
     dag.set_partition_root(ElementEntry(0, 100, 0))

@@ -431,6 +431,72 @@ def test_fuzz_valid_codec_bad_shape_is_typed(service):
             service.resume_quantum(encode_token(payload))
 
 
+def owing_payload(service):
+    """A decoded token whose state still owes matches of a flush."""
+    outcome = service.evaluate_quantum(
+        QUERY, budget=QuantumBudget(max_matches=1)
+    )
+    while not decode_token(outcome.token)["state"]["pools"]:
+        outcome = service.resume_quantum(outcome.token)
+    return decode_token(outcome.token)
+
+
+def test_fuzz_owed_output_fields_are_typed(service):
+    """The factorized surplus (pools + offset) is validated like the
+    rest of the snapshot: a tampered one dies typed, never inside the
+    enumerator."""
+    good = owing_payload(service)
+    state = good["state"]
+    assert state["v"] == 2 and state["offset"] >= 1
+    service.resume_quantum(encode_token(good))  # the untouched one resumes
+    good = owing_payload(service)
+    state = good["state"]
+    tag, kind, width, flat = next(
+        pool for pool in state["pools"] if len(pool[3]) >= 6
+    )
+    others = [pool for pool in state["pools"] if pool[0] != tag]
+    swapped = flat[3:6] + flat[:3] + flat[6:]
+    mutations = [
+        {**state, "offset": 10**9},                       # past total
+        {**state, "offset": -1},
+        {**state, "offset": "1"},
+        {**state, "pools": [], "offset": state["offset"]},  # owes nothing
+        {**state, "pools": others},                       # a tag missing
+        {**state, "pools": state["pools"] + [["zzz", "E", 3, []]]},
+        {**state, "pools": others + [[tag, kind, width, swapped]]},
+        {**state, "pools": others + [[tag, kind, 4, flat]]},   # bad width
+        {**state, "pools": others + [[tag, kind, width, flat[:-1]]]},
+        {**state, "pools": others + [[tag, "L", 5, flat]]},
+        {**state, "pools": others + [[tag, kind, width, ["x"] * 3]]},
+        {**state, "pools": "everything"},
+        {key: value for key, value in state.items() if key != "pools"},
+        # what STATE_VERSION 1 carried: expanded pending matches
+        {**{k: v for k, v in state.items() if k not in ("pools", "offset")},
+         "v": 1, "pending": [0, []]},
+    ]
+    for mutated in mutations:
+        with pytest.raises(ContinuationMalformed):
+            service.resume_quantum(encode_token({**good, "state": mutated}))
+
+
+def test_token_size_is_bounded_by_the_buffer(service):
+    """A page bound far below the answer: every token of the chain
+    carries the flushed pools and one rank, not the matches still owed,
+    so its size does not shrink as they are paid out."""
+    one = service.evaluate(QUERY)
+    outcome = service.evaluate_quantum(
+        QUERY, budget=QuantumBudget(max_matches=1)
+    )
+    pages, sizes = list(outcome.page), []
+    while not outcome.done:
+        sizes.append(len(outcome.token))
+        outcome = service.resume_quantum(outcome.token)
+        assert len(outcome.page) == 1
+        pages.extend(outcome.page)
+    assert pages == list(one.match_keys)
+    assert max(sizes) < 2 * min(sizes)
+
+
 def test_fuzz_tampered_position_is_typed_or_expired(service):
     """Recomputing the checksum over a tampered cursor position must
     still die typed (the position exceeds the list)."""

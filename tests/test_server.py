@@ -258,3 +258,108 @@ def test_metrics_shape(service):
         assert metrics["continuations"]["issued"] == 1
         assert "quarantined_views" in metrics["resilience"]
         assert metrics["server"]["responses"]["200"] >= 1
+
+
+# -- the shipped defaults, on answers far larger than a page ------------------
+
+
+@pytest.fixture(scope="module")
+def xmark_service():
+    from repro.datasets import xmark
+    from repro.workloads import xmark as queries
+
+    doc = xmark.generate(scale=queries.STANDARD_SCALE, seed=42)
+    with ViewCatalog(doc) as catalog:
+        with QueryService(catalog) as svc:
+            for name in HEAVY:
+                for view in queries.BY_NAME[name].views:
+                    svc.register(view)
+            yield svc
+
+
+HEAVY = ("Q8", "Q9", "Q11")
+
+
+@pytest.mark.parametrize("name", HEAVY)
+def test_heavy_query_pages_under_default_config(xmark_service, name):
+    """``ServerConfig()`` as shipped (1024-match pages): a 50 000-match
+    answer pages to ``done`` over real HTTP.  Its surplus stays
+    factorized, so the token is the flushed buffer and a rank — small
+    enough for a request line, and no larger while more is owed."""
+    from repro.workloads import xmark as queries
+
+    text = queries.BY_NAME[name].query.to_xpath()
+    one = xmark_service.evaluate(text)
+    assert one.match_count > 50_000
+    with BackgroundServer(xmark_service, ServerConfig(port=0)) as bg:
+        status, __, data = request_json(
+            bg.port, "POST", "/query", {"query": text}
+        )
+        assert status == 200
+        pages = [tuple(p) for p in data["page"]]
+        tokens = []
+        while not data["done"]:
+            tokens.append(len(data["token"]))
+            status, __, data = request_json(
+                bg.port, "GET", "/next?token=" + data["token"]
+            )
+            assert status == 200, data
+            assert 0 < len(data["page"]) <= 1024
+            pages.extend(tuple(p) for p in data["page"])
+    assert pages == list(one.match_keys)
+    assert data["match_count"] == one.match_count
+    assert data["counters"] == one.counters.as_dict()
+    assert len(tokens) + 1 >= one.match_count // 1024  # one page each
+    assert max(tokens) < 16 * 1024
+    assert max(tokens) - min(tokens) < 1024
+
+
+def test_oversized_request_head_is_431(service):
+    """A request line beyond the stream limit gets a typed JSON answer,
+    not a dropped connection."""
+    with BackgroundServer(service, STEPPED) as bg:
+        status, __, data = request_json(
+            bg.port, "GET", "/next?token=" + "A" * 200_000
+        )
+        assert status == 431
+        assert "limit" in data["error"]
+        assert bg.server.metrics()["server"]["responses"][431] == 1
+        status, __, __ = request_json(bg.port, "GET", "/health")
+        assert status == 200
+
+
+def test_chunked_page_is_one_json_dumps(xmark_service):
+    """The body the server writes — a long page encoded in chunks — is
+    byte for byte ``json.dumps`` of the payload, with and without the
+    token."""
+    import asyncio
+
+    from repro.algorithms.preempt import QuantumBudget
+    from repro.server import ViewJoinServer, outcome_payload
+
+    def dumps(payload):
+        return json.dumps(payload, separators=(",", ":")).encode()
+
+    from repro.workloads import xmark as queries
+
+    server = ViewJoinServer(xmark_service)
+    text = queries.BY_NAME["Q8"].query.to_xpath()
+    for size in (10_000, 4096, 7):   # three chunks, one chunk, a few
+        outcome = xmark_service.evaluate_quantum(
+            text, budget=QuantumBudget(max_matches=size)
+        )
+        assert outcome.token and len(outcome.page) == size
+        payload = outcome_payload(outcome)
+        assert payload["page"] is outcome.page
+        body = b"".join(asyncio.run(server._outcome_pieces(outcome)))
+        assert body == dumps(payload)
+        del payload["token"]
+        line = b"".join(
+            asyncio.run(server._outcome_pieces(outcome, token=False))
+        )
+        assert line == dumps(payload)
+    empty = xmark_service.evaluate_quantum("//zzz//qqq")
+    assert b"".join(
+        asyncio.run(server._outcome_pieces(empty))
+    ) == dumps(outcome_payload(empty))
+    asyncio.run(server.aclose())
