@@ -31,7 +31,13 @@ NASA_SCALE = 3.0 * _SCALE
 
 
 def write_report(name: str, *sections: str) -> None:
-    """Persist an experiment's text report under benchmarks/results/."""
+    """Persist an experiment's text report under benchmarks/results/.
+
+    A scaled run (``REPRO_BENCH_SCALE`` != 1, e.g. the CI smoke leg) is
+    not the recorded experiment and leaves the committed tables alone.
+    """
+    if _SCALE != 1.0:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text("\n\n".join(sections) + "\n", encoding="utf-8")

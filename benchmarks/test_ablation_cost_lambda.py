@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import write_report
 from repro.algorithms.engine import evaluate
 from repro.bench.report import format_table
-from repro.selection.greedy import select_views
+from repro.selection import ExactSizes, select_views
 from repro.storage.catalog import ViewCatalog
 from repro.workloads import nasa
 
@@ -28,9 +28,9 @@ def sweep(nasa_doc):
     with ViewCatalog(nasa_doc) as catalog:
         for lam in LAMBDAS:
             selection = select_views(
-                nasa_doc,
                 nasa.SELECTION_CANDIDATES,
                 nasa.SELECTION_QUERY,
+                ExactSizes(nasa_doc),
                 lam=lam,
                 require_complete=True,
             )
@@ -79,9 +79,9 @@ def test_lambda_one_among_cheapest(sweep):
 def test_bench_selection(benchmark, nasa_doc, lam):
     def run():
         return select_views(
-            nasa_doc,
             nasa.SELECTION_CANDIDATES,
             nasa.SELECTION_QUERY,
+            ExactSizes(nasa_doc),
             lam=lam,
             require_complete=True,
         ).selected

@@ -20,8 +20,7 @@ from benchmarks.conftest import write_report
 from repro.algorithms.engine import evaluate
 from repro.bench.report import format_table
 from repro.planner import Planner
-from repro.selection.advisor import recommend_views
-from repro.selection.estimates import DocumentStatistics
+from repro.selection import DocumentStatistics, recommend_for_workload
 from repro.workloads import nasa
 
 QUERIES = ("N5", "N6", "N7", "N8")
@@ -44,18 +43,18 @@ def comparison(nasa_doc, nasa_catalog):
             spec.query, nasa_catalog, spec.views, "VJ", "LE",
             emit_matches=False,
         )
-        advice = recommend_views(
-            nasa_doc, spec.query, max_view_size=4, stats=stats
-        )
+        recommended = recommend_for_workload(
+            [spec.query], stats, max_view_size=4
+        ).views
         advise_planner = Planner(nasa_catalog, scheme="LE")
-        for view in advice.recommended:
+        for view in recommended:
             advise_planner.register(view)
         __, advised = advise_planner.answer(spec.query, emit_matches=False)
         rows.append(
             [name,
              base.counters.work, workload.counters.work,
              advised.counters.work,
-             "; ".join(v.to_xpath() for v in advice.recommended)]
+             "; ".join(v.to_xpath() for v in recommended)]
         )
         outcome[name] = (base, workload, advised)
     write_report(
@@ -95,9 +94,9 @@ def test_bench_plans(benchmark, nasa_doc, nasa_catalog, plan_kind,
     planner = Planner(nasa_catalog, scheme="LE")
     if plan_kind == "advised":
         stats = DocumentStatistics.collect(nasa_doc)
-        for view in recommend_views(
-            nasa_doc, spec.query, max_view_size=4, stats=stats
-        ).recommended:
+        for view in recommend_for_workload(
+            [spec.query], stats, max_view_size=4
+        ).views:
             planner.register(view)
         views = planner.plan(spec.query).all_views
     else:

@@ -14,16 +14,16 @@ import pytest
 from benchmarks.conftest import write_report
 from repro.algorithms.engine import evaluate
 from repro.bench.report import format_table
-from repro.selection.greedy import select_views
+from repro.selection import ExactSizes, select_views
 from repro.workloads import nasa
 
 
 @pytest.fixture(scope="module")
 def selection(nasa_doc):
     return select_views(
-        nasa_doc,
         nasa.SELECTION_CANDIDATES,
         nasa.SELECTION_QUERY,
+        ExactSizes(nasa_doc),
         lam=1.0,
         require_complete=True,
     )

@@ -15,7 +15,12 @@ Run with::
 from repro.algorithms.engine import evaluate
 from repro.bench.report import format_table
 from repro.datasets import nasa as nasa_data
-from repro.selection.greedy import select_views
+from repro.selection import (
+    DocumentStatistics,
+    ExactSizes,
+    recommend_for_workload,
+    select_views,
+)
 from repro.storage.catalog import ViewCatalog
 from repro.workloads import nasa
 
@@ -28,7 +33,8 @@ def main() -> None:
     print(f"candidates: {[v.name for v in candidates]}\n")
 
     selection = select_views(
-        document, candidates, query, lam=1.0, require_complete=True
+        candidates, query, ExactSizes(document), lam=1.0,
+        require_complete=True,
     )
     rows = [
         [
@@ -61,20 +67,24 @@ def main() -> None:
 
     # Going further: what if no candidate pool is given at all?  The
     # advisor enumerates the query's connected subpatterns and recommends
-    # what to materialize, using only one pass of document statistics.
-    from repro.selection.advisor import recommend_views
-
+    # what to materialize, using only one pass of document statistics —
+    # a single query is a workload of one.
     print("\n== advisor: recommending views from scratch ==")
-    advice = recommend_views(document, query, max_view_size=4)
-    for rec in advice.candidates[:5]:
+    advice = recommend_for_workload(
+        [query], DocumentStatistics.collect(document), max_view_size=4
+    )
+    for chosen in advice.chosen[:5]:
         print(
-            f"  {rec.view.to_xpath():45s} est. cost {rec.estimated_cost:9.0f}"
-            f"  saving {rec.saving:9.0f}"
+            f"  {chosen.view.to_xpath():45s}"
+            f" saving {chosen.total_saving:9.0f}"
+            f"  est. bytes {chosen.estimated_bytes:9.0f}"
         )
-    print(f"recommended: {[v.to_xpath() for v in advice.recommended]}")
-    if advice.uncovered:
-        print(f"left to base views: {advice.uncovered}")
-
+    recommended = advice.assignments[query.name or query.to_xpath()]
+    print(f"recommended: {[v.to_xpath() for v in recommended]}")
+    covered = {tag for view in recommended for tag in view.tag_set()}
+    uncovered = [tag for tag in query.tags() if tag not in covered]
+    if uncovered:
+        print(f"left to base views: {uncovered}")
 
 if __name__ == "__main__":
     main()

@@ -31,6 +31,19 @@ REPRO_BENCH_SCALE=0.1 REPRO_COLUMNAR=0 python -m pytest \
     benchmarks/test_micro_substrate.py -q --benchmark-warmup=off \
     --benchmark-min-rounds=1 --benchmark-columns=median
 
+echo "== selection smoke (paper-figure benches, example and CLI: outside testpaths) =="
+# A selection API change breaks these silently otherwise.
+REPRO_BENCH_SCALE=0.1 timeout 120 python -m pytest \
+    benchmarks/test_table2_view_selection.py \
+    benchmarks/test_ablation_cost_lambda.py -q --benchmark-warmup=off \
+    --benchmark-min-rounds=1 --benchmark-columns=median
+timeout 120 python examples/view_advisor.py > /dev/null
+advise_xml="$(mktemp --suffix=.xml)"
+python -m repro.cli generate nasa "$advise_xml" --scale 0.5 --seed 7
+timeout 60 python -m repro.cli advise "$advise_xml" \
+    "//dataset//tableHead[//tableLink//title]//field//definition//para"
+rm -f "$advise_xml"
+
 echo "== service smoke (parallel sequential-equality, workers=2) =="
 python scripts/smoke_parallel.py
 

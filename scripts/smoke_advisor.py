@@ -65,8 +65,10 @@ def main() -> int:
 
             # Determinism: the same recorded log plans identically.
             log = service.advisor_log
-            from repro.selection.estimates import DocumentStatistics
-            from repro.selection.online import CalibratedStatistics
+            from repro.selection.estimates import (
+                CalibratedStatistics,
+                DocumentStatistics,
+            )
 
             stats = DocumentStatistics.collect(doc)
             calibration = CalibratedStatistics.from_log(stats, log)

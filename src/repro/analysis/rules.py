@@ -1,4 +1,4 @@
-"""The per-file repro-lint rule catalog (RL101–RL108).
+"""The per-file repro-lint rule catalog (RL101–RL107).
 
 Each rule encodes one invariant this repository's correctness rests on;
 DESIGN.md §10 carries the authoritative rule table (per-file RL1xx,
@@ -864,61 +864,6 @@ class BatchPlanningRule(Rule):
         return findings
 
 
-# -- RL108: calibrated-cost discipline -----------------------------------------
-
-#: Estimate-based cost entry points that must not be called from the
-#: serving layer.  The service measures exact cardinalities and work for
-#: free (materialized views expose ``entry_counts``; every outcome
-#: carries ``measured``), so its decisions go through the calibrated
-#: interface (``CalibratedStatistics.list_size`` — measured first,
-#: estimate fallback) instead of raw independence-assumption guesses.
-_ESTIMATE_COST_CALLS = frozenset({
-    "estimate_list_size", "estimate_view_cost", "select_views_estimated",
-})
-
-#: Packages bound by the calibrated-cost contract: the serving hot paths.
-_CALIBRATED_PREFIXES = ("service/",)
-
-
-class CalibratedCostRule(Rule):
-    code = "RL108"
-    name = "calibrated-cost"
-    description = (
-        "Service code must not cost views with estimate_list_size-style"
-        " guesses; it has measured counters and exact view cardinalities"
-        " — go through CalibratedStatistics (measured first, estimate"
-        " fallback)."
-    )
-
-    def check(self, module: ModuleInfo) -> list[Finding]:
-        if not module.path.startswith(_CALIBRATED_PREFIXES):
-            return []
-        findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-                banned = sorted(names & _ESTIMATE_COST_CALLS)
-                if banned:
-                    findings.append(self.finding(
-                        module, node,
-                        f"imports estimate-based cost entry point(s)"
-                        f" {', '.join(banned)} into service code — cost"
-                        " views through CalibratedStatistics.list_size"
-                        " (measured first, estimate fallback)",
-                    ))
-            elif isinstance(node, ast.Call):
-                target = call_target_name(node)
-                if target in _ESTIMATE_COST_CALLS:
-                    findings.append(self.finding(
-                        module, node,
-                        f"calls {target!r} in service code — the serving"
-                        " layer has measured cardinalities; use"
-                        " CalibratedStatistics.list_size so estimates"
-                        " only serve never-materialized patterns",
-                    ))
-        return findings
-
-
 #: The registry, in code order.  Stable: reporters, baselines and
 #: suppressions key on these codes.
 RULES: tuple[Rule, ...] = (
@@ -929,5 +874,4 @@ RULES: tuple[Rule, ...] = (
     ExceptionDisciplineRule(),
     WaitDisciplineRule(),
     BatchPlanningRule(),
-    CalibratedCostRule(),
 )

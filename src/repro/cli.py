@@ -32,7 +32,7 @@ from repro.bench.harness import run_query_matrix
 from repro.bench.report import format_records, format_table
 from repro.datasets import nasa as nasa_data
 from repro.datasets import xmark as xmark_data
-from repro.selection import select_views
+from repro.selection import ExactSizes, select_views
 from repro.storage.catalog import ViewCatalog
 from repro.tpq.parser import parse_pattern
 from repro.workloads import nasa as nasa_workload
@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="run the repro-lint invariant checker"
-                     " (RL101-RL108 per-file, RL201-RL206 whole-program)"
+                     " (RL101-RL107 per-file, RL201-RL206 whole-program)"
     )
     lint.add_argument("paths", nargs="*",
                       help="files/directories to lint (default: the whole"
@@ -392,7 +392,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
     document = parse_xml_file(args.input)
     query = parse_pattern(args.query)
     candidates = [parse_pattern(text) for text in args.candidates]
-    selection = select_views(document, candidates, query, lam=args.lam)
+    selection = select_views(
+        candidates, query, ExactSizes(document), lam=args.lam
+    )
     rows = [
         [key, round(cost.io_term, 1), round(cost.cpu_term, 1),
          round(cost.total, 1)]
@@ -590,7 +592,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    from repro.selection.advisor import recommend_views
+    from repro.selection import DocumentStatistics, recommend_for_workload
 
     if args.from_log is not None:
         return _cmd_advise_from_log(args)
@@ -599,33 +601,42 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         return 1
     document = parse_xml_file(args.input)
     query = parse_pattern(args.query)
-    result = recommend_views(document, query, max_view_size=args.max_size)
+    # A single query is a workload of one: same candidates, same scoring,
+    # same benefit-per-byte ranking as any workload.
+    advice = recommend_for_workload(
+        [query], DocumentStatistics.collect(document),
+        max_view_size=args.max_size,
+    )
     rows = [
-        [rec.view.to_xpath(), round(rec.estimated_cost), round(rec.base_cost),
-         round(rec.saving)]
-        for rec in result.candidates[: args.top]
+        [chosen.view.to_xpath(), round(chosen.total_saving),
+         round(chosen.estimated_bytes), round(chosen.density, 2)]
+        for chosen in advice.chosen[: args.top]
     ]
     print(format_table(
-        ["candidate view", "est. cost", "base cost", "saving"], rows
+        ["recommended view", "saving", "est. bytes", "saving/byte"], rows
     ))
     print()
-    print("recommended:", [v.to_xpath() for v in result.recommended])
-    if result.uncovered:
-        print("left to base views:", result.uncovered)
-    print(f"total estimated saving: {round(result.total_saving)}")
+    recommended = advice.assignments[query.to_xpath()]
+    print("recommended:", [view.to_xpath() for view in recommended])
+    covered = {tag for view in recommended for tag in view.tag_set()}
+    uncovered = [tag for tag in query.tags() if tag not in covered]
+    if uncovered:
+        print("left to base views:", uncovered)
+    total = sum(chosen.total_saving for chosen in advice.chosen)
+    print(f"total estimated saving: {round(total)}")
     return 0
 
 
 def _cmd_advise_from_log(args: argparse.Namespace) -> int:
     """Offline advisor replay: a recorded log deterministically yields
     the same adopt/drop plan the live controller would produce."""
-    from repro.selection.estimates import DocumentStatistics
-    from repro.selection.online import (
+    from repro.selection import (
         CalibratedStatistics,
+        DocumentStatistics,
         WorkloadLog,
+        estimate_view_bytes,
         plan_adoption,
     )
-    from repro.selection.workload_advisor import estimate_view_bytes
 
     log = WorkloadLog.load(args.from_log)
     document = parse_xml_file(args.input)

@@ -8,7 +8,9 @@ the loop:
 1. candidate discovery — every registered view that is a subpattern of the
    query (Section II containment) is usable;
 2. cover construction — the Section V greedy heuristic picks a minimal
-   covering subset by cost (exact sizes when the views are materialized);
+   covering subset by cost, on the list sizes the catalog's materialized
+   views already store (an exact document pass only for a view held in
+   no scheme with per-tag lists);
 3. base-view fallback — query nodes no view covers are served by implicit
    single-tag *base views* (the raw per-type element lists every
    structural-join algorithm assumes), materialized on demand;
@@ -29,6 +31,7 @@ from repro.algorithms.base import EvalResult, Mode
 from repro.algorithms.engine import Algorithm, evaluate
 from repro.caching import CacheStats, LRUCache
 from repro.errors import SelectionError
+from repro.selection.estimates import CalibratedStatistics, ExactSizes
 from repro.selection.greedy import select_views
 from repro.storage.catalog import Scheme, ViewCatalog
 from repro.tpq.containment import is_subpattern
@@ -320,9 +323,10 @@ class Planner:
 
         chosen: list[Pattern] = []
         if usable:
-            selection = select_views(
-                self.catalog.document, usable, query, lam=1.0
+            sizes = CalibratedStatistics.from_catalog(
+                self.catalog, ExactSizes(self.catalog.document)
             )
+            selection = select_views(usable, query, sizes, lam=1.0)
             chosen = self._drop_overlaps(selection.selected, explanation)
 
         covered = {

@@ -1,18 +1,11 @@
-"""View selection (paper Section V): cost model, statistics-based
-estimates and the greedy heuristic."""
+"""View selection (paper Section V): list-size sources, the cost model,
+the greedy heuristic, and the advisor built on them."""
 
-from repro.selection.advisor import (
-    AdvisorResult,
-    Recommendation,
-    enumerate_connected_subpatterns,
-    recommend_views,
-)
 from repro.selection.cost import ViewCost, residual_edges, view_cost
 from repro.selection.estimates import (
+    CalibratedStatistics,
     DocumentStatistics,
-    estimate_list_size,
-    estimate_view_cost,
-    select_views_estimated,
+    ExactSizes,
 )
 from repro.selection.greedy import SelectionResult, select_views
 from repro.selection.online import (
@@ -20,50 +13,43 @@ from repro.selection.online import (
     AdoptedView,
     AdoptionDecision,
     AdoptionPlan,
-    CalibratedStatistics,
     Measurement,
     QueryObservation,
     WorkloadLog,
     advisor_view_name,
-    measure_view_cardinalities,
     plan_adoption,
     rebalance_to_budget,
 )
 from repro.selection.workload_advisor import (
     WorkloadAdvice,
     WorkloadCandidate,
+    enumerate_connected_subpatterns,
     estimate_view_bytes,
     recommend_for_workload,
 )
 
 __all__ = [
-    "AdvisorResult",
-    "Recommendation",
-    "enumerate_connected_subpatterns",
-    "recommend_views",
     "ViewCost",
     "residual_edges",
     "view_cost",
+    "CalibratedStatistics",
     "DocumentStatistics",
-    "estimate_list_size",
-    "estimate_view_cost",
-    "select_views_estimated",
+    "ExactSizes",
     "SelectionResult",
     "select_views",
     "WorkloadAdvice",
     "WorkloadCandidate",
+    "enumerate_connected_subpatterns",
     "estimate_view_bytes",
     "recommend_for_workload",
     "ADVISOR_PREFIX",
     "AdoptedView",
     "AdoptionDecision",
     "AdoptionPlan",
-    "CalibratedStatistics",
     "Measurement",
     "QueryObservation",
     "WorkloadLog",
     "advisor_view_name",
-    "measure_view_cardinalities",
     "plan_adoption",
     "rebalance_to_budget",
 ]

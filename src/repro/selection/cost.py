@@ -12,6 +12,10 @@ view; the second the CPU cost of the residual structural joins.
 
 The paper observes query evaluation is CPU-bound and fixes ``lambda = 1``;
 the ablation benchmark sweeps it.
+
+Where ``|L_q|`` comes from is the caller's decision: :func:`view_cost`
+takes a *sizes* source (:mod:`repro.selection.estimates` — exact,
+estimated or measured-first) and is the only cost function there is.
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ from dataclasses import dataclass
 
 from repro.errors import SelectionError
 from repro.tpq.containment import is_subpattern
-from repro.tpq.matching import solution_nodes
 from repro.tpq.pattern import Pattern, PatternNode
-from repro.xmltree.document import Document
 
 
 @dataclass
@@ -33,6 +35,11 @@ class ViewCost:
     io_term: float
     cpu_term: float
     lam: float
+    #: ``sum_q |L_q| * max(e_q, 1)``: the ``lambda = 1`` cost with every
+    #: list read at least once.  The advisor prices candidates against
+    #: base views with it — a view whose joins are all precomputed still
+    #: costs one pass over its lists (reading is never free).
+    floored: float
 
     @property
     def total(self) -> float:
@@ -69,22 +76,17 @@ def _neighbours(qnode: PatternNode) -> list[PatternNode]:
 
 
 def view_cost(
-    document: Document,
-    view: Pattern,
-    query: Pattern,
-    lam: float = 1.0,
-    list_sizes: dict[str, int] | None = None,
+    view: Pattern, query: Pattern, sizes, lam: float = 1.0
 ) -> ViewCost:
-    """Compute ``c(v, Q)`` against a document (or precomputed list sizes).
+    """Compute ``c(v, Q)`` on the list sizes ``sizes`` reports.
 
     Args:
-        document: the data tree (sizes of the materialized lists come from
-            the view's solution nodes on it).
         view: candidate view; must be a subpattern of ``query``.
         query: the query.
+        sizes: the ``|L_q|`` source — any object with
+            ``list_size(view, tag) -> float``
+            (:mod:`repro.selection.estimates`).
         lam: the weight parameter (paper default 1.0 — CPU-bound).
-        list_sizes: optional precomputed ``|L_q|`` map to avoid
-            re-materializing when costing many views.
 
     Raises:
         SelectionError: if ``view`` is not a subpattern of ``query`` or
@@ -97,16 +99,17 @@ def view_cost(
             f"view {view.to_xpath()} is not a subpattern of {query.to_xpath()}"
             " and cannot be used to answer it"
         )
-    if list_sizes is None:
-        lists = solution_nodes(document, view)
-        list_sizes = {tag: len(nodes) for tag, nodes in lists.items()}
     io_term = 0.0
     cpu_term = 0.0
+    floored = 0.0
     for vnode in view.nodes:
         tag = vnode.tag
-        if not query.has_tag(tag):
-            continue
-        size = list_sizes.get(tag, 0)
+        size = sizes.list_size(view, tag)
+        edges = residual_edges(view, query, tag)
         io_term += size
-        cpu_term += size * residual_edges(view, query, tag)
-    return ViewCost(view=view, io_term=io_term, cpu_term=cpu_term, lam=lam)
+        cpu_term += size * edges
+        floored += size * max(edges, 1)
+    return ViewCost(
+        view=view, io_term=io_term, cpu_term=cpu_term, lam=lam,
+        floored=floored,
+    )

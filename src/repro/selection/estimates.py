@@ -1,30 +1,72 @@
-"""Statistics-based cardinality estimation for view selection.
+"""Where ``|L_q|`` comes from: the list-size sources of view selection.
 
 The Section V cost model needs the materialized list sizes ``|L_q|`` of
-every candidate view.  Materializing each candidate just to cost it is
-wasteful when the candidate pool is large, so this module estimates the
-sizes from one-pass document statistics — the classic System-R style
-independence assumption applied to structural predicates:
+every candidate view.  Every consumer in this package —
+:func:`~repro.selection.cost.view_cost`,
+:func:`~repro.selection.greedy.select_views`,
+:func:`~repro.selection.workload_advisor.recommend_for_workload`,
+:func:`~repro.selection.online.plan_adoption` — takes a *sizes* object
+with one method::
 
-    |L_q| ~= count(tag) * prod P(has alpha-ancestor)   for view ancestors
-                        * prod P(has delta-descendant) for subtree tags
+    sizes.list_size(view, tag) -> float
 
-The statistics themselves are exact (computed in one ancestor-walk pass):
-per-tag node counts, the number of ``t``-nodes with at least one
-``a``-tagged ancestor, and the number of ``a``-nodes with at least one
-``t``-tagged descendant.  Only the independence combination is
-approximate.
+and the caller decides which of the three sources below it passes:
+
+* :class:`ExactSizes` — the view's solution nodes on the document, one
+  naive-matcher pass per distinct view (memoised).  The only place in
+  this package that runs the matcher.
+* :class:`DocumentStatistics` — estimated from one-pass document
+  statistics, the classic System-R style independence assumption
+  applied to structural predicates, so no candidate is materialized::
+
+      |L_q| ~= count(tag) * prod P(has alpha-ancestor)   for view ancestors
+                          * prod P(has delta-descendant) for subtree tags
+
+  The statistics themselves are exact (computed in one ancestor-walk
+  pass): per-tag node counts, the number of ``t``-nodes with at least
+  one ``a``-tagged ancestor, and the number of ``a``-nodes with at least
+  one ``t``-tagged descendant.  Only the independence combination is
+  approximate.
+* :class:`CalibratedStatistics` — measured first: the exact per-tag
+  entry counts materialized views already store (harvested by
+  :func:`catalog_list_sizes`, or carried by a recorded workload log),
+  with either source above as the fallback for never-materialized
+  patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.errors import SelectionError
-from repro.selection.cost import ViewCost, residual_edges
-from repro.tpq.containment import is_subpattern
-from repro.tpq.pattern import Pattern, PatternNode
+from repro.tpq.matching import solution_nodes
+from repro.tpq.pattern import Pattern
 from repro.xmltree.document import Document
+
+
+class ExactSizes:
+    """Exact ``|L_q|``: the sizes materialization would store.
+
+    Runs the naive two-pass matcher over the whole document once per
+    distinct view (memoised by canonical xpath), so it is the source for
+    offline selection over a handful of candidates and the fallback for
+    views whose stored lists cannot be read (tuple scheme).
+    """
+
+    def __init__(self, document: Document) -> None:
+        self.document = document
+        self._memo: dict[str, dict[str, int]] = {}
+
+    def list_size(self, view: Pattern, tag: str) -> float:
+        xpath = view.to_xpath()
+        sizes = self._memo.get(xpath)
+        if sizes is None:
+            sizes = {
+                vtag: len(nodes)
+                for vtag, nodes in solution_nodes(self.document, view).items()
+            }
+            self._memo[xpath] = sizes
+        return float(sizes.get(tag, 0))
 
 
 @dataclass
@@ -89,125 +131,81 @@ class DocumentStatistics:
             return 0.0
         return self.with_descendant.get((tag, descendant_tag), 0) / total
 
+    def list_size(self, view: Pattern, tag: str) -> float:
+        """Estimated ``|L_tag|`` of ``view``'s materialization.
 
-def estimate_list_size(
-    stats: DocumentStatistics, view: Pattern, tag: str
-) -> float:
-    """Estimated ``|L_tag|`` of ``view``'s materialization.
+        A node survives into the view's solution lists iff it has
+        matching partners along every view edge above and below it; the
+        factors are combined under independence.
+        """
+        qnode = view.node(tag)
+        estimate = float(self.count(tag))
+        ancestor = qnode.parent
+        while ancestor is not None:
+            estimate *= self.p_has_ancestor(tag, ancestor.tag)
+            ancestor = ancestor.parent
+        for below in qnode.iter_subtree():
+            if below is not qnode:
+                estimate *= self.p_has_descendant(tag, below.tag)
+        return estimate
 
-    A node survives into the view's solution lists iff it has matching
-    partners along every view edge above and below it; the factors are
-    combined under independence.
 
-    When ``stats`` carries measured cardinalities (a
-    :class:`~repro.selection.online.CalibratedStatistics`), the measured
-    exact value is returned instead and the independence estimate only
-    serves patterns that were never materialized — which upgrades every
-    existing selection entry point to calibrated costs without touching
-    its callers.
+def catalog_list_sizes(catalog) -> dict[str, dict[str, int]]:
+    """Measured ``|L_q|`` per view xpath, harvested from a catalog.
+
+    Every non-derived materialized view that exposes per-tag entry
+    counts (the element and linked-element schemes) contributes; the
+    counts are the pattern's solution-list sizes whatever the scheme, so
+    one scheme per pattern is read.  Derived result views are skipped —
+    their content is a query result, not the pattern's solution lists,
+    so their counts would mis-calibrate the model — and so are views
+    held only in the tuple scheme, which has no per-tag lists.
     """
-    measured = getattr(stats, "measured_list_size", None)
-    if measured is not None:
-        size = measured(view, tag)
-        if size is not None:
-            return size
-        stats = stats.stats
-    qnode = view.node(tag)
-    estimate = float(stats.count(tag))
-    ancestor = qnode.parent
-    while ancestor is not None:
-        estimate *= stats.p_has_ancestor(tag, ancestor.tag)
-        ancestor = ancestor.parent
-    for below in _proper_subtree(qnode):
-        estimate *= stats.p_has_descendant(tag, below.tag)
-    return estimate
-
-
-def _proper_subtree(qnode: PatternNode):
-    for node in qnode.iter_subtree():
-        if node is not qnode:
-            yield node
-
-
-def estimate_view_cost(
-    stats: DocumentStatistics,
-    view: Pattern,
-    query: Pattern,
-    lam: float = 1.0,
-) -> ViewCost:
-    """The Section V cost ``c(v, Q)`` using estimated list sizes."""
-    if not 0.0 <= lam <= 1.0:
-        raise SelectionError(f"lambda must be in [0, 1], got {lam}")
-    if not is_subpattern(view, query):
-        raise SelectionError(
-            f"view {view.to_xpath()} is not a subpattern of {query.to_xpath()}"
-        )
-    io_term = 0.0
-    cpu_term = 0.0
-    for vnode in view.nodes:
-        if not query.has_tag(vnode.tag):
+    measured: dict[str, dict[str, int]] = {}
+    for info in catalog.views():
+        if info.derived:
             continue
-        size = estimate_list_size(stats, view, vnode.tag)
-        io_term += size
-        cpu_term += size * residual_edges(view, query, vnode.tag)
-    return ViewCost(view=view, io_term=io_term, cpu_term=cpu_term, lam=lam)
+        counts = getattr(info.view, "entry_counts", None)
+        if counts is None:
+            continue
+        xpath = info.pattern.to_xpath()
+        if xpath not in measured:
+            measured[xpath] = counts()
+    return measured
 
 
-def select_views_estimated(
-    stats: DocumentStatistics,
-    candidates: list[Pattern],
-    query: Pattern,
-    lam: float = 1.0,
-    require_complete: bool = False,
-):
-    """Greedy selection (Section V) driven by estimated costs.
+class CalibratedStatistics:
+    """Measured-first list sizes over a fallback source.
 
-    Same procedure as :func:`repro.selection.greedy.select_views` but costs
-    come from :func:`estimate_view_cost`, so no candidate is materialized.
+    Answers exactly for every pattern whose materialized cardinalities
+    were observed (from a catalog, or from a recorded workload log) and
+    asks ``fallback`` — a :class:`DocumentStatistics` or an
+    :class:`ExactSizes` — only for patterns that never were.
     """
-    from repro.selection.greedy import SelectionResult, _key
 
-    usable: list[Pattern] = []
-    costs: dict[str, ViewCost] = {}
-    for view in candidates:
-        if not is_subpattern(view, query):
-            continue
-        costs[_key(view)] = estimate_view_cost(stats, view, query, lam=lam)
-        usable.append(view)
+    def __init__(
+        self,
+        fallback,
+        measured: Mapping[str, Mapping[str, int]] | None = None,
+    ) -> None:
+        self.fallback = fallback
+        self._measured: dict[str, dict[str, int]] = {
+            xpath: dict(sizes) for xpath, sizes in (measured or {}).items()
+        }
 
-    query_tags = query.tag_set()
-    covered: set[str] = set()
-    selected: list[Pattern] = []
-    trace: list[tuple[str, float]] = []
-    remaining = list(usable)
-    while covered != query_tags and remaining:
-        best: Pattern | None = None
-        best_benefit = 0.0
-        for view in remaining:
-            newly = (view.tag_set() & query_tags) - covered
-            if not newly:
-                continue
-            cost = costs[_key(view)].total
-            benefit = len(newly) / cost if cost > 0 else float("inf")
-            if best is None or benefit > best_benefit:
-                best, best_benefit = view, benefit
-        if best is None:
-            break
-        selected.append(best)
-        covered |= best.tag_set() & query_tags
-        remaining = [view for view in remaining if view is not best]
-        trace.append((_key(best), best_benefit))
+    @classmethod
+    def from_catalog(cls, catalog, fallback) -> "CalibratedStatistics":
+        """Calibrate from the list sizes a catalog's views store."""
+        return cls(fallback, catalog_list_sizes(catalog))
 
-    complete = covered == query_tags
-    if require_complete and not complete:
-        raise SelectionError(
-            f"candidates cannot answer the query; uncovered:"
-            f" {sorted(query_tags - covered)}"
-        )
-    return SelectionResult(
-        selected=selected,
-        costs=costs,
-        covered=covered,
-        complete=complete,
-        trace=trace,
-    )
+    @classmethod
+    def from_log(cls, fallback, log) -> "CalibratedStatistics":
+        """Calibrate from the cardinalities a recorded
+        :class:`~repro.selection.online.WorkloadLog` carries."""
+        return cls(fallback, log.view_cardinalities)
+
+    def list_size(self, view: Pattern, tag: str) -> float:
+        sizes = self._measured.get(view.to_xpath())
+        if sizes is not None and tag in sizes:
+            return float(sizes[tag])
+        return self.fallback.list_size(view, tag)

@@ -7,6 +7,10 @@ selected view — the data-cube greedy of Harinarayan et al. applied to the
 Section V cost model.  Views that are not subpatterns of ``Q`` are dropped
 up front; the heuristic stops when all query nodes are covered or no
 candidate can extend the cover.  Runs in ``O(|Q| * |V|)`` benefit updates.
+
+This is the package's one greedy loop; the list sizes the costs are
+computed on come from whichever source the caller passes
+(:mod:`repro.selection.estimates`).
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from dataclasses import dataclass, field
 from repro.errors import SelectionError
 from repro.selection.cost import ViewCost, view_cost
 from repro.tpq.containment import is_subpattern
-from repro.tpq.matching import solution_nodes
 from repro.tpq.pattern import Pattern
-from repro.xmltree.document import Document
 
 
 @dataclass
@@ -41,18 +43,19 @@ class SelectionResult:
 
 
 def select_views(
-    document: Document,
     candidates: list[Pattern],
     query: Pattern,
+    sizes,
     lam: float = 1.0,
     require_complete: bool = False,
 ) -> SelectionResult:
     """Greedily select a covering view set for ``query``.
 
     Args:
-        document: the data tree the views are materialized on.
         candidates: candidate view patterns (non-subpatterns are ignored).
         query: the query to answer.
+        sizes: the ``|L_q|`` source the costs are computed on
+            (``list_size(view, tag) -> float``).
         lam: cost-model weight (paper fixes 1.0).
         require_complete: raise instead of returning a partial cover.
 
@@ -66,16 +69,10 @@ def select_views(
     """
     usable: list[Pattern] = []
     costs: dict[str, ViewCost] = {}
-    size_cache: dict[str, dict[str, int]] = {}
     for view in candidates:
         if not is_subpattern(view, query):
             continue
-        lists = solution_nodes(document, view)
-        sizes = {tag: len(nodes) for tag, nodes in lists.items()}
-        size_cache[_key(view)] = sizes
-        costs[_key(view)] = view_cost(
-            document, view, query, lam=lam, list_sizes=sizes
-        )
+        costs[_key(view)] = view_cost(view, query, sizes, lam=lam)
         usable.append(view)
 
     query_tags = query.tag_set()

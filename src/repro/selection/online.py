@@ -1,8 +1,8 @@
 """Online adaptive view advisor: workload log → calibrated cost → plan.
 
-The Section V advisor (``selection/advisor.py`` / ``workload_advisor.py``)
-picks views for a *fixed* workload using *estimated* list sizes.  Served
-traffic drifts, and the serving layer already measures exactly the
+Offline, the advisor (``selection/workload_advisor.py``) picks views for
+a *fixed* workload on *estimated* list sizes.  Served traffic drifts,
+and the serving layer already measures exactly the
 quantities the cost model guesses at: per-query work and I/O counters
 (:class:`Measurement`), and — for every materialized view — the exact
 q-type list cardinalities the estimates approximate.  This module closes
@@ -13,18 +13,14 @@ the loop in three deterministic pieces:
    cycles so stale traffic ages out), measured counters, cache/replay
    telemetry, and the measured per-view list cardinalities harvested
    from the catalog.
-2. :class:`CalibratedStatistics` — a drop-in replacement for
-   :class:`~repro.selection.estimates.DocumentStatistics` whose
-   :meth:`~CalibratedStatistics.list_size` answers from *measured*
-   cardinalities first and falls back to the independence-assumption
-   estimate only for never-materialized patterns.  Every existing
-   selection entry point accepts it unchanged
-   (:func:`~repro.selection.estimates.estimate_list_size` consults the
-   measured map before estimating).
+2. :class:`~repro.selection.estimates.CalibratedStatistics` — the
+   measured-first size source: ``list_size`` answers from the harvested
+   cardinalities and falls back to the independence-assumption estimate
+   only for never-materialized patterns.
 3. :func:`plan_adoption` — the adoption controller: scores candidate
    views mined from the logged patterns by *demand-weighted measured
    benefit density* under a storage budget, and recommends which views
-   to adopt, keep, or drop.  Pure function of ``(log, stats, budget,
+   to adopt, keep, or drop.  Pure function of ``(log, sizes, budget,
    currently adopted set)`` — no wall clock, no randomness — so a
    recorded log replays to the identical plan offline
    (``viewjoin advise --from-log``).
@@ -41,12 +37,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.errors import PatternParseError, SelectionError
-from repro.selection.estimates import DocumentStatistics, estimate_list_size
-from repro.selection.workload_advisor import (
-    estimate_view_bytes,
-    recommend_for_workload,
-)
-from repro.tpq.matching import solution_nodes
+from repro.selection.estimates import catalog_list_sizes
+from repro.selection.workload_advisor import recommend_for_workload
 from repro.tpq.parser import parse_pattern
 from repro.tpq.pattern import Pattern
 
@@ -230,25 +222,14 @@ class WorkloadLog:
         if plan_views:
             obs.plan_views = plan_views
 
-    def observe_view(self, xpath: str, cardinalities: Mapping[str, int]) -> None:
-        """Record the measured per-tag list sizes of a materialized view."""
-        self.view_cardinalities[xpath] = dict(cardinalities)
-
     def harvest_catalog(self, catalog) -> int:
-        """Harvest exact list cardinalities from every non-derived
-        materialized view that exposes per-tag entry counts; returns how
-        many views contributed.  Saved logs then replay offline with the
-        same calibration the live service had."""
-        harvested = 0
-        for info in catalog.views():
-            if info.derived:
-                continue
-            counts = getattr(info.view, "entry_counts", None)
-            if counts is None:
-                continue
-            self.observe_view(info.pattern.to_xpath(), counts())
-            harvested += 1
-        return harvested
+        """Record the exact list cardinalities the catalog's views store
+        (:func:`~repro.selection.estimates.catalog_list_sizes`); returns
+        how many views contributed.  Saved logs then replay offline with
+        the same calibration the live service had."""
+        measured = catalog_list_sizes(catalog)
+        self.view_cardinalities.update(measured)
+        return len(measured)
 
     def decay(self, factor: float = 0.5, floor: float = 0.5) -> int:
         """Age demand weights by ``factor``; prune observations whose
@@ -340,124 +321,6 @@ class WorkloadLog:
             return cls.loads(handle.read())
 
 
-class CalibratedStatistics:
-    """Measured-first cardinalities with the estimate path as fallback.
-
-    A drop-in for :class:`~repro.selection.estimates.DocumentStatistics`
-    anywhere the selection layer costs views: the probability surface
-    (``count`` / ``p_has_ancestor`` / ``p_has_descendant``) delegates to
-    the underlying one-pass statistics, while
-    :meth:`measured_list_size` answers exactly for every pattern whose
-    materialized cardinalities were harvested (from the catalog, or
-    from a recorded :class:`WorkloadLog`).
-    :func:`~repro.selection.estimates.estimate_list_size` consults
-    :meth:`measured_list_size` first, so existing callers need no code
-    change to benefit from calibration.
-    """
-
-    def __init__(
-        self,
-        stats: DocumentStatistics,
-        measured: Mapping[str, Mapping[str, int]] | None = None,
-    ) -> None:
-        self.stats = stats
-        self._measured: dict[str, dict[str, int]] = {
-            xpath: dict(sizes) for xpath, sizes in (measured or {}).items()
-        }
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_catalog(
-        cls, catalog, stats: DocumentStatistics | None = None
-    ) -> "CalibratedStatistics":
-        """Harvest exact list cardinalities from a catalog's views.
-
-        Every non-derived materialized view that exposes per-tag entry
-        counts (the element and linked-element schemes) contributes its
-        measured ``|L_q|`` values; derived result views are skipped —
-        their content is a query result, not the pattern's solution
-        lists, so their counts would mis-calibrate the model.
-        """
-        if stats is None:
-            stats = DocumentStatistics.collect(catalog.document)
-        calibration = cls(stats)
-        for info in catalog.views():
-            if info.derived:
-                continue
-            counts = getattr(info.view, "entry_counts", None)
-            if counts is None:
-                continue
-            calibration.observe(info.pattern.to_xpath(), counts())
-        return calibration
-
-    @classmethod
-    def from_log(
-        cls, stats: DocumentStatistics, log: WorkloadLog
-    ) -> "CalibratedStatistics":
-        """Calibrate from the cardinalities a recorded log carries."""
-        return cls(stats, log.view_cardinalities)
-
-    def observe(self, xpath: str, cardinalities: Mapping[str, int]) -> None:
-        self._measured[xpath] = dict(cardinalities)
-
-    # -- DocumentStatistics surface (delegated) --------------------------------
-
-    def count(self, tag: str) -> int:
-        return self.stats.count(tag)
-
-    def p_has_ancestor(self, tag: str, ancestor_tag: str) -> float:
-        return self.stats.p_has_ancestor(tag, ancestor_tag)
-
-    def p_has_descendant(self, tag: str, descendant_tag: str) -> float:
-        return self.stats.p_has_descendant(tag, descendant_tag)
-
-    @property
-    def total_nodes(self) -> int:
-        return self.stats.total_nodes
-
-    # -- calibration -----------------------------------------------------------
-
-    @property
-    def measured_views(self) -> list[str]:
-        """Xpaths with measured cardinalities, in harvest order."""
-        return list(self._measured)
-
-    def measured_list_size(self, view: Pattern, tag: str) -> float | None:
-        """Exact ``|L_tag|`` of ``view`` when measured, else ``None``."""
-        sizes = self._measured.get(view.to_xpath())
-        if sizes is None:
-            return None
-        size = sizes.get(tag)
-        return None if size is None else float(size)
-
-    def list_size(self, view: Pattern, tag: str) -> float:
-        """Measured ``|L_tag|`` with the estimate path as fallback.
-
-        This is the only cardinality interface service code may use
-        (lint rule RL108): the measured value when the view was ever
-        materialized, the independence-assumption estimate otherwise.
-        """
-        measured = self.measured_list_size(view, tag)
-        if measured is not None:
-            return measured
-        return estimate_list_size(self.stats, view, tag)
-
-
-def measure_view_cardinalities(
-    document, view: Pattern
-) -> dict[str, int]:
-    """Ground-truth ``|L_q|`` per tag: the sizes materialization stores.
-
-    Used by tests and offline tools; the service harvests the same
-    numbers for free from already-materialized catalog views.
-    """
-    return {
-        tag: len(nodes)
-        for tag, nodes in solution_nodes(document, view).items()
-    }
-
-
 # -- adoption controller -------------------------------------------------------
 
 
@@ -530,7 +393,7 @@ class AdoptionPlan:
 
 def plan_adoption(
     log: WorkloadLog,
-    stats: DocumentStatistics | CalibratedStatistics,
+    sizes,
     budget_bytes: float,
     adopted: Mapping[str, float] | None = None,
     existing: Iterable[str] = (),
@@ -541,18 +404,19 @@ def plan_adoption(
 
     Candidates are the connected subpatterns of every logged pattern
     whose decayed demand weight is at least ``min_weight``; each is
-    scored by demand-weighted saving (base-view cost minus calibrated
-    view cost, both through ``stats`` — measured cardinalities first
-    when ``stats`` is a :class:`CalibratedStatistics`) per byte, and a
-    greedy knapsack packs the budget.  Currently adopted views compete
-    like any other candidate, with their *measured* bytes: a view whose
+    scored by demand-weighted saving (base-view cost minus view cost,
+    both on ``sizes`` — measured cardinalities first when it is a
+    :class:`~repro.selection.estimates.CalibratedStatistics`) per byte,
+    and a greedy knapsack packs the budget.  Currently adopted views
+    compete like any other candidate, with their *measured* bytes: a view whose
     weighted benefit no longer earns its storage — because its queries
     stopped arriving or better candidates displaced it — lands in
     ``drop``.
 
     Args:
         log: the recorded query stream.
-        stats: document statistics, ideally calibrated.
+        sizes: the ``|L_q|`` source — document statistics, ideally
+            calibrated.
         budget_bytes: storage budget for advisor-owned views.
         adopted: currently advisor-owned views as ``xpath -> measured
             bytes`` (insertion order preserved for determinism).
@@ -567,7 +431,7 @@ def plan_adoption(
     queries: list[Pattern] = []
     weights: dict[str, float] = {}
     for obs in log.observations():
-        if obs.weight < min_weight or obs.refuted or not obs.query:
+        if obs.weight < min_weight or not obs.query:
             continue
         try:
             pattern = parse_pattern(obs.query)
@@ -597,11 +461,10 @@ def plan_adoption(
         )
 
     advice = recommend_for_workload(
-        None,
         queries,
+        sizes,
         budget_bytes=budget_bytes,
         max_view_size=max_view_size,
-        stats=stats,
         weights=weights,
         known_bytes=adopted,
         exclude={xpath for xpath in excluded if xpath not in adopted},
@@ -697,12 +560,10 @@ __all__ = [
     "AdoptedView",
     "AdoptionDecision",
     "AdoptionPlan",
-    "CalibratedStatistics",
     "Measurement",
     "QueryObservation",
     "WorkloadLog",
     "advisor_view_name",
-    "measure_view_cardinalities",
     "plan_adoption",
     "rebalance_to_budget",
 ]

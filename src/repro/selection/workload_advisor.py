@@ -1,45 +1,105 @@
-"""Workload-level view recommendation under a space budget.
+"""View recommendation: which views are worth materializing?
 
-A deployment materializes views for a *workload*, not one query: a view
-shared by several queries amortizes its storage.  This module extends the
-single-query advisor to that setting (the direction of the multi-view
-selection work the paper cites as [25]):
+Section V selects among *given* materialized views.  The complementary
+question a deployment faces first — which views to materialize at all —
+is answered here with the same cost model, for a *workload* under a
+space budget (the direction of the multi-view selection work the paper
+cites as [25]); a single query is a workload of one, and the online
+controller (:func:`repro.selection.online.plan_adoption`) is this
+advisor over a demand-weighted log.  Three stages, each written once:
 
-1. candidates are the connected subpatterns of every workload query
-   (deduplicated structurally — the same ``//b//c`` may serve many
-   queries);
-2. a candidate's benefit is the *sum of savings* over all queries it is a
-   subpattern of, each computed with the Section V cost model on
-   estimated list sizes;
-3. a greedy knapsack picks candidates by benefit density
-   (benefit / estimated bytes) under the space budget, keeping per-query
-   usability tag-disjoint (a query uses a view only if it shares no tag
-   with a view already assigned to that query).  With ``specialize``
-   the greedy may instead *displace* assigned views on a query when the
-   cost model says serving the union of their tags from the candidate
-   is cheaper — how the online advisor lets a measured-hot query earn
-   its own exact view instead of staying stuck with the small shared
-   view that arrived first.
+1. **enumerate** — candidates are the connected subpatterns of every
+   workload query up to a size bound (every one is a valid view whose
+   joins ViewJoin can reuse), deduplicated structurally — the same
+   ``//b//c`` may serve many queries;
+2. **score** — a candidate's benefit is the *sum of savings* over all
+   queries it is a subpattern of: serving its tags from base
+   (single-tag) views costs ``sum |L_t| * e_t`` with full tag counts and
+   no precomputed joins, while the candidate costs ``c(v, Q)``
+   (:func:`~repro.selection.cost.view_cost`) on its smaller lists;
+3. **select** — a greedy knapsack picks candidates by benefit density
+   (benefit / estimated bytes) under the space budget, keeping
+   per-query usability tag-disjoint (a query uses a view only if it
+   shares no tag with a view already assigned to that query).  With
+   ``specialize`` the greedy may instead *displace* assigned views on a
+   query when the cost model says serving the union of their tags from
+   the candidate is cheaper — how the online advisor lets a
+   measured-hot query earn its own exact view instead of staying stuck
+   with the small shared view that arrived first.
 
-Per-query assignments come back with the result, ready to feed
-:class:`repro.planner.Planner`.
+List sizes come from the *sizes* source the caller passes
+(:mod:`repro.selection.estimates`): one pass of document statistics
+advises without materializing anything, calibrated statistics price
+every ever-materialized view exactly.  Per-query assignments come back
+with the result, ready to feed :class:`repro.planner.Planner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SelectionError
-from repro.selection.advisor import (
-    base_plan_cost,
-    candidate_cost,
-    enumerate_connected_subpatterns,
-)
-from repro.selection.estimates import DocumentStatistics, estimate_list_size
+from repro.selection.cost import view_cost
 from repro.storage.records import element_codec
 from repro.tpq.containment import is_subpattern
-from repro.tpq.pattern import Pattern
-from repro.xmltree.document import Document
+from repro.tpq.pattern import Axis, Pattern, PatternNode
+
+
+def enumerate_connected_subpatterns(
+    query: Pattern, min_size: int = 2, max_size: int = 5
+) -> list[Pattern]:
+    """All connected subpatterns of ``query`` within the size bounds.
+
+    A connected subpattern is a connected subtree of the query that keeps
+    the query's own edges/axes (Section II) — exactly the views whose
+    joins are fully reusable by ViewJoin segments.
+    """
+    results: list[Pattern] = []
+
+    def grow(root: PatternNode, chosen: set[str], frontier: list[PatternNode]):
+        if min_size <= len(chosen) <= max_size:
+            results.append(_project(root, chosen))
+        if len(chosen) >= max_size or not frontier:
+            return
+        # Branch on the first frontier node: include it (expanding the
+        # frontier with its children) or exclude it permanently.
+        head, *rest = frontier
+        grow(root, chosen | {head.tag}, rest + list(head.children))
+        grow(root, chosen, rest)
+
+    for qnode in query.nodes:
+        grow(qnode, {qnode.tag}, list(qnode.children))
+    # Deduplicate structurally (different grow orders reach the same set).
+    unique: dict[str, Pattern] = {}
+    for pattern in results:
+        unique.setdefault(pattern.to_xpath(), pattern)
+    return list(unique.values())
+
+
+def _project(root: PatternNode, chosen: set[str]) -> Pattern:
+    def clone(qnode: PatternNode) -> PatternNode:
+        # A standalone view anchors its root with the descendant axis
+        # (//root...), whatever the root's incoming axis was in the query.
+        axis = Axis.DESCENDANT if qnode is root else qnode.axis
+        copy = PatternNode(qnode.tag, axis)
+        for child in qnode.children:
+            if child.tag in chosen:
+                copy.add_child(clone(child))
+        return copy
+
+    return Pattern(clone(root))
+
+
+def base_plan_cost(sizes, query: Pattern, tags: set[str]) -> float:
+    """Cost of serving ``tags`` from base views: full tag counts (the
+    list size of the single-tag view), every incident edge evaluated at
+    query time."""
+    total = 0.0
+    for tag in tags:
+        qnode = query.node(tag)
+        degree = len(qnode.children) + (0 if qnode.parent is None else 1)
+        count = sizes.list_size(Pattern(PatternNode(tag)), tag)
+        total += count * max(degree, 1)
+    return total
 
 
 @dataclass
@@ -74,28 +134,25 @@ class WorkloadAdvice:
         return [candidate.view for candidate in self.chosen]
 
 
-def estimate_view_bytes(
-    stats: DocumentStatistics, view: Pattern
-) -> float:
+def estimate_view_bytes(sizes, view: Pattern) -> float:
     """Rough LE-footprint estimate: label + two pointers + child slots.
 
-    With calibrated statistics the per-tag list sizes are measured, so
+    With a measured-first source the per-tag list sizes are exact, so
     this becomes near-exact for any view that was ever materialized.
     """
     width = element_codec().width
     total = 0.0
     for vnode in view.nodes:
         per_record = width + 4 * (2 + len(vnode.children))
-        total += per_record * estimate_list_size(stats, view, vnode.tag)
+        total += per_record * sizes.list_size(view, vnode.tag)
     return total
 
 
 def recommend_for_workload(
-    document: Document | None,
     queries: list[Pattern],
+    sizes,
     budget_bytes: float = float("inf"),
     max_view_size: int = 4,
-    stats: DocumentStatistics | None = None,
     weights: dict[str, float] | None = None,
     known_bytes: dict[str, float] | None = None,
     exclude: set[str] | None = None,
@@ -104,12 +161,14 @@ def recommend_for_workload(
     """Pick a shared view set for ``queries`` within ``budget_bytes``.
 
     Args:
-        document: the data tree; may be ``None`` when ``stats`` is given
-            (the offline/advisor path works from statistics alone).
-        queries: workload queries (each named, else keyed by xpath).
+        queries: workload queries (each named, else keyed by xpath); a
+            single query is a workload of one.
+        sizes: the ``|L_q|`` source (``list_size(view, tag) -> float``)
+            — document statistics, ideally calibrated.
         budget_bytes: storage budget for the chosen views.
-        max_view_size: largest candidate view size in nodes.
-        stats: precollected (optionally calibrated) statistics.
+        max_view_size: largest candidate view size in nodes (paper's
+            views have <= 5 nodes; larger views reuse more but
+            generalize to fewer queries).
         weights: per-query demand multipliers keyed like the query
             (name, else xpath); a query absent from the map weighs 1.
             This is how the online advisor turns observed frequency into
@@ -132,12 +191,6 @@ def recommend_for_workload(
         The advice with chosen candidates (benefit-density order) and a
         tag-disjoint per-query view assignment.
     """
-    if stats is None:
-        if document is None:
-            raise SelectionError(
-                "recommend_for_workload needs a document or statistics"
-            )
-        stats = DocumentStatistics.collect(document)
     weights = weights or {}
     known_bytes = known_bytes or {}
     exclude = exclude or set()
@@ -164,8 +217,8 @@ def recommend_for_workload(
             if not is_subpattern(view, query):
                 continue
             saving = base_plan_cost(
-                stats, query, view.tag_set()
-            ) - candidate_cost(stats, view, query)
+                sizes, query, view.tag_set()
+            ) - view_cost(view, query, sizes).floored
             saving *= weights.get(key_of(query), 1.0)
             if saving > 0:
                 savings[key_of(query)] = saving
@@ -176,7 +229,7 @@ def recommend_for_workload(
                     view=view,
                     per_query_saving=savings,
                     estimated_bytes=known_bytes.get(
-                        xpath, estimate_view_bytes(stats, view)
+                        xpath, estimate_view_bytes(sizes, view)
                     ),
                 )
             )
@@ -215,12 +268,12 @@ def recommend_for_workload(
                 for view in displaced:
                     covered |= view.tag_set()
                 old_cost = sum(
-                    candidate_cost(stats, view, query)
+                    view_cost(view, query, sizes).floored
                     for view in displaced
-                ) + base_plan_cost(stats, query, ctags - covered)
-                new_cost = candidate_cost(
-                    stats, candidate.view, query
-                ) + base_plan_cost(stats, query, covered - ctags)
+                ) + base_plan_cost(sizes, query, ctags - covered)
+                new_cost = view_cost(
+                    candidate.view, query, sizes
+                ).floored + base_plan_cost(sizes, query, covered - ctags)
                 if new_cost >= old_cost:
                     continue
             plans.append((name, displaced))

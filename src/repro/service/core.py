@@ -96,14 +96,16 @@ from repro.selection.online import (
     ADVISOR_PREFIX,
     AdoptedView,
     AdoptionPlan,
-    CalibratedStatistics,
     Measurement,
     WorkloadLog,
     advisor_view_name,
     plan_adoption,
     rebalance_to_budget,
 )
-from repro.selection.estimates import DocumentStatistics
+from repro.selection.estimates import (
+    CalibratedStatistics,
+    DocumentStatistics,
+)
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.policy import Deadline, RetryPolicy, wait
 from repro.service.jobs import (

@@ -1,4 +1,5 @@
-"""View-advisor tests: candidate enumeration, scoring, end-to-end payoff."""
+"""View-advisor tests: candidate enumeration, and the recommendation
+properties of a one-query workload (scoring, end-to-end payoff)."""
 
 from __future__ import annotations
 
@@ -7,11 +8,11 @@ import pytest
 from repro.algorithms.engine import evaluate
 from repro.datasets import nasa as nasa_data
 from repro.planner import Planner
-from repro.selection.advisor import (
+from repro.selection import (
+    DocumentStatistics,
     enumerate_connected_subpatterns,
-    recommend_views,
+    recommend_for_workload,
 )
-from repro.selection.estimates import DocumentStatistics
 from repro.storage.catalog import ViewCatalog
 from repro.tpq.containment import is_connected_subpattern
 from repro.tpq.parser import parse_pattern
@@ -60,46 +61,46 @@ def nasa_doc():
     return nasa_data.generate(scale=2.0, seed=7)
 
 
-def test_recommendations_are_disjoint_and_positive(nasa_doc):
-    result = recommend_views(nasa_doc, nasa.QUERY_NT, max_view_size=4)
+@pytest.fixture(scope="module")
+def stats(nasa_doc):
+    return DocumentStatistics.collect(nasa_doc)
+
+
+def test_recommendations_are_disjoint_and_positive(stats):
+    query = nasa.QUERY_NT
+    advice = recommend_for_workload([query], stats, max_view_size=4)
     seen: set[str] = set()
-    for view in result.recommended:
+    for view in advice.assignments[query.name]:
         assert not (seen & view.tag_set())
         seen |= view.tag_set()
-    assert result.total_saving > 0
-    # The ranking is by saving, descending.
-    savings = [rec.saving for rec in result.candidates]
-    assert savings == sorted(savings, reverse=True)
+    assert advice.chosen
+    for candidate in advice.chosen:
+        assert candidate.total_saving > 0
 
 
-def test_recommendation_cap(nasa_doc):
-    result = recommend_views(
-        nasa_doc, nasa.QUERY_NT, max_view_size=3, max_recommendations=1
-    )
-    assert len(result.recommended) == 1
-
-
-def test_recommended_views_actually_help(nasa_doc):
+def test_recommended_views_actually_help(nasa_doc, stats):
     """Materializing the advisor's picks beats the all-base-views plan on
     real evaluation work — the advice is not just model-internal."""
     query = nasa.QUERY_NT
-    result = recommend_views(nasa_doc, query, max_view_size=4)
-    assert result.recommended
+    recommended = recommend_for_workload(
+        [query], stats, max_view_size=4
+    ).assignments[query.name]
+    assert recommended
     with ViewCatalog(nasa_doc) as catalog:
         planner = Planner(catalog, scheme="LE")
         baseline_views = planner.plan(query).base_views
         baseline = evaluate(query, catalog, baseline_views, "VJ", "LE")
-        for view in result.recommended:
+        for view in recommended:
             planner.register(view)
         plan, advised = planner.answer(query)
     assert advised.match_keys() == baseline.match_keys()
     assert advised.counters.work < baseline.counters.work
 
 
-def test_stats_reuse(nasa_doc):
-    stats = DocumentStatistics.collect(nasa_doc)
-    first = recommend_views(nasa_doc, nasa.QUERY_NP, stats=stats)
-    second = recommend_views(nasa_doc, nasa.QUERY_NP, stats=stats)
-    assert [v.to_xpath() for v in first.recommended] == [
-        v.to_xpath() for v in second.recommended
+def test_stats_reuse(stats):
+    first = recommend_for_workload([nasa.QUERY_NP], stats)
+    second = recommend_for_workload([nasa.QUERY_NP], stats)
+    assert [v.to_xpath() for v in first.views] == [
+        v.to_xpath() for v in second.views
     ]
+    assert first.views

@@ -1,21 +1,17 @@
-"""Statistics-based cardinality estimation tests."""
+"""List-size source tests: document statistics, the independence
+estimate and the exact source (selection on top of them is in
+``test_selection.py``; the measured-first source in
+``test_online_advisor.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datasets import nasa as nasa_data
 from repro.datasets import random_trees
-from repro.errors import SelectionError
-from repro.selection.estimates import (
-    DocumentStatistics,
-    estimate_list_size,
-    estimate_view_cost,
-    select_views_estimated,
-)
+from repro.selection import DocumentStatistics, ExactSizes
+from repro.selection import estimates
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
-from repro.workloads import nasa
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +59,7 @@ def test_probabilities_bounded(stats):
 
 def test_single_node_view_estimate_exact(doc, stats):
     view = parse_pattern("//a")
-    assert estimate_list_size(stats, view, "a") == doc.tag_count("a")
+    assert stats.list_size(view, "a") == doc.tag_count("a")
 
 
 def test_estimates_within_factor_of_truth(doc, stats):
@@ -74,7 +70,7 @@ def test_estimates_within_factor_of_truth(doc, stats):
         truth = solution_nodes(doc, view)
         for tag in view.tags():
             true_size = len(truth[tag])
-            estimated = estimate_list_size(stats, view, tag)
+            estimated = stats.list_size(view, tag)
             if true_size == 0:
                 continue
             assert estimated > 0
@@ -82,37 +78,21 @@ def test_estimates_within_factor_of_truth(doc, stats):
             assert 0.2 < ratio < 5.0, (text, tag, estimated, true_size)
 
 
-def test_estimated_cost_validates(doc, stats):
-    with pytest.raises(SelectionError):
-        estimate_view_cost(stats, parse_pattern("//b//a"),
-                           parse_pattern("//a//b"))
-    with pytest.raises(SelectionError):
-        estimate_view_cost(stats, parse_pattern("//a"),
-                           parse_pattern("//a//b"), lam=-1)
+def test_exact_sizes_match_solution_nodes_one_pass_per_view(
+    doc, monkeypatch
+):
+    calls = []
 
+    def counting(document, view):
+        calls.append(view.to_xpath())
+        return solution_nodes(document, view)
 
-def test_estimated_selection_matches_exact_on_table2():
-    """On the Table II scenario the estimated costs pick the same set as
-    the exact (materializing) selection."""
-    document = nasa_data.generate(scale=2.0, seed=7)
-    stats = DocumentStatistics.collect(document)
-    selection = select_views_estimated(
-        stats,
-        nasa.SELECTION_CANDIDATES,
-        nasa.SELECTION_QUERY,
-        lam=1.0,
-        require_complete=True,
-    )
-    assert sorted(v.name for v in selection.selected) == sorted(
-        nasa.EXPECTED_SELECTION
-    )
-
-
-def test_estimated_selection_incomplete_raises(stats):
-    with pytest.raises(SelectionError):
-        select_views_estimated(
-            stats,
-            [parse_pattern("//a")],
-            parse_pattern("//a//b"),
-            require_complete=True,
-        )
+    monkeypatch.setattr(estimates, "solution_nodes", counting)
+    exact = ExactSizes(doc)
+    for text in ["//a//b", "//b[//c]//d"]:
+        view = parse_pattern(text)
+        truth = solution_nodes(doc, view)
+        for __ in range(2):
+            for tag in view.tags():
+                assert exact.list_size(view, tag) == len(truth[tag])
+    assert calls == ["//a//b", "//b[//c]//d"]

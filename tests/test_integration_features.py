@@ -12,7 +12,7 @@ import pytest
 from repro.algorithms.engine import evaluate
 from repro.datasets import random_trees
 from repro.planner import Planner
-from repro.selection.advisor import recommend_views
+from repro.selection import DocumentStatistics, recommend_for_workload
 from repro.storage.catalog import ViewCatalog
 from repro.storage.persistence import load_catalog, save_catalog
 from repro.tpq.naive import find_embeddings
@@ -77,10 +77,12 @@ def test_advised_views_persist_and_reload(tmp_path):
     doc = random_trees.generate(size=250, tags=list("abcd"), max_depth=9,
                                 seed=31)
     query = parse_pattern("//a[//b]//c//d")
-    advice = recommend_views(doc, query, max_view_size=3)
+    advice = recommend_for_workload(
+        [query], DocumentStatistics.collect(doc), max_view_size=3
+    )
     with ViewCatalog(doc) as catalog:
         planner = Planner(catalog, scheme="LE")
-        for view in advice.recommended:
+        for view in advice.views:
             planner.register(view)
         plan, before = planner.answer(query)
         save_catalog(catalog, tmp_path / "store")

@@ -15,15 +15,18 @@ import pytest
 
 from repro.datasets import random_trees
 from repro.errors import SelectionError, ServiceError
-from repro.selection.estimates import DocumentStatistics, estimate_list_size
+from repro.selection.estimates import (
+    CalibratedStatistics,
+    DocumentStatistics,
+    ExactSizes,
+    catalog_list_sizes,
+)
 from repro.selection.online import (
     ADVISOR_PREFIX,
     AdoptedView,
-    CalibratedStatistics,
     Measurement,
     WorkloadLog,
     advisor_view_name,
-    measure_view_cardinalities,
     plan_adoption,
     rebalance_to_budget,
 )
@@ -62,58 +65,36 @@ def advisor_service(catalog, **kwargs):
 
 def test_calibration_matches_ground_truth_for_harvested_views(doc, stats):
     """For every harvested view, ``list_size`` is the exact ``|L_q|``."""
+    exact = ExactSizes(doc)
     with ViewCatalog(doc) as catalog:
         for xpath in ("//a//b", "//b//c", "//a[//b]//c"):
             catalog.add(parse_pattern(xpath), "element")
         calibration = CalibratedStatistics.from_catalog(catalog, stats)
-        assert calibration.measured_views
-        for xpath in calibration.measured_views:
+        harvested = catalog_list_sizes(catalog)
+        assert len(harvested) == 3
+        for xpath in harvested:
             view = parse_pattern(xpath)
-            exact = measure_view_cardinalities(doc, view)
-            for tag, size in exact.items():
-                assert calibration.list_size(view, tag) == float(size)
-                assert calibration.measured_list_size(view, tag) == float(
-                    size
+            for tag in view.tags():
+                assert calibration.list_size(view, tag) == exact.list_size(
+                    view, tag
                 )
 
 
-def test_calibration_falls_back_to_estimate_for_unseen(doc, stats):
+def test_calibration_falls_back_for_unseen(doc, stats):
+    """Measured first; whichever fallback source was passed answers for
+    never-materialized patterns and for tags the measurement lacks."""
     with ViewCatalog(doc) as catalog:
         catalog.add(parse_pattern("//a//b"), "element")
         calibration = CalibratedStatistics.from_catalog(catalog, stats)
     unseen = parse_pattern("//c//d")
-    assert calibration.measured_list_size(unseen, "d") is None
-    assert calibration.list_size(unseen, "d") == estimate_list_size(
-        stats, unseen, "d"
-    )
-
-
-def test_estimate_list_size_consults_measured_hook(doc, stats):
-    """Existing ``estimate_list_size`` callers pick up calibration with
-    no code change: passing calibrated statistics answers measured."""
-    view = parse_pattern("//a//b")
-    exact = measure_view_cardinalities(doc, view)
-    calibration = CalibratedStatistics(stats)
-    calibration.observe(view.to_xpath(), exact)
-    for tag, size in exact.items():
-        assert estimate_list_size(calibration, view, tag) == float(size)
-    # Unseen patterns flow through to the plain estimate unchanged.
-    other = parse_pattern("//c//d")
-    assert estimate_list_size(calibration, other, "d") == estimate_list_size(
-        stats, other, "d"
-    )
-
-
-def test_calibration_delegates_probability_surface(stats):
-    calibration = CalibratedStatistics(stats)
-    assert calibration.total_nodes == stats.total_nodes
-    assert calibration.count("a") == stats.count("a")
-    assert calibration.p_has_ancestor("b", "a") == stats.p_has_ancestor(
-        "b", "a"
-    )
-    assert calibration.p_has_descendant("a", "b") == stats.p_has_descendant(
-        "a", "b"
-    )
+    assert calibration.list_size(unseen, "d") == stats.list_size(unseen, "d")
+    exact = ExactSizes(doc)
+    assert CalibratedStatistics(exact).list_size(
+        unseen, "d"
+    ) == exact.list_size(unseen, "d")
+    over_exact = CalibratedStatistics(exact, {"//c//d": {"c": 7}})
+    assert over_exact.list_size(unseen, "c") == 7.0
+    assert over_exact.list_size(unseen, "d") == exact.list_size(unseen, "d")
 
 
 # -- workload log --------------------------------------------------------------
@@ -180,7 +161,7 @@ def test_log_json_round_trip():
     log = WorkloadLog()
     log.record(outcome_stub("//a//b", work=100))
     log.record(outcome_stub("//c", refuted=True))
-    log.observe_view("//a//b", {"a": 40, "b": 55})
+    log.view_cardinalities["//a//b"] = {"a": 40, "b": 55}
     clone = WorkloadLog.loads(log.dumps())
     assert clone.as_dict() == log.as_dict()
     assert clone.view_cardinalities == {"//a//b": {"a": 40, "b": 55}}
@@ -274,6 +255,20 @@ def test_plan_adoption_excludes_user_views(doc, stats):
     )
     assert not protected & {p.to_xpath() for p in plan.adopt}
     assert not set(plan.drop)  # user views are never dropped
+
+
+def test_once_refuted_pattern_can_still_earn_a_view(stats):
+    """``refuted`` is a lifetime count: one refuted arrival (before an
+    update made the pattern satisfiable) must not bar it forever —
+    refuted arrivals add no weight, answered ones do."""
+    log = WorkloadLog()
+    log.record(outcome_stub("//a//b//c", refuted=True))
+    calibration = CalibratedStatistics(stats)
+    assert not plan_adoption(log, calibration, budget_bytes=1e9).adopt
+    for _ in range(8):
+        log.record(outcome_stub("//a//b//c", work=2_000))
+    assert log.get("//a//b//c").refuted == 1
+    assert plan_adoption(log, calibration, budget_bytes=1e9).adopt
 
 
 def test_hot_query_earns_exact_view(doc, stats):

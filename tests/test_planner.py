@@ -172,3 +172,74 @@ def test_adopt_catalog_views_invalidates_plan_cache(doc):
         assert planner.adopt_catalog_views() == 1
         plan = planner.plan("//a//b")
         assert [v.to_xpath() for v in plan.views] == ["//a//b"]
+
+
+# -- size source: catalog-measured first, exact only as fallback ---------------
+
+
+def _count_matcher_passes(monkeypatch):
+    """Record every naive-matcher pass the exact size source makes."""
+    from repro.selection import estimates
+
+    calls: list[str] = []
+    real = estimates.solution_nodes
+
+    def counting(document, view):
+        calls.append(view.to_xpath())
+        return real(document, view)
+
+    monkeypatch.setattr(estimates, "solution_nodes", counting)
+    return calls
+
+
+def _plan_shape(plan):
+    return (
+        [(v.name, v.to_xpath()) for v in plan.views],
+        [(v.name, v.to_xpath()) for v in plan.base_views],
+    )
+
+
+@pytest.mark.parametrize("scheme", ["E", "LE", "LEp"])
+@pytest.mark.parametrize("dataset", ["xmark", "nasa"])
+def test_plans_identical_under_measured_and_exact_sizes(
+    dataset, scheme, monkeypatch
+):
+    """The plan is the same whether ``|L_q|`` is read off the catalog's
+    materialized views or recomputed by the matcher — and with every
+    candidate materialized, a cold plan never runs the matcher."""
+    from repro import datasets, workloads
+    from repro.selection import estimates
+
+    document = getattr(datasets, dataset).generate(scale=1.0, seed=42)
+    specs = getattr(workloads, dataset).ALL_QUERIES
+    with ViewCatalog(document) as catalog:
+        planner = Planner(catalog, scheme=scheme, plan_cache_size=0)
+        registered: set[str] = set()
+        for spec in specs:
+            for view in spec.views:
+                if view.to_xpath() not in registered:
+                    registered.add(view.to_xpath())
+                    planner.register(view)
+        calls = _count_matcher_passes(monkeypatch)
+        measured = [_plan_shape(planner.plan(spec.query)) for spec in specs]
+        assert calls == []
+        # Nothing harvested: every size now comes from the exact source.
+        monkeypatch.setattr(estimates, "catalog_list_sizes", lambda __: {})
+        exact = [_plan_shape(planner.plan(spec.query)) for spec in specs]
+        assert calls
+    assert measured == exact
+    assert any(views for views, __ in measured)
+
+
+def test_tuple_only_view_is_sized_by_the_exact_source(doc, monkeypatch):
+    """The tuple scheme stores no per-tag lists, so a view held only in
+    it is costed by one matcher pass; its E/LE siblings are not."""
+    with ViewCatalog(doc) as catalog:
+        planner = Planner(catalog, scheme="T", plan_cache_size=0)
+        planner.register("//a//b")
+        catalog.add(parse_pattern("//c"), "LE")
+        planner.adopt_catalog_views()
+        calls = _count_matcher_passes(monkeypatch)
+        plan = planner.plan("//a//b//c")
+        assert calls == ["//a//b"]
+        assert [v.to_xpath() for v in plan.views] == ["//a//b", "//c"]

@@ -5,7 +5,9 @@ catalog maintained incrementally through
 :func:`repro.maintenance.apply_updates` must be **byte-identical** to a
 catalog materialized fresh from the final document: same page bytes per
 list, same entry counts, same pointer statistics, and same query answers
-with identical I/O counters.  Runs for LE and LE_p, with the columnar
+with identical I/O counters.  Every repaired view's stored entry counts
+must also equal the exact solution-list sizes on the new document (the
+planner reads them as measured ``|L_q|`` instead of re-matching).  Runs for LE and LE_p, with the columnar
 fast path both on and off (2 datasets x 2 schemes x 2 columnar modes
 x ``SEQUENCES`` seeds = 200 sequences).
 """
@@ -20,6 +22,7 @@ from repro.algorithms.engine import evaluate
 from repro.datasets import nasa, xmark
 from repro.datasets.updates import random_update_sequence
 from repro.maintenance import apply_updates
+from repro.selection import ExactSizes
 from repro.storage.catalog import ViewCatalog
 from repro.tpq.parser import parse_pattern
 
@@ -85,6 +88,20 @@ def fingerprint(catalog):
     return rows
 
 
+def stale_list_sizes(catalog):
+    """Views whose stored entry counts differ from the exact ``|L_q|``
+    on the catalog's current document."""
+    exact = ExactSizes(catalog.document)
+    return [
+        name
+        for (name, __), info in catalog.entries()
+        if info.view.entry_counts() != {
+            tag: exact.list_size(info.pattern, tag)
+            for tag in info.pattern.tags()
+        }
+    ]
+
+
 def answers(catalog, query_text, views):
     query = parse_pattern(query_text)
     result = evaluate(
@@ -121,6 +138,8 @@ def test_incremental_equals_rebuild(dataset, scheme):
         if answers(incremental, query_text, covering) != \
                 answers(rebuilt, query_text, covering):
             failures.append((seed, "answers"))
+        if stale_list_sizes(incremental):
+            failures.append((seed, "list sizes"))
         incremental.close()
         rebuilt.close()
     assert not failures, failures

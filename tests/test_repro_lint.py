@@ -452,70 +452,6 @@ def test_rl107_suppression():
     assert lint_text(suppressed, "service/core.py") == []
 
 
-# -- RL108: calibrated-cost discipline -----------------------------------------
-
-RL108_CALL = """\
-class QueryService:
-    def score(self, stats, view, tag):
-        return estimate_list_size(stats, view, tag)
-"""
-
-RL108_IMPORT = """\
-from repro.selection.estimates import estimate_list_size
-"""
-
-RL108_CALIBRATED = """\
-class QueryService:
-    def score(self, calibration, view, tag):
-        return calibration.list_size(view, tag)
-"""
-
-
-def test_rl108_flags_estimate_calls_in_service():
-    found = lint_text(RL108_CALL, "service/core.py")
-    assert codes(found) == ["RL108"]
-    assert "estimate_list_size" in found[0].message
-    found = lint_text(
-        "def f(stats, view, query):\n"
-        "    return estimate_view_cost(stats, view, query)\n",
-        "service/advisor.py",
-    )
-    assert codes(found) == ["RL108"]
-
-
-def test_rl108_flags_estimate_imports_in_service():
-    found = lint_text(RL108_IMPORT, "service/core.py")
-    assert codes(found) == ["RL108"]
-    assert "CalibratedStatistics" in found[0].message
-
-
-def test_rl108_calibrated_interface_passes():
-    # The sanctioned interface: CalibratedStatistics.list_size answers
-    # measured-first with the estimate as fallback for unseen patterns.
-    assert lint_text(RL108_CALIBRATED, "service/core.py") == []
-    # Importing non-banned selection names stays fine.
-    assert lint_text(
-        "from repro.selection.estimates import DocumentStatistics\n",
-        "service/core.py",
-    ) == []
-
-
-def test_rl108_scope_is_service_only():
-    # The selection layer itself legitimately estimates (it IS the
-    # fallback); only serving hot paths are bound by the contract.
-    assert lint_text(RL108_CALL, "selection/estimates.py") == []
-    assert lint_text(RL108_IMPORT, "selection/workload_advisor.py") == []
-
-
-def test_rl108_suppression():
-    suppressed = RL108_CALL.replace(
-        "return estimate_list_size(stats, view, tag)",
-        "return estimate_list_size(stats, view, tag)"
-        "  # repro-lint: disable=RL108 (offline tool)",
-    )
-    assert lint_text(suppressed, "service/core.py") == []
-
-
 # -- baseline behaviour --------------------------------------------------------
 
 def _write_module(root: Path, rel: str, source: str) -> None:
@@ -567,7 +503,6 @@ SEEDED = {
     "RL104": ("planner.py", RL104_POSITIVE),
     "RL105": ("rl105.py", "def f():\n    raise ValueError('x')\n"),
     "RL107": ("service/core.py", RL107_POSITIVE),
-    "RL108": ("service/rl108.py", RL108_CALL),
 }
 
 #: Interprocedural RL2xx rules that close the same contract as a

@@ -1,4 +1,8 @@
-"""View-selection tests (paper Section V, Table II)."""
+"""View-selection tests (paper Section V, Table II).
+
+One cost function and one greedy; every case that costs a view runs once
+per list-size source (exact / estimated / measured-first).
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,15 @@ import pytest
 
 from repro.datasets import nasa as nasa_data
 from repro.errors import SelectionError
-from repro.selection.cost import residual_edges, view_cost
-from repro.selection.greedy import select_views
+from repro.selection import (
+    CalibratedStatistics,
+    DocumentStatistics,
+    ExactSizes,
+    residual_edges,
+    select_views,
+    view_cost,
+)
+from repro.storage.catalog import ViewCatalog
 from repro.tpq.parser import parse_pattern
 from repro.workloads import nasa as nasa_workload
 
@@ -15,6 +26,19 @@ from repro.workloads import nasa as nasa_workload
 @pytest.fixture(scope="module")
 def nasa_doc():
     return nasa_data.generate(scale=2.0, seed=7)
+
+
+@pytest.fixture(scope="module", params=["exact", "estimated", "measured"])
+def sizes(request, nasa_doc):
+    """The three ``|L_q|`` sources behind the one ``list_size`` contract."""
+    if request.param == "exact":
+        return ExactSizes(nasa_doc)
+    stats = DocumentStatistics.collect(nasa_doc)
+    if request.param == "estimated":
+        return stats
+    with ViewCatalog(nasa_doc) as catalog:
+        catalog.add_all(nasa_workload.SELECTION_CANDIDATES, "LE")
+        return CalibratedStatistics.from_catalog(catalog, stats)
 
 
 def test_residual_edges():
@@ -38,33 +62,46 @@ def test_residual_edges_disconnected_view():
     assert residual_edges(view, query, "c") == 1
 
 
-def test_view_cost_lambda_weights(nasa_doc):
+def test_view_cost_lambda_weights(sizes):
     query = nasa_workload.SELECTION_QUERY
     view = parse_pattern("//dataset//tableHead")
-    io_only = view_cost(nasa_doc, view, query, lam=0.0)
-    cpu_only = view_cost(nasa_doc, view, query, lam=1.0)
+    io_only = view_cost(view, query, sizes, lam=0.0)
+    cpu_only = view_cost(view, query, sizes, lam=1.0)
     assert io_only.total == io_only.io_term
     assert cpu_only.total == cpu_only.cpu_term
-    mixed = view_cost(nasa_doc, view, query, lam=0.5)
+    mixed = view_cost(view, query, sizes, lam=0.5)
     assert mixed.total == pytest.approx(
         0.5 * mixed.io_term + 0.5 * mixed.cpu_term
     )
 
 
-def test_view_cost_validates(nasa_doc):
+def test_view_cost_validates(sizes):
     query = nasa_workload.SELECTION_QUERY
     with pytest.raises(SelectionError):
-        view_cost(nasa_doc, parse_pattern("//para//field"), query)
-    with pytest.raises(SelectionError):
-        view_cost(nasa_doc, parse_pattern("//field//para"), query, lam=2.0)
+        view_cost(parse_pattern("//para//field"), query, sizes)
+    for lam in (2.0, -1):
+        with pytest.raises(SelectionError):
+            view_cost(parse_pattern("//field//para"), query, sizes, lam=lam)
 
 
-def test_table2_greedy_selects_cost_based_set(nasa_doc):
-    """The paper's heuristic picks {v2, v5, v6} for the Table II query."""
+def test_view_cost_floor_reads_every_list_once(sizes):
+    """``floored`` charges a list with no residual edge one pass, so the
+    full query as its own view costs its total size, not zero."""
+    query = nasa_workload.SELECTION_QUERY
+    whole = view_cost(query, query, sizes)
+    assert whole.cpu_term == 0.0
+    assert whole.floored == whole.io_term
+    part = view_cost(parse_pattern("//dataset//tableHead"), query, sizes)
+    assert part.floored >= part.cpu_term
+
+
+def test_table2_greedy_selects_cost_based_set(sizes):
+    """The paper's heuristic picks {v2, v5, v6} for the Table II query —
+    on exact, estimated and measured list sizes alike."""
     selection = select_views(
-        nasa_doc,
         nasa_workload.SELECTION_CANDIDATES,
         nasa_workload.SELECTION_QUERY,
+        sizes,
         lam=1.0,
         require_complete=True,
     )
@@ -74,35 +111,35 @@ def test_table2_greedy_selects_cost_based_set(nasa_doc):
     assert len(selection.trace) == len(selection.selected)
 
 
-def test_greedy_ignores_non_subpatterns(nasa_doc):
+def test_greedy_ignores_non_subpatterns(sizes):
     candidates = [
         parse_pattern("//para//field", name="bogus"),  # inverted: unusable
         parse_pattern("//dataset//tableHead", name="v2"),
     ]
     selection = select_views(
-        nasa_doc, candidates, nasa_workload.SELECTION_QUERY
+        candidates, nasa_workload.SELECTION_QUERY, sizes
     )
     assert "bogus" not in selection.costs
     assert not selection.complete
 
 
-def test_greedy_incomplete_raises_when_required(nasa_doc):
+def test_greedy_incomplete_raises_when_required(sizes):
     with pytest.raises(SelectionError):
         select_views(
-            nasa_doc,
             [parse_pattern("//dataset//tableHead", name="v2")],
             nasa_workload.SELECTION_QUERY,
+            sizes,
             require_complete=True,
         )
 
 
-def test_selected_set_is_minimal_cover(nasa_doc):
+def test_selected_set_is_minimal_cover(sizes):
     from repro.tpq.containment import is_minimal_covering_view_set
 
     selection = select_views(
-        nasa_doc,
         nasa_workload.SELECTION_CANDIDATES,
         nasa_workload.SELECTION_QUERY,
+        sizes,
         require_complete=True,
     )
     assert is_minimal_covering_view_set(
@@ -114,7 +151,6 @@ def test_cost_based_beats_size_only_selection(nasa_doc):
     """Evaluating with the cost-based set does less work than with the
     size-only set (the paper reports a 1.93x gap)."""
     from repro.algorithms.engine import evaluate
-    from repro.storage.catalog import ViewCatalog
 
     query = nasa_workload.SELECTION_QUERY
     by_name = {v.name: v for v in nasa_workload.SELECTION_CANDIDATES}

@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms.engine import evaluate
 from repro.datasets import nasa as nasa_data
 from repro.planner import Planner
-from repro.selection.workload_advisor import recommend_for_workload
+from repro.selection import DocumentStatistics, recommend_for_workload
 from repro.storage.catalog import ViewCatalog
 from repro.tpq.containment import is_subpattern
 from repro.tpq.parser import parse_pattern
@@ -20,6 +20,11 @@ def doc():
 
 
 @pytest.fixture(scope="module")
+def stats(doc):
+    return DocumentStatistics.collect(doc)
+
+
+@pytest.fixture(scope="module")
 def workload():
     # Overlapping queries: all three share field//definition structure.
     return [
@@ -29,8 +34,8 @@ def workload():
     ]
 
 
-def test_shared_views_amortize(doc, workload):
-    advice = recommend_for_workload(doc, workload)
+def test_shared_views_amortize(stats, workload):
+    advice = recommend_for_workload(workload, stats)
     shared = [
         candidate
         for candidate in advice.chosen
@@ -39,8 +44,8 @@ def test_shared_views_amortize(doc, workload):
     assert shared, "expected at least one view shared across queries"
 
 
-def test_assignments_are_tag_disjoint_subpatterns(doc, workload):
-    advice = recommend_for_workload(doc, workload)
+def test_assignments_are_tag_disjoint_subpatterns(stats, workload):
+    advice = recommend_for_workload(workload, stats)
     for query in workload:
         assigned = advice.assignments[query.name]
         seen: set[str] = set()
@@ -50,33 +55,33 @@ def test_assignments_are_tag_disjoint_subpatterns(doc, workload):
             seen |= view.tag_set()
 
 
-def test_budget_respected(doc, workload):
-    unlimited = recommend_for_workload(doc, workload)
+def test_budget_respected(stats, workload):
+    unlimited = recommend_for_workload(workload, stats)
     assert unlimited.used_bytes > 0
     tight = recommend_for_workload(
-        doc, workload, budget_bytes=unlimited.used_bytes / 2
+        workload, stats, budget_bytes=unlimited.used_bytes / 2
     )
     assert tight.used_bytes <= unlimited.used_bytes / 2
     assert len(tight.chosen) <= len(unlimited.chosen)
     assert any("over budget" in note for note in tight.notes)
 
 
-def test_zero_budget_chooses_nothing(doc, workload):
-    advice = recommend_for_workload(doc, workload, budget_bytes=0)
+def test_zero_budget_chooses_nothing(stats, workload):
+    advice = recommend_for_workload(workload, stats, budget_bytes=0)
     assert advice.chosen == []
     assert all(not views for views in advice.assignments.values())
 
 
-def test_density_ordering(doc, workload):
-    advice = recommend_for_workload(doc, workload)
+def test_density_ordering(stats, workload):
+    advice = recommend_for_workload(workload, stats)
     densities = [candidate.density for candidate in advice.chosen]
     assert densities == sorted(densities, reverse=True)
 
 
-def test_workload_advice_pays_off_end_to_end(doc, workload):
+def test_workload_advice_pays_off_end_to_end(doc, stats, workload):
     """Evaluating the workload with the advised shared views beats the
     all-base-views plan on total work."""
-    advice = recommend_for_workload(doc, workload)
+    advice = recommend_for_workload(workload, stats)
     with ViewCatalog(doc) as catalog:
         total_base = 0
         total_advised = 0
@@ -93,9 +98,9 @@ def test_workload_advice_pays_off_end_to_end(doc, workload):
     assert total_advised < total_base
 
 
-def test_nasa_workload_smoke(doc):
+def test_nasa_workload_smoke(stats):
     """The full N5-N8 twig workload gets a non-empty shared advice."""
     queries = [nasa.BY_NAME[n].query for n in ("N5", "N6", "N7", "N8")]
-    advice = recommend_for_workload(doc, queries, max_view_size=3)
+    advice = recommend_for_workload(queries, stats, max_view_size=3)
     assert advice.chosen
     assert advice.used_bytes > 0
