@@ -1,8 +1,9 @@
 """Micro-benchmarks for the storage substrate.
 
 Per-operation costs of the building blocks every engine sits on: record
-codecs, pool-served reads, cursor advancement, B+-tree descent and the
-match enumerator.  These establish the unit costs behind the macro
+codecs, pool-served reads, cursor advancement, B+-tree descent, the
+positional DAG buffer's admit-and-flush and the match enumerator.  These
+establish the unit costs behind the macro
 benchmarks' wall-clock numbers (and catch substrate regressions early).
 """
 
@@ -10,9 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.access import build_sources
 from repro.algorithms.base import Counters, CountingCursor
+from repro.algorithms.dag import DagBuffer
 from repro.datasets import random_trees
 from repro.storage.btree import BPlusTreeIndex
+from repro.storage.catalog import materialize
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import (
@@ -25,6 +29,7 @@ from repro.storage.records import (
 from repro.tpq.enumeration import enumerate_matches
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
+from repro.xmltree.document import DocumentBuilder
 
 N = 2000
 
@@ -125,7 +130,7 @@ def test_bench_cursor_advance_no_columns(benchmark, pool_list):
 
 def _drain_counting(stored: StoredList) -> int:
     counters = Counters()
-    cursor = CountingCursor(stored.cursor(), counters)
+    cursor = CountingCursor(stored, counters)
     while not cursor.exhausted:
         cursor.advance()
     return counters.elements_scanned
@@ -174,3 +179,37 @@ def test_bench_enumeration(benchmark):
         return len(enumerate_matches(pattern, sols))
 
     assert benchmark(run) >= 0
+
+
+@pytest.mark.parametrize("candidates", [10, 1000])
+def test_bench_admit_and_flush_partition(benchmark, candidates):
+    """One partition through the DAG buffer on an LEp view: every entry
+    admitted by position from its cursor, then flushed to entry-form
+    matches.  Ten candidates is the per-flush constant (XMark Q14 flushes
+    375 such partitions), a thousand the per-candidate cost; with
+    ``REPRO_COLUMNAR=0`` the same run resolves the positions' labels from
+    the records the cursors read."""
+    builder = DocumentBuilder("partition")
+    with builder.element("r"):
+        with builder.element("a"):
+            for _ in range(candidates - 1):
+                builder.leaf("b")
+    query = parse_pattern("//a//b")
+    view = materialize(builder.build(), query, "LEp")
+    sources = build_sources(query, [view], [query])
+
+    def run():
+        counters = Counters()
+        dag = DagBuffer(query, counters, sources)
+        cursors = {
+            tag: sources[tag].cursor(counters) for tag in query.tags()
+        }
+        dag.set_partition_root(cursors["a"])
+        for tag, cursor in cursors.items():
+            while not cursor.exhausted:
+                dag.add(tag, cursor.position, cursor.start, cursor.end)
+                cursor.advance()
+        dag.flush()
+        return len(dag.matches)
+
+    assert benchmark(run) == candidates - 1

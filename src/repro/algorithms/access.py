@@ -10,11 +10,16 @@ scheme differences:
   records (linked schemes only);
 * ``bisect_start`` — pager-accounted binary search by start label, the
   fallback access path when pointers are absent (element scheme) or not
-  materialized (LE_p).
+  materialized (LE_p);
+* ``labels`` — the list's fields by entry position: the engines buffer
+  candidates as positions and read labels and child pointers here, at
+  flush time, instead of carrying records.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from repro.algorithms.base import Counters, CountingCursor
@@ -23,6 +28,52 @@ from repro.storage.element import ElementView
 from repro.storage.linked import LinkedElementView
 from repro.storage.lists import StoredList
 from repro.tpq.pattern import Pattern
+
+
+class _RecordField:
+    """One field of the records kept by position, indexable like a packed
+    column (an entry index, or a slice for a contiguous run)."""
+
+    __slots__ = ("_records", "_pick")
+
+    def __init__(self, records: dict, pick):
+        self._records = records
+        self._pick = pick
+
+    def __getitem__(self, index):
+        records, pick = self._records, self._pick
+        if type(index) is slice:
+            return [
+                pick(records[i]) for i in range(index.start, index.stop)
+            ]
+        return pick(records[index])
+
+
+class RecordLabels:
+    """Row-wise stand-in for a list's packed columns (``REPRO_COLUMNAR=0``).
+
+    The reference path has no columns to read a buffered position's labels
+    from, and must not pay a second read for them.  It keeps, by position,
+    the records its cursor and its region scans already read
+    (``records``) and exposes their fields under the column names the
+    engines index: ``starts`` / ``ends`` / ``levels`` and one ``children``
+    field per pointer slot.
+    """
+
+    __slots__ = ("records", "starts", "ends", "levels", "children")
+
+    def __init__(self, num_children: int):
+        self.records: dict = {}
+        self.starts = _RecordField(self.records, attrgetter("start"))
+        self.ends = _RecordField(self.records, attrgetter("end"))
+        self.levels = _RecordField(self.records, attrgetter("level"))
+        self.children = tuple(
+            _RecordField(
+                self.records,
+                lambda record, slot=slot: record.children[slot],
+            )
+            for slot in range(num_children)
+        )
 
 
 class TagSource:
@@ -42,6 +93,14 @@ class TagSource:
         self.tag = tag
         self.stored: StoredList = view.list_for(tag)
         self.index = None
+        #: the list's fields by entry position (packed columns, or the
+        #: reference path's kept records)
+        self.labels = self.stored.columns
+        if self.labels is None:
+            self.labels = RecordLabels(
+                len(view.child_tag_order.get(tag, ()))
+                if self.has_pointers else 0
+            )
 
     def __len__(self) -> int:
         return len(self.stored)
@@ -69,7 +128,11 @@ class TagSource:
         )
 
     def cursor(self, counters: Counters) -> CountingCursor:
-        return CountingCursor(self.stored.cursor(), counters)
+        return CountingCursor(
+            self.stored, counters,
+            seen=None if self.stored.columns is not None
+            else self.labels.records,
+        )
 
     def child_slot(self, child_tag: str) -> int | None:
         """Pointer slot for ``child_tag`` inside this tag's records, if the
@@ -128,53 +191,66 @@ class TagSource:
                 hi = mid
         return lo
 
-    def collect_from(self, index: int, bound: int, counters: Counters) -> list:
-        """Entries from ``index`` onward while ``start < bound``.
+    def collect_from(self, index: int, bound: int, counters: Counters) -> int:
+        """Scan forward from ``index`` while ``start < bound``; returns the
+        index the scan stopped at, so the collected entries are the
+        positions ``index .. result``.
 
-        The shared forward-scan kernel of ``range_entries`` and ViewJoin's
-        flush-time region fetch: every probed entry (including the one that
-        breaks the scan) costs one accounted page access and one
-        comparison; every collected entry counts as scanned.  Record
-        objects are built only for collected entries on the columnar path.
+        ViewJoin's flush-time region fetch: every probed entry (including
+        the one that breaks the scan) costs one accounted page access and
+        one comparison; every collected entry counts as scanned.  No
+        record is built on the columnar path; the reference path keeps the
+        records it reads, which is all it will know of those positions.
         """
         stored = self.stored
         total = len(stored)
-        result: list = []
         columns = stored.columns
         if columns is not None:
+            if index >= total:
+                return index
             starts = columns.starts
-            touch_index = stored.touch_index
-            entry_at = columns.entry
+            # One accounted access per probed entry, as `touch_index`
+            # would charge it; the page is looked up once per page run.
+            touch = stored.pager.pool.touch
+            decoder_id = stored._decoder_id
+            page_ids, breaks = stored.page_map()
+            page = bisect_right(breaks, index, 0, len(page_ids)) - 1
+            page_hi = breaks[page + 1]
             while index < total:
-                touch_index(index)
+                if index >= page_hi:
+                    page += 1
+                    page_hi = breaks[page + 1]
+                touch(page_ids[page], decoder_id)
                 counters.comparisons += 1
                 if starts[index] >= bound:
                     break
-                # Records are built only for *collected* entries — the
-                # probe/compare above ran on raw column ints.
-                result.append(entry_at(index))  # repro-lint: disable=RL101 (emission only)
                 counters.elements_scanned += 1
                 index += 1
-            return result
+            return index
+        records = self.labels.records
         while index < total:
             # Reference fallback when packed columns are absent.
             entry = stored.read(index)  # repro-lint: disable=RL101 (reference path)
             counters.comparisons += 1
             if entry.start >= bound:
                 break
-            result.append(entry)
+            records[index] = entry
             counters.elements_scanned += 1
             index += 1
-        return result
+        return index
 
-    def range_entries(
-        self, start: int, end: int, counters: Counters
-    ) -> list:
-        """All entries with start label inside the open interval
-        ``(start, end)``, via binary search + forward scan."""
-        return self.collect_from(
-            self.bisect_start(start, counters), end, counters
-        )
+    def recall(self, positions: Sequence[int]) -> None:
+        """Read the entries at ``positions`` again (a resumed run carries
+        positions, not labels): one accounted page access each, no work
+        counter — the original admissions are in the snapshot's."""
+        stored = self.stored
+        if stored.columns is not None:
+            for position in positions:
+                stored.touch_index(position)
+            return
+        records = self.labels.records
+        for position in positions:
+            records[position] = stored.read(position)
 
 
 def build_sources(

@@ -184,46 +184,43 @@ def start_keys(matches: Sequence[Match]) -> list[tuple[int, ...]]:
 
 
 class CountingCursor:
-    """A :class:`ListCursor` that attributes every move to counters.
+    """Cursor over one stored list that attributes every move to counters.
 
-    This is the engines' cursor kernel.  ``start``/``end``/``level`` are
-    plain attributes holding the head entry's labels as raw ints (``_INF``
-    floats once exhausted), so join loops compare numbers without building
-    a record object per advance; ``current`` constructs the record on
-    demand — engines call it only when a head is actually emitted into a
-    match buffer.
+    This is the engines' cursor kernel.  ``position`` / ``start`` / ``end``
+    are plain attributes holding the head entry's list index and labels as
+    raw ints (``_INF`` floats once exhausted), so join loops compare
+    numbers and admit candidates *by position* — no record object is built
+    per advance or per admission (records exist only past the output
+    boundary, see :class:`~repro.tpq.enumeration.Enumeration`).
 
-    When the underlying list carries packed columns the cursor advances
-    over the raw column arrays directly, mirroring the buffer pool's read
-    accounting via :meth:`~repro.storage.pager.BufferPool.touch`; otherwise
-    every move delegates to the wrapped pool-served :class:`ListCursor`.
-    Counter increments live in the shared methods, so fast and slow paths
-    report identical work by construction.
+    When the list carries packed columns the cursor advances over the raw
+    column arrays directly, mirroring the buffer pool's read accounting
+    via :meth:`~repro.storage.pager.BufferPool.touch`; otherwise every
+    move delegates to a wrapped pool-served :class:`ListCursor` (the
+    ``REPRO_COLUMNAR=0`` reference) and the records it pays for are kept
+    by position in ``seen``, which is where the reference path resolves a
+    buffered position's labels from.  Counter increments live in the
+    shared methods, so fast and slow paths report identical work by
+    construction.
     """
 
     __slots__ = (
-        "cursor", "counters", "position", "start", "end",
+        "cursor", "counters", "position", "start", "end", "_seen",
         "_columns", "_starts", "_ends", "_length", "_touch", "_touch_run",
         "_decoder_id", "_page_ids", "_breaks", "_page", "_page_hi",
     )
 
-    def __init__(self, cursor: ListCursor, counters: Counters):
-        self.cursor = cursor
+    def __init__(self, stored, counters: Counters, seen: dict | None = None):
         self.counters = counters
-        stored = cursor.list
         columns = stored.columns
         self._columns = columns
         self._length = len(stored)
-        self.position = cursor.position
         if columns is None:
-            head = cursor.current
-            if head is None:
-                self.start = _INF
-                self.end = _INF
-            else:
-                self.start = head.start
-                self.end = head.end
+            self.cursor: ListCursor | None = stored.cursor()
+            self._seen = {} if seen is None else seen
+            self._land()
             return
+        self.cursor = None
         self._starts = columns.starts
         self._ends = columns.ends
         self._touch = stored.pager.pool.touch
@@ -232,28 +229,32 @@ class CountingCursor:
         page_ids, breaks = stored.page_map()
         self._page_ids = page_ids
         self._breaks = breaks
-        position = self.position
-        if position < self._length:
-            page = bisect_right(breaks, position, 0, len(page_ids)) - 1
-            self._page = page
-            self._page_hi = breaks[page + 1]
-            self.start = self._starts[position]
-            self.end = self._ends[position]
+        self.position = 0
+        self._page = 0
+        if self._length:
+            self._page_hi = breaks[1]
+            # Opening a cursor reads the head entry's page.
+            self._touch(page_ids[0], self._decoder_id)
+            self.start = self._starts[0]
+            self.end = self._ends[0]
         else:
-            self._page = 0
             self._page_hi = 0
             self.start = _INF
             self.end = _INF
 
-    @property
-    def current(self):
-        """The head entry as a record object (None past the end)."""
-        columns = self._columns
-        if columns is None:
-            return self.cursor.current
-        if self.start is _INF:
-            return None
-        return columns.entry(self.position)
+    def _land(self) -> None:
+        """Reference path: mirror the wrapped cursor's head after a move,
+        keeping the record it just paid for."""
+        cursor = self.cursor
+        position = self.position = cursor.position
+        head = cursor.current
+        if head is None:
+            self.start = _INF
+            self.end = _INF
+        else:
+            self.start = head.start
+            self.end = head.end
+            self._seen[position] = head
 
     @property
     def level(self) -> int:
@@ -290,16 +291,8 @@ class CountingCursor:
         self.counters.elements_scanned += 1
         columns = self._columns
         if columns is None:
-            cursor = self.cursor
-            cursor.advance()
-            self.position = cursor.position
-            head = cursor.current
-            if head is None:
-                self.start = _INF
-                self.end = _INF
-            else:
-                self.start = head.start
-                self.end = head.end
+            self.cursor.advance()
+            self._land()
             return
         if self.start is _INF:
             return
@@ -390,16 +383,8 @@ class CountingCursor:
         """
         columns = self._columns
         if columns is None:
-            cursor = self.cursor
-            cursor.seek(position)
-            self.position = cursor.position
-            head = cursor.current
-            if head is None:
-                self.start = _INF
-                self.end = _INF
-            else:
-                self.start = head.start
-                self.end = head.end
+            self.cursor.seek(position)
+            self._land()
             return
         if position >= self._length:
             self.position = self._length
@@ -429,16 +414,8 @@ class CountingCursor:
         self.counters.entries_skipped += index - self.position - 1
         columns = self._columns
         if columns is None:
-            cursor = self.cursor
-            cursor.seek(index)
-            self.position = cursor.position
-            head = cursor.current
-            if head is None:
-                self.start = _INF
-                self.end = _INF
-            else:
-                self.start = head.start
-                self.end = head.end
+            self.cursor.seek(index)
+            self._land()
             return
         if index >= self._length:
             self.position = self._length
@@ -452,16 +429,6 @@ class CountingCursor:
         self._touch(self._page_ids[page], self._decoder_id)
         self.start = self._starts[index]
         self.end = self._ends[index]
-
-    def peek(self, index: int):
-        return self.cursor.peek(index)
-
-
-def element_of(entry) -> ElementEntry:
-    """Project any stored entry onto its plain element record."""
-    if isinstance(entry, ElementEntry):
-        return entry
-    return entry.element
 
 
 def total_list_length(lists: Sequence) -> int:

@@ -2,9 +2,12 @@
 
 ViewJoin (and our TwigStack variants, for a like-for-like memory comparison)
 accumulate solution nodes in a per-partition buffer keyed by query-node tag.
-Nodes arrive in document order and are kept sorted; per-tag stacks of
-currently-open regions answer the "has a *p*-type ancestor in F" checks of
-the ``get_next`` function in amortized O(1).
+A solution node is held as its **position** in its tag's stored list — the
+representation of the paper's LE pointers, and of ``F``, which holds nodes
+of the lists and not copies of them.  Nodes arrive in document order and
+are kept sorted; per tag, the start labels and the prefix maxima of the end
+labels answer the "has a *p*-type ancestor in F" checks of the ``get_next``
+function by one binary search.
 
 When a new root-tag solution starts after the current partition root's end,
 the partition is **flushed**: the buffer is extended to cover the query
@@ -14,7 +17,7 @@ matches are enumerated with exact pc/ad checks.
 Two flush targets implement the paper's two output approaches:
 
 * **memory-based** — matches accumulate in an in-memory list;
-* **disk-based** — each partition's candidate lists are serialized to a
+* **disk-based** — each partition's candidate labels are serialized to a
   spill page file and read back (through a counting pager) before
   enumeration, modelling the paper's output-then-reread variant; peak
   in-memory buffer size is correspondingly bounded by one partition.
@@ -24,29 +27,44 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
-from repro.algorithms.base import (
-    KEYS,
-    Counters,
-    EvalResult,
-    Match,
-    element_of,
-)
+from repro.algorithms.base import KEYS, Counters, EvalResult, Match
 from repro.errors import EvaluationError
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
-from repro.storage.records import ElementEntry, element_codec
+from repro.storage.records import ElementEntry, MatchKeyCodec, element_codec
 from repro.tpq.enumeration import Enumeration, MatchPlan
 from repro.tpq.pattern import Pattern
+
+#: Per query tag, the entry positions of a candidate set in its tag's list
+#: (ascending; a ``range`` where a fetch found them contiguous).
+Positions = Mapping[str, Sequence[int]]
+
+
+def column_at(column, positions: Sequence[int]):
+    """``column`` gathered at ``positions`` (one slice for a range)."""
+    if type(positions) is range:
+        return column[positions.start:positions.stop]
+    return [column[position] for position in positions]
 
 
 class DagBuffer:
     """Per-partition buffer of candidate solution nodes.
 
+    A candidate is its **position** in its tag's list: admission takes the
+    cursor's own ints and keeps no record.  Labels are read back from the
+    lists (``sources[tag].labels``) by position when a partition is
+    flushed, as columns the enumerator runs on; a record is built only
+    for what a match emits (:meth:`Enumeration.take`).
+
     Args:
         query: the query pattern (flush enumerates its matches).
         counters: run counters (candidate adds are attributed here).
+        sources: per query tag, the list the buffered positions index
+            (anything with the ``labels`` of a
+            :class:`~repro.algorithms.access.TagSource`).
         emit_matches: keep output tuples (True; :data:`KEYS` for tuples
             of start labels instead of entries) or only count them.
         spill_pager: when given, partitions are spilled to this pager and
@@ -60,14 +78,17 @@ class DagBuffer:
         self,
         query: Pattern,
         counters: Counters,
+        sources: Mapping[str, object],
         emit_matches: bool | str = True,
         spill_pager: Pager | None = None,
         sink: Callable[[list[Match]], None] | None = None,
     ):
         self.query = query
         # Compiled once per run; every partition flush reuses it.
-        self.plan = MatchPlan(query)
+        self.plan = MatchPlan(query, ElementEntry)
         self.counters = counters
+        #: per query tag, the fields of its list by entry position
+        self._labels = {tag: sources[tag].labels for tag in self.plan.tags}
         self.emit_matches = emit_matches
         self.keys = emit_matches == KEYS
         self.spill_pager = spill_pager
@@ -75,24 +96,16 @@ class DagBuffer:
         self.matches: list[Match] = []
         self.match_count = 0
         self.output_seconds = 0.0
-        self._partition_end: int | None = None
         self.peak_entries = 0
-        self._size = 0
-        self._lists: dict[str, list] = {}
-        self._starts: dict[str, list[int]] = {}
-        self._prefix_max_end: dict[str, list[int]] = {}
         self._entry_bytes = element_codec().width
+        self._reset()
 
     # -- building ------------------------------------------------------------
 
     @property
     def partition_root(self) -> int | None:
-        """End label of the open partition's root (None when closed).
-
-        Only the end label is retained: the engines need the root solely
-        to bound the partition, and buffering the record itself would
-        allocate once per partition on the hot admission path.
-        """
+        """End label of the open partition's root (None when closed): the
+        engines need the root solely to bound the partition."""
         return self._partition_end
 
     def set_partition_root(self, entry) -> None:
@@ -105,83 +118,78 @@ class DagBuffer:
         assert self._partition_end is not None
         return self._partition_end
 
-    def add(self, tag: str, entry) -> None:
-        """Admit a candidate solution node for query node ``tag``.
+    def add(self, tag: str, position: int, start: int, end: int) -> None:
+        """Admit entry ``position`` of ``tag``'s list, labelled
+        ``(start, end)``, as a candidate solution node.
 
-        Entries are stored as-is (linked-element records keep their
-        pointers, which the flush-time extension step dereferences).  Nodes
-        must arrive in non-decreasing document order per tag; duplicates
-        (same start) are ignored.
+        Nodes must arrive in non-decreasing document order per tag;
+        duplicates (same start) are ignored.
         """
-        bucket = self._lists.setdefault(tag, [])
-        if bucket and bucket[-1].start >= entry.start:
-            if bucket[-1].start == entry.start:
-                return
-            raise EvaluationError(
-                f"candidates for {tag!r} must arrive in document order"
-            )
-        bucket.append(entry)
+        bucket = self._buckets.get(tag)
+        if bucket is None:
+            self._buckets[tag] = ([position], [start], [end])
+        else:
+            positions, starts, prefix = bucket
+            last = starts[-1]
+            if last >= start:
+                if last == start:
+                    return
+                raise EvaluationError(
+                    f"candidates for {tag!r} must arrive in document order"
+                )
+            top = prefix[-1]
+            positions.append(position)
+            starts.append(start)
+            prefix.append(end if end > top else top)
         self.counters.candidates_added += 1
-        self._size += 1
-        starts = self._starts.setdefault(tag, [])
-        prefix = self._prefix_max_end.setdefault(tag, [])
-        starts.append(entry.start)
-        prefix.append(
-            entry.end if not prefix else max(prefix[-1], entry.end)
-        )
-        if self._size > self.peak_entries:
-            self.peak_entries = self._size
-
-    def has_open_ancestor(self, tag: str, entry) -> bool:
-        """True iff some buffered ``tag``-node's region contains ``entry``."""
-        return self.open_ancestor(tag, entry.start, entry.end)
+        size = self._size = self._size + 1
+        if size > self.peak_entries:
+            self.peak_entries = size
 
     def open_ancestor(self, tag: str, start: int, end: int) -> bool:
         """True iff some buffered ``tag`` region contains ``(start, end)``.
 
         Implements get_next's "has a p-type ancestor in F" test on raw
-        labels (the columnar fast path passes cursor ints directly).  A
-        buffered candidate contains the region iff its start precedes
-        ``start`` and its end exceeds ``end`` (regions nest or are
-        disjoint), so the check reduces to a prefix-max-of-ends lookup —
-        exact and non-destructive, unlike a shared pop-on-read stack, which
-        would be order-sensitive when several consumers probe the same tag.
+        labels (the engines pass cursor ints directly).  A buffered
+        candidate contains the region iff its start precedes ``start`` and
+        its end exceeds ``end`` (regions nest or are disjoint), so the
+        check reduces to a prefix-max-of-ends lookup — exact and
+        non-destructive, unlike a shared pop-on-read stack, which would be
+        order-sensitive when several consumers probe the same tag.
         """
-        starts = self._starts.get(tag)
-        if not starts:
+        bucket = self._buckets.get(tag)
+        if bucket is None:
             return False
-        pos = bisect_left(starts, start)
+        pos = bisect_left(bucket[1], start)
         if pos == 0:
             return False
-        return self._prefix_max_end[tag][pos - 1] > end
+        return bucket[2][pos - 1] > end
 
-    def innermost_container(self, tag: str, entry):
-        """The buffered ``tag`` candidate with the largest start whose
-        region contains ``entry``, or None."""
-        return self.innermost_container_at(tag, entry.start, entry.end)
-
-    def innermost_container_at(self, tag: str, start: int, end: int):
-        """The buffered ``tag`` candidate with the largest start whose
-        region contains ``(start, end)``, or None.
+    def innermost_container_at(
+        self, tag: str, start: int, end: int
+    ) -> int | None:
+        """Position (in ``tag``'s list) of the buffered ``tag`` candidate
+        with the largest start whose region contains ``(start, end)``, or
+        None.
 
         Containers of a node form a nested chain, so the innermost one has
         the maximal level among them — which makes this the primitive for
         exact parent-child admission (a direct parent exists iff the
-        innermost container sits exactly one level above the entry).
+        innermost container sits exactly one level above the entry; its
+        level is one read of the list's level column).
         """
-        starts = self._starts.get(tag)
-        if not starts:
+        bucket = self._buckets.get(tag)
+        if bucket is None:
             return None
-        bucket = self._lists[tag]
-        prefix = self._prefix_max_end[tag]
-        position = bisect_left(starts, start) - 1
-        while position >= 0:
-            if prefix[position] <= start:
+        positions, starts, prefix = bucket
+        ends = self._labels[tag].ends
+        index = bisect_left(starts, start) - 1
+        while index >= 0:
+            if prefix[index] <= start:
                 return None  # nothing further left can reach this entry
-            candidate = bucket[position]
-            if candidate.end > end:
-                return candidate
-            position -= 1
+            if ends[positions[index]] > end:
+                return positions[index]
+            index -= 1
         return None
 
     def max_buffered_end(self, tag: str) -> int:
@@ -191,15 +199,8 @@ class DagBuffer:
         jump over unread entries is only safe when no buffered candidate
         region could still contain them.
         """
-        prefix = self._prefix_max_end.get(tag)
-        return prefix[-1] if prefix else -1
-
-    def last_added(self, tag: str):
-        bucket = self._lists.get(tag)
-        return bucket[-1] if bucket else None
-
-    def candidates(self, tag: str) -> Sequence:
-        return self._lists.get(tag, ())
+        bucket = self._buckets.get(tag)
+        return bucket[2][-1] if bucket is not None else -1
 
     @property
     def buffered_entries(self) -> int:
@@ -211,56 +212,44 @@ class DagBuffer:
 
     # -- suspend / resume --------------------------------------------------------
 
-    def save_state(self) -> tuple[int | None, dict[str, list]]:
-        """Snapshot the open partition: ``(partition_end, per-tag lists)``.
-
-        The derived search structures (start columns, prefix-max ends)
-        are recomputed on restore rather than serialized — they are a
-        pure function of the entry lists.
-        """
+    def save_state(self) -> tuple[int | None, dict[str, list[int]]]:
+        """Snapshot the open partition: ``(partition_end, per-tag
+        positions)``.  Everything else the buffer holds is a function of
+        the positions and the lists they index."""
         return self._partition_end, {
-            tag: list(entries) for tag, entries in self._lists.items()
+            tag: list(bucket[0]) for tag, bucket in self._buckets.items()
         }
 
     def restore_state(
         self,
         partition_end: int | None,
-        lists: Mapping[str, list],
+        buffered: Positions,
         match_count: int,
         peak_entries: int,
         output_seconds: float,
     ) -> None:
-        """Rebuild a suspended partition, accounting-free.
+        """Rebuild a suspended partition from its positions.
 
-        Entries re-enter the buffer without passing through :meth:`add`:
-        their admissions were counted when they first arrived, and the
-        snapshot's counters already carry that work.  Cumulative output
-        totals (``match_count``, peak sizes, output time) are restored
-        so the resumed run's final result equals the uninterrupted one.
+        Candidates re-enter the buffer without passing through
+        :meth:`add`: their admissions were counted when they first
+        arrived, and the snapshot's counters already carry that work.
+        Their labels must be readable again (``TagSource.recall``).
+        Cumulative output totals (``match_count``, peak sizes, output
+        time) are restored so the resumed run's final result equals the
+        uninterrupted one.
         """
         self._reset()
         self._partition_end = partition_end
-        for tag, entries in lists.items():
-            if not entries:
+        for tag, positions in buffered.items():
+            if not positions:
                 continue
-            bucket = list(entries)
-            starts = [entry.start for entry in bucket]
-            if any(
-                starts[i] >= starts[i + 1] for i in range(len(starts) - 1)
-            ):
-                raise EvaluationError(
-                    f"restored candidates for {tag!r} are not in document"
-                    " order"
-                )
-            prefix: list[int] = []
-            for entry in bucket:
-                prefix.append(
-                    entry.end if not prefix else max(prefix[-1], entry.end)
-                )
-            self._lists[tag] = bucket
-            self._starts[tag] = starts
-            self._prefix_max_end[tag] = prefix
-            self._size += len(bucket)
+            labels = self._labels[tag]
+            self._buckets[tag] = (
+                list(positions),
+                list(column_at(labels.starts, positions)),
+                list(accumulate(column_at(labels.ends, positions), max)),
+            )
+            self._size += len(positions)
         self.match_count = match_count
         self.peak_entries = max(peak_entries, self._size)
         self.output_seconds = output_seconds
@@ -269,59 +258,44 @@ class DagBuffer:
 
     def flush(
         self,
-        extend: Callable[[Mapping[str, Sequence[ElementEntry]]],
-                         Mapping[str, Sequence[ElementEntry]]] | None = None,
+        extend: Callable[[Positions], Positions] | None = None,
         hold: bool = False,
-    ) -> Enumeration | None:
+    ) -> tuple[Enumeration, Positions] | None:
         """Close the current partition: extend, enumerate, reset.
 
         Args:
-            extend: callback receiving the buffered per-tag candidate lists
-                and returning the complete lists for *all* query tags (it
-                fetches the tags outside Q' via view pointers).  When None
-                the buffered lists must already cover every query tag.
+            extend: callback receiving the buffered per-tag positions and
+                returning those of the query tags the buffer does not
+                cover (it fetches the tags outside Q' via view pointers).
+                When None the buffer must already cover every query tag.
             hold: rank and charge the partition's matches but build none:
-                the opened enumeration is returned (None when there is
-                nothing to emit) and the caller expands it in slices —
-                the preemptible run's sliceable flush.
+                the opened enumeration is returned with the positions it
+                ranks (None when there is nothing to emit) and the caller
+                expands it in slices — the preemptible run's sliceable
+                flush.
         """
         if self.partition_root is None:
             self._reset()
             return None
         begin = time.perf_counter()
         self.counters.flushes += 1
+        pools = {tag: bucket[0] for tag, bucket in self._buckets.items()}
         if extend is not None:
-            candidates: Mapping[str, Sequence[ElementEntry]] = extend(
-                self._lists
-            )
-        else:
-            candidates = {
-                tag: self._lists.get(tag, ()) for tag in self.plan.tags
-            }
-        count_only = self.sink is None and not self.emit_matches
-        if self.spill_pager is not None or not count_only:
-            # Project linked records down to bare element labels once per
-            # candidate, so emitted match tuples need no per-component
-            # conversion (matches repeat each candidate many times over).
-            # The enumerator reads pools by tag, so the dict's iteration
-            # order cannot reach the output (RL103).
-            candidates = {
-                tag: list(map(element_of, entries))
-                for tag, entries in candidates.items()
-            }
+            pools.update(extend(pools))
+        columns = self._label_columns(pools)
         if self.spill_pager is not None:
-            candidates = self._spill_and_reload(candidates)
+            columns = self._spill_and_reload(columns)
         held = None
-        if count_only:
-            produced = self.plan.count(candidates)
+        if self.sink is None and not self.emit_matches:
+            produced = self.plan.count(*columns)
         else:
             # Already in tuple-of-starts order (see Enumeration), and
             # partitions are disjoint and flushed in document order, so
             # the accumulated output is canonical without a sort.
-            opened = self.plan.open(candidates)
+            opened = self.plan.open(*columns)
             produced = opened.total
             if hold:
-                held = opened if produced else None
+                held = (opened, pools) if produced else None
             else:
                 found = opened.take(0, produced, self.keys)
                 if self.sink is not None:
@@ -333,6 +307,35 @@ class DagBuffer:
         self.output_seconds += time.perf_counter() - begin
         self._reset()
         return held
+
+    def reopen(self, pools: Positions) -> Enumeration:
+        """Rank a suspended flush's pools again from their positions
+        (integer walks, no counter and no spill: the flush was charged
+        when it happened)."""
+        return self.plan.open(*self._label_columns(pools))
+
+    def _label_columns(self, pools: Positions):
+        """``(starts, ends, levels)`` of ``pools``, each by slot: the
+        lists' label columns gathered at the pooled positions."""
+        starts: list = []
+        ends: list = []
+        levels: list = []
+        for tag in self.plan.tags:
+            labels = self._labels[tag]
+            picked = pools.get(tag, ())
+            if type(picked) is range:
+                run = slice(picked.start, picked.stop)
+                starts.append(labels.starts[run])
+                ends.append(labels.ends[run])
+                levels.append(labels.levels[run])
+            else:
+                column = labels.starts
+                starts.append([column[p] for p in picked])
+                column = labels.ends
+                ends.append([column[p] for p in picked])
+                column = labels.levels
+                levels.append([column[p] for p in picked])
+        return starts, ends, levels
 
     def result(self, matches: list[Match] | None = None) -> EvalResult:
         """The run's outcome so far; ``matches`` overrides the
@@ -348,29 +351,34 @@ class DagBuffer:
         )
 
     def _reset(self) -> None:
-        self._lists = {}
-        self._starts = {}
-        self._prefix_max_end = {}
+        #: per tag with a buffered candidate, three aligned lists: list
+        #: positions, start labels, and prefix maxima of the end labels
+        self._buckets: dict[str, tuple[list[int], list[int], list[int]]] = {}
         self._size = 0
-        self._partition_end = None
+        self._partition_end: int | None = None
 
-    def _spill_and_reload(
-        self, candidates: Mapping[str, Sequence[ElementEntry]]
-    ) -> dict[str, list[ElementEntry]]:
-        """Write candidate lists to the spill file and read them back.
+    def _spill_and_reload(self, columns):
+        """Write the candidates' labels to the spill file and read them
+        back, one list per query tag.
 
         Models the disk-based approach's extra I/O: the partition's portion
-        of F is written out and re-read before match computation.
+        of F is written out and re-read before match computation.  The
+        rows are the element record's three labels, packed and paged
+        exactly as the element codec packs them, but written from and
+        decoded to plain int rows — no record on either side.
         """
         assert self.spill_pager is not None
-        reloaded: dict[str, list[ElementEntry]] = {}
-        for tag in self.query.tags():
-            entries = candidates.get(tag, ())
+        reloaded: tuple[list, list, list] = ([], [], [])
+        for tag, *labels in zip(self.plan.tags, *columns):
             stored = StoredList(
-                self.spill_pager, element_codec(), name=f"spill:{tag}",
+                self.spill_pager, MatchKeyCodec(3), name=f"spill:{tag}",
                 columnar=False,  # written once, scanned once: no reuse
             )
-            stored.extend(entries)  # already projected to ElementEntry
+            stored.extend(zip(*labels))
             stored.finalize()
-            reloaded[tag] = list(stored.scan())
+            rows = list(stored.scan())
+            for column, values in zip(
+                reloaded, zip(*rows) if rows else ((), (), ())
+            ):
+                column.append(values)
         return reloaded

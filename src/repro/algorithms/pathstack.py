@@ -49,7 +49,7 @@ def pathstack(
     if Mode.parse(mode) is Mode.DISK:
         spill = spill_pager if spill_pager is not None else Pager(file_backed=True)
         own_spill = spill_pager is None
-    dag = DagBuffer(query, counters, emit_matches, spill)
+    dag = DagBuffer(query, counters, sources, emit_matches, spill)
     try:
         _sweep(query, sources, counters, dag)
         dag.flush()
@@ -88,15 +88,17 @@ def _sweep(
         # with smaller heads, so only stop when everything is exhausted.
         cursor = cursors[qmin.tag]
         if qmin.parent is None:
-            entry = cursor.current
             if dag.partition_root is None:
-                dag.set_partition_root(entry)
-            elif entry.start > dag.partition_end:
+                dag.set_partition_root(cursor)
+            elif cursor.start > dag.partition_end:
                 dag.flush()
-                dag.set_partition_root(entry)
-            dag.add(qmin.tag, entry)
+                dag.set_partition_root(cursor)
+            admit = True
         else:
             counters.comparisons += 1
-            if dag.open_ancestor(qmin.parent.tag, cursor.start, cursor.end):
-                dag.add(qmin.tag, cursor.current)
+            admit = dag.open_ancestor(
+                qmin.parent.tag, cursor.start, cursor.end
+            )
+        if admit:
+            dag.add(qmin.tag, cursor.position, cursor.start, cursor.end)
         cursor.advance()

@@ -8,12 +8,12 @@ position is a handful of integers:
 
 * one entry index per retained-tag cursor (view cursors);
 * the cached-solution map ``sol`` (Function 2's deferred admissions);
-* the open DAG partition — its root's end label and the per-tag buffered
-  candidate lists;
+* the open DAG partition — its root's end label and, per tag, the list
+  positions of the buffered candidates;
 * what a flush still owes, **factorized**: the flushed partition's
-  projected candidate pools and the rank of the next match to emit
-  (``pools`` / ``offset``).  A flush extends, spills, ranks and charges
-  its matches once; they are then built in slices
+  candidate pools, again as list positions, and the rank of the next
+  match to emit (``pools`` / ``offset``).  A flush extends, spills,
+  ranks and charges its matches once; they are then built in slices
   (``Enumeration.take``), here or in a later quantum, so the snapshot
   is bounded by the buffer and not by the answer;
 * the cumulative work counters, emitted-match total and peak-buffer
@@ -21,11 +21,14 @@ position is a handful of integers:
 
 :class:`PlanState` carries that snapshot and (de)serializes it to a
 JSON-safe payload for the service's versioned, checksummed continuation
-tokens (:mod:`repro.service.continuation`).  Restoring a snapshot is
-**accounting-free**: cursors are repositioned and buffers rebuilt without
-touching any counter, so a run resumed from quantum *k* finishes with
-counters byte-identical to an uninterrupted run — the contract
-``tests/test_preemption.py`` pins at every suspension boundary.
+tokens (:mod:`repro.service.continuation`).  A candidate is carried as
+its position only: labels and pointers are read back from the lists on
+resume (one page access per position, like the cursors' repositioning).
+Restoring a snapshot is otherwise **accounting-free**: cursors are
+repositioned and buffers rebuilt without touching any work counter, so a
+run resumed from quantum *k* finishes with counters byte-identical to an
+uninterrupted run — the contract ``tests/test_preemption.py`` pins at
+every suspension boundary.
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ from dataclasses import dataclass, field
 
 from repro.algorithms.base import Counters
 from repro.errors import ContinuationMalformed, EvaluationError
-from repro.storage.records import ElementEntry, LinkedEntry
 
 #: Version of the serialized :class:`PlanState` payload.  Bumped whenever
 #: the snapshot shape changes; tokens carrying another version are
 #: rejected as malformed instead of being misinterpreted.
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -119,80 +121,34 @@ class QuantumBudget:
             raise ContinuationMalformed(str(exc)) from None
 
 
-# -- entry (de)serialization ----------------------------------------------------
-
-_KIND_ELEMENT = "E"
-_KIND_LINKED = "L"
-
-
-def _pack_entries(entries: list) -> list:
-    """Flatten one buffered candidate list to ``[kind, width, ints]``."""
-    if not entries:
-        return [_KIND_ELEMENT, 3, []]
-    first = entries[0]
-    flat: list[int] = []
-    if isinstance(first, LinkedEntry):
-        width = 5 + len(first.children)
-        for entry in entries:
-            flat.extend(
-                (entry.start, entry.end, entry.level,
-                 entry.following, entry.descendant)
-            )
-            flat.extend(entry.children)
-        return [_KIND_LINKED, width, flat]
-    for entry in entries:
-        flat.extend((entry.start, entry.end, entry.level))
-    return [_KIND_ELEMENT, 3, flat]
-
-
-def _unpack_entries(payload) -> list:
-    """Inverse of :func:`_pack_entries`, with full shape validation."""
-    if (
-        not isinstance(payload, (list, tuple)) or len(payload) != 3
-        or payload[0] not in (_KIND_ELEMENT, _KIND_LINKED)
-        or not isinstance(payload[1], int)
-        or not isinstance(payload[2], list)
-    ):
-        raise ContinuationMalformed("buffered entry list has a bad shape")
-    kind, width, flat = payload
-    if any(not isinstance(value, int) for value in flat):
-        raise ContinuationMalformed("buffered entries must be integers")
-    if width < 3 or (kind == _KIND_LINKED and width < 5):
-        raise ContinuationMalformed(f"bad entry width {width}")
-    if len(flat) % width:
-        raise ContinuationMalformed(
-            f"entry data length {len(flat)} is not a multiple of {width}"
-        )
-    entries: list = []
-    if kind == _KIND_ELEMENT:
-        if width != 3:
-            raise ContinuationMalformed("element entries have width 3")
-        for i in range(0, len(flat), 3):
-            entries.append(ElementEntry(flat[i], flat[i + 1], flat[i + 2]))
-        return entries
-    for i in range(0, len(flat), width):
-        entries.append(
-            LinkedEntry(
-                flat[i], flat[i + 1], flat[i + 2], flat[i + 3], flat[i + 4],
-                tuple(flat[i + 5:i + width]),
-            )
-        )
-    return entries
-
-
-def _entry_lists(payload, what: str, kinds: str) -> dict[str, list]:
-    """Per-tag entry lists from ``[[tag, kind, width, ints], ...]``,
-    each ``kind`` one of ``kinds``."""
+def _position_lists(payload, what: str) -> dict[str, list[int]]:
+    """Per-tag candidate positions from ``[[tag, [int, ...]], ...]``:
+    non-negative and strictly increasing (list order is document order).
+    Whether they lie inside the tag's list is the resuming run's check —
+    only it knows the list."""
     if not isinstance(payload, list):
         raise ContinuationMalformed(f"{what} lists must be a list")
-    lists: dict[str, list] = {}
+    lists: dict[str, list[int]] = {}
     for item in payload:
         if (
-            not isinstance(item, (list, tuple)) or len(item) != 4
-            or not isinstance(item[0], str) or item[1] not in tuple(kinds)
+            not isinstance(item, (list, tuple)) or len(item) != 2
+            or not isinstance(item[0], str) or not isinstance(item[1], list)
         ):
             raise ContinuationMalformed(f"{what} item has a bad shape")
-        lists[item[0]] = _unpack_entries(item[1:])
+        tag, positions = item
+        if any(
+            not isinstance(position, int) or isinstance(position, bool)
+            or position < 0
+            for position in positions
+        ):
+            raise ContinuationMalformed(
+                f"{what} positions must be non-negative integers"
+            )
+        if any(a >= b for a, b in zip(positions, positions[1:])):
+            raise ContinuationMalformed(
+                f"{what} positions for {tag!r} are not strictly increasing"
+            )
+        lists[tag] = positions
     return lists
 
 
@@ -226,10 +182,11 @@ class PlanState:
     positions: dict[str, int]
     sol: dict[str, int]
     partition_end: int | None
-    buffered: dict[str, list]
-    #: a flushed partition's projected candidate pools, by query tag,
-    #: while matches of it are still owed (else empty) ...
-    pools: dict[str, list] = field(default_factory=dict)
+    #: the open partition's candidates: per tag, positions in its list
+    buffered: dict[str, list[int]]
+    #: a flushed partition's candidate pools, per query tag as list
+    #: positions, while matches of it are still owed (else empty) ...
+    pools: dict[str, list[int]] = field(default_factory=dict)
     #: ... and the rank, in the pools' canonical enumeration, of the
     #: first match not yet emitted.
     offset: int = 0
@@ -248,12 +205,12 @@ class PlanState:
             "sol": [list(item) for item in self.sol.items()],
             "partition_end": self.partition_end,
             "buffered": [
-                [tag, *_pack_entries(entries)]
-                for tag, entries in self.buffered.items()
+                [tag, list(positions)]
+                for tag, positions in self.buffered.items()
             ],
             "pools": [
-                [tag, *_pack_entries(entries)]
-                for tag, entries in self.pools.items()
+                [tag, list(positions)]
+                for tag, positions in self.pools.items()
             ],
             "offset": self.offset,
             "counters": self.counters.as_dict(),
@@ -282,12 +239,8 @@ class PlanState:
         partition_end = payload.get("partition_end")
         if partition_end is not None and not isinstance(partition_end, int):
             raise ContinuationMalformed("partition_end must be an int")
-        buffered = _entry_lists(
-            payload.get("buffered"), "buffered",
-            _KIND_ELEMENT + _KIND_LINKED,
-        )
-        # flushed pools were projected to bare element entries
-        pools = _entry_lists(payload.get("pools"), "owed pool", _KIND_ELEMENT)
+        buffered = _position_lists(payload.get("buffered"), "buffered")
+        pools = _position_lists(payload.get("pools"), "owed pool")
         counters_payload = payload.get("counters")
         blank = Counters().as_dict()
         if (

@@ -88,10 +88,15 @@ class _TwigStackRun:
             self._own_spill = True
         self.spill_pager = spill_pager if Mode.parse(mode) is Mode.DISK else None
         self.dag = DagBuffer(
-            query, self.counters, emit_matches, self.spill_pager, sink=sink
+            query, self.counters, sources, emit_matches, self.spill_pager,
+            sink=sink,
         )
         self.cursors: dict[str, CountingCursor] = {
             tag: sources[tag].cursor(self.counters) for tag in query.tags()
+        }
+        #: per tag, its list's level column (strict pc admission)
+        self._levels = {
+            tag: sources[tag].labels.levels for tag in query.tags()
         }
 
     def execute(self) -> EvalResult:
@@ -157,17 +162,19 @@ class _TwigStackRun:
     def _act_on(self, qnode: PatternNode) -> None:
         cursor = self.cursors[qnode.tag]
         if qnode.parent is None:
-            entry = cursor.current
             if self.dag.partition_root is None:
-                self.dag.set_partition_root(entry)
-            elif entry.start > self.dag.partition_end:
+                self.dag.set_partition_root(cursor)
+            elif cursor.start > self.dag.partition_end:
                 self.dag.flush()
-                self.dag.set_partition_root(entry)
-            self.dag.add(qnode.tag, entry)
+                self.dag.set_partition_root(cursor)
+            admit = True
         else:
             self.counters.comparisons += 1
-            if self._admissible(qnode, cursor):
-                self.dag.add(qnode.tag, cursor.current)
+            admit = self._admissible(qnode, cursor)
+        if admit:
+            self.dag.add(
+                qnode.tag, cursor.position, cursor.start, cursor.end
+            )
         cursor.advance()
 
     def _admissible(self, qnode: PatternNode, cursor: CountingCursor) -> bool:
@@ -178,6 +185,6 @@ class _TwigStackRun:
             )
             return (
                 container is not None
-                and container.level == cursor.level - 1
+                and self._levels[parent_tag][container] == cursor.level - 1
             )
         return self.dag.open_ancestor(parent_tag, cursor.start, cursor.end)

@@ -30,6 +30,7 @@ this repository is differentially tested against the naive oracle.
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from operator import itemgetter
 from typing import Mapping
 
@@ -42,7 +43,7 @@ from repro.algorithms.base import (
     Match,
     Mode,
 )
-from repro.algorithms.dag import DagBuffer
+from repro.algorithms.dag import DagBuffer, Positions, column_at
 from repro.algorithms.preempt import PlanState, QuantumBudget
 from repro.algorithms.segmentation import Segment, SegmentedQuery, segment_query
 from repro.errors import ContinuationMalformed
@@ -145,7 +146,8 @@ class _ViewJoinRun:
             self._own_spill = True
         self.spill_pager = spill_pager if Mode.parse(mode) is Mode.DISK else None
         self.dag = DagBuffer(
-            query, self.counters, emit_matches, self.spill_pager, sink=sink
+            query, self.counters, sources, emit_matches, self.spill_pager,
+            sink=sink,
         )
         self.cursors: dict[str, CountingCursor] = {
             tag: sources[tag].cursor(self.counters)
@@ -170,8 +172,10 @@ class _ViewJoinRun:
         self._preemptible = bool(preemptible or budget is not None
                                  or state is not None)
         # What the last flush still owes: its matches stay factorized
-        # (ranked, not built) from rank `_owed_from` on.
+        # (ranked, not built) from rank `_owed_from` on, over the
+        # candidate positions `_owed_pools`.
         self._owed: Enumeration | None = None
+        self._owed_pools: Positions = {}
         self._owed_from = 0
         self._done = False
         self.steps = 0
@@ -281,9 +285,11 @@ class _ViewJoinRun:
         if emitted is None:
             self.dag.flush(self._extend)
             return
-        self._owed = self.dag.flush(self._extend, hold=True)
-        self._owed_from = 0
-        self._drain_owed(emitted)
+        held = self.dag.flush(self._extend, hold=True)
+        if held is not None:
+            self._owed, self._owed_pools = held
+            self._owed_from = 0
+            self._drain_owed(emitted)
 
     def _drain_owed(self, emitted: list[Match]) -> None:
         """Build owed matches slice by slice, in rank order, until none
@@ -306,6 +312,7 @@ class _ViewJoinRun:
             self._owed_from = stop
             if stop == owed.total:
                 self._owed = None
+                self._owed_pools = {}
                 self._owed_from = 0
                 break
             if page is not None and self._quantum_matches >= page:
@@ -319,7 +326,6 @@ class _ViewJoinRun:
 
     def save_state(self) -> PlanState:
         partition_end, buffered = self.dag.save_state()
-        owed = self._owed
         return PlanState(
             positions={
                 tag: cursor.position for tag, cursor in self.cursors.items()
@@ -327,10 +333,10 @@ class _ViewJoinRun:
             sol=dict(self.sol),
             partition_end=partition_end,
             buffered=buffered,
-            pools=(
-                dict(zip(owed.plan.tags, owed.pools))
-                if owed is not None else {}
-            ),
+            pools={
+                tag: list(positions)
+                for tag, positions in self._owed_pools.items()
+            },
             offset=self._owed_from,
             counters=Counters(**self.counters.as_dict()),
             steps=self.steps,
@@ -352,6 +358,12 @@ class _ViewJoinRun:
             )
         for key, value in state.counters.as_dict().items():
             setattr(self.counters, key, value)
+        if not set(state.buffered) <= set(self.cursors):
+            raise ContinuationMalformed(
+                "snapshot buffers candidates for tags outside the"
+                " segmented query"
+            )
+        self._recall(state.buffered)
         self.dag.restore_state(
             state.partition_end, state.buffered,
             match_count=state.match_count,
@@ -371,36 +383,40 @@ class _ViewJoinRun:
         self.steps = state.steps
         self._done = state.done
 
-    def _reopen(self, pools: Mapping[str, list], offset: int) -> None:
-        """Rank a snapshot's owed pools again (integer walks, no
-        counter: the flush was charged when it happened)."""
+    def _recall(self, pools: Positions) -> None:
+        """Make a snapshot's candidate positions readable again: each
+        inside its tag's list (their order was checked when the snapshot
+        was decoded), its entry read once more."""
+        for tag, positions in pools.items():
+            source = self.sources[tag]
+            if positions and positions[-1] >= len(source):
+                raise ContinuationMalformed(
+                    f"snapshot candidate {positions[-1]} of {tag!r} is past"
+                    f" the end of its list ({len(source)} entries)"
+                )
+            source.recall(positions)
+
+    def _reopen(self, pools: Positions, offset: int) -> None:
+        """Rank a snapshot's owed pools again."""
         if not pools:
             if offset:
                 raise ContinuationMalformed(
                     "snapshot has an output offset but owes no pools"
                 )
             return
-        plan = self.dag.plan
-        if set(pools) != set(plan.tags):
+        if set(pools) != set(self.dag.plan.tags):
             raise ContinuationMalformed(
                 "snapshot's owed pools do not match the query's tags"
             )
-        for tag, entries in pools.items():
-            if any(
-                before.start >= after.start
-                for before, after in zip(entries, entries[1:])
-            ):
-                raise ContinuationMalformed(
-                    f"snapshot's owed pool for {tag!r} is not in document"
-                    " order"
-                )
-        owed = plan.open(pools)
+        self._recall(pools)
+        owed = self.dag.reopen(pools)
         if offset >= owed.total:
             raise ContinuationMalformed(
                 f"snapshot's output offset {offset} is past its owed"
                 f" pools' {owed.total} matches"
             )
         self._owed = owed
+        self._owed_pools = pools
         self._owed_from = offset
 
     # -- get_next (Function 3) -----------------------------------------------------
@@ -497,7 +513,7 @@ class _ViewJoinRun:
                 if parent_start is not _INF and cursor.start > parent_start:
                     self.sol[qi] = cursor.position
                     break
-            self.dag.add(qi, cursor.current)
+            self.dag.add(qi, cursor.position, cursor.start, cursor.end)
             self.sol.pop(qi, None)
             cursor.advance()
 
@@ -616,65 +632,79 @@ class _ViewJoinRun:
 
     # -- flush extension (Algorithm 1 line 10) ----------------------------------------------
 
-    def _extend(self, buffered: Mapping[str, list]) -> dict[str, list]:
-        """Complete the candidate lists with the query tags outside Q'.
+    def _extend(self, buffered: Positions) -> Positions:
+        """The candidates of the query tags outside Q', by position.
 
         Tags outside Q' were never scanned; their entries are fetched per
         partition from the regions of their view-parent candidates — via
         materialized child pointers under LE/LE_p, or pager-accounted
         binary search under the element scheme (Section III-B advantage 3).
         """
-        # `buffered` is insertion-ordered by admission (DagBuffer fills it
-        # in document order per tag), and the flush-time enumerator looks
-        # every list up by tag — iteration order here cannot leak into
-        # output.
-        candidates: dict[str, list] = {
-            tag: list(entries) for tag, entries in buffered.items()
-        }
-        for tag in self.seg.retained:
-            candidates.setdefault(tag, [])
+        # `fetched` is filled in view preorder and the flush-time
+        # enumerator looks every pool up by tag — iteration order here
+        # cannot leak into output.
+        fetched: dict = {}
         for view in self.seg.views:
             for qnode in view.nodes:
                 tag = qnode.tag
-                if tag in candidates:
+                if tag in self.cursors:
                     continue
                 assert qnode.parent is not None, "view roots are always in Q'"
-                parents = candidates[qnode.parent.tag]
-                candidates[tag] = self._fetch_in_regions(
-                    tag, parents, use_pointer=(qnode.axis is Axis.DESCENDANT),
-                    parent_tag=qnode.parent.tag,
+                parent_tag = qnode.parent.tag
+                fetched[tag] = self._fetch_in_regions(
+                    tag,
+                    fetched[parent_tag] if parent_tag in fetched
+                    else buffered.get(parent_tag, ()),
+                    use_pointer=(qnode.axis is Axis.DESCENDANT),
+                    parent_tag=parent_tag,
                 )
-        return candidates
+        return fetched
 
     def _fetch_in_regions(
         self,
         tag: str,
-        parents: list,
+        parents,
         use_pointer: bool,
         parent_tag: str,
-    ) -> list:
-        """All ``tag`` entries inside the outermost parent regions."""
+    ):
+        """Positions of all ``tag`` entries inside the outermost regions
+        of the ``parent_tag`` candidates at positions ``parents``.
+
+        A region's entries are one index run of ``tag``'s list; runs of
+        successive regions that touch are merged, and a single run comes
+        back as a ``range``.
+        """
         source = self.sources[tag]
         parent_source = self.sources[parent_tag]
+        parent_labels = parent_source.labels
         slot = (
             parent_source.child_slot(tag)
             if use_pointer and parent_source.has_pointers
             else None
         )
-        result: list = []
+        runs: list[tuple[int, int]] = []
         last_end = -1
-        for parent in parents:
-            if parent.start < last_end:
+        for start, end, pointer in zip(
+            column_at(parent_labels.starts, parents),
+            column_at(parent_labels.ends, parents),
+            column_at(parent_labels.children[slot], parents)
+            if slot is not None else repeat(None),
+        ):
+            if start < last_end:
                 continue  # nested inside the previous region: already fetched
-            last_end = parent.end
-            if slot is not None and parent.children[slot] >= 0:
-                index = parent.children[slot]
+            last_end = end
+            if pointer is None:
+                index = source.bisect_start(start, self.counters)
+            elif pointer >= 0:
+                index = pointer
                 self.counters.pointer_jumps += 1
-            elif slot is not None:
-                continue  # null child pointer: no partner in this region
             else:
-                index = source.bisect_start(parent.start, self.counters)
-            result.extend(
-                source.collect_from(index, parent.end, self.counters)
-            )
-        return result
+                continue  # null child pointer: no partner in this region
+            stop = source.collect_from(index, end, self.counters)
+            if runs and runs[-1][1] == index:
+                runs[-1] = (runs[-1][0], stop)
+            elif stop > index:
+                runs.append((index, stop))
+        if len(runs) == 1:
+            return range(*runs[0])
+        return [position for run in runs for position in range(*run)]

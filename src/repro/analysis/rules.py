@@ -43,6 +43,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "DagBuffer.open_ancestor",
         "DagBuffer.innermost_container_at",
         "DagBuffer.max_buffered_end",
+        "DagBuffer.flush",
     }),
     "algorithms/viewjoin.py": frozenset({
         "_ViewJoinRun._get_next",
@@ -50,11 +51,19 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "_ViewJoinRun._advance_segment_root",
         "_ViewJoinRun._advance_tag_past",
         "_ViewJoinRun._refresh_descendants",
+        "_ViewJoinRun._extend",
+        "_ViewJoinRun._fetch_in_regions",
+    }),
+    "algorithms/pathstack.py": frozenset({
+        "_sweep",
     }),
     "algorithms/twigstack.py": frozenset({
         "_TwigStackRun._get_next",
         "_TwigStackRun._act_on",
         "_TwigStackRun._admissible",
+    }),
+    "tpq/enumeration.py": frozenset({
+        "MatchPlan._survey",
     }),
 }
 
@@ -65,8 +74,9 @@ RECORD_CONSTRUCTORS = frozenset({
     "ElementEntry", "LinkedEntry", "element_of",
 })
 
-#: Attribute factories that build record objects (``columns.entry(i)``).
-RECORD_FACTORY_ATTRS = frozenset({"entry"})
+#: Attribute factories that build record objects: called
+#: (``columns.entry(i)``) or read as a property (``cursor.current``).
+RECORD_FACTORY_ATTRS = frozenset({"entry", "current"})
 
 #: Reference-path helpers: pool-served decode reads.  Hot loops must use
 #: the packed columns; a delegation to these is a silent fast-path leak.
@@ -98,7 +108,25 @@ class HotPathPurityRule(Rule):
     ) -> list[Finding]:
         findings: list[Finding] = []
         aliases = local_attr_aliases(func)
+        called = {
+            id(node.func) for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+        }
         for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and node.attr in RECORD_FACTORY_ATTRS
+                and id(node) not in called
+            ):
+                # A property-style factory (`cursor.current`) allocates on
+                # the read itself; a call through one is reported below.
+                findings.append(self.finding(
+                    module, node,
+                    f"hot path {qualname} reads record factory"
+                    f" {node.attr!r} (compare raw column ints instead)",
+                    symbol=qualname,
+                ))
             if isinstance(node, (ast.For, ast.While)):
                 for inner in ast.walk(node):
                     if isinstance(inner, ast.Try):

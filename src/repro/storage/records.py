@@ -56,12 +56,6 @@ class LinkedEntry(NamedTuple):
     descendant: int
     children: tuple[int, ...]
 
-    @property
-    def element(self) -> ElementEntry:
-        # The three labels lead the record: a prefix copy, with no
-        # per-field attribute reads (called once per flushed candidate).
-        return tuple.__new__(ElementEntry, self[:3])
-
 
 class ElementColumns:
     """Packed per-field columns of an element-record list.
@@ -70,8 +64,9 @@ class ElementColumns:
     ``ends`` and ``levels`` are flat :class:`array.array` columns aligned
     by entry index, so binary searches and cursor advancement compare raw
     ints without per-access page decoding or NamedTuple allocation.
-    :meth:`entry` rebuilds the record object — called only when an entry is
-    actually emitted into a match or an intermediate buffer.
+    :meth:`entry` rebuilds the record object for the list's own readers
+    (``read`` / ``scan`` / ``ListCursor``); the engines never call it —
+    they carry an entry as its index into these columns.
     """
 
     __slots__ = ("starts", "ends", "levels")

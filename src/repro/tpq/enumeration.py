@@ -1,9 +1,12 @@
 """Output enumeration: expand per-node candidate lists into full matches.
 
-Given a pattern and, for every pattern node, a document-ordered list of
-candidate data nodes (any objects carrying ``start``/``end``/``level``),
-:func:`enumerate_matches` produces every embedding that can be assembled
-from the candidates.  Structural checks are done purely on region labels:
+Given a pattern and, for every pattern node, the document-ordered
+candidates as three **label columns** (``starts`` / ``ends`` / ``levels``,
+int sequences aligned by candidate), a :class:`MatchPlan` ranks and
+builds every embedding that can be assembled from the candidates;
+:func:`enumerate_matches` is the same over lists of objects carrying
+``start``/``end``/``level``.  Structural checks are done purely on region
+labels:
 
 * ad-edge: the child candidate's region nests inside the parent's;
 * pc-edge: nesting plus ``child.level == parent.level + 1`` (region labels
@@ -19,9 +22,10 @@ node's matches are the product of its children's slices — built by list
 comprehensions, never one interpreted step per (binding, sibling
 sub-match) pair.
 
-It is also **output-sensitive**: no sub-match is built before two walks
-over integers have run.  The first, children first, does the binary
-searches and counts the sub-matches under every candidate; the second,
+It is also **output-sensitive**: no sub-match — and no record — is built
+before two walks over integers have run.  The first, children first,
+does the binary searches and counts the sub-matches under every
+candidate; the second,
 parents first, drops the candidates that no match contains (no
 sub-match below, or no surviving parent above) wherever they would
 outweigh the output.  What is then expanded is at most (pattern size) x
@@ -50,9 +54,9 @@ byte-identical results whenever their filtered candidate sets agree.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from repro.errors import PatternError
 from repro.tpq.pattern import Pattern
@@ -62,6 +66,10 @@ Entry = TypeVar("Entry")
 _range_end = itemgetter(1)
 
 
+def _labels(start: int, end: int, level: int) -> tuple[int, int, int]:
+    return (start, end, level)
+
+
 class MatchPlan:
     """A pattern's slot structure, compiled once and run per candidate set.
 
@@ -69,14 +77,29 @@ class MatchPlan:
     many-root documents), so everything that depends only on the pattern
     — preorder tags, each node's child slots and edge kinds, the visiting
     orders — is resolved here, not per flush.
+
+    Args:
+        pattern: the query pattern; slot ``i`` is its ``i``-th node in
+            preorder.
+        record: builds the output record of one candidate from its
+            ``(start, end, level)``; entry-form matches are tuples of
+            these.  Called once per candidate that occurs in a match.
     """
 
-    __slots__ = ("tags", "_pc", "_children", "_steps", "_inner_edges")
+    __slots__ = (
+        "tags", "record", "_pc", "_children", "_steps", "_edges",
+        "_inner_edges",
+    )
 
-    def __init__(self, pattern: Pattern):
+    def __init__(
+        self,
+        pattern: Pattern,
+        record: Callable[[int, int, int], object] = _labels,
+    ):
         nodes = pattern.nodes  # preorder: a node's slot is its index
         slot_of = {node.tag: slot for slot, node in enumerate(nodes)}
         self.tags: tuple[str, ...] = tuple(node.tag for node in nodes)
+        self.record = record
         #: per slot: is the edge from the parent a pc-edge (never the root)
         self._pc = tuple(
             node.parent is not None and node.axis.is_pc for node in nodes
@@ -91,74 +114,90 @@ class MatchPlan:
             (slot, self._children[slot])
             for slot in range(len(nodes) - 1, -1, -1)
         )
-        # (slot, child slot) for every child that has children itself, in
-        # preorder: parents come first.
-        self._inner_edges = tuple(
+        # (slot, child slot) for every edge, in preorder: parents come
+        # first ...
+        self._edges = tuple(
             (slot, child)
             for slot, children in reversed(self._steps)
             for child in children
+        )
+        # ... and for every child that has children itself.
+        self._inner_edges = tuple(
+            (slot, child)
+            for slot, child in self._edges
             if self._children[child]
         )
 
-    def _bind(self, candidates: Mapping[str, Sequence[Entry]]):
-        """The candidate pools by slot."""
-        try:
-            return [candidates[tag] for tag in self.tags]
-        except KeyError:
-            missing = [tag for tag in self.tags if tag not in candidates]
-            raise PatternError(
-                f"candidate lists missing for tags {missing}"
-            ) from None
+    def _survey(self, starts, ends, levels):
+        """``(admits, counts, sums)`` by slot: the walk that reads labels.
 
-    def _survey(self, pools):
-        """``(starts, admits, counts, sums)`` by slot: the walk that reads
-        labels.
-
-        ``starts[s]`` is the start column of slot ``s``.  ``admits[c][j]``
-        says which
-        candidates of slot ``c`` candidate ``j`` of ``c``'s parent admits:
-        on an ad-edge the index range ``(lo, hi)`` of the starts inside
-        its region, on a pc-edge the list of indexes in that range at the
-        right ``level``.  ``counts[s][j]`` is the number of sub-matches
-        rooted at candidate ``j`` of slot ``s``: the product, over child
-        edges, of the summed counts of the admitted child candidates.
-        ``sums[s]`` are the prefix sums of ``counts[s]`` (what makes an
-        ad-edge's sum one subtraction).  Children first, integers only.
+        ``admits[c][j]`` says which candidates of slot ``c`` candidate
+        ``j`` of ``c``'s parent admits: on an ad-edge the index range
+        ``(lo, hi)`` of the starts inside its region, on a pc-edge the
+        list of indexes in that range at the right ``level``.
+        ``counts[s][j]`` is the number of sub-matches rooted at candidate
+        ``j`` of slot ``s``: the product, over child edges, of the summed
+        counts of the admitted child candidates.  ``sums[s]`` are the
+        prefix sums of ``counts[s]`` (what makes an ad-edge's sum one
+        subtraction).  Children first, integers only.
         """
-        starts: list = [None] * len(pools)
-        starts[0] = [entry.start for entry in pools[0]]
-        admits: list = [None] * len(pools)
-        counts: list = [None] * len(pools)
-        sums: list = [None] * len(pools)
+        admits: list = [None] * len(starts)
+        counts: list = [None] * len(starts)
+        sums: list = [None] * len(starts)
         for slot, children in self._steps:
-            pool = pools[slot]
-            totals = [1] * len(pool)
+            own_starts = starts[slot]
+            totals = [1] * len(own_starts)
             for child in children:
-                child_pool = pools[child]
-                child_starts = starts[child] = [
-                    entry.start for entry in child_pool
-                ]
-                pc = self._pc[child]
-                below = counts[child] if pc else sums[child]
-                spans = admits[child] = []
-                for j, entry in enumerate(pool):
-                    lo = bisect_right(child_starts, entry.start)
-                    hi = bisect_left(child_starts, entry.end, lo)
-                    if pc:
-                        want = entry.level + 1
+                child_starts = starts[child]
+                los = list(map(bisect_right, repeat(child_starts), own_starts))
+                his = list(
+                    map(bisect_left, repeat(child_starts), ends[slot], los)
+                )
+                if self._pc[child]:
+                    below = counts[child]
+                    child_levels = levels[child]
+                    spans = admits[child] = []
+                    for j, level in enumerate(levels[slot]):
+                        want = level + 1
                         picks = [
                             k
-                            for k in range(lo, hi)
-                            if child_pool[k].level == want
+                            for k in range(los[j], his[j])
+                            if child_levels[k] == want
                         ]
                         spans.append(picks)
                         totals[j] *= sum([below[k] for k in picks])
-                    else:
-                        spans.append((lo, hi))
-                        totals[j] *= below[hi] - below[lo]
+                else:
+                    below = sums[child]
+                    admits[child] = list(zip(los, his))
+                    totals = [
+                        total * (below[hi] - below[lo])
+                        for total, lo, hi in zip(totals, los, his)
+                    ]
             counts[slot] = totals
             sums[slot] = list(accumulate(totals, initial=0))
-        return starts, admits, counts, sums
+        return admits, counts, sums
+
+    def _reach(self, admits, counts, live, child: int) -> list[int]:
+        """``counts[child]`` with zeros at the candidates that no live
+        candidate of the parent slot admits (``live``: by parent
+        candidate, truthy where live)."""
+        below = counts[child]
+        reached = [0] * len(below)
+        if self._pc[child]:
+            for picks, alive in zip(admits[child], live):
+                if alive:
+                    for k in picks:
+                        reached[k] = below[k]
+        else:
+            # Regions nest or are disjoint, and parents come by
+            # ascending start: a range ending by `done` lies inside
+            # one already copied.
+            done = 0
+            for (lo, hi), alive in zip(admits[child], live):
+                if alive and hi > done:
+                    reached[lo:hi] = below[lo:hi]
+                    done = hi
+        return reached
 
     def _prune(self, admits, counts, sums) -> None:
         """Zero, in place, the counts of candidates that occur in no match.
@@ -176,48 +215,47 @@ class MatchPlan:
         for slot, child in self._inner_edges:
             if sums[child][-1] <= total:
                 continue
-            below = counts[child]
-            live = [0] * len(below)
-            if self._pc[child]:
-                for picks, alive in zip(admits[child], counts[slot]):
-                    if alive:
-                        for k in picks:
-                            live[k] = below[k]
-            else:
-                # Regions nest or are disjoint, and parents come by
-                # ascending start: a range ending by `done` lies inside
-                # one already copied.
-                done = 0
-                for (lo, hi), alive in zip(admits[child], counts[slot]):
-                    if alive and hi > done:
-                        live[lo:hi] = below[lo:hi]
-                        done = hi
+            live = self._reach(admits, counts, counts[slot], child)
             counts[child] = live
             sums[child] = list(accumulate(live, initial=0))
 
-    def open(self, candidates: Mapping[str, Sequence[Entry]]) -> "Enumeration":
-        """Rank the matches of ``candidates`` without building one.
+    def open(self, starts, ends, levels) -> "Enumeration":
+        """Rank the matches of one candidate set without building one.
 
-        Runs the two integer walks; the returned enumeration expands any
-        rank range on demand (:meth:`Enumeration.take`).
+        ``starts`` / ``ends`` / ``levels`` hold, by slot, the candidates'
+        label columns in document order.  Runs the two integer walks; the
+        returned enumeration expands any rank range on demand
+        (:meth:`Enumeration.take`).
         """
-        pools = self._bind(candidates)
-        starts, admits, counts, sums = self._survey(pools)
+        admits, counts, sums = self._survey(starts, ends, levels)
         if sums[0][-1]:
             self._prune(admits, counts, sums)
-        return Enumeration(self, pools, starts, admits, counts, sums)
+        return Enumeration(self, starts, ends, levels, admits, counts, sums)
 
-    def matches(
+    def open_entries(
         self, candidates: Mapping[str, Sequence[Entry]]
-    ) -> list[tuple[Entry, ...]]:
-        """All matches, strictly increasing in their tuple of starts."""
-        opened = self.open(candidates)
-        return opened.take(0, opened.total)
+    ) -> "Enumeration":
+        """:meth:`open` over per-tag lists of objects carrying
+        ``start``/``end``/``level``; entry-form matches are tuples of
+        those very objects."""
+        try:
+            pools = [candidates[tag] for tag in self.tags]
+        except KeyError:
+            missing = [tag for tag in self.tags if tag not in candidates]
+            raise PatternError(
+                f"candidate lists missing for tags {missing}"
+            ) from None
+        opened = self.open(
+            [[entry.start for entry in pool] for pool in pools],
+            [[entry.end for entry in pool] for pool in pools],
+            [[entry.level for entry in pool] for pool in pools],
+        )
+        opened._records = pools
+        return opened
 
-    def count(self, candidates: Mapping[str, Sequence[Entry]]) -> int:
-        """``len(self.matches(candidates))`` without building a match."""
-        sums = self._survey(self._bind(candidates))[3]
-        return sums[0][-1]
+    def count(self, starts, ends, levels) -> int:
+        """``open(...).total`` without the second walk."""
+        return self._survey(starts, ends, levels)[2][0][-1]
 
 
 class Enumeration:
@@ -245,33 +283,69 @@ class Enumeration:
     """
 
     __slots__ = (
-        "plan", "pools", "total", "_starts", "_admits", "_counts", "_sums",
+        "plan", "total", "_starts", "_ends", "_levels", "_admits",
+        "_counts", "_sums", "_records",
     )
 
-    def __init__(self, plan: MatchPlan, pools, starts, admits, counts, sums):
+    def __init__(
+        self, plan: MatchPlan, starts, ends, levels, admits, counts, sums
+    ):
         self.plan = plan
-        #: the candidate pools by slot (``plan.tags`` order)
-        self.pools = pools
         #: number of matches
         self.total: int = sums[0][-1]
         self._starts = starts
+        self._ends = ends
+        self._levels = levels
         self._admits = admits
         self._counts = counts
         self._sums = sums
+        #: by slot, the output record of each candidate: built by the
+        #: first entry-form ``take``, for the candidates in a match only
+        self._records: list | None = None
 
     def take(self, lo: int, hi: int, keys: bool = False) -> list[tuple]:
         """Matches ``lo..hi`` (clamped to ``0..total``) of the canonical
         order, strictly increasing in their tuple of starts.
 
-        With ``keys`` a match is the tuple of its start labels instead of
-        the tuple of pooled entries: the same expansion over the start
-        columns, so no entry tuple is built first.
+        With ``keys`` a match is the tuple of its start labels: the
+        expansion runs over the start columns and no record is built.
+        Otherwise it is the tuple of its candidates' records, and the
+        first such call builds them — one per candidate that occurs in a
+        match, from the label columns, shared by every match and every
+        later call.
         """
         lo = max(lo, 0)
         hi = min(hi, self.total)
         if lo >= hi:
             return []
-        return self._ranks(self._starts if keys else self.pools, 0, lo, hi)
+        if keys:
+            return self._ranks(self._starts, 0, lo, hi)
+        if self._records is None:
+            self._records = self._build_records()
+        return self._ranks(self._records, 0, lo, hi)
+
+    def _build_records(self) -> list[list]:
+        """By slot, ``plan.record`` of every candidate that occurs in a
+        match and None for the others (parents first: a candidate occurs
+        in one iff it roots a sub-match and a candidate that does admits
+        it)."""
+        plan = self.plan
+        record = plan.record
+        live: list = [None] * len(self._counts)
+        live[0] = self._counts[0]
+        for slot, child in plan._edges:
+            live[child] = plan._reach(
+                self._admits, self._counts, live[slot], child
+            )
+        return [
+            [
+                record(start, end, level) if here else None
+                for start, end, level, here
+                in zip(starts, ends, levels, alive)
+            ] if 0 in alive else list(map(record, starts, ends, levels))
+            for starts, ends, levels, alive
+            in zip(self._starts, self._ends, self._levels, live)
+        ]
 
     def _ranks(self, cols, slot: int, a: int, b: int) -> list[tuple]:
         """Sub-matches ``a..b`` of ``slot`` (``a < b``, both in range)."""
@@ -487,7 +561,8 @@ def enumerate_matches(
     Returns:
         Matches sorted lexicographically by their tuple of start labels.
     """
-    return MatchPlan(pattern).matches(candidates)
+    opened = MatchPlan(pattern).open_entries(candidates)
+    return opened.take(0, opened.total)
 
 
 def count_matches(
@@ -495,4 +570,4 @@ def count_matches(
     candidates: Mapping[str, Sequence[Entry]],
 ) -> int:
     """Number of matches without materializing them."""
-    return MatchPlan(pattern).count(candidates)
+    return MatchPlan(pattern).open_entries(candidates).total

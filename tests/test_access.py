@@ -50,7 +50,7 @@ def test_child_slot(le_view, e_view):
 def test_cursor_counts_scans(le_view):
     counters = Counters()
     cursor = TagSource(le_view, "a").cursor(counters)
-    while cursor.current is not None:
+    while not cursor.exhausted:
         cursor.advance()
     assert counters.elements_scanned == len(le_view.list_for("a"))
 
@@ -78,15 +78,23 @@ def test_bisect_start_with_index_agrees(doc, e_view):
         )
 
 
-def test_range_entries(doc, e_view):
+def test_collect_from_region(doc, e_view):
+    """The region fetch hands back an index run of the list: exactly the
+    entries that start inside the region, each charged as scanned."""
     source = TagSource(e_view, "c")
-    counters = Counters()
+    starts = [entry.start for entry in e_view.list_for("c").scan()]
     a_nodes = solution_nodes(doc, parse_pattern("//a[//b]//c"))["a"]
-    if a_nodes:
-        region = a_nodes[0]
-        entries = source.range_entries(region.start, region.end, counters)
-        for entry in entries:
-            assert region.start < entry.start < region.end
+    assert a_nodes
+    for region in a_nodes:
+        counters = Counters()
+        lo = source.bisect_start(region.start, counters)
+        hi = source.collect_from(lo, region.end, counters)
+        assert list(range(lo, hi)) == [
+            index for index, start in enumerate(starts)
+            if region.start < start < region.end
+        ]
+        assert counters.elements_scanned == hi - lo
+        assert list(source.labels.starts[lo:hi]) == starts[lo:hi]
 
 
 def test_build_sources_missing_tag(doc, le_view):

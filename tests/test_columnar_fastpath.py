@@ -8,6 +8,13 @@ byte-identical results — matches, match counts, work counters and pager
 I/O statistics — across schemes, engines and output modes, and that the
 three ``bisect_start`` access paths (column probe, pool probe, B+-tree
 descent) land on the same index.
+
+That includes the flush path: the engines buffer candidates as list
+positions, and the reference resolves a position's labels from the
+records its cursor and region scans already read — so a one-shot run, a
+sink-streamed one and a run suspended and resumed at every driver step
+(where both sides read the carried positions' entries again) must agree
+on keys, counters and I/O as well.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.access import TagSource
-from repro.algorithms.base import Counters
-from repro.algorithms.engine import evaluate
+from repro.algorithms.base import KEYS, Counters
+from repro.algorithms.engine import evaluate, evaluate_quantum
+from repro.algorithms.preempt import QuantumBudget
 from repro.datasets import random_trees
 from repro.storage.catalog import ViewCatalog
 from repro.tpq.parser import parse_pattern
@@ -54,6 +62,30 @@ def columnar(flag: str):
             os.environ["REPRO_COLUMNAR"] = old
 
 
+def io_of(result):
+    return (
+        result.io.logical_reads,
+        result.io.physical_reads,
+        result.io.pages_written,
+    )
+
+
+def resumed(query, catalog, views, scheme, mode):
+    """A ViewJoin run suspended after every driver step: the pages, the
+    final counters and the I/O of every quantum."""
+    pages, io, state = [], [], None
+    while True:
+        r, state = evaluate_quantum(
+            query, catalog, views, "VJ", scheme, mode=mode,
+            emit_matches=KEYS, budget=QuantumBudget(max_steps=1),
+            state=state,
+        )
+        pages.extend(r.matches)
+        io.append(io_of(r))
+        if state is None:
+            return pages, r.match_count, r.counters.as_dict(), io
+
+
 def run_all(doc, case, mode):
     """Evaluate every engine × scheme combo; fingerprint all observables."""
     query_text, views_text, engines = case
@@ -68,12 +100,33 @@ def run_all(doc, case, mode):
                     r.matches,
                     r.match_count,
                     r.counters.as_dict(),
-                    (
-                        r.io.logical_reads,
-                        r.io.physical_reads,
-                        r.io.pages_written,
-                    ),
+                    io_of(r),
                 )
+                keyed = evaluate(
+                    query, catalog, views, engine, scheme, mode=mode,
+                    emit_matches=KEYS,
+                )
+                assert keyed.matches == r.match_keys()
+                out[engine, scheme, "keys"] = (
+                    keyed.matches, keyed.counters.as_dict(), io_of(keyed),
+                )
+                if engine == "PS":
+                    continue  # PathStack has no sink
+                batches: list = []
+                streamed = evaluate(
+                    query, catalog, views, engine, scheme, mode=mode,
+                    emit_matches=KEYS, sink=batches.append,
+                )
+                assert sum(batches, []) == keyed.matches
+                out[engine, scheme, "sink"] = (
+                    batches, streamed.counters.as_dict(), io_of(streamed),
+                )
+                if engine == "VJ":
+                    chain = resumed(query, catalog, views, scheme, mode)
+                    assert chain[:3] == (
+                        keyed.matches, r.match_count, r.counters.as_dict()
+                    )
+                    out[engine, scheme, "resumed"] = chain
     return out
 
 

@@ -6,11 +6,10 @@ from repro.algorithms.base import (
     Counters,
     CountingCursor,
     EvalResult,
-    element_of,
 )
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
-from repro.storage.records import ElementEntry, LinkedEntry, element_codec
+from repro.storage.records import ElementEntry, element_codec
 
 
 def test_counters_merge_and_work():
@@ -30,13 +29,6 @@ def test_counters_merge_and_work():
     }
 
 
-def test_element_of_projection():
-    plain = ElementEntry(1, 2, 3)
-    linked = LinkedEntry(4, 5, 6, -1, -1, ())
-    assert element_of(plain) is plain
-    assert element_of(linked) == ElementEntry(4, 5, 6)
-
-
 def test_eval_result_match_keys_sorted():
     matches = [
         (ElementEntry(5, 6, 1), ElementEntry(7, 8, 2)),
@@ -54,7 +46,7 @@ def make_cursor(num=10):
     stored = StoredList(pager, element_codec())
     stored.extend(ElementEntry(i, i + 1, 0) for i in range(num))
     stored.finalize()
-    return CountingCursor(stored.cursor(), Counters())
+    return CountingCursor(stored, Counters())
 
 
 def test_counting_cursor_attribution():

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.base import Counters
-from repro.algorithms.dag import DagBuffer
 from repro.storage.pager import Pager
 from repro.storage.records import ElementEntry
 from repro.tpq.parser import parse_pattern
 from repro.errors import EvaluationError
+from tests.synthetic_lists import admit, buffer_over
 
 Q = parse_pattern("//a//b")
 
@@ -19,66 +19,66 @@ def entry(start, end, level=1):
 
 
 def test_add_and_candidates():
-    dag = DagBuffer(Q, Counters())
-    dag.add("a", entry(0, 10, 0))
-    dag.add("a", entry(2, 8, 1))
-    dag.add("b", entry(3, 4, 2))
-    assert [e.start for e in dag.candidates("a")] == [0, 2]
+    dag = buffer_over(Q)
+    admit(dag, "a", entry(0, 10, 0))
+    admit(dag, "a", entry(2, 8, 1))
+    admit(dag, "b", entry(3, 4, 2))
+    assert dag.save_state() == (None, {"a": [0, 1], "b": [0]})
     assert dag.buffered_entries == 3
     assert dag.peak_entries == 3
 
 
 def test_duplicate_adds_ignored():
-    dag = DagBuffer(Q, Counters())
-    dag.add("a", entry(0, 10, 0))
-    dag.add("a", entry(0, 10, 0))
+    dag = buffer_over(Q)
+    admit(dag, "a", entry(0, 10, 0))
+    admit(dag, "a", entry(0, 10, 0))
     assert dag.buffered_entries == 1
 
 
 def test_out_of_order_add_rejected():
-    dag = DagBuffer(Q, Counters())
-    dag.add("a", entry(5, 10, 0))
+    dag = buffer_over(Q)
+    admit(dag, "a", entry(5, 10, 0))
     with pytest.raises(EvaluationError):
-        dag.add("a", entry(1, 2, 0))
+        admit(dag, "a", entry(1, 2, 0))
 
 
 def test_has_open_ancestor_exact():
-    dag = DagBuffer(Q, Counters())
-    dag.add("a", entry(0, 100, 0))
-    dag.add("a", entry(10, 20, 1))
+    dag = buffer_over(Q)
+    admit(dag, "a", entry(0, 100, 0))
+    admit(dag, "a", entry(10, 20, 1))
     # inside the nested region
-    assert dag.has_open_ancestor("a", entry(12, 13, 2))
+    assert dag.open_ancestor("a", 12, 13)
     # inside the outer but after the nested region closed — the
     # order-sensitive stack formulation would have popped (0, 100) here.
-    assert dag.has_open_ancestor("a", entry(50, 60, 2))
+    assert dag.open_ancestor("a", 50, 60)
     # outside everything
-    assert not dag.has_open_ancestor("a", entry(200, 201, 2))
+    assert not dag.open_ancestor("a", 200, 201)
     # unknown tag
-    assert not dag.has_open_ancestor("zzz", entry(12, 13, 2))
+    assert not dag.open_ancestor("zzz", 12, 13)
 
 
 def test_has_open_ancestor_requires_proper_containment():
-    dag = DagBuffer(Q, Counters())
-    dag.add("a", entry(10, 20, 1))
-    assert not dag.has_open_ancestor("a", entry(5, 25, 0))   # contains it
-    assert not dag.has_open_ancestor("a", entry(10, 20, 1))  # equal
+    dag = buffer_over(Q)
+    admit(dag, "a", entry(10, 20, 1))
+    assert not dag.open_ancestor("a", 5, 25)   # contains it
+    assert not dag.open_ancestor("a", 10, 20)  # equal
 
 
 def test_max_buffered_end():
-    dag = DagBuffer(Q, Counters())
+    dag = buffer_over(Q)
     assert dag.max_buffered_end("a") == -1
-    dag.add("a", entry(0, 100, 0))
-    dag.add("a", entry(10, 20, 1))
+    admit(dag, "a", entry(0, 100, 0))
+    admit(dag, "a", entry(10, 20, 1))
     assert dag.max_buffered_end("a") == 100
 
 
 def test_flush_counts_matches():
     counters = Counters()
-    dag = DagBuffer(Q, counters)
+    dag = buffer_over(Q, counters)
     dag.set_partition_root(entry(0, 100, 0))
-    dag.add("a", entry(0, 100, 0))
-    dag.add("b", entry(3, 4, 1))
-    dag.add("b", entry(7, 8, 1))
+    admit(dag, "a", entry(0, 100, 0))
+    admit(dag, "b", entry(3, 4, 1))
+    admit(dag, "b", entry(7, 8, 1))
     dag.flush()
     assert dag.match_count == 2
     assert counters.matches == 2
@@ -89,32 +89,32 @@ def test_flush_counts_matches():
 
 def test_flush_without_partition_is_noop():
     counters = Counters()
-    dag = DagBuffer(Q, counters)
-    dag.add("a", entry(0, 10, 0))  # junk with no partition root
+    dag = buffer_over(Q, counters)
+    admit(dag, "a", entry(0, 10, 0))  # junk with no partition root
     dag.flush()
     assert counters.flushes == 0
     assert dag.match_count == 0
 
 
 def test_flush_extend_callback():
-    dag = DagBuffer(Q, Counters())
+    dag = buffer_over(Q)
     dag.set_partition_root(entry(0, 100, 0))
-    dag.add("a", entry(0, 100, 0))
+    admit(dag, "a", entry(0, 100, 0))
 
     def extend(buffered):
-        complete = {tag: list(entries) for tag, entries in buffered.items()}
-        complete["b"] = [entry(3, 4, 1)]
-        return complete
+        assert buffered == {"a": [0]}
+        dag.lists["b"].append(entry(3, 4, 1))
+        return {"b": range(0, 1)}
 
     dag.flush(extend)
     assert dag.match_count == 1
 
 
 def test_emit_matches_toggle():
-    dag = DagBuffer(Q, Counters(), emit_matches=False)
+    dag = buffer_over(Q, emit_matches=False)
     dag.set_partition_root(entry(0, 100, 0))
-    dag.add("a", entry(0, 100, 0))
-    dag.add("b", entry(3, 4, 1))
+    admit(dag, "a", entry(0, 100, 0))
+    admit(dag, "b", entry(3, 4, 1))
     dag.flush()
     assert dag.match_count == 1
     assert dag.matches == []
@@ -124,10 +124,10 @@ def test_disk_spill_roundtrip():
     pager = Pager(file_backed=True)
     try:
         counters = Counters()
-        dag = DagBuffer(Q, counters, spill_pager=pager)
+        dag = buffer_over(Q, counters, spill_pager=pager)
         dag.set_partition_root(entry(0, 100, 0))
-        dag.add("a", entry(0, 100, 0))
-        dag.add("b", entry(3, 4, 1))
+        admit(dag, "a", entry(0, 100, 0))
+        admit(dag, "b", entry(3, 4, 1))
         dag.flush()
         assert dag.match_count == 1
         # The spill wrote pages and read them back.
@@ -138,12 +138,12 @@ def test_disk_spill_roundtrip():
 
 
 def test_peak_tracking_across_partitions():
-    dag = DagBuffer(Q, Counters())
+    dag = buffer_over(Q)
     dag.set_partition_root(entry(0, 10, 0))
-    dag.add("a", entry(0, 10, 0))
-    dag.add("b", entry(1, 2, 1))
+    admit(dag, "a", entry(0, 10, 0))
+    admit(dag, "b", entry(1, 2, 1))
     dag.flush()
     dag.set_partition_root(entry(20, 30, 0))
-    dag.add("a", entry(20, 30, 0))
+    admit(dag, "a", entry(20, 30, 0))
     assert dag.peak_entries == 2  # the first partition's high-water mark
     assert dag.peak_bytes == 2 * 12

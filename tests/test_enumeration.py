@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms import engine
 from repro.algorithms.base import Counters
-from repro.algorithms.dag import DagBuffer
 from repro.algorithms.preempt import PlanState, QuantumBudget
 from repro.datasets import random_trees
 from repro.datasets import xmark as xmark_data
@@ -26,6 +25,7 @@ from repro.tpq.pattern import Axis, pattern_from_edges
 from repro.workloads import xmark as xmark_queries
 from repro.xmltree.document import DocumentBuilder
 from tests.odometer_reference import odometer_matches
+from tests.synthetic_lists import admit, buffer_over
 
 
 def test_enumerate_from_full_tag_lists(small_doc):
@@ -117,7 +117,7 @@ def assert_strictly_increasing(keys):
 def assert_sliceable(pattern, candidates, rng, keys):
     """However the rank range is cut, the slices — as entries and as
     start keys — concatenate to the whole answer."""
-    opened = MatchPlan(pattern).open(candidates)
+    opened = MatchPlan(pattern).open_entries(candidates)
     assert opened.total == len(keys)
     whole = opened.take(0, opened.total)
     assert keys_of(whole) == keys
@@ -230,7 +230,7 @@ def test_single_node_pattern(small_doc):
     assert_sliceable(q, {"c": pool}, random.Random(0), keys_of(
         [(node,) for node in pool]
     ))
-    assert MatchPlan(q).open({"c": []}).take(0, 5) == []
+    assert MatchPlan(q).open_entries({"c": []}).take(0, 5) == []
 
 
 def test_recursive_parlist_xmark():
@@ -257,10 +257,23 @@ def test_plan_is_reusable_across_candidate_sets(small_doc, recursive_doc):
     plan = MatchPlan(q)
     for doc in (small_doc, recursive_doc, small_doc):
         candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
-        assert keys_of(plan.matches(candidates)) == keys_of(
+        opened = plan.open_entries(candidates)
+        assert keys_of(opened.take(0, opened.total)) == keys_of(
             find_embeddings(doc, q)
         )
-        assert plan.count(candidates) == len(find_embeddings(doc, q))
+        columns = [
+            [[getattr(node, label) for node in candidates[tag]]
+             for tag in plan.tags]
+            for label in ("start", "end", "level")
+        ]
+        assert plan.count(*columns) == len(find_embeddings(doc, q))
+        # on bare label columns an entry-form match is made of the
+        # plan's records (by default the label triples themselves)
+        bare = plan.open(*columns)
+        assert bare.take(0, bare.total) == [
+            tuple((n.start, n.end, n.level) for n in match)
+            for match in find_embeddings(doc, q)
+        ]
 
 
 # -- output sensitivity: dead candidates must not be expanded -------------------
@@ -461,7 +474,7 @@ def test_slices_around_unneeded_sub_matches():
     candidates = {tag: list(doc.tag_list(tag)) for tag in q.tags()}
     keys = keys_of(find_embeddings(doc, q))
     assert len(keys) == 200 + 1 + 0 + 2
-    opened = MatchPlan(q).open(candidates)
+    opened = MatchPlan(q).open_entries(candidates)
     assert opened.take(0, opened.total, keys=True) == keys
     assert opened.take(200, 203, keys=True) == keys[200:]   # r1..r3, whole
     assert opened.take(201, 203, keys=True) == keys[201:]   # r3 alone
@@ -505,7 +518,7 @@ def test_take_stores_only_its_slice(build, n, total, as_keys):
     and ``total`` are: a few hundred bytes per row, never the tens of
     megabytes the whole answer (or one whole child slot) would take."""
     pattern, candidates = build(n)
-    opened = MatchPlan(pattern).open(candidates)
+    opened = MatchPlan(pattern).open_entries(candidates)
     assert opened.total == total
     k = 2000
     peaks = []
@@ -527,7 +540,7 @@ def test_take_addresses_the_product_by_rank():
     """Row ``i * n + j`` of ``//a[//b]//c`` is (a, b_i, c_j)."""
     n = 40
     pattern, candidates = product_at_the_root(n)
-    opened = MatchPlan(pattern).open(candidates)
+    opened = MatchPlan(pattern).open_entries(candidates)
     b, c = candidates["b"], candidates["c"]
     for lo, hi in ((0, 1), (n - 1, n + 1), (3 * n + 7, 9 * n + 2),
                    (n * n - 1, n * n)):
@@ -589,6 +602,10 @@ def test_resume_across_flush_boundaries(mode):
     plan = MatchPlan(TWIG)
     with ViewCatalog(doc) as catalog:
         one = engine.evaluate(TWIG, catalog, TWIG_VIEWS, "VJ", "LEp", mode=mode)
+        lists = {
+            tag: catalog.add(view, "LEp").view.list_for(tag)
+            for view in TWIG_VIEWS for tag in view.tags()
+        }
         pages: list = []
         state = None
         carried = 0
@@ -607,7 +624,14 @@ def test_resume_across_flush_boundaries(mode):
             owed = []
             if state.pools:
                 carried += 1
-                opened = plan.open(state.pools)
+                # what is owed is carried as list positions, per tag
+                opened = plan.open_entries({
+                    tag: [
+                        ElementEntry(*lists[tag].read(p)[:3])
+                        for p in positions
+                    ]
+                    for tag, positions in state.pools.items()
+                })
                 assert 0 < state.offset < opened.total
                 owed = opened.take(state.offset, opened.total)
             else:
@@ -659,16 +683,16 @@ def test_count_only_equals_emitting(algorithm, scheme, mode):
 
 
 def test_count_only_flush_builds_no_match(monkeypatch):
-    def forbidden(self, candidates):
+    def forbidden(self, starts, ends, levels):
         raise AssertionError("a count-only flush enumerated its matches")
 
     monkeypatch.setattr(MatchPlan, "open", forbidden)
     counters = Counters()
-    dag = DagBuffer(parse_pattern("//a//b"), counters, emit_matches=False)
+    dag = buffer_over(parse_pattern("//a//b"), counters, emit_matches=False)
     dag.set_partition_root(ElementEntry(0, 100, 0))
-    dag.add("a", ElementEntry(0, 100, 0))
-    dag.add("b", ElementEntry(3, 4, 1))
-    dag.add("b", ElementEntry(7, 8, 1))
+    admit(dag, "a", ElementEntry(0, 100, 0))
+    admit(dag, "b", ElementEntry(3, 4, 1))
+    admit(dag, "b", ElementEntry(7, 8, 1))
     dag.flush()
     assert (dag.match_count, counters.matches, counters.flushes) == (2, 2, 1)
     assert dag.matches == []

@@ -12,8 +12,7 @@ import inspect
 import pytest
 
 from repro import errors
-from repro.algorithms.base import Counters, Mode
-from repro.algorithms.dag import DagBuffer
+from repro.algorithms.base import Mode
 from repro.datasets import nasa, xmark
 from repro.errors import (
     DatasetError,
@@ -23,6 +22,7 @@ from repro.errors import (
 )
 from repro.storage.records import ElementEntry, tuple_codec
 from repro.tpq.parser import parse_pattern
+from tests.synthetic_lists import admit, buffer_over
 
 
 def test_every_exported_error_derives_from_repro_error():
@@ -54,10 +54,10 @@ def test_record_codecs_raise_storage_error():
 
 
 def test_dag_buffer_order_violation_raises_evaluation_error():
-    buffer = DagBuffer(parse_pattern("//a//b"), Counters())
-    buffer.add("a", ElementEntry(10, 20, 1))
+    buffer = buffer_over(parse_pattern("//a//b"))
+    admit(buffer, "a", ElementEntry(10, 20, 1))
     with pytest.raises(EvaluationError):
-        buffer.add("a", ElementEntry(5, 8, 1))
+        admit(buffer, "a", ElementEntry(5, 8, 1))
 
 
 def test_parser_failures_stay_inside_the_hierarchy():

@@ -447,29 +447,42 @@ def test_fuzz_owed_output_fields_are_typed(service):
     enumerator."""
     good = owing_payload(service)
     state = good["state"]
-    assert state["v"] == 2 and state["offset"] >= 1
+    assert state["v"] == 3 and state["offset"] >= 1
     service.resume_quantum(encode_token(good))  # the untouched one resumes
     good = owing_payload(service)
     state = good["state"]
-    tag, kind, width, flat = next(
-        pool for pool in state["pools"] if len(pool[3]) >= 6
+    # a pool is [tag, positions]: indexes into the tag's list, ascending
+    tag, positions = next(
+        pool for pool in state["pools"] if len(pool[1]) >= 2
     )
     others = [pool for pool in state["pools"] if pool[0] != tag]
-    swapped = flat[3:6] + flat[:3] + flat[6:]
+    swapped = [positions[1], positions[0], *positions[2:]]
     mutations = [
         {**state, "offset": 10**9},                       # past total
         {**state, "offset": -1},
         {**state, "offset": "1"},
         {**state, "pools": [], "offset": state["offset"]},  # owes nothing
         {**state, "pools": others},                       # a tag missing
-        {**state, "pools": state["pools"] + [["zzz", "E", 3, []]]},
-        {**state, "pools": others + [[tag, kind, width, swapped]]},
-        {**state, "pools": others + [[tag, kind, 4, flat]]},   # bad width
-        {**state, "pools": others + [[tag, kind, width, flat[:-1]]]},
-        {**state, "pools": others + [[tag, "L", 5, flat]]},
-        {**state, "pools": others + [[tag, kind, width, ["x"] * 3]]},
+        {**state, "pools": state["pools"] + [["zzz", []]]},  # not a query tag
+        {**state, "pools": others + [[tag, swapped]]},     # out of order
+        {**state, "pools": others + [[tag, [positions[0]] * 2]]},  # repeated
+        {**state, "pools": others + [[tag, positions + [10**6]]]},  # past end
+        {**state, "pools": others + [[tag, [-1] + positions]]},
+        {**state, "pools": others + [[tag, ["x"] * 3]]},
+        {**state, "pools": others + [[tag, [True]]]},
+        {**state, "pools": others + [[tag, positions, positions]]},
         {**state, "pools": "everything"},
         {key: value for key, value in state.items() if key != "pools"},
+        # the open partition's candidates are positions too
+        {**state, "buffered": [["a", [10**6]]]},          # past end
+        {**state, "buffered": [["a", [3, 3]]]},           # not increasing
+        {**state, "buffered": [["zzz", [0]]]},            # no such list
+        {**state, "buffered": [["a", "E", 3, [0, 9, 1]]]},  # a v2 entry list
+        # what STATE_VERSION 2 carried: pools of packed element entries
+        {**state, "v": 2, "pools": [
+            [name, "E", 3, [0, 1, 0] * len(held)]
+            for name, held in state["pools"]
+        ]},
         # what STATE_VERSION 1 carried: expanded pending matches
         {**{k: v for k, v in state.items() if k not in ("pools", "offset")},
          "v": 1, "pending": [0, []]},

@@ -52,11 +52,6 @@ def test_linked_sentinels():
     assert decoded.children == (NULL_POINTER,)
 
 
-def test_linked_element_projection():
-    entry = LinkedEntry(1, 2, 3, -1, -1, ())
-    assert entry.element == ElementEntry(1, 2, 3)
-
-
 def test_linked_child_arity_checked():
     codec = linked_codec(2)
     entry = LinkedEntry(1, 2, 3, -1, -1, (0,))

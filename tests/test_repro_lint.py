@@ -65,6 +65,27 @@ def test_rl101_registry_covers_known_hot_functions():
     assert lint_text(snippet, "algorithms/other.py") == []
 
 
+def test_rl101_flags_property_style_record_factories():
+    """``cursor.current`` builds a record on the attribute read — no call
+    to see — and the engines' admission kernels are registered hot."""
+    snippet = (
+        "class _ViewJoinRun:\n"
+        "    def _add_nodes(self, tag):\n"
+        "        cursor = self.cursors[tag]\n"
+        "        self.dag.add(tag, cursor.current)\n"
+        "        cursor.advance()\n"
+    )
+    found = lint_text(snippet, "algorithms/viewjoin.py")
+    assert codes(found) == ["RL101"]
+    assert found[0].symbol == "_ViewJoinRun._add_nodes"
+    assert "'current'" in found[0].message
+    # admitting the cursor's own ints is what the rule asks for
+    clean = snippet.replace(
+        "cursor.current", "cursor.position, cursor.start, cursor.end"
+    )
+    assert lint_text(clean, "algorithms/viewjoin.py") == []
+
+
 def test_rl101_suppression_silences_the_line():
     assert lint_text(RL101_SUPPRESSED, "algorithms/foo.py") == []
 

@@ -36,7 +36,7 @@ def make_cursor(num=40, columnar=True, stride=3):
         ElementEntry(stride * i, stride * i + 1, 0) for i in range(num)
     )
     stored.finalize()
-    cursor = CountingCursor(stored.cursor(), Counters())
+    cursor = CountingCursor(stored, Counters())
     return cursor, pager
 
 
@@ -82,11 +82,7 @@ def test_kernel_matches_loop_across_page_boundaries():
     # stride=3, 40 entries, 64-byte pages: bounds land mid-page and on
     # page seams; the multi-page list is a precondition of the test.
     _, pager = make_cursor(40)
-    stored_pages = pager.pool.stats  # touchstone: construction done
-    assert stored_pages is not None
-    cursor, _ = make_cursor(40)
-    page_ids, _breaks = cursor.cursor.list.page_map()
-    assert len(page_ids) > 3
+    assert pager.page_file.num_pages > 3
     assert_twins_equal([5, 29, 30, 31, 60, 90, 118])
 
 
@@ -122,7 +118,7 @@ def test_kernel_composes_with_plain_advances():
 def test_non_columnar_fallback_matches_loop():
     assert_twins_equal([5, 29, 60, 118], columnar=False)
     cursor, _ = make_cursor(10, columnar=False)
-    assert cursor.cursor.list.columns is None  # really on the slow path
+    assert cursor._columns is None  # really on the slow path
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -5,14 +5,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.base import Counters
-from repro.algorithms.dag import DagBuffer
 from repro.algorithms.engine import evaluate
 from repro.datasets import random_trees
 from repro.storage.catalog import ViewCatalog
 from repro.storage.records import ElementEntry
 from repro.tpq.naive import find_embeddings
 from repro.tpq.parser import parse_pattern
+from tests.synthetic_lists import admit, buffer_over
 
 
 def entry(start, end, level):
@@ -20,28 +19,26 @@ def entry(start, end, level):
 
 
 def test_innermost_container_basic():
-    dag = DagBuffer(parse_pattern("//a//b"), Counters())
-    dag.add("a", entry(0, 100, 0))
-    dag.add("a", entry(10, 40, 1))
-    dag.add("a", entry(50, 60, 1))
-    target = entry(12, 13, 2)
-    found = dag.innermost_container("a", target)
-    assert found is not None and found.start == 10
+    dag = buffer_over(parse_pattern("//a//b"))
+    outer = admit(dag, "a", entry(0, 100, 0))
+    nested = admit(dag, "a", entry(10, 40, 1))
+    admit(dag, "a", entry(50, 60, 1))
+    # The container comes back as its position in the tag's list.
+    assert dag.innermost_container_at("a", 12, 13) == nested
+    assert dag.lists["a"].levels[nested] == 1
     # Past the nested region: the outer candidate is the container.
-    found = dag.innermost_container("a", entry(70, 71, 2))
-    assert found is not None and found.start == 0
+    assert dag.innermost_container_at("a", 70, 71) == outer
     # Outside everything.
-    assert dag.innermost_container("a", entry(200, 201, 2)) is None
-    assert dag.innermost_container("zzz", target) is None
+    assert dag.innermost_container_at("a", 200, 201) is None
+    assert dag.innermost_container_at("zzz", 12, 13) is None
 
 
 def test_innermost_container_skips_closed_siblings():
-    dag = DagBuffer(parse_pattern("//a//b"), Counters())
-    dag.add("a", entry(0, 100, 0))
+    dag = buffer_over(parse_pattern("//a//b"))
+    outer = admit(dag, "a", entry(0, 100, 0))
     for i in range(5):  # closed siblings before the probe
-        dag.add("a", entry(10 + 2 * i, 11 + 2 * i, 1))
-    found = dag.innermost_container("a", entry(50, 51, 2))
-    assert found is not None and found.start == 0
+        admit(dag, "a", entry(10 + 2 * i, 11 + 2 * i, 1))
+    assert dag.innermost_container_at("a", 50, 51) == outer
 
 
 QUERIES = ["//a/b//c", "//a[b]//c/d", "//a/b/c", "//b[/c]//d"]
