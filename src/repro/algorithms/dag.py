@@ -83,7 +83,6 @@ class DagBuffer:
         spill_pager: Pager | None = None,
         sink: Callable[[list[Match]], None] | None = None,
     ):
-        self.query = query
         # Compiled once per run; every partition flush reuses it.
         self.plan = MatchPlan(query, ElementEntry)
         self.counters = counters
@@ -316,7 +315,12 @@ class DagBuffer:
 
     def _label_columns(self, pools: Positions):
         """``(starts, ends, levels)`` of ``pools``, each by slot: the
-        lists' label columns gathered at the pooled positions."""
+        lists' label columns gathered at the pooled positions.
+
+        :func:`column_at` written out: a flush gathers three columns per
+        query tag, and on many-root documents (XMark Q14: 375 partitions
+        of ten candidates) the calls alone were 2 % of the query.
+        """
         starts: list = []
         ends: list = []
         levels: list = []
