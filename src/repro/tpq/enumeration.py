@@ -54,7 +54,7 @@ byte-identical results whenever their filtered candidate sets agree.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -146,33 +146,31 @@ class MatchPlan:
         sums: list = [None] * len(starts)
         for slot, children in self._steps:
             own_starts = starts[slot]
+            own_ends = ends[slot]
             totals = [1] * len(own_starts)
             for child in children:
                 child_starts = starts[child]
-                los = list(map(bisect_right, repeat(child_starts), own_starts))
-                his = list(
-                    map(bisect_left, repeat(child_starts), ends[slot], los)
-                )
-                if self._pc[child]:
-                    below = counts[child]
+                pc = self._pc[child]
+                if pc:
+                    own_levels = levels[slot]
                     child_levels = levels[child]
-                    spans = admits[child] = []
-                    for j, level in enumerate(levels[slot]):
-                        want = level + 1
+                below = counts[child] if pc else sums[child]
+                spans = admits[child] = []
+                for j, (start, end) in enumerate(zip(own_starts, own_ends)):
+                    lo = bisect_right(child_starts, start)
+                    hi = bisect_left(child_starts, end, lo)
+                    if pc:
+                        want = own_levels[j] + 1
                         picks = [
                             k
-                            for k in range(los[j], his[j])
+                            for k in range(lo, hi)
                             if child_levels[k] == want
                         ]
                         spans.append(picks)
                         totals[j] *= sum([below[k] for k in picks])
-                else:
-                    below = sums[child]
-                    admits[child] = list(zip(los, his))
-                    totals = [
-                        total * (below[hi] - below[lo])
-                        for total, lo, hi in zip(totals, los, his)
-                    ]
+                    else:
+                        spans.append((lo, hi))
+                        totals[j] *= below[hi] - below[lo]
             counts[slot] = totals
             sums[slot] = list(accumulate(totals, initial=0))
         return admits, counts, sums
