@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms.access import build_sources
 from repro.algorithms.base import Counters, CountingCursor
-from repro.algorithms.dag import DagBuffer
+from repro.algorithms.dag import DagBuffer, page_capacity
 from repro.datasets import random_trees
 from repro.storage.btree import BPlusTreeIndex
 from repro.storage.catalog import materialize
@@ -204,7 +204,7 @@ def test_bench_admit_and_flush_partition(benchmark, candidates):
         cursors = {
             tag: sources[tag].cursor(counters) for tag in query.tags()
         }
-        dag.set_partition_root(cursors["a"])
+        dag.enter_root(cursors["a"])
         for tag, cursor in cursors.items():
             while not cursor.exhausted:
                 dag.add(tag, cursor.position, cursor.start, cursor.end)
@@ -213,3 +213,40 @@ def test_bench_admit_and_flush_partition(benchmark, candidates):
         return len(dag.matches)
 
     assert benchmark(run) == candidates - 1
+
+
+def test_bench_admit_and_flush_many_partitions(benchmark):
+    """375 partitions of ten candidates — XMark Q14's shape — through
+    the DAG buffer: each closes as the next root arrives and is flushed
+    with its neighbours a page of candidates at a time, so the per-flush
+    constant is paid a dozen times, not 375."""
+    partitions, size = 375, 10
+    builder = DocumentBuilder("partitions")
+    with builder.element("r"):
+        for _ in range(partitions):
+            with builder.element("a"):
+                for _ in range(size - 1):
+                    builder.leaf("b")
+    query = parse_pattern("//a//b")
+    view = materialize(builder.build(), query, "LEp")
+    sources = build_sources(query, [view], [query])
+
+    def run():
+        counters = Counters()
+        dag = DagBuffer(query, counters, sources)
+        roots = sources["a"].cursor(counters)
+        leaves = sources["b"].cursor(counters)
+        while not roots.exhausted:
+            dag.enter_root(roots)
+            dag.add("a", roots.position, roots.start, roots.end)
+            end = roots.end
+            roots.advance()
+            while leaves.start < end:
+                dag.add("b", leaves.position, leaves.start, leaves.end)
+                leaves.advance()
+        dag.flush()
+        return counters.flushes, len(dag.matches)
+
+    flushes, matches = benchmark(run)
+    assert matches == partitions * (size - 1)
+    assert 1 < flushes <= -(-partitions * size // page_capacity(None)) + 1

@@ -1,7 +1,7 @@
 """The intermediate-solution DAG ``F`` (paper Section IV-B, feature 2).
 
 ViewJoin (and our TwigStack variants, for a like-for-like memory comparison)
-accumulate solution nodes in a per-partition buffer keyed by query-node tag.
+accumulate solution nodes in a buffer keyed by query-node tag.
 A solution node is held as its **position** in its tag's stored list — the
 representation of the paper's LE pointers, and of ``F``, which holds nodes
 of the lists and not copies of them.  Nodes arrive in document order and
@@ -10,17 +10,22 @@ labels answer the "has a *p*-type ancestor in F" checks of the ``get_next``
 function by one binary search.
 
 When a new root-tag solution starts after the current partition root's end,
-the partition is **flushed**: the buffer is extended to cover the query
-tags outside Q' (via the views' materialized pointers or binary search) and
-matches are enumerated with exact pc/ad checks.
+the partition is **closed** (:meth:`DagBuffer.enter_root`).  Closed
+partitions are **flushed** a page of element records at a time: the buffer
+is extended to cover the query tags outside Q' (via the views' materialized
+pointers or binary search) and matches are enumerated with exact pc/ad
+checks — k partitions together give the concatenation of their k outputs,
+and the filter phase cannot tell a closed partition that is still buffered
+from one that is gone (DESIGN.md §6, deviation 7).
 
 Two flush targets implement the paper's two output approaches:
 
 * **memory-based** — matches accumulate in an in-memory list;
-* **disk-based** — each partition's candidate labels are serialized to a
+* **disk-based** — each flush's candidate labels are serialized to a
   spill page file and read back (through a counting pager) before
   enumeration, modelling the paper's output-then-reread variant; peak
-  in-memory buffer size is correspondingly bounded by one partition.
+  in-memory buffer size is correspondingly bounded by one partition plus
+  one page.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 from repro.algorithms.base import KEYS, Counters, EvalResult, Match
 from repro.errors import EvaluationError
 from repro.storage.lists import StoredList
-from repro.storage.pager import Pager
+from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
 from repro.storage.records import ElementEntry, MatchKeyCodec, element_codec
 from repro.tpq.enumeration import Enumeration, MatchPlan
 from repro.tpq.pattern import Pattern
@@ -41,6 +46,15 @@ from repro.tpq.pattern import Pattern
 #: Per query tag, the entry positions of a candidate set in its tag's list
 #: (ascending; a ``range`` where a fetch found them contiguous).
 Positions = Mapping[str, Sequence[int]]
+
+
+def page_capacity(spill_pager: Pager | None) -> int:
+    """Element records per page — of the spill pager's pages in disk
+    mode: what a batch of closed partitions must reach to be flushed."""
+    page_size = (
+        DEFAULT_PAGE_SIZE if spill_pager is None else spill_pager.page_size
+    )
+    return page_size // element_codec().width
 
 
 def column_at(column, positions: Sequence[int]):
@@ -51,7 +65,8 @@ def column_at(column, positions: Sequence[int]):
 
 
 class DagBuffer:
-    """Per-partition buffer of candidate solution nodes.
+    """Buffer of candidate solution nodes: the open partition, and the
+    closed ones that do not fill a page yet.
 
     A candidate is its **position** in its tag's list: admission takes the
     cursor's own ints and keeps no record.  Labels are read back from the
@@ -69,9 +84,10 @@ class DagBuffer:
             of start labels instead of entries) or only count them.
         spill_pager: when given, partitions are spilled to this pager and
             read back before enumeration (the disk-based approach).
-        sink: when given, each flushed partition's matches are pushed to
-            this callback instead of accumulating in ``matches`` — the
-            streaming output path for results larger than memory.
+        sink: when given, each flush's matches are pushed to this
+            callback (one batch per flush) instead of accumulating in
+            ``matches`` — the streaming output path for results larger
+            than memory.
     """
 
     def __init__(
@@ -97,25 +113,40 @@ class DagBuffer:
         self.output_seconds = 0.0
         self.peak_entries = 0
         self._entry_bytes = element_codec().width
+        self._capacity = page_capacity(spill_pager)
         self._reset()
 
     # -- building ------------------------------------------------------------
 
-    @property
-    def partition_root(self) -> int | None:
-        """End label of the open partition's root (None when closed): the
-        engines need the root solely to bound the partition."""
-        return self._partition_end
+    def enter_root(
+        self,
+        root,
+        extend: Callable[[Positions], Positions] | None = None,
+        hold: bool = False,
+    ) -> tuple[Enumeration, Positions] | None:
+        """A root-tag solution is about to be admitted: ``root`` (a
+        record or a raw-column cursor: ``start`` and ``end`` are read)
+        joins the open partition or, starting after the open root's end,
+        closes it and opens the next.
 
-    def set_partition_root(self, entry) -> None:
-        """Open a partition rooted at ``entry`` — anything carrying an
-        ``end`` label works (a record object or a raw-column cursor)."""
-        self._partition_end = entry.end
-
-    @property
-    def partition_end(self) -> int:
-        assert self._partition_end is not None
-        return self._partition_end
+        The closed partitions are flushed (``extend``, ``hold`` and the
+        result are :meth:`flush`'s) once they hold a page of candidates,
+        or a candidate that ends after its partition's root.  What stays
+        buffered therefore ends before ``root`` starts, and no later
+        probe starts before it: the filter phase cannot see it
+        (DESIGN.md §6, deviation 7).
+        """
+        end = self._partition_end
+        held = None
+        if end is not None:
+            if root.start <= end:
+                return None
+            if self._size >= self._capacity or any(
+                bucket[2][-1] > end for bucket in self._buckets.values()
+            ):
+                held = self.flush(extend, hold)
+        self._partition_end = root.end
+        return held
 
     def add(self, tag: str, position: int, start: int, end: int) -> None:
         """Admit entry ``position`` of ``tag``'s list, labelled
@@ -212,9 +243,11 @@ class DagBuffer:
     # -- suspend / resume --------------------------------------------------------
 
     def save_state(self) -> tuple[int | None, dict[str, list[int]]]:
-        """Snapshot the open partition: ``(partition_end, per-tag
-        positions)``.  Everything else the buffer holds is a function of
-        the positions and the lists they index."""
+        """Snapshot the buffer: ``(partition_end, per-tag positions)`` —
+        the open root's end, and the candidates of the open partition
+        and of the closed ones not flushed yet.  Everything else the
+        buffer holds is a function of the positions and the lists they
+        index."""
         return self._partition_end, {
             tag: list(bucket[0]) for tag, bucket in self._buckets.items()
         }
@@ -227,7 +260,7 @@ class DagBuffer:
         peak_entries: int,
         output_seconds: float,
     ) -> None:
-        """Rebuild a suspended partition from its positions.
+        """Rebuild a suspended buffer from its positions.
 
         Candidates re-enter the buffer without passing through
         :meth:`add`: their admissions were counted when they first
@@ -260,20 +293,21 @@ class DagBuffer:
         extend: Callable[[Positions], Positions] | None = None,
         hold: bool = False,
     ) -> tuple[Enumeration, Positions] | None:
-        """Close the current partition: extend, enumerate, reset.
+        """Enumerate everything buffered — the closed partitions and,
+        at end of input, the open one: extend, enumerate, reset.
 
         Args:
             extend: callback receiving the buffered per-tag positions and
                 returning those of the query tags the buffer does not
                 cover (it fetches the tags outside Q' via view pointers).
                 When None the buffer must already cover every query tag.
-            hold: rank and charge the partition's matches but build none:
+            hold: rank and charge the flush's matches but build none:
                 the opened enumeration is returned with the positions it
                 ranks (None when there is nothing to emit) and the caller
                 expands it in slices — the preemptible run's sliceable
                 flush.
         """
-        if self.partition_root is None:
+        if self._partition_end is None:
             self._reset()
             return None
         begin = time.perf_counter()
@@ -359,6 +393,7 @@ class DagBuffer:
         #: positions, start labels, and prefix maxima of the end labels
         self._buckets: dict[str, tuple[list[int], list[int], list[int]]] = {}
         self._size = 0
+        #: end label of the open partition's root (None before the first)
         self._partition_end: int | None = None
 
     def _spill_and_reload(self, columns):

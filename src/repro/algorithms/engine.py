@@ -86,8 +86,8 @@ def evaluate(
             (``result.keys`` is then set; IJ ignores it and emits entries).
         use_index: attach B+-tree indexes to the per-tag lists (TS/VJ).
         strict_pc: TwigStack only — level-exact pc-edge admission.
-        sink: TS/VJ only — stream each flushed partition's matches to this
-            callback instead of accumulating them in the result.
+        sink: TS/VJ only — stream the matches to this callback, one
+            batch per flush, instead of accumulating them in the result.
         as_of: MVCC pin (DESIGN.md §16) — require ``catalog`` to hold
             exactly this store generation; a mismatch raises typed
             instead of silently answering from a different snapshot.

@@ -88,11 +88,7 @@ def _sweep(
         # with smaller heads, so only stop when everything is exhausted.
         cursor = cursors[qmin.tag]
         if qmin.parent is None:
-            if dag.partition_root is None:
-                dag.set_partition_root(cursor)
-            elif cursor.start > dag.partition_end:
-                dag.flush()
-                dag.set_partition_root(cursor)
+            dag.enter_root(cursor)
             admit = True
         else:
             counters.comparisons += 1

@@ -162,11 +162,7 @@ class _TwigStackRun:
     def _act_on(self, qnode: PatternNode) -> None:
         cursor = self.cursors[qnode.tag]
         if qnode.parent is None:
-            if self.dag.partition_root is None:
-                self.dag.set_partition_root(cursor)
-            elif cursor.start > self.dag.partition_end:
-                self.dag.flush()
-                self.dag.set_partition_root(cursor)
+            self.dag.enter_root(cursor)
             admit = True
         else:
             self.counters.comparisons += 1

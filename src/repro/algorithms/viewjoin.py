@@ -6,10 +6,11 @@ The evaluation follows Algorithm 1:
 2. stream the per-tag lists of the Q' tags with one cursor each, produce
    solution nodes in document order via a segment-level ``get_next``
    (Function 3), and collect them in the DAG buffer ``F``;
-3. when a new Q'-root solution falls outside the current partition, extend
+3. when a new Q'-root solution falls outside the current partition, close
+   it; once the closed partitions fill a page (and at end of input) extend
    ``F`` to the query tags outside Q' via the views' materialized pointers
-   (or pager-accounted binary search under the element scheme) and emit the
-   partition's matches.
+   (or pager-accounted binary search under the element scheme) and emit
+   their matches.
 
 Skipping (``advance_pointers``, Function 4) dereferences following and
 child pointers to jump cursors over entries that are provably dead.  Two
@@ -233,13 +234,9 @@ class _ViewJoinRun:
                 break
             self.steps += 1
             self._quantum_steps += 1
-            tag, start = result
+            tag = result[0]
             if tag == root_tag:
-                if self.dag.partition_root is None:
-                    self.dag.set_partition_root(root_cursor)
-                elif start > self.dag.partition_end:
-                    self._flush(emitted)
-                    self.dag.set_partition_root(root_cursor)
+                self._flush(emitted, root_cursor)
             self._add_nodes(tag)
         self._done = True
         self._flush(emitted)
@@ -250,8 +247,9 @@ class _ViewJoinRun:
         """True when the driver loop must suspend *before* its next step.
 
         The check sits at the loop top, a consistent point: cursors rest
-        on their heads, the open partition is fully described by the DAG
-        buffer, and whatever a flush still owes is its pools plus a rank.
+        on their heads, the open and the closed partitions are fully
+        described by the DAG buffer, and whatever a flush still owes is
+        its pools plus a rank.
         Time is measured as a ``perf_counter`` duration since the quantum
         began, and only after at least one step — a quantum always
         progresses, whatever the budget.
@@ -278,14 +276,18 @@ class _ViewJoinRun:
             return True
         return False
 
-    def _flush(self, emitted: list[Match] | None) -> None:
-        """Flush the open partition.  A preemptible run has the flush
-        rank and charge its matches without building them, then builds
-        as many as this quantum may emit; the rest stay factorized."""
-        if emitted is None:
-            self.dag.flush(self._extend)
-            return
-        held = self.dag.flush(self._extend, hold=True)
+    def _flush(self, emitted: list[Match] | None, root=None) -> None:
+        """Let root solution ``root`` close the open partition, which
+        flushes when a page of candidates is buffered; at end of input
+        (``root=None``) flush what is left.  A preemptible run has the
+        flush rank and charge its matches without building them, then
+        builds as many as this quantum may emit; the rest stay
+        factorized."""
+        hold = emitted is not None
+        if root is None:
+            held = self.dag.flush(self._extend, hold)
+        else:
+            held = self.dag.enter_root(root, self._extend, hold)
         if held is not None:
             self._owed, self._owed_pools = held
             self._owed_from = 0
@@ -636,7 +638,7 @@ class _ViewJoinRun:
         """The candidates of the query tags outside Q', by position.
 
         Tags outside Q' were never scanned; their entries are fetched per
-        partition from the regions of their view-parent candidates — via
+        flush from the regions of their view-parent candidates — via
         materialized child pointers under LE/LE_p, or pager-accounted
         binary search under the element scheme (Section III-B advantage 3).
         """

@@ -40,6 +40,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     }),
     "algorithms/dag.py": frozenset({
         "DagBuffer.add",
+        "DagBuffer.enter_root",
         "DagBuffer.open_ancestor",
         "DagBuffer.innermost_container_at",
         "DagBuffer.max_buffered_end",

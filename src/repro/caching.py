@@ -73,6 +73,10 @@ class LRUCache:
     def total_weight(self) -> int:
         return self._total_weight
 
+    def values(self):
+        """The cached values, least recently used first (no hit counted)."""
+        return self._entries.values()
+
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key``, counting a hit or a miss."""
         try:

@@ -28,7 +28,10 @@ never hidden, and never mixed into query outcomes (those replay the
 original run's recorded I/O).  The cache is bounded twice: entry count
 (LRU) and total spilled/resident bytes (``byte_budget``).  Page space
 of evicted entries is reclaimed wholesale when the cache is cleared
-(every catalog mutation), not per eviction.
+(every catalog mutation), and by compaction in between: once the pages
+of evicted entries outnumber those of live ones, the live streams are
+copied to a fresh pager and the old one is dropped, so a read-only
+service's spill file stays within twice its live streams.
 """
 
 from __future__ import annotations
@@ -117,15 +120,7 @@ class StreamCache:
         keys = result.match_keys
         stored = None
         if len(keys) >= self.spill_threshold and self._pager is not None:
-            self._spill_serial += 1
-            stored = StoredList(
-                self._pager,
-                MatchKeyCodec(len(keys[0])),
-                name=f"stream:{self._spill_serial}",
-                columnar=False,
-            )
-            stored.extend(keys)
-            stored.finalize()
+            stored = self._pack(keys, MatchKeyCodec(len(keys[0])))
             weight = stored.size_bytes
             self.spilled_streams += 1
             self.spilled_bytes += weight
@@ -135,21 +130,57 @@ class StreamCache:
             weight = len(keys) * arity * 4
         self._cache.put(key, _StreamEntry(result, stored, weight),
                         weight=weight)
+        self._compact()
+
+    def _pack(self, keys, codec: MatchKeyCodec) -> StoredList:
+        self._spill_serial += 1
+        stored = StoredList(
+            self._pager, codec, name=f"stream:{self._spill_serial}",
+            columnar=False,
+        )
+        stored.extend(keys)
+        stored.finalize()
+        return stored
 
     def evict(self, predicate) -> int:
         """Drop entries whose *key* matches ``predicate`` (GC of reaped
-        generations).  Spill pages of evicted entries are not reclaimed
-        individually — the next :meth:`clear` reclaims them wholesale —
-        but their bytes leave the weight budget immediately."""
-        return self._cache.invalidate(predicate)
+        generations).  Their bytes leave the weight budget immediately;
+        their spill pages go with the next compaction or
+        :meth:`clear`."""
+        dropped = self._cache.invalidate(predicate)
+        self._compact()
+        return dropped
+
+    def _compact(self) -> None:
+        """Copy the live spilled streams to a fresh pager once the pages
+        of evicted entries outnumber theirs.  The copy is a move, not a
+        spill: its reads and writes are accounted in :attr:`io`, but
+        ``spilled_streams`` / ``spilled_bytes`` count each stream once."""
+        old = self._pager
+        if old is None or not old.page_file.num_pages:
+            return
+        live = [
+            entry for entry in self._cache.values()
+            if entry.stored is not None
+        ]
+        live_pages = sum(entry.stored.num_pages for entry in live)
+        if old.page_file.num_pages - live_pages <= live_pages:
+            return
+        self._pager = Pager()
+        for entry in live:
+            entry.stored = self._pack(entry.stored.scan(), entry.stored.codec)
+        self._retire(old)
+
+    def _retire(self, pager: Pager) -> None:
+        self._retired_io.merge(pager.total_stats())
+        pager.close()
 
     def clear(self) -> int:
         """Drop every stream and reclaim the spill pages; returns how
         many entries were dropped."""
         dropped = self._cache.invalidate()
         if self._pager is not None and self._pager.page_file.num_pages:
-            self._retired_io.merge(self._pager.total_stats())
-            self._pager.close()
+            self._retire(self._pager)
             self._pager = Pager()
         return dropped
 

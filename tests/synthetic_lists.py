@@ -8,7 +8,9 @@ grown as the test admits entries.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from unittest import mock
 
+import repro.algorithms.dag as dag_module
 from repro.algorithms.base import Counters
 from repro.algorithms.dag import DagBuffer
 from repro.storage.records import ElementColumns, ElementEntry
@@ -37,3 +39,13 @@ def admit(dag: DagBuffer, tag: str, entry: ElementEntry) -> int:
     position = len(columns) - 1
     dag.add(tag, position, entry.start, entry.end)
     return position
+
+
+def page_capacity(entries: int):
+    """Context manager: buffers built inside flush once they hold
+    ``entries`` candidates.  ``page_capacity(1)`` is the degenerate case,
+    one flush per closed partition — the paper's granularity, and what
+    every paged run must equal in all but the number of flushes."""
+    return mock.patch.object(
+        dag_module, "page_capacity", lambda spill_pager: entries
+    )

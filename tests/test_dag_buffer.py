@@ -75,7 +75,7 @@ def test_max_buffered_end():
 def test_flush_counts_matches():
     counters = Counters()
     dag = buffer_over(Q, counters)
-    dag.set_partition_root(entry(0, 100, 0))
+    dag.enter_root(entry(0, 100, 0))
     admit(dag, "a", entry(0, 100, 0))
     admit(dag, "b", entry(3, 4, 1))
     admit(dag, "b", entry(7, 8, 1))
@@ -84,7 +84,7 @@ def test_flush_counts_matches():
     assert counters.matches == 2
     assert counters.flushes == 1
     assert dag.buffered_entries == 0
-    assert dag.partition_root is None
+    assert dag.save_state() == (None, {})
 
 
 def test_flush_without_partition_is_noop():
@@ -98,7 +98,7 @@ def test_flush_without_partition_is_noop():
 
 def test_flush_extend_callback():
     dag = buffer_over(Q)
-    dag.set_partition_root(entry(0, 100, 0))
+    dag.enter_root(entry(0, 100, 0))
     admit(dag, "a", entry(0, 100, 0))
 
     def extend(buffered):
@@ -112,7 +112,7 @@ def test_flush_extend_callback():
 
 def test_emit_matches_toggle():
     dag = buffer_over(Q, emit_matches=False)
-    dag.set_partition_root(entry(0, 100, 0))
+    dag.enter_root(entry(0, 100, 0))
     admit(dag, "a", entry(0, 100, 0))
     admit(dag, "b", entry(3, 4, 1))
     dag.flush()
@@ -125,7 +125,7 @@ def test_disk_spill_roundtrip():
     try:
         counters = Counters()
         dag = buffer_over(Q, counters, spill_pager=pager)
-        dag.set_partition_root(entry(0, 100, 0))
+        dag.enter_root(entry(0, 100, 0))
         admit(dag, "a", entry(0, 100, 0))
         admit(dag, "b", entry(3, 4, 1))
         dag.flush()
@@ -139,11 +139,11 @@ def test_disk_spill_roundtrip():
 
 def test_peak_tracking_across_partitions():
     dag = buffer_over(Q)
-    dag.set_partition_root(entry(0, 10, 0))
+    dag.enter_root(entry(0, 10, 0))
     admit(dag, "a", entry(0, 10, 0))
     admit(dag, "b", entry(1, 2, 1))
     dag.flush()
-    dag.set_partition_root(entry(20, 30, 0))
+    dag.enter_root(entry(20, 30, 0))
     admit(dag, "a", entry(20, 30, 0))
     assert dag.peak_entries == 2  # the first partition's high-water mark
     assert dag.peak_bytes == 2 * 12

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.algorithms.dag as dag_module
 from repro.algorithms import engine
 from repro.algorithms.base import Counters
 from repro.algorithms.preempt import PlanState, QuantumBudget
@@ -25,7 +26,7 @@ from repro.tpq.pattern import Axis, pattern_from_edges
 from repro.workloads import xmark as xmark_queries
 from repro.xmltree.document import DocumentBuilder
 from tests.odometer_reference import odometer_matches
-from tests.synthetic_lists import admit, buffer_over
+from tests.synthetic_lists import admit, buffer_over, page_capacity
 
 
 def test_enumerate_from_full_tag_lists(small_doc):
@@ -569,6 +570,13 @@ def many_partitions_doc(partitions: int = 120):
     return b.build()
 
 
+def work_of(result) -> dict:
+    """Every work counter but the number of flushes."""
+    work = result.counters.as_dict()
+    del work["flushes"]
+    return work
+
+
 TWIG = parse_pattern("//a[//b//d]//c")
 TWIG_VIEWS = [parse_pattern("//a//c"), parse_pattern("//b//d")]
 
@@ -578,29 +586,50 @@ TWIG_VIEWS = [parse_pattern("//a//c"), parse_pattern("//b//d")]
 ])
 @pytest.mark.parametrize("mode", ["memory", "disk"])
 def test_many_tiny_partitions(algorithm, scheme, mode):
-    doc = many_partitions_doc()
+    """Closed partitions are flushed a page at a time: far fewer flushes
+    than partitions, the answer and every other counter those of one
+    flush per partition, and the buffer never more than a page above the
+    largest partition."""
+    doc = many_partitions_doc(600)
     truth = keys_of(find_embeddings(doc, TWIG))
     with ViewCatalog(doc) as catalog:
         result = engine.evaluate(
             TWIG, catalog, TWIG_VIEWS, algorithm, scheme, mode=mode
         )
-    assert result.counters.flushes > 40
+        with page_capacity(1):
+            each = engine.evaluate(
+                TWIG, catalog, TWIG_VIEWS, algorithm, scheme, mode=mode
+            )
+    capacity = dag_module.page_capacity(None)
+    assert each.counters.flushes > 200  # one per partition with a root
+    assert 1 < result.counters.flushes <= (
+        result.counters.candidates_added // capacity + 1
+    )
+    assert result.counters.flushes * 20 < each.counters.flushes
+    # the largest partition is the peak of the per-partition run
+    assert each.peak_buffer_entries < 20
+    assert capacity <= result.peak_buffer_entries <= (
+        each.peak_buffer_entries + capacity - 1
+    )
+    assert work_of(result) == work_of(each)
     # the accumulated list is canonical as emitted: no sort behind it
     assert keys_of(result.matches) == truth
     assert result.match_keys() == truth
     assert result.sorted_matches() == result.matches
+    assert each.matches == result.matches
 
 
 @pytest.mark.parametrize("mode", ["memory", "disk"])
 def test_resume_across_flush_boundaries(mode):
     """Two matches per quantum over many partitions: suspensions fall
     before, inside (the surplus stays factorized: pools and a rank) and
-    after flushes.  The pages so far plus what the state still owes are
+    after flushes (of a few partitions each: five candidates make a
+    page here).  The pages so far plus what the state still owes are
     always a prefix of the one-shot answer, and the final counters are
     the one-shot ones."""
     doc = many_partitions_doc(40)
     plan = MatchPlan(TWIG)
-    with ViewCatalog(doc) as catalog:
+    with ViewCatalog(doc) as catalog, page_capacity(5):
         one = engine.evaluate(TWIG, catalog, TWIG_VIEWS, "VJ", "LEp", mode=mode)
         lists = {
             tag: catalog.add(view, "LEp").view.list_for(tag)
@@ -641,6 +670,7 @@ def test_resume_across_flush_boundaries(mode):
             # charged at the flush, not as the slices are built
             assert result.match_count == len(seen)
     assert carried > 0
+    assert 5 < one.counters.flushes < 20  # of 20 partitions with a root
     assert pages == one.matches
     assert result.match_count == one.match_count
     assert result.counters.as_dict() == one.counters.as_dict()
@@ -689,7 +719,7 @@ def test_count_only_flush_builds_no_match(monkeypatch):
     monkeypatch.setattr(MatchPlan, "open", forbidden)
     counters = Counters()
     dag = buffer_over(parse_pattern("//a//b"), counters, emit_matches=False)
-    dag.set_partition_root(ElementEntry(0, 100, 0))
+    dag.enter_root(ElementEntry(0, 100, 0))
     admit(dag, "a", ElementEntry(0, 100, 0))
     admit(dag, "b", ElementEntry(3, 4, 1))
     admit(dag, "b", ElementEntry(7, 8, 1))

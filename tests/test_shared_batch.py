@@ -18,6 +18,7 @@ from repro.caching import LRUCache
 from repro.datasets import random_trees
 from repro.errors import DatasetError, StorageError
 from repro.service import QueryService, node_digest, node_key
+from repro.service.jobs import JobResult
 from repro.service.streams import StreamCache
 from repro.storage.catalog import ViewCatalog
 from repro.storage.pager import IOStats
@@ -299,4 +300,45 @@ def test_stream_cache_disabled_when_capacity_zero():
     assert len(cache) == 0
     assert cache.get(("epoch", "digest")) is None
     cache.clear()
+    cache.close()
+
+
+def test_stream_cache_compacts_the_spill_of_evicted_entries():
+    """A read-only service never clears its stream cache, so the pages
+    of evicted entries must go some other way: 500 put/evict rounds keep
+    the spill file within twice the live streams, and what is replayed
+    is what was put."""
+    cache = StreamCache(4)
+    page = cache._pager.page_size
+
+    def stream(round_):
+        return [(round_, rank, rank + 1) for rank in range(1000 + round_ % 7)]
+
+    def shell(round_):
+        keys = stream(round_)
+        return JobResult(
+            index=round_, combo="VJ+LEp", match_keys=keys,
+            match_count=len(keys), counters=Counters(), io=IOStats(),
+            elapsed_s=0.0,
+        )
+
+    for round_ in range(500):
+        cache.put(("epoch", round_), shell(round_))
+        if round_ % 50 == 49:  # GC of a reaped generation
+            cache.evict(lambda key: key[1] % 2 == 0)
+        live = cache._cache.total_weight
+        assert cache._pager.page_file.size_bytes <= 2 * live + page
+        assert len(cache) in (2, 3, 4) or round_ < 3
+        for recent in range(max(0, round_ - 1), round_ + 1):
+            replayed = cache.get(("epoch", recent))
+            assert replayed is not None or recent < round_
+            if replayed is not None:
+                assert replayed.match_keys == stream(recent)
+                assert replayed.index == recent
+    # a move is not a spill: each stream counted once, the copies' I/O kept
+    assert cache.spilled_streams == 500
+    assert cache.spilled_bytes == sum(
+        len(stream(round_)) * 12 for round_ in range(500)
+    )
+    assert cache.io.pages_written > 500 * 3
     cache.close()

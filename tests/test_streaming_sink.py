@@ -1,4 +1,4 @@
-"""Streaming output tests: matches delivered per partition via a sink."""
+"""Streaming output tests: matches delivered per flush via a sink."""
 
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ def test_sink_receives_all_matches(doc, algorithm, scheme):
 
 
 def test_sink_batches_follow_partitions(doc):
-    """Each sink call corresponds to one partition flush, in document
-    order of the partition roots."""
+    """Each sink call corresponds to one flush — a page of closed
+    partitions — in document order of the partition roots."""
     with ViewCatalog(doc) as catalog:
         batches: list[list] = []
         result = evaluate(
@@ -74,8 +74,8 @@ def test_sink_with_disk_mode(doc):
 
 
 def test_sink_peak_memory_stays_bounded(doc):
-    """Streaming keeps only one partition buffered; the result never holds
-    the whole match set."""
+    """Streaming keeps one partition and at most a page of closed ones
+    buffered; the result never holds the whole match set."""
     with ViewCatalog(doc) as catalog:
         result = evaluate(
             QUERY, catalog, VIEWS, "VJ", "LE", sink=lambda batch: None

@@ -22,6 +22,7 @@ from repro.datasets import random_trees
 from repro.storage.catalog import ViewCatalog
 from repro.tpq.naive import find_embeddings
 from repro.tpq.parser import parse_pattern
+from tests.synthetic_lists import page_capacity
 
 TWIG = parse_pattern("//a[//f]//b[//c]//d//e")
 TWIG_VIEWS = [
@@ -102,12 +103,20 @@ def test_sol_short_circuit_unsafe(monkeypatch):
     without recursing into child segments.  Reinstating that short-circuit
     loses matches: smaller pending solutions in child segments stay hidden
     until the partition has already been flushed (the regression that
-    motivated DESIGN.md §6 item 2)."""
+    motivated DESIGN.md §6 item 2).
+
+    The loss needs the late solution and its partition in two flushes.
+    On this 400-node document every partition is far smaller than a
+    page, so the paged flush enumerates the late solution together with
+    the closed partition it belongs to and masks the bug; at one flush
+    per partition it shows."""
     doc = random_trees.generate(
         size=400, tags=list("abcdef"), max_depth=11, max_fanout=3, seed=2
     )
     expected = truth_keys(doc, TWIG)
     assert run_viewjoin(doc, TWIG, TWIG_VIEWS) == expected
+    with page_capacity(1):
+        assert run_viewjoin(doc, TWIG, TWIG_VIEWS) == expected
 
     original = viewjoin_module._ViewJoinRun._get_next
 
@@ -124,7 +133,9 @@ def test_sol_short_circuit_unsafe(monkeypatch):
     monkeypatch.setattr(
         viewjoin_module._ViewJoinRun, "_get_next", short_circuiting
     )
-    unguarded = run_viewjoin(doc, TWIG, TWIG_VIEWS)
+    assert run_viewjoin(doc, TWIG, TWIG_VIEWS) == expected  # masked
+    with page_capacity(1):
+        unguarded = run_viewjoin(doc, TWIG, TWIG_VIEWS)
     assert len(unguarded) < len(expected)
 
 
