@@ -1,10 +1,13 @@
 """Micro-benchmarks for the storage substrate.
 
 Per-operation costs of the building blocks every engine sits on: record
-codecs, pool-served reads, cursor advancement, B+-tree descent, the
-positional DAG buffer's admit-and-flush and the match enumerator.  These
-establish the unit costs behind the macro
-benchmarks' wall-clock numbers (and catch substrate regressions early).
+codecs, list reads and cursor advancement (served from packed columns,
+and — for a list built with ``columnar=False``, as the spills are —
+decoded through the pool), the engines' ``CountingCursor`` over the
+columns, B+-tree descent, the positional DAG buffer's admit-and-flush
+and the match enumerator.  These establish the unit costs behind the
+macro benchmarks' wall-clock numbers (and catch substrate regressions
+early).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def element_list():
 
 @pytest.fixture(scope="module")
 def pool_list():
-    """The same list with columns disabled: the pool-served slow path."""
+    """The same list built with ``columnar=False``: pool-served decode."""
     return _build_list(columnar=False)
 
 
@@ -141,10 +144,6 @@ def test_bench_counting_cursor_columnar(benchmark, element_list):
     assert benchmark(_drain_counting, element_list) == N
 
 
-def test_bench_counting_cursor_no_columns(benchmark, pool_list):
-    assert benchmark(_drain_counting, pool_list) == N
-
-
 def test_bench_btree_descent(benchmark, element_list):
     index = BPlusTreeIndex.build(
         element_list.pager, [i * 3 for i in range(N)]
@@ -186,9 +185,7 @@ def test_bench_admit_and_flush_partition(benchmark, candidates):
     """One partition through the DAG buffer on an LEp view: every entry
     admitted by position from its cursor, then flushed to entry-form
     matches.  Ten candidates is the per-flush constant (XMark Q14 flushes
-    375 such partitions), a thousand the per-candidate cost; with
-    ``REPRO_COLUMNAR=0`` the same run resolves the positions' labels from
-    the records the cursors read."""
+    375 such partitions), a thousand the per-candidate cost."""
     builder = DocumentBuilder("partition")
     with builder.element("r"):
         with builder.element("a"):

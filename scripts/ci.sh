@@ -13,7 +13,8 @@ export PYTHONPATH=src
 echo "== repro-lint (whole-program: RL1xx per-file + RL2xx call-graph) =="
 # Cold run (cache removed) then warm run, with wall-time budgets
 # enforced (<10s cold, <2s warm) and JSON + SARIF artifacts written.
-# lint_stats exits non-zero on any non-baselined finding.
+# lint_stats exits non-zero on any non-baselined finding or warning
+# (an unused `# repro-lint: disable` comment).
 python scripts/lint_stats.py --sarif .repro-lint.sarif \
     --json .repro-lint-report.json
 python scripts/lint_report.py .repro-lint-report.json
@@ -25,11 +26,6 @@ echo "== benchmark smoke (micro substrate) =="
 REPRO_BENCH_SCALE=0.1 python -m pytest benchmarks/test_micro_substrate.py \
     -q --benchmark-warmup=off --benchmark-min-rounds=1 \
     --benchmark-disable-gc --benchmark-columns=median
-
-echo "== benchmark smoke (columnar off) =="
-REPRO_BENCH_SCALE=0.1 REPRO_COLUMNAR=0 python -m pytest \
-    benchmarks/test_micro_substrate.py -q --benchmark-warmup=off \
-    --benchmark-min-rounds=1 --benchmark-columns=median
 
 echo "== selection smoke (paper-figure benches, example and CLI: outside testpaths) =="
 # A selection API change breaks these silently otherwise.

@@ -11,7 +11,9 @@ baseline — once cold (analysis cache removed first) and once warm
 
 and enforces the performance budget (cold < 10 s, warm < 2 s —
 scalable via ``REPRO_LINT_BUDGET_SCALE`` for slow CI machines).  Exit
-status is non-zero on any non-baselined finding or budget violation.
+status is non-zero on any non-baselined finding, any warning (an unused
+``# repro-lint: disable`` comment: a retired code path must take its
+suppressions with it) or budget violation.
 
 Usage::
 
@@ -85,6 +87,7 @@ def main(argv: list[str]) -> int:
     for warning in warm.warnings:
         print(f"  {warning.location()}: warning: {warning.code}:"
               f" {warning.message}")
+        failed = True
     if cold.stats.duration_seconds > COLD_BUDGET_SECONDS * scale:
         print(f"repro-lint: cold run {cold.stats.duration_seconds:.2f}s"
               f" exceeds budget {COLD_BUDGET_SECONDS * scale:.1f}s")

@@ -19,7 +19,6 @@ scheme differences:
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from repro.algorithms.base import Counters, CountingCursor
@@ -28,52 +27,6 @@ from repro.storage.element import ElementView
 from repro.storage.linked import LinkedElementView
 from repro.storage.lists import StoredList
 from repro.tpq.pattern import Pattern
-
-
-class _RecordField:
-    """One field of the records kept by position, indexable like a packed
-    column (an entry index, or a slice for a contiguous run)."""
-
-    __slots__ = ("_records", "_pick")
-
-    def __init__(self, records: dict, pick):
-        self._records = records
-        self._pick = pick
-
-    def __getitem__(self, index):
-        records, pick = self._records, self._pick
-        if type(index) is slice:
-            return [
-                pick(records[i]) for i in range(index.start, index.stop)
-            ]
-        return pick(records[index])
-
-
-class RecordLabels:
-    """Row-wise stand-in for a list's packed columns (``REPRO_COLUMNAR=0``).
-
-    The reference path has no columns to read a buffered position's labels
-    from, and must not pay a second read for them.  It keeps, by position,
-    the records its cursor and its region scans already read
-    (``records``) and exposes their fields under the column names the
-    engines index: ``starts`` / ``ends`` / ``levels`` and one ``children``
-    field per pointer slot.
-    """
-
-    __slots__ = ("records", "starts", "ends", "levels", "children")
-
-    def __init__(self, num_children: int):
-        self.records: dict = {}
-        self.starts = _RecordField(self.records, attrgetter("start"))
-        self.ends = _RecordField(self.records, attrgetter("end"))
-        self.levels = _RecordField(self.records, attrgetter("level"))
-        self.children = tuple(
-            _RecordField(
-                self.records,
-                lambda record, slot=slot: record.children[slot],
-            )
-            for slot in range(num_children)
-        )
 
 
 class TagSource:
@@ -93,14 +46,8 @@ class TagSource:
         self.tag = tag
         self.stored: StoredList = view.list_for(tag)
         self.index = None
-        #: the list's fields by entry position (packed columns, or the
-        #: reference path's kept records)
+        #: the list's fields by entry position (its packed columns)
         self.labels = self.stored.columns
-        if self.labels is None:
-            self.labels = RecordLabels(
-                len(view.child_tag_order.get(tag, ()))
-                if self.has_pointers else 0
-            )
 
     def __len__(self) -> int:
         return len(self.stored)
@@ -111,28 +58,18 @@ class TagSource:
         Models the indexed-structural-join substrate of the paper's
         related work (XR-/XB-trees): ``bisect_start`` then descends the
         index in O(height) page touches instead of probing data pages.
-        The key sequence comes straight from the packed start column when
-        the list carries one; only column-less lists pay a decoding scan.
+        The key sequence comes straight from the packed start column.
         """
         if self.index is not None:
             return
         from repro.storage.btree import BPlusTreeIndex
 
-        columns = self.stored.columns
-        if columns is not None:
-            starts = list(columns.starts)
-        else:
-            starts = [entry.start for entry in self.stored.scan()]
         self.index = BPlusTreeIndex.build(
-            self.view.pager, starts, name=f"idx:{self.tag}"
+            self.view.pager, list(self.labels.starts), name=f"idx:{self.tag}"
         )
 
     def cursor(self, counters: Counters) -> CountingCursor:
-        return CountingCursor(
-            self.stored, counters,
-            seen=None if self.stored.columns is not None
-            else self.labels.records,
-        )
+        return CountingCursor(self.stored, counters)
 
     def child_slot(self, child_tag: str) -> int | None:
         """Pointer slot for ``child_tag`` inside this tag's records, if the
@@ -146,20 +83,15 @@ class TagSource:
         except ValueError:
             return None
 
-    def read(self, index: int, counters: Counters):
-        """Random-access read (counted as a pointer jump target access)."""
-        counters.elements_scanned += 1
-        return self.stored.read(index)
-
     def bisect_start(self, value: int, counters: Counters) -> int:
         """Index of the first entry with ``start > value``.
 
         With an attached B+-tree this is one root-to-leaf descent;
         otherwise a binary search through the pager — every probed entry
         counts as a comparison so the element scheme pays for what
-        pointers avoid.  With packed columns each probe compares a raw int
-        from the start column (the page touch is mirrored for identical
-        I/O accounting); without them it decodes through the pool.
+        pointers avoid.  Each probe compares a raw int from the start
+        column; the page touch is mirrored, so the search reports the I/O
+        of one that decodes every probed entry through the pool.
         """
         if self.index is not None:
             counters.comparisons += max(self.index.height, 1)
@@ -167,25 +99,13 @@ class TagSource:
             return len(self.stored) if found is None else found
         stored = self.stored
         lo, hi = 0, len(stored)
-        columns = stored.columns
-        if columns is not None:
-            starts = columns.starts
-            touch_index = stored.touch_index
-            while lo < hi:
-                mid = (lo + hi) // 2
-                counters.comparisons += 1
-                touch_index(mid)
-                if starts[mid] <= value:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return lo
+        starts = self.labels.starts
+        touch_index = stored.touch_index
         while lo < hi:
             mid = (lo + hi) // 2
             counters.comparisons += 1
-            # Reference fallback when packed columns are absent
-            # (REPRO_COLUMNAR=0): pool-served decode is the point here.
-            if stored.read(mid).start <= value:  # repro-lint: disable=RL101 (reference path)
+            touch_index(mid)
+            if starts[mid] <= value:
                 lo = mid + 1
             else:
                 hi = mid
@@ -199,42 +119,28 @@ class TagSource:
         ViewJoin's flush-time region fetch: every probed entry (including
         the one that breaks the scan) costs one accounted page access and
         one comparison; every collected entry counts as scanned.  No
-        record is built on the columnar path; the reference path keeps the
-        records it reads, which is all it will know of those positions.
+        record is built.
         """
         stored = self.stored
         total = len(stored)
-        columns = stored.columns
-        if columns is not None:
-            if index >= total:
-                return index
-            starts = columns.starts
-            # One accounted access per probed entry, as `touch_index`
-            # would charge it; the page is looked up once per page run.
-            touch = stored.pager.pool.touch
-            decoder_id = stored._decoder_id
-            page_ids, breaks = stored.page_map()
-            page = bisect_right(breaks, index, 0, len(page_ids)) - 1
-            page_hi = breaks[page + 1]
-            while index < total:
-                if index >= page_hi:
-                    page += 1
-                    page_hi = breaks[page + 1]
-                touch(page_ids[page], decoder_id)
-                counters.comparisons += 1
-                if starts[index] >= bound:
-                    break
-                counters.elements_scanned += 1
-                index += 1
+        if index >= total:
             return index
-        records = self.labels.records
+        starts = self.labels.starts
+        # One accounted access per probed entry, as `touch_index`
+        # would charge it; the page is looked up once per page run.
+        touch = stored.pager.pool.touch
+        decoder_id = stored._decoder_id
+        page_ids, breaks = stored.page_map()
+        page = bisect_right(breaks, index, 0, len(page_ids)) - 1
+        page_hi = breaks[page + 1]
         while index < total:
-            # Reference fallback when packed columns are absent.
-            entry = stored.read(index)  # repro-lint: disable=RL101 (reference path)
+            if index >= page_hi:
+                page += 1
+                page_hi = breaks[page + 1]
+            touch(page_ids[page], decoder_id)
             counters.comparisons += 1
-            if entry.start >= bound:
+            if starts[index] >= bound:
                 break
-            records[index] = entry
             counters.elements_scanned += 1
             index += 1
         return index
@@ -243,14 +149,9 @@ class TagSource:
         """Read the entries at ``positions`` again (a resumed run carries
         positions, not labels): one accounted page access each, no work
         counter — the original admissions are in the snapshot's."""
-        stored = self.stored
-        if stored.columns is not None:
-            for position in positions:
-                stored.touch_index(position)
-            return
-        records = self.labels.records
+        touch_index = self.stored.touch_index
         for position in positions:
-            records[position] = stored.read(position)
+            touch_index(position)
 
 
 def build_sources(

@@ -11,8 +11,8 @@ relative results can be checked in a way that does not depend on the host:
 * ``candidates_added`` — nodes admitted to the intermediate result;
 * ``matches`` — output tuples.
 
-:class:`CountingCursor` wraps a storage cursor and attributes every move to
-those counters, so all algorithms are instrumented identically.
+:class:`CountingCursor` walks a stored list's packed columns and attributes
+every move to those counters, so all algorithms are instrumented identically.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import EvaluationError
-from repro.storage.lists import ListCursor
 from repro.storage.pager import IOStats
 from repro.storage.records import ElementEntry
 
@@ -193,34 +192,24 @@ class CountingCursor:
     per advance or per admission (records exist only past the output
     boundary, see :class:`~repro.tpq.enumeration.Enumeration`).
 
-    When the list carries packed columns the cursor advances over the raw
-    column arrays directly, mirroring the buffer pool's read accounting
-    via :meth:`~repro.storage.pager.BufferPool.touch`; otherwise every
-    move delegates to a wrapped pool-served :class:`ListCursor` (the
-    ``REPRO_COLUMNAR=0`` reference) and the records it pays for are kept
-    by position in ``seen``, which is where the reference path resolves a
-    buffered position's labels from.  Counter increments live in the
-    shared methods, so fast and slow paths report identical work by
-    construction.
+    The cursor advances over the list's packed columns directly (the list
+    must carry them: every element and linked list does), mirroring the
+    buffer pool's read accounting via
+    :meth:`~repro.storage.pager.BufferPool.touch`, so the run reports the
+    I/O a pool-served record cursor would.
     """
 
     __slots__ = (
-        "cursor", "counters", "position", "start", "end", "_seen",
+        "counters", "position", "start", "end",
         "_columns", "_starts", "_ends", "_length", "_touch", "_touch_run",
         "_decoder_id", "_page_ids", "_breaks", "_page", "_page_hi",
     )
 
-    def __init__(self, stored, counters: Counters, seen: dict | None = None):
+    def __init__(self, stored, counters: Counters):
         self.counters = counters
         columns = stored.columns
         self._columns = columns
         self._length = len(stored)
-        if columns is None:
-            self.cursor: ListCursor | None = stored.cursor()
-            self._seen = {} if seen is None else seen
-            self._land()
-            return
-        self.cursor = None
         self._starts = columns.starts
         self._ends = columns.ends
         self._touch = stored.pager.pool.touch
@@ -242,42 +231,19 @@ class CountingCursor:
             self.start = _INF
             self.end = _INF
 
-    def _land(self) -> None:
-        """Reference path: mirror the wrapped cursor's head after a move,
-        keeping the record it just paid for."""
-        cursor = self.cursor
-        position = self.position = cursor.position
-        head = cursor.current
-        if head is None:
-            self.start = _INF
-            self.end = _INF
-        else:
-            self.start = head.start
-            self.end = head.end
-            self._seen[position] = head
-
     @property
     def level(self) -> int:
         """Level label of the head entry (head must exist)."""
-        columns = self._columns
-        if columns is None:
-            return self.cursor.current.level
-        return columns.levels[self.position]
+        return self._columns.levels[self.position]
 
     @property
     def following(self) -> int:
         """Following pointer of the head entry (linked schemes only)."""
-        columns = self._columns
-        if columns is None:
-            return self.cursor.current.following
-        return columns.following[self.position]
+        return self._columns.following[self.position]
 
     def child_pointer(self, slot: int) -> int:
         """Child pointer ``slot`` of the head entry (linked schemes only)."""
-        columns = self._columns
-        if columns is None:
-            return self.cursor.current.children[slot]
-        return columns.children[slot][self.position]
+        return self._columns.children[slot][self.position]
 
     @property
     def exhausted(self) -> bool:
@@ -289,11 +255,6 @@ class CountingCursor:
     def advance(self) -> None:
         """Sequential move to the next entry."""
         self.counters.elements_scanned += 1
-        columns = self._columns
-        if columns is None:
-            self.cursor.advance()
-            self._land()
-            return
         if self.start is _INF:
             return
         position = self.position + 1
@@ -321,18 +282,12 @@ class CountingCursor:
                 self.advance()
 
         so each skipped entry still costs one comparison, one scanned
-        element and one logical page read.  On the columnar path the
-        landing position is found by bisection over the packed ``starts``
-        column and the page reads are accounted in per-page runs via
+        element and one logical page read.  The landing position is found
+        by bisection over the packed ``starts`` column and the page reads
+        are accounted in per-page runs via
         :meth:`~repro.storage.pager.BufferPool.touch_run` — O(log n +
         pages crossed) instead of O(entries skipped) Python-level work.
         """
-        columns = self._columns
-        if columns is None:
-            while self.start < bound:
-                self.counters.comparisons += 1
-                self.advance()
-            return
         start = self.start
         if start is _INF or start >= bound:
             return
@@ -381,11 +336,6 @@ class CountingCursor:
         only I/O accounting — never work counters — differs from an
         uninterrupted run.
         """
-        columns = self._columns
-        if columns is None:
-            self.cursor.seek(position)
-            self._land()
-            return
         if position >= self._length:
             self.position = self._length
             self._page = 0
@@ -412,11 +362,6 @@ class CountingCursor:
             return
         self.counters.pointer_jumps += 1
         self.counters.entries_skipped += index - self.position - 1
-        columns = self._columns
-        if columns is None:
-            self.cursor.seek(index)
-            self._land()
-            return
         if index >= self._length:
             self.position = self._length
             self.start = _INF
@@ -429,7 +374,3 @@ class CountingCursor:
         self._touch(self._page_ids[page], self._decoder_id)
         self.start = self._starts[index]
         self.end = self._ends[index]
-
-
-def total_list_length(lists: Sequence) -> int:
-    return sum(len(stored) for stored in lists)

@@ -269,10 +269,3 @@ def local_attr_aliases(
         if isinstance(node.value, ast.Attribute):
             aliases[target.id] = node.value.attr
     return aliases
-
-
-def loops_in(func: ast.AST) -> list[ast.For | ast.While]:
-    return [
-        node for node in ast.walk(func)
-        if isinstance(node, (ast.For, ast.While))
-    ]

@@ -80,21 +80,6 @@ def first_reaching_path(
     return None
 
 
-def reaching_nodes(
-    graph,
-    roots: Iterable[str],
-    predicate: Callable[[str], bool],
-    allowed: Callable[[str], bool] | None = None,
-) -> list[str]:
-    """All reachable nodes satisfying ``predicate`` (sorted)."""
-    forest = reachable(graph, roots, allowed)
-    return sorted(node for node in forest if predicate(node))
-
-
-def qualify(path: str, qualname: str) -> str:
-    return f"{path}::{qualname}"
-
-
 def pretty_chain(chain: list[str]) -> str:
     """Human-readable call chain: qualnames joined by arrows, with the
     defining file only where it changes."""

@@ -6,8 +6,8 @@ drag in?" — the properties the RL2xx interprocedural rules reason about:
 ====================  ========================================================
 ``allocates-records``   builds ``ElementEntry``/``LinkedEntry`` record objects
                         (``element_of``, ``columns.entry``)
-``reference-decode``    calls a pool-served reference-path helper
-                        (``TagSource.read``/``scan``) from ``algorithms/``
+``reference-decode``    calls a pool-served record reader
+                        (``StoredList.read``/``scan``) from ``algorithms/``
 ``raw-page-read``       reads page bytes around the counted pool path
                         (``read_page_raw``)
 ``performs-pager-io``   touches pager pages at all (counted or raw)

@@ -79,8 +79,9 @@ RECORD_CONSTRUCTORS = frozenset({
 #: (``columns.entry(i)``) or read as a property (``cursor.current``).
 RECORD_FACTORY_ATTRS = frozenset({"entry", "current"})
 
-#: Reference-path helpers: pool-served decode reads.  Hot loops must use
-#: the packed columns; a delegation to these is a silent fast-path leak.
+#: Pool-served record readers (``StoredList.read`` / ``scan``).  Hot loops
+#: run on the packed columns; a call to one of these decodes a record per
+#: entry.
 REFERENCE_HELPERS = frozenset({"read", "scan"})
 
 
@@ -89,7 +90,8 @@ class HotPathPurityRule(Rule):
     name = "hot-path-purity"
     description = (
         "Registered hot functions must not construct record objects, use"
-        " try/except inside loops, or call reference-path helpers."
+        " try/except inside loops, or call pool-served record readers"
+        " (read/scan)."
     )
 
     def check(self, module: ModuleInfo) -> list[Finding]:
@@ -166,9 +168,9 @@ class HotPathPurityRule(Rule):
             elif resolved in REFERENCE_HELPERS:
                 findings.append(self.finding(
                     module, node,
-                    f"hot path {qualname} calls reference-path helper"
-                    f" {resolved!r} (pool-served decode; use the packed"
-                    " columns)",
+                    f"hot path {qualname} calls pool-served record reader"
+                    f" {resolved!r} (decodes a record per entry; use the"
+                    " packed columns)",
                     symbol=qualname,
                 ))
         return findings
@@ -188,7 +190,7 @@ class IoAccountingMirrorRule(Rule):
         "In storage/, raw page-byte or packed-column record access must"
         " happen in a scope that mirrors the read into the buffer pool"
         " (pool.touch / touch_index), keeping columnar I/O counters"
-        " byte-identical to the reference path."
+        " byte-identical to pool-served reads (BufferPool.get)."
     )
 
     def check(self, module: ModuleInfo) -> list[Finding]:
@@ -239,7 +241,7 @@ class IoAccountingMirrorRule(Rule):
                 f"{qualname} reads raw pages/columns via {name!r} without"
                 " mirroring the access into the buffer pool"
                 " (pool.touch/touch_index) — columnar I/O counters drift"
-                " from the reference path",
+                " from pool-served reads",
                 symbol=qualname,
             )
             for node, name in triggers

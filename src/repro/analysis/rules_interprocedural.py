@@ -80,8 +80,8 @@ class TransitiveHotPurityRule(_GraphRule):
         "A registered hot function must stay allocation- and"
         " reference-decode-free through every algorithms/-layer callee,"
         " not just its own body (RL101 closed over the call graph)."
-        " Storage-layer delegation is exempt: it is the sanctioned"
-        " columns-absent fallback, policed per-file by RL101/RL102."
+        " Storage-layer callees are exempt: the lists' own record"
+        " readers are policed per-file by RL101/RL102."
     )
 
     def check_program(self, program) -> list[Finding]:
@@ -206,7 +206,7 @@ class AccountingMirrorClosureRule(_GraphRule):
         "Every function that reads raw page bytes (read_page_raw) must"
         " mirror the read into the buffer pool — in its own body or"
         " through a callee (BufferPool.touch/touch_run/touch_index) —"
-        " or columnar I/O counters drift from the reference path"
+        " or columnar I/O counters drift from pool-served reads"
         " (RL102 closed over the call graph)."
     )
 

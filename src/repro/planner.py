@@ -207,18 +207,6 @@ class Planner:
     def quarantined(self) -> tuple[str, ...]:
         return tuple(sorted(self._quarantined))
 
-    def lift_quarantine(self, name: str | None = None) -> None:
-        """Re-admit one view (or all) after a repair/rematerialization."""
-        if name is None:
-            if not self._quarantined:
-                return
-            self._quarantined.clear()
-        else:
-            if name not in self._quarantined:
-                return
-            self._quarantined.discard(name)
-        self._bump_generation()
-
     def _bump_generation(self) -> None:
         self._generation += 1
         self._plan_cache.invalidate()

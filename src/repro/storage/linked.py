@@ -151,54 +151,6 @@ class LinkedElementView:
             name=qnode.tag,
         )
 
-    @classmethod
-    def from_entries(
-        cls,
-        pattern: Pattern,
-        pager: Pager,
-        entries_by_tag: Mapping[str, Sequence[LinkedEntry]],
-        partial: bool,
-        partial_distance: int = 1,
-    ) -> "LinkedElementView":
-        """Rebuild a view from already-computed per-tag entry lists.
-
-        The incremental-maintenance repair path: pointers were computed
-        (or label-shifted) by the caller, so this skips solution matching
-        and pointer derivation entirely and only re-runs the storage
-        construction — same codecs, same page fill discipline, byte-
-        identical layout to :meth:`__init__` given equal entries.
-        Pointer statistics are recounted from the entries (a pointer is
-        materialized iff its slot holds a non-sentinel index).
-        """
-        if partial_distance < 1:
-            raise StorageError("partial_distance must be >= 1")
-        view = cls.__new__(cls)
-        view.pattern = pattern
-        view.pager = pager
-        view.partial = partial
-        view.partial_distance = partial_distance
-        view.pointer_stats = PointerStats()
-        view.child_tag_order = {
-            qnode.tag: [child.tag for child in qnode.children]
-            for qnode in pattern.nodes
-        }
-        view.lists = {}
-        stats = view.pointer_stats
-        for qnode in pattern.nodes:
-            entries = list(entries_by_tag.get(qnode.tag, ()))
-            for entry in entries:
-                if entry.descendant >= 0:
-                    stats.descendant += 1
-                if entry.following >= 0:
-                    stats.following += 1
-                for pointer in entry.children:
-                    if pointer >= 0:
-                        stats.child += 1
-            stored = view._new_list(qnode)
-            stored.extend(entries)
-            view.lists[qnode.tag] = stored.finalize()
-        return view
-
     def relabeled(
         self, ops: Sequence[tuple[int, int]]
     ) -> "LinkedElementView":

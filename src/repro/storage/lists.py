@@ -17,7 +17,6 @@ pool-served reads.
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 from bisect import bisect_right
@@ -27,19 +26,6 @@ from repro.errors import StorageError
 from repro.storage.pager import Pager
 
 _DECODER_IDS = iter(range(1, 1 << 30))
-
-
-def columnar_enabled() -> bool:  # repro-lint: disable=RL202 (process-stable config gate; fast/slow paths pinned byte-identical by the differential suites)
-    """Global knob for the columnar fast path.
-
-    ``REPRO_COLUMNAR=0`` (checked at list construction time) bypasses
-    column building entirely, forcing every read through the pool-served
-    decode path — the reference behaviour the differential tests compare
-    the fast path against.
-    """
-    return os.environ.get("REPRO_COLUMNAR", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 class StoredList:
@@ -69,10 +55,7 @@ class StoredList:
         self._length = 0
         self._write_buffer = bytearray()
         self._finalized = False
-        self._columnar = (
-            columnar and hasattr(codec, "extend_columns")
-            and columnar_enabled()
-        )
+        self._columnar = columnar and hasattr(codec, "extend_columns")
         self._columns = None
         self._page_map: tuple[list[int], array] | None = None
 
@@ -116,7 +99,7 @@ class StoredList:
         Runs at finalize/attach time — before any measured evaluation — so
         the build never pollutes the run's I/O statistics.
         """
-        if not self._columnar or self._columns is not None or not self._length:
+        if not self._columnar or self._columns is not None:
             return
         columns = self.codec.make_columns()
         extend = self.codec.extend_columns
@@ -132,7 +115,8 @@ class StoredList:
 
     @property
     def columns(self):
-        """Packed columns, or None when the fast path is unavailable."""
+        """Packed columns (empty for an empty list); None only for a codec
+        without columns or a list built with ``columnar=False``."""
         return self._columns
 
     def page_map(self) -> tuple[list[int], array]:
@@ -324,9 +308,7 @@ class SlottedList:
         self._pending: list[bytes] = []
         self._pending_bytes = 0
         self._finalized = False
-        self._columnar = (
-            columnar and hasattr(codec, "make_columns") and columnar_enabled()
-        )
+        self._columnar = columnar and hasattr(codec, "make_columns")
         self._columns = None
         self._page_map: tuple[list[int], array] | None = None
 
@@ -388,7 +370,7 @@ class SlottedList:
         Variable-width records cannot be bulk-reinterpreted, so this decodes
         each page through the codec and appends the entries.
         """
-        if not self._columnar or self._columns is not None or not self._length:
+        if not self._columnar or self._columns is not None:
             return
         columns = self.codec.make_columns()
         append = columns.append
@@ -401,7 +383,8 @@ class SlottedList:
 
     @property
     def columns(self):
-        """Packed columns, or None when the fast path is unavailable."""
+        """Packed columns (empty for an empty list); None only for a codec
+        without columns or a list built with ``columnar=False``."""
         return self._columns
 
     def page_map(self) -> tuple[list[int], array]:

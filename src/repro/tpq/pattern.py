@@ -60,10 +60,6 @@ class PatternNode:
         return child
 
     @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
     def is_leaf(self) -> bool:
         return not self.children
 

@@ -6,9 +6,10 @@ import pytest
 
 from repro.algorithms.access import TagSource, build_sources, total_input_entries
 from repro.algorithms.base import Counters
+from repro.algorithms.engine import evaluate
 from repro.datasets import random_trees
 from repro.errors import EvaluationError
-from repro.storage.catalog import materialize
+from repro.storage.catalog import ViewCatalog, materialize
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
 
@@ -109,3 +110,22 @@ def test_total_input_entries(doc, le_view):
     assert total_input_entries(sources) == sum(
         len(le_view.list_for(tag)) for tag in query.tags()
     )
+
+
+@pytest.mark.parametrize("scheme", ["E", "LE", "LEp"])
+@pytest.mark.parametrize("engine", ["TS", "PS", "VJ"])
+def test_empty_list_is_read_through_its_columns(doc, engine, scheme):
+    """A view tag with no solution nodes has a zero-length list; it still
+    carries (empty) columns, so the engines read it like any other."""
+    views = [parse_pattern("//a//zzz"), parse_pattern("//c")]
+    query = parse_pattern("//a//zzz//c")
+    with ViewCatalog(doc) as catalog:
+        result = evaluate(query, catalog, views, engine, scheme)
+        assert result.match_count == 0 and result.matches == []
+        sources = build_sources(
+            query, [catalog.get(view, scheme) for view in views], views
+        )
+        empty = sources["zzz"]
+        assert len(empty) == 0 and len(empty.stored.columns) == 0
+        for source in sources.values():
+            assert source.labels is source.stored.columns

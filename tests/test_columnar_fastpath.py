@@ -1,13 +1,13 @@
-"""Differential tests for the columnar fast path (DESIGN.md §8).
+"""Differential tests for the engines' columnar read path (DESIGN.md §8).
 
 The packed-column substrate must be invisible to everything the paper
-measures: with ``REPRO_COLUMNAR=0`` every read goes through the
-pool-served decode path, with ``1`` the engines run on raw column ints
-with mirrored accounting.  These properties assert the two paths produce
-byte-identical results — matches, match counts, work counters and pager
-I/O statistics — across schemes, engines and output modes, and that the
-three ``bisect_start`` access paths (column probe, pool probe, B+-tree
-descent) land on the same index.
+measures.  The engines run on raw column ints with mirrored accounting;
+``tests/rowwise_reference.py`` runs the same engines over sources whose
+every read decodes a record through the buffer pool.  These properties
+assert the two produce byte-identical results — matches, match counts,
+work counters and pager I/O statistics — across schemes, engines and
+output modes, and that the three ``bisect_start`` access paths (column
+probe, pool probe, B+-tree descent) land on the same index.
 
 That includes the flush path: the engines buffer candidates as list
 positions, and the reference resolves a position's labels from the
@@ -19,19 +19,21 @@ on keys, counters and I/O as well.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.access import TagSource
 from repro.algorithms.base import KEYS, Counters
-from repro.algorithms.engine import evaluate, evaluate_quantum
 from repro.algorithms.preempt import QuantumBudget
 from repro.datasets import random_trees
 from repro.storage.catalog import ViewCatalog
 from repro.tpq.parser import parse_pattern
+from tests.rowwise_reference import (
+    ColumnarEngines,
+    RowwiseEngines,
+    RowwiseSource,
+    rowwise_twin,
+)
 
 # (query, covering views, engines) — mixed twig/path shapes so every
 # engine and pointer kind gets exercised.
@@ -48,20 +50,6 @@ CASES = [
 SCHEMES = ("E", "LE", "LEp")
 
 
-@contextmanager
-def columnar(flag: str):
-    """Set the REPRO_COLUMNAR knob (read at list construction time)."""
-    old = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = flag
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_COLUMNAR"]
-        else:
-            os.environ["REPRO_COLUMNAR"] = old
-
-
 def io_of(result):
     return (
         result.io.logical_reads,
@@ -70,15 +58,14 @@ def io_of(result):
     )
 
 
-def resumed(query, catalog, views, scheme, mode):
+def resumed(engines, query, views, scheme, mode):
     """A ViewJoin run suspended after every driver step: the pages, the
     final counters and the I/O of every quantum."""
     pages, io, state = [], [], None
     while True:
-        r, state = evaluate_quantum(
-            query, catalog, views, "VJ", scheme, mode=mode,
-            emit_matches=KEYS, budget=QuantumBudget(max_steps=1),
-            state=state,
+        r, state = engines.evaluate_quantum(
+            query, views, scheme, mode=mode, emit_matches=KEYS,
+            budget=QuantumBudget(max_steps=1), state=state,
         )
         pages.extend(r.matches)
         io.append(io_of(r))
@@ -86,24 +73,27 @@ def resumed(query, catalog, views, scheme, mode):
             return pages, r.match_count, r.counters.as_dict(), io
 
 
-def run_all(doc, case, mode):
-    """Evaluate every engine × scheme combo; fingerprint all observables."""
+def run_all(doc, case, mode, side):
+    """Evaluate every engine × scheme combo on ``side``
+    (``ColumnarEngines`` or ``RowwiseEngines``) over a catalog of its own; fingerprint
+    all observables."""
     query_text, views_text, engines = case
     query = parse_pattern(query_text)
     views = [parse_pattern(v) for v in views_text]
     out = {}
     with ViewCatalog(doc) as catalog:
+        run = side(catalog)
         for engine in engines:
             for scheme in SCHEMES:
-                r = evaluate(query, catalog, views, engine, scheme, mode=mode)
+                r = run.evaluate(query, views, engine, scheme, mode=mode)
                 out[engine, scheme] = (
                     r.matches,
                     r.match_count,
                     r.counters.as_dict(),
                     io_of(r),
                 )
-                keyed = evaluate(
-                    query, catalog, views, engine, scheme, mode=mode,
+                keyed = run.evaluate(
+                    query, views, engine, scheme, mode=mode,
                     emit_matches=KEYS,
                 )
                 assert keyed.matches == r.match_keys()
@@ -113,8 +103,8 @@ def run_all(doc, case, mode):
                 if engine == "PS":
                     continue  # PathStack has no sink
                 batches: list = []
-                streamed = evaluate(
-                    query, catalog, views, engine, scheme, mode=mode,
+                streamed = run.evaluate(
+                    query, views, engine, scheme, mode=mode,
                     emit_matches=KEYS, sink=batches.append,
                 )
                 assert sum(batches, []) == keyed.matches
@@ -122,7 +112,7 @@ def run_all(doc, case, mode):
                     batches, streamed.counters.as_dict(), io_of(streamed),
                 )
                 if engine == "VJ":
-                    chain = resumed(query, catalog, views, scheme, mode)
+                    chain = resumed(run, query, views, scheme, mode)
                     assert chain[:3] == (
                         keyed.matches, r.match_count, r.counters.as_dict()
                     )
@@ -140,11 +130,8 @@ def test_fast_path_identical_to_slow_path(seed, case, mode):
     doc = random_trees.generate(
         size=220, tags=list("abcdef"), max_depth=10, max_fanout=3, seed=seed
     )
-    with columnar("0"):
-        slow = run_all(doc, case, mode)
-    with columnar("1"):
-        fast = run_all(doc, case, mode)
-    assert fast == slow
+    assert run_all(doc, case, mode, ColumnarEngines) == \
+        run_all(doc, case, mode, RowwiseEngines)
 
 
 @settings(deadline=None, max_examples=20)
@@ -159,22 +146,16 @@ def test_bisect_start_paths_agree(seed, data):
     probes = data.draw(
         st.lists(st.integers(-2, 2 * 200 + 2), min_size=1, max_size=8)
     )
-    with columnar("1"), ViewCatalog(doc) as catalog:
+    with ViewCatalog(doc) as catalog:
         catalog.add(pattern, "E")
-        fast = TagSource(catalog.get(pattern, "E"), "a")
-        assert fast.stored.columns is not None
-        indexed = TagSource(catalog.get(pattern, "E"), "a")
+        view = catalog.get(pattern, "E")
+        fast = TagSource(view, "a")
+        assert fast.labels is fast.stored.columns is not None
+        indexed = TagSource(view, "a")
         indexed.ensure_index()
-        for value in probes:
-            assert fast.bisect_start(value, Counters()) == \
-                indexed.bisect_start(value, Counters())
-    with columnar("0"), ViewCatalog(doc) as catalog:
-        catalog.add(pattern, "E")
-        slow = TagSource(catalog.get(pattern, "E"), "a")
+        slow = RowwiseSource(view, "a", rowwise_twin(fast.stored))
         assert slow.stored.columns is None
-        with columnar("1"), ViewCatalog(doc) as catalog2:
-            catalog2.add(pattern, "E")
-            fast = TagSource(catalog2.get(pattern, "E"), "a")
-            for value in probes:
-                assert slow.bisect_start(value, Counters()) == \
-                    fast.bisect_start(value, Counters())
+        for value in probes:
+            landed = fast.bisect_start(value, Counters())
+            assert landed == indexed.bisect_start(value, Counters())
+            assert landed == slow.bisect_start(value, Counters())

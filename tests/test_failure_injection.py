@@ -18,7 +18,7 @@ from repro.errors import (
 from repro.maintenance import RenameTag, UpdateLog, WAL_FILENAME
 from repro.resilience import FaultPlan, faults, verify_store
 from repro.storage.catalog import ViewCatalog, materialize
-from repro.storage.lists import StoredList, columnar_enabled
+from repro.storage.lists import StoredList
 from repro.storage.pager import PageFile, Pager
 from repro.storage.persistence import load_catalog, save_catalog
 from repro.storage.records import ElementEntry, element_codec
@@ -50,9 +50,6 @@ def test_corrupted_page_decodes_to_garbage_not_crash(small_doc):
     assert entry.start == 0xFFFFFFFF  # garbage is visible, not masked
 
 
-@pytest.mark.skipif(
-    not columnar_enabled(), reason="columnar fast path disabled via env"
-)
 def test_columnar_reads_serve_finalize_time_snapshot():
     """Packed columns are built once at finalize; page corruption after
     that point is invisible to columnar reads (decode-once invariant)."""

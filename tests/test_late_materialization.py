@@ -7,10 +7,6 @@ match.  These tests count every ``ElementEntry`` / ``LinkedEntry``
 construction during a run of each DAG engine over the paper's XMark and
 NASA queries: none when the caller wants keys or a count, and exactly the
 distinct entries of the answer when it wants entries.
-
-The packed columns are what makes that possible, so the lists are built
-with ``REPRO_COLUMNAR=1`` whatever the environment says; the row-wise
-reference decodes records by design.
 """
 
 from __future__ import annotations
@@ -50,20 +46,15 @@ def cases(dataset):
 def workload(request):
     """``(catalog, cases)`` with every view materialized in every scheme
     before anything is counted."""
-    patch = pytest.MonkeyPatch()
-    patch.setenv("REPRO_COLUMNAR", "1")
     generate = (
         xmark_data if request.param == "xmark" else nasa_data
     ).generate
-    try:
-        with ViewCatalog(generate(scale=0.5, seed=3)) as catalog:
-            for __, views in cases(request.param):
-                for view in views:
-                    for scheme in SCHEMES:
-                        catalog.add(view, scheme)
-            yield catalog, cases(request.param)
-    finally:
-        patch.undo()
+    with ViewCatalog(generate(scale=0.5, seed=3)) as catalog:
+        for __, views in cases(request.param):
+            for view in views:
+                for scheme in SCHEMES:
+                    catalog.add(view, scheme)
+        yield catalog, cases(request.param)
 
 
 @pytest.fixture

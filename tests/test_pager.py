@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PagerError
 from repro.storage.pager import BufferPool, IOStats, PageFile, Pager
@@ -82,6 +84,47 @@ def test_buffer_pool_lru_touch_order():
     pool.get(pids[2], 1, bytes.hex)   # evicts 1
     pool.get(pids[0], 1, bytes.hex)   # hit
     assert pool.stats.physical_reads == 3
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 64])
+@settings(deadline=None, max_examples=60)
+@given(script=st.lists(
+    st.tuples(
+        st.integers(0, 5),      # page
+        st.integers(1, 2),      # decoder id
+        st.integers(1, 4),      # consecutive accesses
+        st.booleans(),          # mirrored as one touch_run, or as touches
+    ),
+    max_size=80,
+))
+def test_touch_and_touch_run_mirror_get(capacity, script):
+    """The accounting mirror, at its own layer: a sequence of ``get``
+    calls on one pool and the same sequence as ``touch`` / ``touch_run``
+    on another leave identical read counts, residency and LRU order —
+    after every step, so an eviction never happens a step early or late."""
+    def pool_over_six_pages():
+        pf = PageFile(page_size=64)
+        for _ in range(6):
+            pf.write_page(pf.allocate(), b"x")
+        return BufferPool(pf, capacity=capacity)
+
+    def state(pool):
+        return (
+            pool.stats.logical_reads, pool.stats.physical_reads,
+            pool.page_file.stats.physical_reads,
+            list(pool._pages), pool._mru,
+        )
+
+    served, mirrored = pool_over_six_pages(), pool_over_six_pages()
+    for page, decoder_id, count, as_run in script:
+        for _ in range(count):
+            served.get(page, decoder_id, bytes.hex)
+        if as_run:
+            mirrored.touch_run(page, decoder_id, count)
+        else:
+            for _ in range(count):
+                mirrored.touch(page, decoder_id)
+        assert state(mirrored) == state(served)
 
 
 def test_buffer_pool_capacity_validation():

@@ -1,16 +1,13 @@
-"""Persistence round-trip under both ``REPRO_COLUMNAR`` settings.
+"""Persistence round-trip through the columnar read path.
 
-The columnar fast path builds packed columns at list *attach* time too
-(DESIGN.md §8), so a reloaded store must behave identically to the
-reference decode path: ``save_catalog``/``load_catalog`` followed by
-evaluation has to produce the same matches, work counters and I/O
-statistics whether the fast path is on (default) or forced off.
+Packed columns are built at list *attach* time too (DESIGN.md §8), so a
+reloaded store must behave like a never-persisted catalog and like the
+row-wise reference (``tests/rowwise_reference.py``) reading the reloaded
+pages: ``save_catalog``/``load_catalog`` followed by evaluation has to
+produce the same matches, work counters and I/O statistics on all three.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
@@ -19,6 +16,7 @@ from repro.datasets import random_trees
 from repro.storage.catalog import ViewCatalog
 from repro.storage.persistence import load_catalog, save_catalog
 from repro.tpq.parser import parse_pattern
+from tests.rowwise_reference import ColumnarEngines, RowwiseEngines
 
 QUERY = parse_pattern("//a[//b]//c//d")
 VIEWS = [
@@ -34,78 +32,66 @@ PATH_VIEWS = [
 SCHEMES = ("E", "LE", "LEp")
 
 
-@contextmanager
-def columnar(flag: str):
-    """Set the REPRO_COLUMNAR knob (read at list construction time)."""
-    old = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = flag
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_COLUMNAR"]
-        else:
-            os.environ["REPRO_COLUMNAR"] = old
-
-
 @pytest.fixture(scope="module")
 def doc():
     return random_trees.generate(size=300, max_depth=9, seed=7)
 
 
-def build_store(doc, directory):
-    with ViewCatalog(doc) as catalog:
-        for scheme in SCHEMES:
-            catalog.add_all(VIEWS, scheme)
-        for view in PATH_VIEWS:
-            catalog.add(view, "T")
-        save_catalog(catalog, directory)
+def fingerprint(result):
+    return (
+        result.match_keys(),
+        result.match_count,
+        result.counters.as_dict(),
+        (
+            result.io.logical_reads,
+            result.io.physical_reads,
+            result.io.pages_written,
+        ),
+    )
 
 
-def evaluate_all(directory):
-    """Reload the store and fingerprint every engine × scheme combo."""
-    catalog = load_catalog(directory)
-    out = {}
-    try:
-        for scheme in SCHEMES:
-            for engine in ("TS", "VJ"):
-                result = evaluate(QUERY, catalog, VIEWS, engine, scheme)
-                out[engine, scheme] = (
-                    result.match_keys(),
-                    result.match_count,
-                    result.counters.as_dict(),
-                    (
-                        result.io.logical_reads,
-                        result.io.physical_reads,
-                        result.io.pages_written,
-                    ),
-                )
-        ij = evaluate(PATH_QUERY, catalog, PATH_VIEWS, "IJ", "T")
-        out["IJ", "T"] = (
-            ij.match_keys(), ij.match_count, ij.counters.as_dict(),
-            (ij.io.logical_reads, ij.io.physical_reads,
-             ij.io.pages_written),
+def evaluate_all(engines):
+    """Fingerprint every engine × scheme combo on ``engines``
+    (``ColumnarEngines`` or ``RowwiseEngines`` over one catalog)."""
+    return {
+        (engine, scheme): fingerprint(
+            engines.evaluate(QUERY, VIEWS, engine, scheme)
         )
-    finally:
-        catalog.close()
-    return out
+        for scheme in SCHEMES
+        for engine in ("TS", "VJ")
+    }
 
 
-@pytest.mark.parametrize("save_flag", ["0", "1"])
-def test_roundtrip_identical_with_columnar_on_and_off(
-    doc, tmp_path, save_flag
-):
-    """Store built under either flag answers identically under both."""
+def interjoin_over(catalog):
+    """IJ reads tuple lists, which never had columns: no reference side."""
+    return fingerprint(evaluate(PATH_QUERY, catalog, PATH_VIEWS, "IJ", "T"))
+
+
+def test_reloaded_store_equals_fresh_catalog_and_reference(doc, tmp_path):
     directory = tmp_path / "store"
-    with columnar(save_flag):
-        build_store(doc, directory)
-    with columnar("1"):
-        fast = evaluate_all(directory)
-    with columnar("0"):
-        reference = evaluate_all(directory)
-    assert fast == reference
-    # And the store's answers match a never-persisted catalog's.
-    with columnar("1"):
-        with ViewCatalog(doc) as catalog:
-            fresh = evaluate(QUERY, catalog, VIEWS, "VJ", "LEp")
-            assert fresh.match_keys() == fast["VJ", "LEp"][0]
+    with ViewCatalog(doc) as fresh:
+        for scheme in SCHEMES:
+            fresh.add_all(VIEWS, scheme)
+        for view in PATH_VIEWS:
+            fresh.add(view, "T")
+        save_catalog(fresh, directory)
+        expected = evaluate_all(ColumnarEngines(fresh)), interjoin_over(fresh)
+    reloaded = load_catalog(directory)
+    try:
+        assert all(
+            stored.columns is not None
+            for info in reloaded.views() if info.scheme.value != "T"
+            for stored in info.view.lists.values()
+        )
+        fast = evaluate_all(ColumnarEngines(reloaded)), interjoin_over(reloaded)
+    finally:
+        reloaded.close()
+    assert fast == expected
+    # The row-wise reference over the reloaded pages, from a cold pool
+    # of its own.
+    reloaded = load_catalog(directory)
+    try:
+        reference = evaluate_all(RowwiseEngines(reloaded))
+    finally:
+        reloaded.close()
+    assert fast[0] == reference

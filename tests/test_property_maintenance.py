@@ -7,14 +7,12 @@ catalog materialized fresh from the final document: same page bytes per
 list, same entry counts, same pointer statistics, and same query answers
 with identical I/O counters.  Every repaired view's stored entry counts
 must also equal the exact solution-list sizes on the new document (the
-planner reads them as measured ``|L_q|`` instead of re-matching).  Runs for LE and LE_p, with the columnar
-fast path both on and off (2 datasets x 2 schemes x 2 columnar modes
-x ``SEQUENCES`` seeds = 200 sequences).
+planner reads them as measured ``|L_q|`` instead of re-matching).  Runs
+for LE and LE_p (2 datasets x 2 schemes x ``SEQUENCES`` seeds = 100
+sequences).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -45,21 +43,6 @@ DATASETS = {
         ["author", "title", "dataset", "source", "altname", "other"],
     ),
 }
-
-
-@pytest.fixture(autouse=True, params=["1", "0"], ids=["columnar", "rowwise"])
-def columnar_mode(request):
-    """Run every case under both REPRO_COLUMNAR settings (the knob is
-    read at list construction time)."""
-    old = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = request.param
-    try:
-        yield request.param
-    finally:
-        if old is None:
-            del os.environ["REPRO_COLUMNAR"]
-        else:
-            os.environ["REPRO_COLUMNAR"] = old
 
 
 def build(document, patterns, scheme):

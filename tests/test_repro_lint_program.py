@@ -8,6 +8,7 @@ exercises the interprocedural layer added with the RL2xx rules.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -539,6 +540,35 @@ def test_unused_suppression_is_warning_not_failure(tmp_path):
     assert report.ok
     assert [f.code for f in report.warnings] == ["RL002"]
     assert "RL105" in report.warnings[0].message
+
+
+@pytest.mark.parametrize("unused", [True, False])
+def test_ci_gate_fails_on_unused_suppression(tmp_path, monkeypatch, unused):
+    """``scripts/lint_stats.py`` — unlike ``viewjoin lint`` — exits
+    non-zero on a warning, so a deleted code path cannot leave its
+    ``disable`` comments behind."""
+    spec = importlib.util.spec_from_file_location(
+        "lint_stats",
+        Path(__file__).resolve().parents[1] / "scripts" / "lint_stats.py",
+    )
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    root = tmp_path / "pkg"
+    _write_module(
+        root, "a.py",
+        "x = 1  # repro-lint: disable=RL105 (nothing here)\n" if unused
+        else "x = 1\n",
+    )
+    monkeypatch.setattr(
+        gate, "lint_package",
+        lambda cache_path: lint_package(
+            root=root, baseline_path=tmp_path / "b.json"
+        ),
+    )
+    monkeypatch.setattr(
+        gate, "default_cache_path", lambda: tmp_path / "cache.json"
+    )
+    assert gate.main(["lint_stats"]) == (1 if unused else 0)
 
 
 def test_used_suppression_is_not_warned(tmp_path):

@@ -8,11 +8,13 @@ the literal sequential loop it replaces::
         cursor.counters.comparisons += 1
         cursor.advance()
 
-The columnar kernel bisects the packed start column and replays the
-loop's accounting in bulk (``BufferPool.touch_run``); the non-columnar
-fallback *is* the literal loop.  Each test drives one cursor through the
-kernel and a twin cursor (same entries, its own pager) through the
-loop, then compares every observable.
+The kernel bisects the packed start column and replays the loop's
+accounting in bulk (``BufferPool.touch_run``).  Each test drives one
+cursor through the kernel and a twin cursor (same entries, its own
+pager) through the loop, then compares every observable; the twin is
+either another ``CountingCursor`` or the row-wise reference cursor
+(``tests/rowwise_reference.py``) over a list without columns, whose
+``advance_past`` *is* the literal loop over pool-served records.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.algorithms.base import Counters, CountingCursor
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import ElementEntry, element_codec
+from tests.rowwise_reference import RowwiseCursor
 
 #: Small pages so a modest list spans many pages (page crossings are the
 #: interesting accounting case).
@@ -30,14 +33,17 @@ PAGE_SIZE = 64
 
 
 def make_cursor(num=40, columnar=True, stride=3):
+    """A cursor over a fresh list: the kernel's ``CountingCursor``, or
+    with ``columnar=False`` the row-wise reference cursor."""
     pager = Pager(page_size=PAGE_SIZE)
     stored = StoredList(pager, element_codec(), columnar=columnar)
     stored.extend(
         ElementEntry(stride * i, stride * i + 1, 0) for i in range(num)
     )
     stored.finalize()
-    cursor = CountingCursor(stored, Counters())
-    return cursor, pager
+    if columnar:
+        return CountingCursor(stored, Counters()), pager
+    return RowwiseCursor(stored, Counters(), {}), pager
 
 
 def literal_skip(cursor, bound):
@@ -60,8 +66,9 @@ def observables(cursor, pager):
 
 
 def assert_twins_equal(bounds, num=40, columnar=True, interleave=0):
-    """Drive the kernel and the literal loop through the same script."""
-    fast, fast_pager = make_cursor(num, columnar=columnar)
+    """Drive the kernel and the literal loop through the same script
+    (``columnar=False``: the loop runs on the reference cursor)."""
+    fast, fast_pager = make_cursor(num)
     slow, slow_pager = make_cursor(num, columnar=columnar)
     for bound in bounds:
         fast.advance_past(bound)
@@ -116,9 +123,12 @@ def test_kernel_composes_with_plain_advances():
 
 
 def test_non_columnar_fallback_matches_loop():
+    """The literal loop on the row-wise reference cursor — until PR 19
+    ``CountingCursor``'s own fallback for a list without columns."""
     assert_twins_equal([5, 29, 60, 118], columnar=False)
+    assert_twins_equal([9, 33, 57, 81, 105], columnar=False, interleave=2)
     cursor, _ = make_cursor(10, columnar=False)
-    assert cursor._columns is None  # really on the slow path
+    assert cursor.cursor.list.columns is None  # really pool-served
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage.lists import StoredList
+from repro.storage.lists import SlottedList, StoredList
 from repro.storage.pager import Pager
-from repro.storage.records import ElementEntry, element_codec
+from repro.storage.records import (
+    NULL_POINTER,
+    UNMATERIALIZED_POINTER,
+    ElementEntry,
+    LinkedEntry,
+    compact_linked_codec,
+    element_codec,
+)
 
 
 def make_list(entries, page_size=64, pool=8):
@@ -111,3 +120,76 @@ def test_reads_counted_through_pool():
     assert pager.stats.logical_reads == 10
     # 2 pages resident: only 2 physical reads
     assert pager.stats.physical_reads == 2
+
+
+# -- the list twins: packed columns vs pool-served decode ------------------------
+
+def element_twin(size, columnar):
+    pager = Pager(page_size=64, pool_capacity=2)
+    stored = StoredList(pager, element_codec(), columnar=columnar)
+    stored.extend(ElementEntry(3 * i, 3 * i + 1, i % 4) for i in range(size))
+    return stored.finalize(), pager
+
+
+def compact_linked_twin(size, columnar):
+    # Variable-width records: a pointer's presence changes the width.
+    pager = Pager(page_size=64, pool_capacity=2)
+    stored = SlottedList(pager, compact_linked_codec(2), columnar=columnar)
+    stored.extend(
+        LinkedEntry(
+            3 * i, 3 * i + 1, i % 4,
+            i + 1 if i % 2 else NULL_POINTER,
+            UNMATERIALIZED_POINTER if i % 3 else NULL_POINTER,
+            (i if i % 5 else NULL_POINTER, NULL_POINTER),
+        )
+        for i in range(size)
+    )
+    return stored.finalize(), pager
+
+
+@pytest.mark.parametrize("twin", [element_twin, compact_linked_twin])
+@settings(deadline=None, max_examples=60)
+@given(
+    size=st.integers(0, 40),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(["read", "scan", "advance", "seek", "peek"]),
+            st.integers(0, 44),
+        ),
+        max_size=30,
+    ),
+)
+def test_columnar_and_pool_served_lists_agree(twin, size, script):
+    """One list built twice, with packed columns and with
+    ``columnar=False``: every read API returns the same records and
+    leaves the same pool statistics (the ``touch`` mirror, one layer up
+    from ``tests/test_pager.py``).  This is the substrate the engines'
+    row-wise reference (``tests/rowwise_reference.py``) stands on."""
+    sides = []
+    for columnar in (True, False):
+        stored, pager = twin(size, columnar)
+        assert (stored.columns is not None) is columnar
+        sides.append((stored, stored.cursor(), pager))
+
+    def outcome(stored, cursor, pager, op, index):
+        try:
+            if op == "read":
+                value = stored.read(index)
+            elif op == "scan":
+                value = list(stored.scan())
+            elif op == "peek":
+                value = cursor.peek(index)
+            elif op == "seek":
+                value = cursor.seek(index)
+            else:
+                value = cursor.advance()
+        except StorageError:
+            value = StorageError
+        return (
+            value, cursor.position, cursor.current, cursor.exhausted,
+            pager.stats.logical_reads, pager.stats.physical_reads,
+        )
+
+    for op, index in script:
+        columnar, served = (outcome(*side, op, index) for side in sides)
+        assert columnar == served, (op, index)
