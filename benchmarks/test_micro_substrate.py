@@ -12,10 +12,12 @@ early).
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.algorithms.access import build_sources
-from repro.algorithms.base import Counters, CountingCursor
+from repro.algorithms.base import KEYS, Counters, CountingCursor
 from repro.algorithms.dag import DagBuffer, page_capacity
 from repro.datasets import random_trees
 from repro.storage.btree import BPlusTreeIndex
@@ -33,6 +35,7 @@ from repro.tpq.enumeration import enumerate_matches
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
 from repro.xmltree.document import DocumentBuilder
+from tests.collector_probe import collections_started, started_inside_take
 
 N = 2000
 
@@ -180,24 +183,24 @@ def test_bench_enumeration(benchmark):
     assert benchmark(run) >= 0
 
 
-@pytest.mark.parametrize("candidates", [10, 1000])
-def test_bench_admit_and_flush_partition(benchmark, candidates):
-    """One partition through the DAG buffer on an LEp view: every entry
-    admitted by position from its cursor, then flushed to entry-form
-    matches.  Ten candidates is the per-flush constant (XMark Q14 flushes
-    375 such partitions), a thousand the per-candidate cost."""
+def _one_partition(xpath: str, leaves: dict[str, int], emit_matches=True):
+    """A callable that builds a fresh DAG buffer holding one partition,
+    ready to flush: one ``a`` root over ``leaves[tag]`` leaves of each
+    tag, on an LEp view of ``xpath``, every entry admitted by position
+    from its cursor."""
     builder = DocumentBuilder("partition")
     with builder.element("r"):
         with builder.element("a"):
-            for _ in range(candidates - 1):
-                builder.leaf("b")
-    query = parse_pattern("//a//b")
+            for tag, count in leaves.items():
+                for _ in range(count):
+                    builder.leaf(tag)
+    query = parse_pattern(xpath)
     view = materialize(builder.build(), query, "LEp")
     sources = build_sources(query, [view], [query])
 
-    def run():
+    def admitted() -> DagBuffer:
         counters = Counters()
-        dag = DagBuffer(query, counters, sources)
+        dag = DagBuffer(query, counters, sources, emit_matches=emit_matches)
         cursors = {
             tag: sources[tag].cursor(counters) for tag in query.tags()
         }
@@ -206,10 +209,65 @@ def test_bench_admit_and_flush_partition(benchmark, candidates):
             while not cursor.exhausted:
                 dag.add(tag, cursor.position, cursor.start, cursor.end)
                 cursor.advance()
-        dag.flush()
-        return len(dag.matches)
+        return dag
 
-    assert benchmark(run) == candidates - 1
+    return admitted
+
+
+def _flushed(dag: DagBuffer) -> int:
+    dag.flush()
+    return len(dag.matches)
+
+
+@pytest.mark.parametrize("candidates", [10, 1000])
+def test_bench_admit_and_flush_partition(benchmark, candidates):
+    """One partition through the DAG buffer on an LEp view: every entry
+    admitted by position from its cursor, then flushed to entry-form
+    matches.  Ten candidates is the per-flush constant (XMark Q14 flushes
+    375 such partitions), a thousand the per-candidate cost."""
+    admitted = _one_partition("//a//b", {"b": candidates - 1})
+    assert benchmark(lambda: _flushed(admitted())) == candidates - 1
+
+
+@pytest.mark.parametrize("emit", [True, KEYS])
+def test_bench_flush_heavy_partition_collector_on(benchmark, emit):
+    """One root over a 224 x 224 product — the shape of the heavy XMark
+    queries (Q8 / Q9 / Q11: one ``//site`` partition, a product at the
+    root, 51 200-56 880 matches from a few hundred candidates) — flushed
+    to entry-form and to key-form matches **with the cyclic collector
+    on** inside the benched callable (admission is each round's set-up,
+    outside the timing).
+
+    CI runs this file under ``--benchmark-disable-gc``, which is why no
+    micro ever showed what the collector cost a heavy query (two thirds
+    of it: DESIGN.md §17, "The collector is a layer"): one tuple per
+    match trips the young threshold 70-odd times per flush, and every
+    pass walks tuples that cannot be garbage.  So the callable switches
+    the collector on itself, whatever the flag says, and puts it back as
+    it found it; the probe asserts that no collection starts inside
+    ``Enumeration.take`` — and that some did outside it, i.e. that the
+    collector really was on."""
+    side = 224
+    admitted = _one_partition("//a[//b]//c", {"b": side, "c": side}, emit)
+
+    def flush_collector_on(dag: DagBuffer) -> int:
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            return _flushed(dag)
+        finally:
+            if not was_enabled:
+                gc.disable()
+
+    was_enabled = gc.isenabled()
+    with collections_started() as started:
+        flushed = benchmark.pedantic(
+            flush_collector_on, setup=lambda: ((admitted(),), {}), rounds=9
+        )
+    assert flushed == side * side
+    assert gc.isenabled() is was_enabled
+    assert started
+    assert started_inside_take(started) == []
 
 
 def test_bench_admit_and_flush_many_partitions(benchmark):

@@ -23,6 +23,10 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo "== benchmark smoke (micro substrate) =="
+# --benchmark-disable-gc keeps the unit costs free of collector pauses,
+# and is why no micro showed what the collector cost a heavy query; the
+# heavy-partition flush case switches it back on inside its own callable
+# and asserts that no collection starts inside Enumeration.take.
 REPRO_BENCH_SCALE=0.1 python -m pytest benchmarks/test_micro_substrate.py \
     -q --benchmark-warmup=off --benchmark-min-rounds=1 \
     --benchmark-disable-gc --benchmark-columns=median

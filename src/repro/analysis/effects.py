@@ -22,7 +22,10 @@ drag in?" — the properties the RL2xx interprocedural rules reason about:
 ``reads-environment``   consults ``os.environ``/``os.getenv``
 ``unbounded-wait``      blocks without a timeout (``.result()``,
                         ``.join()``, ``.acquire()``, ``.wait()`` bare)
-``mutates-global``      rebinds a module global (``global X; X = ...``)
+``mutates-global``      rebinds a module global (``global X; X = ...``) or
+                        switches the process-wide cyclic collector
+                        (``gc``'s ``disable``/``enable``/``freeze``/
+                        ``set_threshold``)
 ``resolves-latest-manifest``
                         reads the store's mutable *current* manifest
                         (``read_manifest``/``read_store_version``) —
@@ -66,7 +69,7 @@ from repro.analysis.rules import (
 
 #: Bump when effect extraction or closure semantics change; invalidates
 #: every cached summary and closure.
-ANALYZER_VERSION = "rl2xx-2"
+ANALYZER_VERSION = "rl2xx-3"
 
 ALLOCATES = "allocates-records"
 REFERENCE_DECODE = "reference-decode"
@@ -112,6 +115,12 @@ _VIEW_STATE_ATTRS = frozenset({"_views", "_registered", "document"})
 
 #: Blocking calls that are unbounded when no timeout is passed.
 _WAIT_CALL_ATTRS = frozenset({"wait", "join", "acquire", "result"})
+
+#: Switches on the interpreter's cyclic collector: process-global state
+#: that no run object can carry across a suspension.
+_COLLECTOR_SWITCHES = frozenset({
+    "gc.disable", "gc.enable", "gc.freeze", "gc.set_threshold",
+})
 
 _MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
@@ -165,6 +174,8 @@ def direct_effects_of(
                     effects.add(READS_ENVIRONMENT)
                 elif chain.startswith("random."):
                     effects.add(NONDET_SOURCE)
+                elif chain in _COLLECTOR_SWITCHES:
+                    effects.add(MUTATES_GLOBAL)
             if (
                 isinstance(node.value, ast.Name)
                 and node.value.id == "time"

@@ -53,6 +53,7 @@ byte-identical results whenever their filtered candidate sets agree.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter
@@ -311,16 +312,32 @@ class Enumeration:
         first such call builds them — one per candidate that occurs in a
         match, from the label columns, shared by every match and every
         later call.
+
+        The cyclic collector is paused for the call and put back on the
+        way out.  It is triggered by allocation count, not by garbage,
+        and what is allocated here is one tuple per (sub-)match, of
+        records or of ints, referenced only from the lists being built:
+        acyclic by construction, so every pass it would start walks the
+        batch (and, a full one, the caller's whole heap) to find
+        nothing.  Reference counting frees exactly what it did before;
+        a host that runs with the collector off is left alone.
         """
         lo = max(lo, 0)
         hi = min(hi, self.total)
         if lo >= hi:
             return []
-        if keys:
-            return self._ranks(self._starts, 0, lo, hi)
-        if self._records is None:
-            self._records = self._build_records()
-        return self._ranks(self._records, 0, lo, hi)
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            if keys:
+                return self._ranks(self._starts, 0, lo, hi)
+            if self._records is None:
+                self._records = self._build_records()
+            return self._ranks(self._records, 0, lo, hi)
+        finally:
+            if paused:
+                gc.enable()
 
     def _build_records(self) -> list[list]:
         """By slot, ``plan.record`` of every candidate that occurs in a

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.algorithms.base import Counters
+from repro.algorithms.base import KEYS, Counters
 from repro.storage.pager import Pager
 from repro.storage.records import ElementEntry
 from repro.tpq.parser import parse_pattern
 from repro.errors import EvaluationError
+from tests.collector_probe import collections_started, started_inside_take
 from tests.synthetic_lists import admit, buffer_over
 
 Q = parse_pattern("//a//b")
@@ -147,3 +150,34 @@ def test_peak_tracking_across_partitions():
     admit(dag, "a", entry(20, 30, 0))
     assert dag.peak_entries == 2  # the first partition's high-water mark
     assert dag.peak_bytes == 2 * 12
+
+
+@pytest.mark.parametrize("emit", [True, KEYS])
+def test_flush_pauses_the_collector_for_the_expansion_only(emit):
+    """One root over 20 000 leaves, the leaves fetched by ``extend``:
+    no collection starts inside the flush's ``take``, and what the
+    caller supplies — ``extend`` and the ``sink`` — runs with the
+    collector on, as does whatever follows the flush."""
+    n = 20_000
+    seen = []
+
+    def extend(buffered):
+        seen.append(("extend", gc.isenabled()))
+        leaves = dag.lists["b"]
+        for i in range(n):
+            leaves.append(entry(2 * i + 1, 2 * i + 2, 1))
+        return {"b": range(n)}
+
+    def sink(batch):
+        seen.append(("sink", gc.isenabled(), len(batch)))
+
+    dag = buffer_over(Q, emit_matches=emit, sink=sink)
+    dag.enter_root(entry(0, 2 * n + 1, 0))
+    admit(dag, "a", entry(0, 2 * n + 1, 0))
+    with collections_started() as started:
+        dag.flush(extend)
+        assert gc.isenabled()
+        gc.collect()  # seen, and outside: the probe was live
+    assert seen == [("extend", True), ("sink", True, n)]
+    assert started[-1] == (2, False)
+    assert started_inside_take(started) == []

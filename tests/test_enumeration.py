@@ -3,6 +3,7 @@ oracle and vs the retired odometer (``tests/odometer_reference.py``)."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import repro.algorithms.dag as dag_module
 from repro.algorithms import engine
-from repro.algorithms.base import Counters
+from repro.algorithms.base import KEYS, Counters
 from repro.algorithms.preempt import PlanState, QuantumBudget
 from repro.datasets import random_trees
 from repro.datasets import xmark as xmark_data
@@ -25,6 +26,7 @@ from repro.tpq.parser import parse_pattern
 from repro.tpq.pattern import Axis, pattern_from_edges
 from repro.workloads import xmark as xmark_queries
 from repro.xmltree.document import DocumentBuilder
+from tests.collector_probe import collections_started, started_inside_take
 from tests.odometer_reference import odometer_matches
 from tests.synthetic_lists import admit, buffer_over, page_capacity
 
@@ -105,6 +107,15 @@ def test_count_matches_equals_enumeration(seed, query):
 
 def keys_of(matches):
     return [tuple(entry.start for entry in match) for match in matches]
+
+
+def label_columns(pattern, candidates):
+    """``candidates`` as the by-slot columns :meth:`MatchPlan.open` takes."""
+    pools = [candidates[tag] for tag in pattern.tags()]
+    return tuple(
+        [[getattr(entry, field) for entry in pool] for pool in pools]
+        for field in ("start", "end", "level")
+    )
 
 
 def odometer_keys(pattern, candidates):
@@ -262,11 +273,7 @@ def test_plan_is_reusable_across_candidate_sets(small_doc, recursive_doc):
         assert keys_of(opened.take(0, opened.total)) == keys_of(
             find_embeddings(doc, q)
         )
-        columns = [
-            [[getattr(node, label) for node in candidates[tag]]
-             for tag in plan.tags]
-            for label in ("start", "end", "level")
-        ]
+        columns = label_columns(q, candidates)
         assert plan.count(*columns) == len(find_embeddings(doc, q))
         # on bare label columns an entry-form match is made of the
         # plan's records (by default the label triples themselves)
@@ -551,6 +558,53 @@ def test_take_addresses_the_product_by_rank():
         ]
 
 
+# -- the collector is paused for one take, and only for it --------------------
+
+@pytest.mark.parametrize("as_keys", [False, True])
+def test_take_starts_no_collection(as_keys):
+    """20 000 matches are some 60 000 fresh tuples, eighty-odd crossings
+    of the young threshold, and no collection starts between entry to
+    and return from ``take``; afterwards the collector is back on."""
+    pattern, candidates = pairs_below_the_root(20_000)
+    opened = MatchPlan(pattern, ElementEntry).open(
+        *label_columns(pattern, candidates)
+    )
+    assert gc.isenabled()
+    with collections_started() as started:
+        rows = opened.take(0, opened.total, keys=as_keys)
+        assert gc.isenabled()
+        gc.collect()  # seen, and outside: the probe was live
+    assert len(rows) == 20_000
+    assert started[-1] == (2, False)
+    assert started_inside_take(started) == []
+
+
+@pytest.mark.parametrize("host_enabled", [True, False])
+def test_take_leaves_the_collector_as_found(host_enabled):
+    """On return and when ``plan.record`` raises mid-expansion; a host
+    that runs with the collector off is not switched on."""
+    pattern, candidates = pairs_below_the_root(50)
+    columns = label_columns(pattern, candidates)
+
+    def record(start, end, level):
+        if start > 100:
+            raise RuntimeError("record")
+        return ElementEntry(start, end, level)
+
+    if not host_enabled:
+        gc.disable()
+    try:
+        for as_keys in (False, True):
+            opened = MatchPlan(pattern, ElementEntry).open(*columns)
+            assert len(opened.take(0, 50, keys=as_keys)) == 50
+            assert gc.isenabled() is host_enabled
+        with pytest.raises(RuntimeError, match="record"):
+            MatchPlan(pattern, record).open(*columns).take(0, 50)
+        assert gc.isenabled() is host_enabled
+    finally:
+        gc.enable()
+
+
 # -- through the engines: partitions, resume, sink, count-only ----------------
 
 def many_partitions_doc(partitions: int = 120):
@@ -674,6 +728,63 @@ def test_resume_across_flush_boundaries(mode):
     assert pages == one.matches
     assert result.match_count == one.match_count
     assert result.counters.as_dict() == one.counters.as_dict()
+
+
+@pytest.fixture(scope="module")
+def one_heavy_partition():
+    """One ``a`` over 20 000 (b, c) chains: one flush, 20 000 matches."""
+    b = DocumentBuilder("one-heavy-partition")
+    with b.element("root"):
+        with b.element("a"):
+            for _ in range(20_000):
+                with b.element("b"):
+                    b.leaf("c")
+    return b.build()
+
+
+@pytest.mark.parametrize("algorithm,scheme", [
+    ("TS", "E"), ("PS", "E"), ("VJ", "LEp"),
+])
+@pytest.mark.parametrize("emit", [True, KEYS])
+def test_engines_expand_with_the_collector_paused(
+    one_heavy_partition, algorithm, scheme, emit
+):
+    """Every engine's bulk expansion is the one ``take`` of
+    ``DagBuffer.flush``: no collection starts inside it, and the call
+    hands the collector back as it found it."""
+    path = parse_pattern("//a//b//c")
+    views = [parse_pattern("//a//b"), parse_pattern("//c")]
+    with ViewCatalog(one_heavy_partition) as catalog:
+        with collections_started() as started:
+            result = engine.evaluate(
+                path, catalog, views, algorithm, scheme, emit_matches=emit
+            )
+            assert gc.isenabled()
+    assert result.match_count == len(result.matches) == 20_000
+    assert started  # the filter phase allocates with the collector on
+    assert started_inside_take(started) == []
+
+
+def test_owed_slices_expand_with_the_collector_paused(one_heavy_partition):
+    """A preemptible run builds what a flush owes in slices, one pause
+    per slice: every quantum returns with the collector on."""
+    path = parse_pattern("//a//b//c")
+    views = [parse_pattern("//a//b"), parse_pattern("//c")]
+    pages = 0
+    state = None
+    with ViewCatalog(one_heavy_partition) as catalog:
+        with collections_started() as started:
+            while True:
+                result, state = engine.evaluate_quantum(
+                    path, catalog, views, "VJ", "LEp",
+                    budget=QuantumBudget(max_matches=3_000), state=state,
+                )
+                assert gc.isenabled()
+                pages += 1
+                if state is None:
+                    break
+    assert result.match_count == 20_000 and pages == 7
+    assert started and started_inside_take(started) == []
 
 
 @pytest.mark.parametrize("mode", ["memory", "disk"])

@@ -19,6 +19,7 @@ quarantine, or service shutdown — die as typed
 from __future__ import annotations
 
 import base64
+import gc
 import json
 
 import pytest
@@ -67,6 +68,7 @@ def run_chain(catalog, query, views, scheme, mode, budget,
             query, catalog, views, "VJ", scheme, mode=mode,
             emit_matches=emit_matches, budget=budget, state=state,
         )
+        assert gc.isenabled()  # no quantum suspends with the collector off
         pages.extend(result.matches)
         quanta += 1
         assert quanta < 10_000, "preemptible run failed to terminate"

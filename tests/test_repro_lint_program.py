@@ -90,6 +90,10 @@ def test_callgraph_stats_count_nodes_and_edges():
     ("    self.version += 1\n", "bumps-generation"),
     ("    lock.acquire()\n", "unbounded-wait"),
     ("    global S\n    S = x\n", "mutates-global"),
+    ("    gc.disable()\n", "mutates-global"),
+    ("    gc.enable()\n", "mutates-global"),
+    ("    gc.freeze()\n", "mutates-global"),
+    ("    gc.set_threshold(10_000)\n", "mutates-global"),
     ("    return os.getenv('X')\n", "reads-environment"),
 ])
 def test_direct_effect_extraction(body, expected):
@@ -335,6 +339,36 @@ def test_rl205_flags_global_mutation_under_get_next():
     found = lint_text(source, "service/foo.py")
     assert codes(found) == ["RL205"]
     assert "mutates-global" in found[0].message
+
+
+def test_rl205_flags_collector_switch_under_get_next():
+    """The interpreter's cyclic collector is process-global state too:
+    pausing it is sanctioned around one bulk expansion (reached from the
+    drive loop's flush), never from inside a ``get_next`` step, where a
+    quantum could suspend with it off."""
+    source = (
+        "import gc\n\n"
+        "class Run:\n"
+        "    def _quiet(self):\n"
+        "        gc.disable()\n\n"
+        "    def _get_next(self):\n"
+        "        self._quiet()\n"
+        "        return None\n\n"
+        "    def _drive(self):\n"
+        "        self._quiet()\n"
+        "        return self._get_next()\n"
+    )
+    found = lint_text(source, "algorithms/foo.py")
+    assert codes(found) == ["RL205"]
+    assert found[0].symbol == "Run._get_next"
+    assert "mutates-global" in found[0].message
+    assert "Run._quiet" in found[0].message
+    # The same switch reached from the drive loop only is not a finding.
+    clean = source.replace(
+        "    def _get_next(self):\n        self._quiet()\n",
+        "    def _get_next(self):\n",
+    )
+    assert lint_text(clean, "algorithms/foo.py") == []
 
 
 # -- RL206: snapshot discipline ------------------------------------------------
