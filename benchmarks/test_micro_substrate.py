@@ -5,9 +5,10 @@ codecs, list reads and cursor advancement (served from packed columns,
 and — for a list built with ``columnar=False``, as the spills are —
 decoded through the pool), the engines' ``CountingCursor`` over the
 columns, B+-tree descent, the positional DAG buffer's admit-and-flush
-and the match enumerator.  These establish the unit costs behind the
-macro benchmarks' wall-clock numbers (and catch substrate regressions
-early).
+and the match enumerator — plus the document half of a durable commit:
+serializing the document and applying one delta to it.  These establish
+the unit costs behind the macro benchmarks' wall-clock numbers (and
+catch substrate regressions early).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.algorithms.access import build_sources
 from repro.algorithms.base import KEYS, Counters, CountingCursor
 from repro.algorithms.dag import DagBuffer, page_capacity
 from repro.datasets import random_trees
+from repro.maintenance.apply import apply_delta
+from repro.maintenance.deltas import DeleteSubtree, InsertSubtree, RenameTag
 from repro.storage.btree import BPlusTreeIndex
 from repro.storage.catalog import materialize
 from repro.storage.lists import StoredList
@@ -35,6 +38,8 @@ from repro.tpq.enumeration import enumerate_matches
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
 from repro.xmltree.document import DocumentBuilder
+from repro.xmltree.parser import parse_xml_file
+from repro.xmltree.writer import write_xml_file
 from tests.collector_probe import collections_started, started_inside_take
 
 N = 2000
@@ -305,3 +310,39 @@ def test_bench_admit_and_flush_many_partitions(benchmark):
     flushes, matches = benchmark(run)
     assert matches == partitions * (size - 1)
     assert 1 < flushes <= -(-partitions * size // page_capacity(None)) + 1
+
+
+def test_bench_write_xml_file(benchmark, xmark_doc, tmp_path):
+    """The document as a commit writes it: one pass over the columns,
+    a chunk of lines per ``write``."""
+    path = tmp_path / "document.xml"
+    benchmark(write_xml_file, xmark_doc, path)
+    assert len(parse_xml_file(path)) == len(xmark_doc)
+
+
+def _middle_deltas(document):
+    """One delta of each kind at the node halfway through the document,
+    so every relabelling shift moves half of the columns."""
+    middle = document.nodes[len(document) // 2]
+    return {
+        "insert": InsertSubtree(
+            parent_start=middle.start, position=0,
+            rows=(("bidder", 0), ("date", 1), ("increase", 1)),
+        ),
+        "delete": DeleteSubtree(root_start=middle.start),
+        "rename": RenameTag(node_start=middle.start, new_tag="renamed"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete", "rename"])
+def test_bench_apply_delta(benchmark, xmark_doc, kind):
+    """One delta against a generated document: column slices, shifted
+    runs and the new document's validation."""
+    delta = _middle_deltas(xmark_doc)[kind]
+    applied = benchmark(apply_delta, xmark_doc, delta)
+    if kind == "delete":
+        first, last = applied.deleted_range  # two labels per element
+        expected = len(xmark_doc) - (last - first + 1) // 2
+    else:
+        expected = len(xmark_doc) + len(getattr(delta, "rows", ()))
+    assert len(applied.document) == expected

@@ -71,7 +71,7 @@ def random_update_sequence(
     rng = random.Random(seed)
     avoid = frozenset(avoid_tags)
     pool = list(tag_pool) if tag_pool is not None else sorted(
-        {node.tag for node in document.nodes} - avoid
+        document.tags() - avoid
     )
     if avoid.intersection(pool):
         raise DatasetError(

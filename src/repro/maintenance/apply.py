@@ -13,8 +13,9 @@ Region labels make delta application a *piecewise shift*: a subtree of
   inside ``[a, b]``);
 * renaming shifts nothing.
 
-:func:`apply_delta` builds the post-delta :class:`Document` (fresh nodes;
-the input document is never mutated) and an :class:`AppliedDelta` record
+:func:`apply_delta` builds the post-delta :class:`Document` — column
+slices of the input plus shifted copies of the moved runs; the input
+document is never mutated — and an :class:`AppliedDelta` record
 carrying the shift map, the touched element types and the inserted /
 deleted label material — everything :mod:`repro.maintenance.repair`
 needs to fix a materialized view without re-matching it.
@@ -22,7 +23,7 @@ needs to fix a materialized view without re-matching it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,7 +34,7 @@ from repro.maintenance.deltas import (
     InsertSubtree,
     RenameTag,
 )
-from repro.xmltree.document import Document, Node, document_from_tuples
+from repro.xmltree.document import Columns, Document, document_from_tuples
 
 
 @dataclass(frozen=True)
@@ -95,34 +96,13 @@ def apply_deltas(
     return document, changes
 
 
-def _node_at_start(document: Document, start: int) -> Node:
-    nodes = document.nodes
-    i = bisect_left(_Starts(nodes), start)
-    if i < len(nodes) and nodes[i].start == start:
-        return nodes[i]
-    raise MaintenanceError(
-        f"no node with start label {start} in document {document.name!r}"
-    )
-
-
-def _subtree_end_index(document: Document, node: Node) -> int:
-    """Index one past the last descendant of ``node`` (document order)."""
-    return bisect_left(_Starts(document.nodes), node.end, lo=node.index + 1)
-
-
-class _Starts(Sequence[int]):
-    """Zero-copy bisect view over node start labels."""
-
-    __slots__ = ("_nodes",)
-
-    def __init__(self, nodes: Sequence[Node]):
-        self._nodes = nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        return self._nodes[i].start
+def _index_at_start(document: Document, start: int) -> int:
+    i = document.index_at(start)
+    if i < 0:
+        raise MaintenanceError(
+            f"no node with start label {start} in document {document.name!r}"
+        )
+    return i
 
 
 def _subtree_document(rows: Sequence[tuple[str, int]]) -> Document:
@@ -135,100 +115,85 @@ def _subtree_document(rows: Sequence[tuple[str, int]]) -> Document:
 
 
 def _apply_insert(document: Document, delta: InsertSubtree) -> AppliedDelta:
-    parent = _node_at_start(document, delta.parent_start)
-    children = document.children(parent)
+    start, end, level, parent, tag_id, tags = document.columns
+    p = _index_at_start(document, delta.parent_start)
+    children = document.child_indexes(p)
     if delta.position > len(children):
         raise MaintenanceError(
             f"insert position {delta.position} exceeds the {len(children)}"
-            f" children of node @{parent.start}"
+            f" children of node @{start[p]}"
         )
-    subtree = _subtree_document(delta.rows)
+    subtree = _subtree_document(delta.rows).columns
     if delta.position == len(children):
-        cut = parent.end
-        at = _subtree_end_index(document, parent)
+        cut = end[p]
+        at = document.subtree_end(p)
     else:
-        anchor = children[delta.position]
-        cut = anchor.start
-        at = anchor.index
-    count = len(subtree)
+        at = children[delta.position]
+        cut = start[at]
+    count = len(subtree.start)
     width = 2 * count
+    depth = level[p] + 1
+    ids = {tag: i for i, tag in enumerate(tags)}
+    remap = [ids.setdefault(tag, len(ids)) for tag in subtree.tags]
 
-    nodes: list[Node] = []
-    old = document.nodes
-    for node in old[:at]:
+    grafted_start = array("i", [cut + s for s in subtree.start])
+    grafted_end = array("i", [cut + e for e in subtree.end])
+    grafted_level = array("i", [depth + lv for lv in subtree.level])
+    grafted_tag = array("i", [remap[t] for t in subtree.tag_id])
+    new = Columns(
+        start[:at] + grafted_start
+        + array("i", [s + width for s in start[at:]]),
         # Prefix nodes all start before the cut; only still-open regions
         # (ancestors and earlier-closing siblings of ancestors) end after it.
-        nodes.append(Node(
-            node.start,
-            node.end + width if node.end >= cut else node.end,
-            node.level, node.tag, node.index, node.parent_index,
-        ))
-    inserted: list[tuple[str, int, int, int]] = []
-    for sub in subtree.nodes:
-        parent_index = (
-            parent.index if sub.parent_index < 0 else at + sub.parent_index
-        )
-        grafted = Node(
-            cut + sub.start, cut + sub.end,
-            parent.level + 1 + sub.level, sub.tag,
-            at + sub.index, parent_index,
-        )
-        nodes.append(grafted)
-        inserted.append(
-            (grafted.tag, grafted.start, grafted.end, grafted.level)
-        )
-    for node in old[at:]:
-        parent_index = (
-            node.parent_index + count
-            if node.parent_index >= at else node.parent_index
-        )
-        nodes.append(Node(
-            node.start + width, node.end + width,
-            node.level, node.tag, node.index + count, parent_index,
-        ))
+        array("i", [e + width if e >= cut else e for e in end[:at]])
+        + grafted_end + array("i", [e + width for e in end[at:]]),
+        level[:at] + grafted_level + level[at:],
+        parent[:at]
+        + array("i", [p if q < 0 else at + q for q in subtree.parent])
+        + array("i", [q + count if q >= at else q for q in parent[at:]]),
+        tag_id[:at] + grafted_tag + tag_id[at:],
+        tuple(ids),
+    )
+    inserted = tuple(zip(
+        [subtree.tags[t] for t in subtree.tag_id],
+        grafted_start, grafted_end, grafted_level,
+    ))
     return AppliedDelta(
-        document=Document(nodes, name=document.name),
+        document=Document.from_columns(new, name=document.name),
         kind=delta.kind,
-        touched_tags=frozenset(tag for tag, __, __, __ in inserted),
+        touched_tags=frozenset(subtree.tags),
         shift_start=cut,
         shift_amount=width,
-        inserted=tuple(inserted),
+        inserted=inserted,
     )
 
 
 def _apply_delete(document: Document, delta: DeleteSubtree) -> AppliedDelta:
-    root = _node_at_start(document, delta.root_start)
-    if root.parent_index < 0:
+    start, end, level, parent, tag_id, tags = document.columns
+    first = _index_at_start(document, delta.root_start)
+    if parent[first] < 0:
         raise MaintenanceError("cannot delete the document root")
-    first = root.index
-    last = _subtree_end_index(document, root)
+    last = document.subtree_end(first)
     count = last - first
-    a, b = root.start, root.end
+    a, b = start[first], end[first]
     width = b - a + 1
 
-    nodes: list[Node] = []
-    old = document.nodes
-    for node in old[:first]:
+    new = Columns(
+        start[:first] + array("i", [s - width for s in start[last:]]),
         # Survivors never end inside [a, b]: those labels all belong to
         # the deleted subtree.
-        nodes.append(Node(
-            node.start,
-            node.end - width if node.end > b else node.end,
-            node.level, node.tag, node.index, node.parent_index,
-        ))
-    for node in old[last:]:
-        parent_index = (
-            node.parent_index - count
-            if node.parent_index >= last else node.parent_index
-        )
-        nodes.append(Node(
-            node.start - width, node.end - width,
-            node.level, node.tag, node.index - count, parent_index,
-        ))
+        array("i", [e - width if e > b else e for e in end[:first]])
+        + array("i", [e - width for e in end[last:]]),
+        level[:first] + level[last:],
+        parent[:first]
+        + array("i", [q - count if q >= last else q for q in parent[last:]]),
+        tag_id[:first] + tag_id[last:],
+        tags,
+    )
     return AppliedDelta(
-        document=Document(nodes, name=document.name),
+        document=Document.from_columns(new, name=document.name),
         kind=delta.kind,
-        touched_tags=frozenset(node.tag for node in old[first:last]),
+        touched_tags=frozenset(tags[t] for t in set(tag_id[first:last])),
         shift_start=a,
         shift_amount=-width,
         deleted_range=(a, b),
@@ -236,25 +201,23 @@ def _apply_delete(document: Document, delta: DeleteSubtree) -> AppliedDelta:
 
 
 def _apply_rename(document: Document, delta: RenameTag) -> AppliedDelta:
-    target = _node_at_start(document, delta.node_start)
-    old_tag = target.tag
+    columns = document.columns
+    target = _index_at_start(document, delta.node_start)
+    old_tag = columns.tags[columns.tag_id[target]]
     touched = (
         frozenset() if old_tag == delta.new_tag
         else frozenset((old_tag, delta.new_tag))
     )
-    nodes = [
-        Node(
-            node.start, node.end, node.level,
-            delta.new_tag if node.index == target.index else node.tag,
-            node.index, node.parent_index,
-        )
-        for node in document.nodes
-    ]
+    ids = {tag: i for i, tag in enumerate(columns.tags)}
+    tag_id = columns.tag_id[:]
+    tag_id[target] = ids.setdefault(delta.new_tag, len(ids))
+    # Labels do not move: the label columns are shared with the input.
+    new = columns._replace(tag_id=tag_id, tags=tuple(ids))
     return AppliedDelta(
-        document=Document(nodes, name=document.name),
+        document=Document.from_columns(new, name=document.name),
         kind=delta.kind,
         touched_tags=touched,
         shift_start=0,
         shift_amount=0,
-        renamed=(target.start, old_tag, delta.new_tag),
+        renamed=(columns.start[target], old_tag, delta.new_tag),
     )

@@ -147,7 +147,7 @@ def repair_view(
         return ViewInfo(info.pattern, info.scheme, view)
     if decision.action is RepairAction.SHIFT:
         return _shift_view(info, decision.ops, pager)
-    return _splice_view(info, decision.ops, document, pager, partial_distance)
+    return _splice_view(info, decision.ops, pager, partial_distance)
 
 
 def _shift_view(
@@ -173,7 +173,6 @@ def _shift_view(
 def _splice_view(
     info: ViewInfo,
     ops: Sequence[AppliedDelta],
-    document: Document,
     pager: Pager,
     partial_distance: int,
 ) -> ViewInfo:
@@ -216,7 +215,7 @@ def _splice_view(
         repaired = ElementView(info.pattern, pager, {tag: elements})
     else:
         repaired = LinkedElementView(
-            info.pattern, pager, document, {tag: elements},
+            info.pattern, pager, {tag: elements},
             partial=(scheme is Scheme.LINKED_PARTIAL),
             partial_distance=partial_distance,
         )

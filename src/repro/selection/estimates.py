@@ -92,23 +92,26 @@ class DocumentStatistics:
     def collect(cls, document: Document) -> "DocumentStatistics":
         """Gather the statistics in one ancestor-walk over the document."""
         stats = cls(total_nodes=len(document))
+        __, __, __, parent, tag_id, tags = document.columns
         seen_desc: set[tuple[int, str]] = set()
-        for node in document:
-            stats.tag_counts[node.tag] = stats.tag_counts.get(node.tag, 0) + 1
+        for i, t in enumerate(tag_id):
+            tag = tags[t]
+            stats.tag_counts[tag] = stats.tag_counts.get(tag, 0) + 1
             ancestor_tags: set[str] = set()
-            ancestor = document.parent(node)
-            while ancestor is not None:
-                ancestor_tags.add(ancestor.tag)
-                key = (ancestor.index, node.tag)
+            ancestor = parent[i]
+            while ancestor >= 0:
+                ancestor_tag = tags[tag_id[ancestor]]
+                ancestor_tags.add(ancestor_tag)
+                key = (ancestor, tag)
                 if key not in seen_desc:
                     seen_desc.add(key)
-                    pair = (ancestor.tag, node.tag)
+                    pair = (ancestor_tag, tag)
                     stats.with_descendant[pair] = (
                         stats.with_descendant.get(pair, 0) + 1
                     )
-                ancestor = document.parent(ancestor)
-            for tag in ancestor_tags:
-                pair = (node.tag, tag)
+                ancestor = parent[ancestor]
+            for ancestor_tag in ancestor_tags:
+                pair = (tag, ancestor_tag)
                 stats.with_ancestor[pair] = (
                     stats.with_ancestor.get(pair, 0) + 1
                 )

@@ -18,7 +18,7 @@ from repro.storage.linked import LinkedElementView
 from repro.storage.pager import Pager
 from repro.storage.tuples import TupleView
 from repro.tpq.enumeration import enumerate_matches
-from repro.tpq.matching import solution_nodes
+from repro.tpq.matching import solution_indexes
 from repro.tpq.pattern import Pattern
 from repro.xmltree.document import Document
 
@@ -75,16 +75,22 @@ def materialize(
     scheme = Scheme.parse(scheme)
     if pager is None:
         pager = Pager()
-    lists = solution_nodes(document, pattern)
+    # The solution lists stay views over the document's columns: the
+    # element and linked builders read them column-wise.
+    lists = {
+        tag: document.nodes_at(rows)
+        for tag, rows in solution_indexes(document, pattern).items()
+    }
     if scheme is Scheme.TUPLE:
-        matches = enumerate_matches(pattern, lists)
+        matches = enumerate_matches(
+            pattern, {tag: list(nodes) for tag, nodes in lists.items()}
+        )
         return TupleView(pattern, pager, matches)
     if scheme is Scheme.ELEMENT:
         return ElementView(pattern, pager, lists)
     return LinkedElementView(
         pattern,
         pager,
-        document,
         lists,
         partial=(scheme is Scheme.LINKED_PARTIAL),
         partial_distance=partial_distance,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.errors import StorageError
 from repro.storage.lists import ListCursor, SlottedList, StoredList
@@ -39,7 +39,7 @@ from repro.storage.records import (
     linked_codec,
 )
 from repro.tpq.pattern import Pattern, PatternNode
-from repro.xmltree.document import Document, Node
+from repro.xmltree.document import Node, NodeView
 
 
 class PointerKind(enum.Enum):
@@ -69,15 +69,46 @@ class PointerStats:
         }
 
 
+class _Solutions(NamedTuple):
+    """One view node's solution list as parallel label lists (document
+    order); ``indexes`` / ``parents`` (document node and parent indexes)
+    are gathered only for view nodes on a parent-child edge."""
+
+    starts: list[int]
+    ends: list[int]
+    levels: list[int]
+    indexes: Sequence[int]
+    parents: Sequence[int]
+
+
+def _solutions(nodes: Sequence[Node], tree: bool) -> _Solutions:
+    if isinstance(nodes, NodeView):
+        columns = nodes.document.columns
+        return _Solutions(
+            nodes.gather(columns.start),
+            nodes.gather(columns.end),
+            nodes.gather(columns.level),
+            nodes.rows if tree else (),
+            nodes.gather(columns.parent) if tree else (),
+        )
+    nodes = list(nodes)
+    return _Solutions(
+        [node.start for node in nodes],
+        [node.end for node in nodes],
+        [node.level for node in nodes],
+        [node.index for node in nodes] if tree else (),
+        [node.parent_index for node in nodes] if tree else (),
+    )
+
+
 class LinkedElementView:
     """A view materialized in the LE or LE_p scheme.
 
     Args:
         pattern: the view's tree pattern.
         pager: storage target.
-        document: the data tree (needed to resolve pc-children and lowest
-            same-type-in-view ancestors while computing pointers).
-        solution_lists: per-tag solution nodes of the view, document order.
+        solution_lists: per-tag solution nodes of the view, document order
+            (a document's :class:`NodeView` is read column-wise).
         partial: False builds LE (all pointers), True builds LE_p.
         partial_distance: LE_p materialization threshold — a following or
             descendant pointer is materialized only if the pointed entry is
@@ -88,7 +119,6 @@ class LinkedElementView:
         self,
         pattern: Pattern,
         pager: Pager,
-        document: Document,
         solution_lists: Mapping[str, Sequence[Node]],
         partial: bool = False,
         partial_distance: int = 1,
@@ -105,7 +135,7 @@ class LinkedElementView:
             for qnode in pattern.nodes
         }
         self.lists: dict[str, StoredList | SlottedList] = {}
-        self._build(document, solution_lists)
+        self._build(solution_lists)
 
     @property
     def scheme_name(self) -> str:
@@ -113,26 +143,20 @@ class LinkedElementView:
 
     # -- construction ---------------------------------------------------------
 
-    def _build(
-        self,
-        document: Document,
-        solution_lists: Mapping[str, Sequence[Node]],
-    ) -> None:
-        nodes_by_tag: dict[str, list[Node]] = {}
-        position_by_tag: dict[str, dict[int, int]] = {}
-        for qnode in self.pattern.nodes:
-            nodes = list(solution_lists.get(qnode.tag, ()))
-            nodes_by_tag[qnode.tag] = nodes
-            position_by_tag[qnode.tag] = {
-                node.start: i for i, node in enumerate(nodes)
-            }
-
-        for qnode in self.pattern.nodes:
-            entries = self._build_list(
-                document, qnode, nodes_by_tag, position_by_tag
+    def _build(self, solution_lists: Mapping[str, Sequence[Node]]) -> None:
+        solutions = {
+            qnode.tag: _solutions(
+                solution_lists.get(qnode.tag, ()),
+                tree=(
+                    (qnode.parent is not None and qnode.axis.is_pc)
+                    or any(child.axis.is_pc for child in qnode.children)
+                ),
             )
+            for qnode in self.pattern.nodes
+        }
+        for qnode in self.pattern.nodes:
             stored = self._new_list(qnode)
-            stored.extend(entries)
+            stored.extend(self._build_list(qnode, solutions))
             self.lists[qnode.tag] = stored.finalize()
 
     def _new_list(self, qnode: PatternNode) -> StoredList | SlottedList:
@@ -182,41 +206,22 @@ class LinkedElementView:
         return view
 
     def _build_list(
-        self,
-        document: Document,
-        qnode: PatternNode,
-        nodes_by_tag: dict[str, list[Node]],
-        position_by_tag: dict[str, dict[int, int]],
+        self, qnode: PatternNode, solutions: dict[str, _Solutions]
     ) -> list[LinkedEntry]:
-        nodes = nodes_by_tag[qnode.tag]
-        descendant_ptrs = self._descendant_pointers(nodes)
-        following_ptrs = self._following_pointers(
-            qnode, nodes, nodes_by_tag
-        )
-        child_ptrs_per_child = [
-            self._child_pointers(
-                document,
-                nodes,
-                nodes_by_tag[child.tag],
-                position_by_tag[child.tag],
-                child,
-            )
+        own = solutions[qnode.tag]
+        children = [
+            self._child_pointers(own, solutions[child.tag], child)
             for child in qnode.children
         ]
-        entries = []
-        for i, node in enumerate(nodes):
-            children = tuple(ptrs[i] for ptrs in child_ptrs_per_child)
-            entries.append(
-                LinkedEntry(
-                    start=node.start,
-                    end=node.end,
-                    level=node.level,
-                    following=following_ptrs[i],
-                    descendant=descendant_ptrs[i],
-                    children=children,
-                )
-            )
-        return entries
+        return list(map(
+            LinkedEntry,
+            own.starts,
+            own.ends,
+            own.levels,
+            self._following_pointers(qnode, own, solutions),
+            self._descendant_pointers(own),
+            zip(*children) if children else [()] * len(own.starts),
+        ))
 
     def _materialize_if_far(self, source: int, target: int) -> int:
         """Apply the LE_p heuristic to a following/descendant pointer."""
@@ -226,18 +231,20 @@ class LinkedElementView:
             return UNMATERIALIZED_POINTER
         return target
 
-    def _descendant_pointers(self, nodes: Sequence[Node]) -> list[int]:
+    def _descendant_pointers(self, own: _Solutions) -> list[int]:
         """Same-type descendant with the smallest start.
 
         Lists are in document order, so the smallest-start descendant of
-        ``nodes[i]``, if any, is exactly ``nodes[i+1]`` when it lies inside
-        ``nodes[i]``'s region.
+        entry ``i``, if any, is exactly entry ``i+1`` when it lies inside
+        entry ``i``'s region.
         """
+        starts, ends = own.starts, own.ends
         pointers = []
         count_kind = 0
-        for i, node in enumerate(nodes):
+        last = len(starts) - 1
+        for i, end in enumerate(ends):
             target = NULL_POINTER
-            if i + 1 < len(nodes) and nodes[i + 1].start < node.end:
+            if i < last and starts[i + 1] < end:
                 target = i + 1
             materialized = self._materialize_if_far(i, target)
             if materialized >= 0:
@@ -249,30 +256,30 @@ class LinkedElementView:
     def _following_pointers(
         self,
         qnode: PatternNode,
-        nodes: Sequence[Node],
-        nodes_by_tag: dict[str, list[Node]],
+        own: _Solutions,
+        solutions: dict[str, _Solutions],
     ) -> list[int]:
         """Same-type following node with the smallest start, constrained to
         the same lowest parent-type ancestor in the view when one exists."""
+        count = len(own.starts)
         if qnode.parent is None:
-            groups = {None: list(range(len(nodes)))}
-            anchor = [None] * len(nodes)
+            groups = {None: list(range(count))}
         else:
             anchor = _lowest_view_ancestors(
-                nodes, nodes_by_tag[qnode.parent.tag]
+                own, solutions[qnode.parent.tag]
             )
             groups: dict[object, list[int]] = {}
             for i, key in enumerate(anchor):
                 groups.setdefault(key, []).append(i)
 
-        pointers = [NULL_POINTER] * len(nodes)
+        pointers = [NULL_POINTER] * count
         count_kind = 0
-        starts = [node.start for node in nodes]
+        starts, ends = own.starts, own.ends
         for members in groups.values():
             member_starts = [starts[i] for i in members]
             for rank, i in enumerate(members):
                 # First group member whose start exceeds this node's end.
-                j = bisect_right(member_starts, nodes[i].end, lo=rank + 1)
+                j = bisect_right(member_starts, ends[i], lo=rank + 1)
                 target = members[j] if j < len(members) else NULL_POINTER
                 materialized = self._materialize_if_far(i, target)
                 if materialized >= 0:
@@ -283,10 +290,8 @@ class LinkedElementView:
 
     def _child_pointers(
         self,
-        document: Document,
-        parents: Sequence[Node],
-        children: Sequence[Node],
-        child_positions: dict[int, int],
+        parents: _Solutions,
+        children: _Solutions,
         child_qnode: PatternNode,
     ) -> list[int]:
         """Per parent entry, the child-query-node partner with smallest start.
@@ -295,26 +300,25 @@ class LinkedElementView:
         region; for a pc-edge it is the first list entry whose data parent
         is the entry's node.
         """
-        pointers = []
-        count_kind = 0
-        child_starts = [node.start for node in children]
-        first_child_of_parent: dict[int, int] = {}
         if child_qnode.axis.is_pc:
-            for i, node in enumerate(children):
-                first_child_of_parent.setdefault(node.parent_index, i)
-        for parent in parents:
-            target = NULL_POINTER
-            if child_qnode.axis.is_pc:
-                target = first_child_of_parent.get(parent.index, NULL_POINTER)
-            else:
-                j = bisect_right(child_starts, parent.start)
-                if j < len(children) and child_starts[j] < parent.end:
-                    target = j
-            # Child pointers are always materialized, in LE_p too.
-            if target >= 0:
-                count_kind += 1
-            pointers.append(target)
-        self.pointer_stats.child += count_kind
+            first_child_of_parent: dict[int, int] = {}
+            for i, parent_index in enumerate(children.parents):
+                first_child_of_parent.setdefault(parent_index, i)
+            pointers = [
+                first_child_of_parent.get(index, NULL_POINTER)
+                for index in parents.indexes
+            ]
+        else:
+            child_starts = children.starts
+            last = len(child_starts)
+            pointers = []
+            for start, end in zip(parents.starts, parents.ends):
+                j = bisect_right(child_starts, start)
+                pointers.append(
+                    j if j < last and child_starts[j] < end else NULL_POINTER
+                )
+        # Child pointers are always materialized, in LE_p too.
+        self.pointer_stats.child += len(pointers) - pointers.count(NULL_POINTER)
         return pointers
 
     # -- access --------------------------------------------------------------------
@@ -364,7 +368,7 @@ class LinkedElementView:
 
 
 def _lowest_view_ancestors(
-    nodes: Sequence[Node], candidates: Sequence[Node]
+    nodes: _Solutions, candidates: _Solutions
 ) -> list[object]:
     """For each node, the start label of its lowest ancestor among
     ``candidates`` (both lists in document order), or None.
@@ -372,20 +376,19 @@ def _lowest_view_ancestors(
     Single merge sweep with a stack of open candidate regions.
     """
     result: list[object] = []
-    stack: list[Node] = []
-    ci = 0
-    total = len(candidates)
-    for node in nodes:
-        while ci < total and candidates[ci].start < node.start:
-            candidate = candidates[ci]
-            ci += 1
-            while stack and stack[-1].end < candidate.start:
+    stack: list[tuple[int, int]] = []  # (start, end) of open candidates
+    candidate_regions = zip(candidates.starts, candidates.ends)
+    pending = next(candidate_regions, None)
+    for start, end in zip(nodes.starts, nodes.ends):
+        while pending is not None and pending[0] < start:
+            while stack and stack[-1][1] < pending[0]:
                 stack.pop()
-            stack.append(candidate)
-        while stack and stack[-1].end < node.start:
+            stack.append(pending)
+            pending = next(candidate_regions, None)
+        while stack and stack[-1][1] < start:
             stack.pop()
-        if stack and node.end < stack[-1].end:
-            result.append(stack[-1].start)
+        if stack and end < stack[-1][1]:
+            result.append(stack[-1][0])
         else:
             result.append(None)
     return result

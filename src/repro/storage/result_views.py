@@ -33,7 +33,6 @@ def solution_lists_from_matches(
     to its :class:`Node` objects (needed for parent links when building
     pc child pointers).
     """
-    by_start = {node.start: node for node in document.nodes}
     tags = query.tags()
     seen: dict[str, set[int]] = {tag: set() for tag in tags}
     for match in matches:
@@ -44,17 +43,21 @@ def solution_lists_from_matches(
             )
         for tag, entry in zip(tags, match):
             seen[tag].add(entry.start)
-    lists: dict[str, list[Node]] = {}
-    for tag in tags:
-        try:
-            nodes = [by_start[start] for start in sorted(seen[tag])]
-        except KeyError as error:
-            raise StorageError(
-                f"match references a start label not in the document:"
-                f" {error}"
-            ) from None
-        lists[tag] = nodes
-    return lists
+    return {
+        tag: list(document.nodes_at(_indexes_at(document, sorted(seen[tag]))))
+        for tag in tags
+    }
+
+
+def _indexes_at(document: Document, starts: Sequence[int]) -> list[int]:
+    """Node indexes of the nodes with the given start labels."""
+    indexes = [document.index_at(start) for start in starts]
+    if -1 in indexes:
+        missing = starts[indexes.index(-1)]
+        raise StorageError(
+            f"match references a start label not in the document: {missing}"
+        )
+    return indexes
 
 
 def materialize_from_matches(
@@ -77,17 +80,18 @@ def materialize_from_matches(
         pager = Pager()
     lists = solution_lists_from_matches(document, query, matches)
     if scheme is Scheme.TUPLE:
-        node_matches = []
-        by_start = {node.start: node for node in document.nodes}
-        for match in matches:
-            node_matches.append(tuple(by_start[e.start] for e in match))
+        node_matches = [
+            tuple(document.nodes_at(
+                _indexes_at(document, [e.start for e in match])
+            ))
+            for match in matches
+        ]
         return TupleView(query, pager, node_matches)
     if scheme is Scheme.ELEMENT:
         return ElementView(query, pager, lists)
     return LinkedElementView(
         query,
         pager,
-        document,
         lists,
         partial=(scheme is Scheme.LINKED_PARTIAL),
         partial_distance=partial_distance,

@@ -13,7 +13,10 @@ by query node.  The two-pass algorithm here runs in
 
 Both passes exploit the nesting property of region labels: two regions are
 either disjoint or nested, so "has a viable descendant" reduces to a binary
-search over start labels, and "has a solution ancestor" to a stack sweep.
+search over start labels, and "has a solution ancestor" to a merge sweep.
+They run on node indexes — the document's per-tag index arrays and its
+label columns — and only the solution nodes are built as flyweight
+:class:`Node` objects.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from bisect import bisect_right
 from typing import Sequence
 
 from repro.tpq.pattern import Pattern, PatternNode
-from repro.xmltree.document import Document, Node
+from repro.xmltree.document import Columns, Document, Node
 
 
 def solution_nodes(document: Document, pattern: Pattern) -> dict[str, list[Node]]:
@@ -32,100 +35,115 @@ def solution_nodes(document: Document, pattern: Pattern) -> dict[str, list[Node]
     document order.  If any tag has no solution node, all lists are empty
     (the pattern has no match at all).
     """
+    return {
+        tag: list(document.nodes_at(rows))
+        for tag, rows in solution_indexes(document, pattern).items()
+    }
+
+
+def solution_indexes(
+    document: Document, pattern: Pattern
+) -> dict[str, Sequence[int]]:
+    """:func:`solution_nodes` as node indexes (ascending), no nodes built."""
     viable = _bottom_up_viable(document, pattern)
-    solutions = _top_down_solutions(pattern, viable)
-    if any(not nodes for nodes in solutions.values()):
+    solutions = _top_down_solutions(document.columns, pattern, viable)
+    if any(not rows for rows in solutions.values()):
         return {tag: [] for tag in pattern.tags()}
     return solutions
 
 
 def _bottom_up_viable(
     document: Document, pattern: Pattern
-) -> dict[str, list[Node]]:
-    """First pass: per query node, the nodes satisfying the subtree below it."""
-    viable: dict[str, list[Node]] = {}
+) -> dict[str, Sequence[int]]:
+    """First pass: per query node, the indexes of the nodes satisfying the
+    subtree below it."""
+    columns = document.columns
+    viable: dict[str, Sequence[int]] = {}
     # Process pattern nodes children-first (reverse preorder works since
     # preorder lists parents before children).
     for qnode in reversed(pattern.nodes):
-        candidates = document.tag_list(qnode.tag)
-        survivors: Sequence[Node] = candidates
+        survivors: Sequence[int] = document.tag_indexes(qnode.tag)
         for child in qnode.children:
             survivors = _filter_has_partner_below(
-                document, survivors, viable[child.tag], child
+                columns, survivors, viable[child.tag], child
             )
             if not survivors:
                 break
-        viable[qnode.tag] = list(survivors)
+        viable[qnode.tag] = survivors
     return viable
 
 
 def _filter_has_partner_below(
-    document: Document,
-    candidates: Sequence[Node],
-    partners: Sequence[Node],
+    columns: Columns,
+    candidates: Sequence[int],
+    partners: Sequence[int],
     child_qnode: PatternNode,
-) -> list[Node]:
+) -> list[int]:
     """Keep candidates with a partner below them along ``child_qnode.axis``."""
     if not partners:
         return []
     if child_qnode.axis.is_pc:
-        parent_indexes = {node.parent_index for node in partners}
-        return [node for node in candidates if node.index in parent_indexes]
-    starts = [node.start for node in partners]
+        parent = columns.parent
+        parents = {parent[i] for i in partners}
+        return [i for i in candidates if i in parents]
+    start, end = columns.start, columns.end
+    last = len(partners)
     result = []
-    for node in candidates:
-        i = bisect_right(starts, node.start)
-        # Nesting property: any partner whose start lies inside the
-        # candidate's region is a descendant of the candidate.
-        if i < len(starts) and starts[i] < node.end:
-            result.append(node)
+    for i in candidates:
+        # The first partner after the candidate in document order; by the
+        # nesting property it is a descendant iff it starts inside the
+        # candidate's region.
+        j = bisect_right(partners, i)
+        if j < last and start[partners[j]] < end[i]:
+            result.append(i)
     return result
 
 
 def _top_down_solutions(
-    pattern: Pattern, viable: dict[str, list[Node]]
-) -> dict[str, list[Node]]:
+    columns: Columns, pattern: Pattern, viable: dict[str, Sequence[int]]
+) -> dict[str, Sequence[int]]:
     """Second pass: keep viable nodes reachable from a solution ancestor."""
-    solutions: dict[str, list[Node]] = {}
+    solutions: dict[str, Sequence[int]] = {}
     for qnode in pattern.nodes:  # preorder: parents first
         candidates = viable[qnode.tag]
         if qnode.parent is None:
-            solutions[qnode.tag] = list(candidates)
+            solutions[qnode.tag] = candidates
             continue
         above = solutions[qnode.parent.tag]
         if qnode.axis.is_pc:
-            parent_indexes = {node.index for node in above}
+            parent = columns.parent
+            parents = set(above)
             solutions[qnode.tag] = [
-                node for node in candidates if node.parent_index in parent_indexes
+                i for i in candidates if parent[i] in parents
             ]
         else:
-            solutions[qnode.tag] = _filter_has_ancestor_in(candidates, above)
+            solutions[qnode.tag] = _filter_has_ancestor_in(
+                columns, candidates, above
+            )
     return solutions
 
 
 def _filter_has_ancestor_in(
-    candidates: Sequence[Node], ancestors: Sequence[Node]
-) -> list[Node]:
+    columns: Columns, candidates: Sequence[int], ancestors: Sequence[int]
+) -> list[int]:
     """Keep candidates that have a proper ancestor among ``ancestors``.
 
-    Both inputs are in document order; a single merge sweep with a stack of
-    currently-open ancestor regions decides each candidate in amortized O(1).
+    Both inputs are in document order.  By the nesting property, a
+    candidate lies inside some earlier ancestor's region iff the furthest
+    end label among the ancestors before it lies beyond its start, so one
+    merge sweep carrying that furthest end decides every candidate.
     """
-    result: list[Node] = []
-    stack: list[Node] = []
+    start, end = columns.start, columns.end
+    result: list[int] = []
+    reach = -1
     ai = 0
     n_ancestors = len(ancestors)
-    for node in candidates:
-        # Open every ancestor region starting before this candidate.
-        while ai < n_ancestors and ancestors[ai].start < node.start:
-            ancestor = ancestors[ai]
+    for i in candidates:
+        while ai < n_ancestors and ancestors[ai] < i:
+            ancestor_end = end[ancestors[ai]]
+            if ancestor_end > reach:
+                reach = ancestor_end
             ai += 1
-            while stack and stack[-1].end < ancestor.start:
-                stack.pop()
-            stack.append(ancestor)
-        # Close regions that ended before this candidate starts.
-        while stack and stack[-1].end < node.start:
-            stack.pop()
-        if stack and node.end < stack[-1].end:
-            result.append(node)
+        if start[i] < reach:
+            result.append(i)
     return result

@@ -11,10 +11,11 @@ the union of the members' matches, which the tests verify.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 from repro.errors import ReproError
-from repro.xmltree.document import Document, Node
+from repro.xmltree.document import Columns, Document, Node
 
 #: Reserved tag of the synthetic collection root.
 COLLECTION_ROOT_TAG = "__collection__"
@@ -46,40 +47,29 @@ def combine_documents(
                 f" reserved root tag {root_tag!r}"
             )
 
-    total = sum(len(document) for document in documents)
-    nodes: list[Node] = [
-        Node(
-            start=0,
-            end=0,  # patched below
-            level=0,
-            tag=root_tag,
-            index=0,
-            parent_index=-1,
-        )
-    ]
+    # Row 0 is the synthetic root; its end is patched once every member
+    # has been placed.
+    start, end, level = array("i", [0]), array("i", [0]), array("i", [0])
+    parent, tag_id = array("i", [-1]), array("i", [0])
+    ids: dict[str, int] = {root_tag: 0}
     label_offset = 1
     index_offset = 1
     for document in documents:
-        for node in document:
-            nodes.append(
-                Node(
-                    start=node.start + label_offset,
-                    end=node.end + label_offset,
-                    level=node.level + 1,
-                    tag=node.tag,
-                    index=node.index + index_offset,
-                    parent_index=(
-                        0
-                        if node.parent_index < 0
-                        else node.parent_index + index_offset
-                    ),
-                )
-            )
-        label_offset += documents and (document.root.end + 1)
+        columns = document.columns
+        start.extend([s + label_offset for s in columns.start])
+        end.extend([e + label_offset for e in columns.end])
+        level.extend([lv + 1 for lv in columns.level])
+        parent.extend(
+            [0 if p < 0 else p + index_offset for p in columns.parent]
+        )
+        remap = [ids.setdefault(tag, len(ids)) for tag in columns.tags]
+        tag_id.extend([remap[t] for t in columns.tag_id])
+        label_offset += columns.end[0] + 1
         index_offset += len(document)
-    nodes[0].end = label_offset
-    assert len(nodes) == total + 1
-    return Document(nodes, name=name)
+    end[0] = label_offset
+    return Document.from_columns(
+        Columns(start, end, level, parent, tag_id, tuple(ids)), name=name
+    )
 
 
 def member_of(collection: Document, node: Node) -> int:

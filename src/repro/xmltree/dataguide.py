@@ -40,27 +40,37 @@ class DataGuide:
     """The strong DataGuide of a document, with instance counts."""
 
     def __init__(self, document: Document):
-        self.root = GuideNode(tag=document.root.tag, depth=0)
+        columns = document.columns
+        self.root = GuideNode(tag=columns.tags[columns.tag_id[0]], depth=0)
         self._size = 1
         self._build(document)
 
     def _build(self, document: Document) -> None:
-        # Map each document node index to its summary node, top-down.
-        summary_of: list[GuideNode | None] = [None] * len(document)
-        summary_of[0] = self.root
-        self.root.count = 1
-        for node in document.nodes[1:]:
-            parent_summary = summary_of[node.parent_index]
-            assert parent_summary is not None
-            child = parent_summary.children.get(node.tag)
+        # One pass over the parent and tag-id columns (a parent precedes
+        # its children) maps every document node to its summary node,
+        # kept as a bare ``[count, {tag id: child}]`` pair ...
+        __, __, __, parent, tag_id, tags = document.columns
+        top: list = [1, {}]
+        summary_of = [top] * len(tag_id)
+        for i, p, t in zip(range(1, len(tag_id)), parent[1:], tag_id[1:]):
+            children = summary_of[p][1]
+            child = children.get(t)
             if child is None:
+                child = children[t] = [0, {}]
+            child[0] += 1
+            summary_of[i] = child
+        # ... and the few summary nodes become GuideNodes afterwards.
+        self.root.count = 1
+        stack = [(self.root, top[1])]
+        while stack:
+            guide, children = stack.pop()
+            for t, (count, grandchildren) in children.items():
                 child = GuideNode(
-                    tag=node.tag, depth=parent_summary.depth + 1
+                    tag=tags[t], depth=guide.depth + 1, count=count
                 )
-                parent_summary.children[node.tag] = child
+                guide.children[child.tag] = child
                 self._size += 1
-            child.count += 1
-            summary_of[node.index] = child
+                stack.append((child, grandchildren))
 
     def __len__(self) -> int:
         """Number of distinct label paths in the document."""

@@ -69,7 +69,7 @@ class _Parser:
                 )
             self.pos = lt
             self._dispatch_markup(builder, open_tags)
-            if open_tags or builder._nodes:
+            if open_tags or len(builder):
                 saw_root = True
         if open_tags:
             raise XmlParseError(
@@ -118,7 +118,7 @@ class _Parser:
             self.pos += 1
 
     def _open_tag(self, builder: DocumentBuilder, open_tags: list[str]) -> None:
-        if not open_tags and builder._nodes:
+        if not open_tags and len(builder):
             raise XmlParseError("multiple root elements", self.pos)
         self.pos += 1  # consume '<'
         tag = self._read_name()

@@ -46,7 +46,7 @@ def test_children_and_parent(small_doc):
     children = small_doc.children(a)
     assert tags_of(children) == ["b", "f"]
     for child in children:
-        assert small_doc.parent(child) is a
+        assert small_doc.parent(child) == a
 
 
 def test_descendants(small_doc):
@@ -70,9 +70,9 @@ def test_lowest_ancestor_by_tag(recursive_doc):
     a_nodes = recursive_doc.tag_list("a")
     # e5 is inside a3, which is inside a2.
     e5 = e_nodes[4]
-    assert recursive_doc.lowest_ancestor_by_tag(e5, "a") is a_nodes[2]
+    assert recursive_doc.lowest_ancestor_by_tag(e5, "a") == a_nodes[2]
     e4 = e_nodes[3]
-    assert recursive_doc.lowest_ancestor_by_tag(e4, "a") is a_nodes[1]
+    assert recursive_doc.lowest_ancestor_by_tag(e4, "a") == a_nodes[1]
 
 
 def test_builder_rejects_unbalanced():
@@ -107,7 +107,7 @@ def test_document_from_tuples():
     a = doc.nodes[1]
     assert tags_of(doc.children(a)) == ["b"]
     c = doc.nodes[3]
-    assert doc.parent(c) is doc.root
+    assert doc.parent(c) == doc.root
 
 
 def test_document_from_tuples_rejects_level_skips():
