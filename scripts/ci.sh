@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH=src
 
-echo "== repro-lint (whole-program: RL1xx per-file + RL2xx call-graph) =="
+echo "== repro-lint (one rule per invariant: RL1xx per-file, RL2xx call-graph) =="
 # Cold run (cache removed) then warm run, with wall-time budgets
 # enforced (<10s cold, <2s warm) and JSON + SARIF artifacts written.
 # lint_stats exits non-zero on any non-baselined finding or warning

@@ -10,10 +10,13 @@ The engine grew three load-bearing conventions that nothing enforced:
 * every catalog/planner mutator must bump the plan-cache generation.
 
 :mod:`repro.analysis` turns those conventions (plus hot-path purity and
-exception discipline) into CI-enforced rules over :mod:`ast` — per-file
-RL1xx rules, and whole-program RL2xx rules that close the same
-invariants over a project call graph (:mod:`repro.analysis.callgraph`)
-with transitive effect inference (:mod:`repro.analysis.effects`).  See
+exception discipline) into CI-enforced rules over :mod:`ast`, one rule
+per invariant.  A contract one function body decides on its own is a
+per-file RL1xx rule; a contract a callee can discharge or break (the
+accounting mirror, the generation bump, hot-path purity) is a
+whole-program RL2xx rule over a project call graph
+(:mod:`repro.analysis.callgraph`) with transitive effect inference
+(:mod:`repro.analysis.effects`).  See
 ``DESIGN.md`` §10 for the rule catalog and ``docs/LINTING.md`` for the
 rule-writing guide.
 

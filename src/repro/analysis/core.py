@@ -1,21 +1,22 @@
 """Lint-engine primitives: findings, modules, suppressions, rule base.
 
 A :class:`ModuleInfo` wraps one parsed source file together with its
-package-relative path (rules scope on the path, e.g. ``storage/`` for the
-I/O-accounting mirror) and its per-line suppressions.
+package-relative path (rules scope on the path, e.g. ``service/`` for
+wait discipline) and its per-line suppressions.
 
 Suppressions are line comments of the form::
 
-    something()  # repro-lint: disable=RL101 (reason why this is fine)
-    other()      # repro-lint: disable=RL101,RL103 legacy path
+    something()  # repro-lint: disable=RL105 (reason why this is fine)
+    other()      # repro-lint: disable=RL103,RL105 legacy path
     anything()   # repro-lint: disable=all
 
 A suppression silences findings *anchored on that physical line* only —
 there is no block or file scope, so every grandfathered site stays
-visible and individually justified.  Hot-path registration for RL101 can
+visible and individually justified.  Hot-path registration for RL201 can
 likewise be done in source with ``# repro-lint: hot`` on (or directly
-above) a ``def`` line; the rule registry in :mod:`repro.analysis.rules`
-carries the repository's standing registrations.
+above) a ``def`` line;
+:data:`repro.analysis.rules_interprocedural.HOT_FUNCTIONS` carries the
+repository's standing registrations.
 """
 
 from __future__ import annotations
@@ -139,15 +140,6 @@ class ModuleInfo:
         if self._functions is None:
             self._functions = iter_functions(self.tree)
         return self._functions
-
-    def has_hot_marker(self, node: ast.AST) -> bool:
-        """True when ``def`` carries ``# repro-lint: hot`` on its first
-        line, the line above it, or a decorator line."""
-        lines = {node.lineno, node.lineno - 1}
-        for decorator in getattr(node, "decorator_list", ()):
-            lines.add(decorator.lineno)
-            lines.add(node.body[0].lineno - 1 if node.body else node.lineno)
-        return bool(lines & self.hot_marker_lines)
 
 
 #: Engine diagnostics (not invariant violations): RL001 marks files the

@@ -5,11 +5,16 @@ drag in?" — the properties the RL2xx interprocedural rules reason about:
 
 ====================  ========================================================
 ``allocates-records``   builds ``ElementEntry``/``LinkedEntry`` record objects
-                        (``element_of``, ``columns.entry``)
+                        (``element_of``, ``columns.entry``, a property-style
+                        ``cursor.current`` read)
 ``reference-decode``    calls a pool-served record reader
                         (``StoredList.read``/``scan``) from ``algorithms/``
+``loop-exception-setup``
+                        sets up ``try`` inside a ``for``/``while`` loop
+                        (per-iteration exception-table cost)
 ``raw-page-read``       reads page bytes around the counted pool path
-                        (``read_page_raw``)
+                        (``read_page_raw``) or, in ``storage/``, packed-column
+                        records (``<columns>.entry``)
 ``performs-pager-io``   touches pager pages at all (counted or raw)
 ``mirrors-accounting``  mirrors a read into the buffer pool
                         (``touch``/``touch_run``/``touch_index``)
@@ -51,6 +56,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from repro.analysis.core import (
@@ -58,21 +64,14 @@ from repro.analysis.core import (
     call_target_name,
     local_attr_aliases,
 )
-from repro.analysis.rules import (
-    RECORD_CONSTRUCTORS,
-    RECORD_FACTORY_ATTRS,
-    REFERENCE_HELPERS,
-    _RAW_ACCESS_ATTRS,
-    _SetTypeInference,
-    _TIME_ALLOWED,
-)
 
 #: Bump when effect extraction or closure semantics change; invalidates
 #: every cached summary and closure.
-ANALYZER_VERSION = "rl2xx-3"
+ANALYZER_VERSION = "rl2xx-4"
 
 ALLOCATES = "allocates-records"
 REFERENCE_DECODE = "reference-decode"
+LOOP_EXCEPTION_SETUP = "loop-exception-setup"
 RAW_PAGE_READ = "raw-page-read"
 PAGER_IO = "performs-pager-io"
 MIRRORS_ACCOUNTING = "mirrors-accounting"
@@ -86,8 +85,8 @@ MUTATES_GLOBAL = "mutates-global"
 RESOLVES_LATEST = "resolves-latest-manifest"
 
 ALL_EFFECTS = (
-    ALLOCATES, REFERENCE_DECODE, RAW_PAGE_READ, PAGER_IO,
-    MIRRORS_ACCOUNTING, MUTATES_VIEW_STATE, BUMPS_GENERATION,
+    ALLOCATES, REFERENCE_DECODE, LOOP_EXCEPTION_SETUP, RAW_PAGE_READ,
+    PAGER_IO, MIRRORS_ACCOUNTING, MUTATES_VIEW_STATE, BUMPS_GENERATION,
     NONDET_SET_ITER, NONDET_SOURCE, READS_ENVIRONMENT, UNBOUNDED_WAIT,
     MUTATES_GLOBAL, RESOLVES_LATEST,
 )
@@ -96,6 +95,30 @@ ALL_EFFECTS = (
 NONDET_EFFECTS = frozenset({
     NONDET_SET_ITER, NONDET_SOURCE, READS_ENVIRONMENT,
 })
+
+#: Record-object constructors: calling one allocates a record per entry,
+#: which is exactly what the columnar int kernels exist to avoid.
+RECORD_CONSTRUCTORS = frozenset({
+    "ElementEntry", "LinkedEntry", "element_of",
+})
+
+#: Attribute factories that build record objects: called
+#: (``columns.entry(i)``), aliased (``entry = columns.entry``) or read as
+#: a property (``cursor.current``) — any load of one allocates.
+RECORD_FACTORY_ATTRS = frozenset({"entry", "current"})
+
+#: Pool-served record readers (``StoredList.read`` / ``scan``).  Hot loops
+#: run on the packed columns; a call to one of these decodes a record per
+#: entry.
+REFERENCE_HELPERS = frozenset({"read", "scan"})
+
+#: Calls that read page bytes without going through the pool's counted
+#: ``get`` path.
+_RAW_ACCESS_ATTRS = frozenset({"read_page_raw"})
+
+#: A list's packed columns: a ``storage/`` function that reaches them and
+#: calls a record factory reads column records around the pool.
+_COLUMN_ATTRS = frozenset({"columns", "_columns"})
 
 #: Pager entry points (counted and raw).
 _PAGER_CALL_ATTRS = frozenset({"read_page", "read_page_raw", "write_page"})
@@ -110,7 +133,7 @@ _LATEST_MANIFEST_CALLS = frozenset({"read_manifest", "read_store_version"})
 #: Attribute stores that count as a generation bump.
 _GENERATION_STORE_ATTRS = frozenset({"version", "epoch", "generation"})
 
-#: Registered-view state attributes (see RL104's contracts).
+#: Registered-view state attributes (RL204's obligation).
 _VIEW_STATE_ATTRS = frozenset({"_views", "_registered", "document"})
 
 #: Blocking calls that are unbounded when no timeout is passed.
@@ -127,7 +150,87 @@ _MUTATOR_METHODS = frozenset({
     "pop", "popitem", "clear", "remove", "discard",
 })
 
+#: The only ``time`` attribute deterministic code may touch: duration
+#: measurement.  ``time.time``/``monotonic``/``sleep`` feed wall-clock
+#: values into logic, which the determinism contract forbids.
+TIME_ALLOWED = frozenset({"perf_counter"})
+
+#: Calls known to return unordered sets.
+_SET_RETURNING = frozenset({"set", "frozenset", "tag_set"})
+
+#: Iteration wrappers that preserve (and therefore leak) iteration order.
 _ORDER_PRESERVING_CALLS = frozenset({"list", "tuple", "enumerate", "join"})
+
+
+class _SetTypeInference(ast.NodeVisitor):
+    """Flow-insensitive, per-function inference of set-typed locals."""
+
+    def __init__(self) -> None:
+        self.set_vars: set[str] = set()
+
+    def _is_set_annotation(self, annotation: ast.AST | None) -> bool:
+        if annotation is None:
+            return False
+        base = annotation
+        if isinstance(base, ast.Subscript):
+            base = base.value
+        text = attr_chain(base)
+        return text in ("set", "frozenset", "Set", "FrozenSet",
+                        "typing.Set", "typing.FrozenSet")
+
+    def is_set_expr(self, node: ast.AST) -> bool:
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Call):
+            target = call_target_name(node)
+            return target in _SET_RETURNING
+        if isinstance(node, ast.Name):
+            return node.id in self.set_vars
+        if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+        ):
+            return self.is_set_expr(node.left) or self.is_set_expr(node.right)
+        return False
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if self.is_set_expr(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.set_vars.add(target.id)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if isinstance(node.target, ast.Name) and (
+            self._is_set_annotation(node.annotation)
+            or (node.value is not None and self.is_set_expr(node.value))
+        ):
+            self.set_vars.add(node.target.id)
+        self.generic_visit(node)
+
+
+def unordered_iterations(
+    func: ast.FunctionDef | ast.AsyncFunctionDef,
+    nodes: Iterable[ast.AST],
+) -> Iterator[ast.AST]:
+    """The nodes among ``nodes`` that iterate one of ``func``'s unordered
+    sets into ordered downstream state: a ``for`` loop, a list/dict/
+    generator comprehension, or an order-preserving call.  Set
+    comprehensions are exempt: set-to-set algebra stays order-free end
+    to end."""
+    inference = _SetTypeInference()
+    inference.visit(func)
+    for node in nodes:
+        sites: list[ast.AST] = []
+        if isinstance(node, ast.For):
+            sites.append(node.iter)
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+            sites.extend(g.iter for g in node.generators)
+        elif isinstance(node, ast.Call):
+            name = call_target_name(node)
+            if name in _ORDER_PRESERVING_CALLS and node.args:
+                sites.append(node.args[0])
+        if any(inference.is_set_expr(site) for site in sites):
+            yield node
 
 
 def _own_nodes(func: ast.FunctionDef | ast.AsyncFunctionDef):
@@ -161,8 +264,8 @@ def direct_effects_of(
     effects: set[str] = set()
     aliases = local_attr_aliases(func)
     in_algorithms = path.startswith("algorithms/")
-    inference = _SetTypeInference()
-    inference.visit(func)
+    references_columns = False
+    calls_record_factory = False
 
     for node in _own_nodes(func):
         if isinstance(node, ast.Global):
@@ -179,9 +282,19 @@ def direct_effects_of(
             if (
                 isinstance(node.value, ast.Name)
                 and node.value.id == "time"
-                and node.attr not in _TIME_ALLOWED
+                and node.attr not in TIME_ALLOWED
             ):
                 effects.add(NONDET_SOURCE)
+            if node.attr in RECORD_FACTORY_ATTRS and \
+                    isinstance(node.ctx, ast.Load):
+                effects.add(ALLOCATES)
+            elif node.attr in _COLUMN_ATTRS:
+                references_columns = True
+        elif isinstance(node, (ast.For, ast.While)):
+            if LOOP_EXCEPTION_SETUP not in effects and any(
+                isinstance(inner, ast.Try) for inner in ast.walk(node)
+            ):
+                effects.add(LOOP_EXCEPTION_SETUP)
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign)
@@ -207,8 +320,8 @@ def direct_effects_of(
 
         if resolved in RECORD_CONSTRUCTORS:
             effects.add(ALLOCATES)
-        elif is_attr_call and resolved in RECORD_FACTORY_ATTRS:
-            effects.add(ALLOCATES)
+        elif resolved in RECORD_FACTORY_ATTRS:
+            calls_record_factory = True
         if in_algorithms and is_attr_call and resolved in REFERENCE_HELPERS:
             effects.add(REFERENCE_DECODE)
         if resolved in _RAW_ACCESS_ATTRS:
@@ -238,20 +351,11 @@ def direct_effects_of(
         ):
             effects.add(MUTATES_VIEW_STATE)
 
-    # unordered-set iteration into ordered downstream state (RL103 shape)
-    for node in _own_nodes(func):
-        sites: list[ast.AST] = []
-        if isinstance(node, ast.For):
-            sites.append(node.iter)
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            sites.extend(g.iter for g in node.generators)
-        elif isinstance(node, ast.Call):
-            name = call_target_name(node)
-            if name in _ORDER_PRESERVING_CALLS and node.args:
-                sites.append(node.args[0])
-        if any(inference.is_set_expr(site) for site in sites):
-            effects.add(NONDET_SET_ITER)
-
+    if calls_record_factory and references_columns and \
+            path.startswith("storage/"):
+        effects.add(RAW_PAGE_READ)
+    if any(unordered_iterations(func, _own_nodes(func))):
+        effects.add(NONDET_SET_ITER)
     return tuple(sorted(effects))
 
 

@@ -1,9 +1,12 @@
 """The RL2xx interprocedural rule family.
 
-Where the RL1xx rules inspect one function body, these close the same
-invariants over the call graph: a hot loop is only as pure as everything
-it calls.  Each rule queries the shared :class:`ProgramModel` (call
-graph + transitive effect sets) built once per lint run.
+These rules own the invariants an obligation can cross a function
+boundary for: a hot loop is only as pure as everything it calls, a raw
+read may be mirrored by a helper, a mutator may bump the generation
+through one.  Each invariant has one rule (the per-file twins RL101,
+RL102 and RL104 are retired into RL201, RL203 and RL204).  Each rule
+queries the shared :class:`ProgramModel` (call graph + transitive
+effect sets) built once per lint run.
 
 Finding messages name call *chains*, never line numbers, so baseline
 fingerprints stay stable while code moves around; every finding anchors
@@ -16,7 +19,6 @@ from __future__ import annotations
 from repro.analysis import effects as fx
 from repro.analysis.core import Finding, ProgramRule
 from repro.analysis.dataflow import first_reaching_path, pretty_chain
-from repro.analysis.rules import HOT_FUNCTIONS
 
 
 def _split(node_id: str) -> tuple[str, str]:
@@ -25,7 +27,7 @@ def _split(node_id: str) -> tuple[str, str]:
 
 
 class _GraphRule(ProgramRule):
-    """Shared helpers: hot-root discovery, anchored findings."""
+    """Shared helper: findings anchored at a function's ``def`` line."""
 
     def node_finding(
         self, program, node_id: str, message: str
@@ -44,6 +46,72 @@ class _GraphRule(ProgramRule):
             message=message,
             symbol=qualname,
         )
+
+
+# -- RL201: hot-path purity ----------------------------------------------------
+
+#: Standing hot-path registrations: package-relative path -> qualnames of
+#: the inner-loop kernels that must stay allocation- and fallback-free.
+#: Additional functions can be registered in source with a
+#: ``# repro-lint: hot`` comment on (or directly above) the ``def`` line.
+HOT_FUNCTIONS: dict[str, frozenset[str]] = {
+    "algorithms/base.py": frozenset({
+        "CountingCursor.advance",
+        "CountingCursor.advance_past",
+        "CountingCursor.seek_pointer",
+    }),
+    "algorithms/access.py": frozenset({
+        "TagSource.bisect_start",
+        "TagSource.collect_from",
+    }),
+    "algorithms/dag.py": frozenset({
+        "DagBuffer.add",
+        "DagBuffer.enter_root",
+        "DagBuffer.open_ancestor",
+        "DagBuffer.innermost_container_at",
+        "DagBuffer.max_buffered_end",
+        "DagBuffer.flush",
+    }),
+    "algorithms/viewjoin.py": frozenset({
+        "_ViewJoinRun._get_next",
+        "_ViewJoinRun._add_nodes",
+        "_ViewJoinRun._advance_segment_root",
+        "_ViewJoinRun._advance_tag_past",
+        "_ViewJoinRun._refresh_descendants",
+        "_ViewJoinRun._extend",
+        "_ViewJoinRun._fetch_in_regions",
+    }),
+    "algorithms/pathstack.py": frozenset({
+        "_sweep",
+    }),
+    "algorithms/twigstack.py": frozenset({
+        "_TwigStackRun._get_next",
+        "_TwigStackRun._act_on",
+        "_TwigStackRun._admissible",
+    }),
+    "tpq/enumeration.py": frozenset({
+        "MatchPlan._survey",
+    }),
+}
+
+#: Effects that break hot-loop purity, in the root's own body or in a
+#: callee's.
+_PURITY_BREAKERS = (
+    fx.ALLOCATES, fx.REFERENCE_DECODE, fx.LOOP_EXCEPTION_SETUP,
+)
+
+
+class TransitiveHotPurityRule(_GraphRule):
+    code = "RL201"
+    name = "transitive-hot-purity"
+    description = (
+        "A registered hot function must not construct record objects,"
+        " call pool-served record readers (read/scan) or set up"
+        " try/except inside a loop — in its own body, and, for an"
+        " algorithms/ root, in any algorithms/-layer callee up to the"
+        " emission sinks.  Storage-layer callees are exempt: the lists'"
+        " own record readers answer to RL203's accounting mirror."
+    )
 
     def hot_roots(self, program) -> list[str]:
         """Registered hot functions plus ``# repro-lint: hot`` markers,
@@ -66,24 +134,6 @@ class _GraphRule(ProgramRule):
                     roots.add(f"{path}::{qualname}")
         return sorted(roots)
 
-
-# -- RL201: transitive hot-path purity -----------------------------------------
-
-#: Effects that break hot-loop purity when a callee drags them in.
-_PURITY_BREAKERS = (fx.ALLOCATES, fx.REFERENCE_DECODE)
-
-
-class TransitiveHotPurityRule(_GraphRule):
-    code = "RL201"
-    name = "transitive-hot-purity"
-    description = (
-        "A registered hot function must stay allocation- and"
-        " reference-decode-free through every algorithms/-layer callee,"
-        " not just its own body (RL101 closed over the call graph)."
-        " Storage-layer callees are exempt: the lists' own record"
-        " readers are policed per-file by RL101/RL102."
-    )
-
     def check_program(self, program) -> list[Finding]:
         findings: list[Finding] = []
         graph = program.graph
@@ -91,7 +141,7 @@ class TransitiveHotPurityRule(_GraphRule):
         hot = set(self.hot_roots(program))
         # Record construction *at the emission boundary* is the contract
         # (engines build records only when a match leaves the kernel), so
-        # the purity walk stops at registered emission/merge sinks.
+        # the callee walk stops at registered emission/merge sinks.
         sinks = {f"{path}::{qual}" for path, qual in DETERMINISM_SINKS}
 
         def in_scope(node: str) -> bool:
@@ -100,29 +150,34 @@ class TransitiveHotPurityRule(_GraphRule):
                 and node not in sinks
             )
 
+        def nowhere(node: str) -> bool:
+            return False
+
         for root in sorted(hot):
-            if not in_scope(root):
-                continue
+            walk = in_scope if in_scope(root) else nowhere
             for effect in _PURITY_BREAKERS:
                 chain = first_reaching_path(
                     graph, root,
-                    # the offender is a *callee* with the effect in its own
-                    # body; hot callees are policed directly by RL101
+                    # the root's own body, or a callee with the effect in
+                    # its own body; a hot callee answers as its own root
                     lambda n: (
-                        n != root and n not in hot
+                        (n == root or n not in hot)
                         and effect in analysis.direct(n)
                     ),
-                    allowed=in_scope,
+                    allowed=walk,
                 )
                 if chain is None:
                     continue
-                root_path, root_qual = _split(root)
+                _, root_qual = _split(root)
+                where = (
+                    "in its own body" if len(chain) == 1
+                    else f"through {pretty_chain(chain)}"
+                )
                 finding = self.node_finding(
                     program, root,
-                    f"hot path {root_qual} reaches {effect!r} through"
-                    f" {pretty_chain(chain)} — keep the whole"
-                    " algorithms/-layer closure of a hot loop on raw"
-                    " column ints",
+                    f"hot path {root_qual} reaches {effect!r} {where} —"
+                    " keep a hot loop and its algorithms/-layer callees"
+                    " on raw column ints",
                 )
                 if finding is not None:
                     findings.append(finding)
@@ -203,11 +258,11 @@ class AccountingMirrorClosureRule(_GraphRule):
     code = "RL203"
     name = "accounting-mirror-closure"
     description = (
-        "Every function that reads raw page bytes (read_page_raw) must"
-        " mirror the read into the buffer pool — in its own body or"
-        " through a callee (BufferPool.touch/touch_run/touch_index) —"
-        " or columnar I/O counters drift from pool-served reads"
-        " (RL102 closed over the call graph)."
+        "Every function that reads raw page bytes (read_page_raw) or, in"
+        " storage/, packed-column records (<columns>.entry) must mirror"
+        " the read into the buffer pool — in its own body or through a"
+        " callee (BufferPool.touch/touch_run/touch_index) — or columnar"
+        " I/O counters drift from pool-served reads."
     )
 
     def check_program(self, program) -> list[Finding]:
@@ -224,9 +279,9 @@ class AccountingMirrorClosureRule(_GraphRule):
                 continue
             finding = self.node_finding(
                 program, node,
-                f"{qualname} reads raw pages without reaching a buffer-"
-                "pool mirror (pool.touch/touch_run/touch_index) anywhere"
-                " in its call closure — the read is invisible to I/O"
+                f"{qualname} reads raw pages or columns without reaching"
+                " a buffer-pool mirror (pool.touch/touch_run/touch_index)"
+                " anywhere in its call closure — the read is invisible to I/O"
                 " accounting",
             )
             if finding is not None:
@@ -251,7 +306,7 @@ class InvalidationCoverageRule(_GraphRule):
         " registered-view state must reach a generation/epoch bump"
         " (_bump_generation, install_maintained, version/epoch store) in"
         " its call closure, or stale plans and caches outlive the views"
-        " they reference (RL104 closed over the call graph)."
+        " they reference."
     )
 
     def check_program(self, program) -> list[Finding]:

@@ -5,10 +5,10 @@ directory containing this file's grandparent); the default baseline is
 ``.repro-lint-baseline.json`` at the repository root.  Both can be
 overridden, which is how fixture tests lint synthetic trees.
 
-A run has two tiers: the RL1xx module rules check each file in
-isolation, then the RL2xx program rules run once over a
-:class:`ProgramModel` — the project call graph plus transitive effect
-sets — built from every parsed file.  Files that fail to parse (or are
+A run has two tiers, and each invariant belongs to exactly one: the
+RL1xx module rules check each file in isolation, then the RL2xx program
+rules run once over a :class:`ProgramModel` — the project call graph
+plus transitive effect sets — built from every parsed file.  Files that fail to parse (or are
 empty) contribute a structured RL001 finding instead of aborting the
 run, and are left out of the program model.  Suppression comments that
 silenced nothing surface as RL002 *warnings* — reported, never failing.
@@ -223,8 +223,8 @@ def unused_suppression_warnings(
 def lint_text(source: str, path: str = "snippet.py") -> list[Finding]:
     """Lint one source string under a pretend package-relative path.
 
-    The path picks which scoped rules apply (``storage/x.py`` enables
-    RL102, etc.).  Program rules run over a single-module graph, so
+    The path picks which scoped rules apply (``service/x.py`` enables
+    RL106, etc.).  Program rules run over a single-module graph, so
     self-contained interprocedural fixtures work too.  Suppressions
     apply; the baseline does not.  Used by fixture tests and editor
     integrations.

@@ -312,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="run the repro-lint invariant checker"
-                     " (RL101-RL107 per-file, RL201-RL206 whole-program)"
+                     " (RL103, RL105-RL107 per-file, RL201-RL206"
+                     " whole-program)"
     )
     lint.add_argument("paths", nargs="*",
                       help="files/directories to lint (default: the whole"

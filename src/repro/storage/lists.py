@@ -109,7 +109,7 @@ class StoredList:
         for page_id in self._page_ids:
             count = per_page if remaining >= per_page else remaining
             # Build/attach-time read, deliberately uncounted (docstring).
-            extend(columns, read_raw(page_id), count)  # repro-lint: disable=RL102 (pre-measurement build)
+            extend(columns, read_raw(page_id), count)
             remaining -= count
         self._columns = columns
 
@@ -156,7 +156,7 @@ class StoredList:
         for page_id in self._page_ids:
             count = per_page if remaining >= per_page else remaining
             # Maintenance-time rewrite, outside any measured evaluation.
-            raw = page_file.read_page_raw(page_id)  # repro-lint: disable=RL102 (copy-on-write repair, pre-measurement)
+            raw = page_file.read_page_raw(page_id)
             new_id = page_file.allocate()
             page_file.write_page(new_id, shift_page(raw, count, ops))
             clone._page_ids.append(new_id)
@@ -377,7 +377,7 @@ class SlottedList:
         read_raw = self.pager.page_file.read_page_raw
         for __, __, page_id in self._directory:
             # Build/attach-time read, deliberately uncounted (docstring).
-            for entry in self._decode_page(read_raw(page_id)):  # repro-lint: disable=RL102 (pre-measurement build)
+            for entry in self._decode_page(read_raw(page_id)):
                 append(entry)
         self._columns = columns
 
@@ -417,7 +417,7 @@ class SlottedList:
         shift_at = self.codec.shift_labels_at
         for first_index, count, page_id in self._directory:
             # Maintenance-time rewrite, outside any measured evaluation.
-            raw = bytearray(page_file.read_page_raw(page_id))  # repro-lint: disable=RL102 (copy-on-write repair, pre-measurement)
+            raw = bytearray(page_file.read_page_raw(page_id))
             for slot in range(count):
                 (offset,) = struct.unpack_from(
                     "<H", raw, self._HEADER + slot * self._SLOT

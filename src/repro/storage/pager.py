@@ -266,7 +266,7 @@ class BufferPool:
                 return cached
             # Touched but never decoded: the physical read was already
             # accounted when the mirrored residency was established.
-            decoded = decode(self.page_file.read_page_raw(page_id))  # repro-lint: disable=RL102 (get IS the accounting primitive)
+            decoded = decode(self.page_file.read_page_raw(page_id))
             self._pages[key] = decoded
             return decoded
         raw = self.page_file.read_page(page_id)

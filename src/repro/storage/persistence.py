@@ -256,7 +256,7 @@ def _store_checksums(catalog: ViewCatalog, views: list[dict]) -> dict[int, int]:
         for page_id in page_ids:
             if page_id not in checksums:
                 checksums[page_id] = page_checksum(
-                    page_file.read_page_raw(page_id)  # repro-lint: disable=RL102 (commit-time checksum pass, not measured evaluation I/O)
+                    page_file.read_page_raw(page_id)
                 )
     return checksums
 

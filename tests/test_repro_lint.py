@@ -22,7 +22,11 @@ def codes(findings):
     return sorted({f.code for f in findings})
 
 
-# -- RL101: hot-path purity ----------------------------------------------------
+# -- RL101 fixtures: hot-path purity, retired into RL201 ----------------------
+#
+# RL101 (the per-file hot-path rule) is retired; RL201 checks a hot
+# root's own body as well as its algorithms/-layer callees, so every
+# RL101 fixture now fires RL201, anchored at the def line.
 
 RL101_POSITIVE = """\
 def scan(entries):  # repro-lint: hot
@@ -36,20 +40,23 @@ def scan(entries):  # repro-lint: hot
 """
 
 RL101_SUPPRESSED = """\
-def scan(columns, n):  # repro-lint: hot
+# repro-lint: hot
+def scan(columns, n):  # repro-lint: disable=RL201 (emission only)
     out = []
     for i in range(n):
-        out.append(columns.entry(i))  # repro-lint: disable=RL101 (emission only)
+        out.append(columns.entry(i))
     return out
 """
 
 
 def test_rl101_flags_record_construction_and_try_in_loop():
     found = lint_text(RL101_POSITIVE, "algorithms/foo.py")
-    assert codes(found) == ["RL101"]
+    assert codes(found) == ["RL201"]
     messages = " ".join(f.message for f in found)
-    assert "element_of" in messages
-    assert "try/except" in messages
+    assert "'allocates-records' in its own body" in messages
+    assert "'loop-exception-setup' in its own body" in messages
+    # A marked root outside algorithms/ still has its own body checked.
+    assert codes(lint_text(RL101_POSITIVE, "rl101.py")) == ["RL201"]
 
 
 def test_rl101_registry_covers_known_hot_functions():
@@ -59,8 +66,9 @@ def test_rl101_registry_covers_known_hot_functions():
         "        return self.stored.read(index)\n"
     )
     found = lint_text(snippet, "algorithms/access.py")
-    assert codes(found) == ["RL101"]
+    assert codes(found) == ["RL201"]
     assert found[0].symbol == "TagSource.collect_from"
+    assert "'reference-decode'" in found[0].message
     # The same code under an unregistered path/function is not hot.
     assert lint_text(snippet, "algorithms/other.py") == []
 
@@ -76,9 +84,9 @@ def test_rl101_flags_property_style_record_factories():
         "        cursor.advance()\n"
     )
     found = lint_text(snippet, "algorithms/viewjoin.py")
-    assert codes(found) == ["RL101"]
+    assert codes(found) == ["RL201"]
     assert found[0].symbol == "_ViewJoinRun._add_nodes"
-    assert "'current'" in found[0].message
+    assert "'allocates-records'" in found[0].message
     # admitting the cursor's own ints is what the rule asks for
     clean = snippet.replace(
         "cursor.current", "cursor.position, cursor.start, cursor.end"
@@ -87,10 +95,12 @@ def test_rl101_flags_property_style_record_factories():
 
 
 def test_rl101_suppression_silences_the_line():
+    # Program rules anchor at the def line, so that is where the
+    # suppression goes (the hot marker moves to the line above).
     assert lint_text(RL101_SUPPRESSED, "algorithms/foo.py") == []
 
 
-# -- RL102: I/O-accounting mirror ----------------------------------------------
+# -- RL102 fixtures: I/O-accounting mirror, retired into RL203 ----------------
 
 RL102_POSITIVE = """\
 class Reader:
@@ -105,14 +115,18 @@ class Reader:
         return self.page_file.read_page_raw(page_id)
 """
 
+RL203_COLUMN_ENTRY = """\
+class Reader:
+    def record(self, index):
+        return self._columns.entry(index)
+"""
+
 
 def test_rl102_flags_unmirrored_raw_reads_in_storage():
     found = lint_text(RL102_POSITIVE, "storage/foo.py")
-    # The interprocedural mirror-closure rule (RL203, anchored at the
-    # def line) co-fires with the per-file rule (RL102, at the call).
-    assert codes(found) == ["RL102", "RL203"]
-    # RL102 is storage/-scoped; RL203 closes the same contract
-    # everywhere raw reads happen.
+    assert codes(found) == ["RL203"]
+    assert found[0].symbol == "Reader.load"
+    # Raw page reads need a mirror wherever they happen.
     assert codes(lint_text(RL102_POSITIVE, "algorithms/foo.py")) == ["RL203"]
 
 
@@ -127,7 +141,30 @@ def test_rl102_alias_resolution():
         "        read_raw = self.page_file.read_page_raw\n"
         "        return read_raw(page_id)\n"
     )
-    assert codes(lint_text(snippet, "storage/foo.py")) == ["RL102", "RL203"]
+    assert codes(lint_text(snippet, "storage/foo.py")) == ["RL203"]
+
+
+def test_rl203_flags_unmirrored_column_entry_in_storage():
+    """In storage/, building a record from the packed columns is a raw
+    read too: it needs a pool mirror like read_page_raw does."""
+    found = lint_text(RL203_COLUMN_ENTRY, "storage/foo.py")
+    assert codes(found) == ["RL203"]
+    assert found[0].symbol == "Reader.record"
+    mirrored = RL203_COLUMN_ENTRY.replace(
+        "        return self._columns.entry(index)",
+        "        self.pool.touch(index, 0)\n"
+        "        return self._columns.entry(index)",
+    )
+    assert lint_text(mirrored, "storage/foo.py") == []
+    aliased = RL203_COLUMN_ENTRY.replace(
+        "        return self._columns.entry(index)",
+        "        entry = self._columns.entry\n"
+        "        return entry(index)",
+    )
+    assert codes(lint_text(aliased, "storage/foo.py")) == ["RL203"]
+    # The column trigger is storage/-scoped: engines read columns
+    # through cursors that mirror for them.
+    assert lint_text(RL203_COLUMN_ENTRY, "algorithms/foo.py") == []
 
 
 # -- RL103: determinism --------------------------------------------------------
@@ -179,6 +216,24 @@ def test_rl103_flags_random_and_wall_clock():
     ) == []
 
 
+RL103_RANDOM_OFF_SINK = """\
+import random
+
+def shuffle_order(items):
+    random.shuffle(items)
+    return items
+"""
+
+
+def test_rl103_is_not_subsumed_by_rl202():
+    """RL202 sees only what reaches its four sinks; RL103 checks every
+    function in scope plus module-level ``random`` imports, so it stays
+    a rule of its own."""
+    found = lint_text(RL103_RANDOM_OFF_SINK, "service/foo.py")
+    assert codes(found) == ["RL103"]
+    assert {f.line for f in found} == {1}
+
+
 def test_rl103_suppression():
     suppressed = RL103_SET_ITERATION.replace(
         "for name in names:",
@@ -187,7 +242,7 @@ def test_rl103_suppression():
     assert lint_text(suppressed, "algorithms/foo.py") == []
 
 
-# -- RL104: cache coherence ----------------------------------------------------
+# -- RL104 fixtures: cache coherence, retired into RL204 ---------------------
 
 RL104_POSITIVE = """\
 class Planner:
@@ -211,18 +266,16 @@ class ViewCatalog:
 
 def test_rl104_flags_mutation_without_generation_bump():
     found = lint_text(RL104_POSITIVE, "planner.py")
-    # RL204 (transitive invalidation coverage, anchored at the def)
-    # co-fires with the per-file RL104 (anchored at the mutation).
-    assert codes(found) == ["RL104", "RL204"]
-    assert all("register" in f.symbol for f in found)
+    assert codes(found) == ["RL204"]
+    assert found[0].symbol == "Planner.register"
     assert lint_text(RL104_BUMPED, "planner.py") == []
-    # Contracts are path-scoped: the same class elsewhere is unchecked.
+    # The contract is path-scoped: the same class elsewhere is unchecked.
     assert lint_text(RL104_POSITIVE, "algorithms/foo.py") == []
 
 
 def test_rl104_catalog_contract_requires_version_store():
     found = lint_text(RL104_CATALOG, "storage/catalog.py")
-    assert codes(found) == ["RL104", "RL204"]
+    assert codes(found) == ["RL204"]
     fixed = RL104_CATALOG.replace(
         "self._views[key] = info",
         "self._views[key] = info\n        self.version += 1",
@@ -256,8 +309,8 @@ def test_rl104_maintenance_mutators_need_install_or_version_bump():
     # maintenance code must go through install_maintained (or bump the
     # catalog version itself), whatever the receiver variable is called.
     found = lint_text(RL104_MAINTENANCE_POSITIVE, "maintenance/engine.py")
-    assert codes(found) == ["RL104", "RL204"]
-    assert all("install" in f.symbol for f in found)
+    assert codes(found) == ["RL204"]
+    assert found[0].symbol == "install"
     assert lint_text(
         RL104_MAINTENANCE_SATISFIED, "maintenance/engine.py"
     ) == []
@@ -265,20 +318,22 @@ def test_rl104_maintenance_mutators_need_install_or_version_bump():
     assert lint_text(bumped, "maintenance/engine.py") == []
     # Path-scoped: the same function outside maintenance/ is unchecked.
     assert lint_text(RL104_MAINTENANCE_POSITIVE, "algorithms/foo.py") == []
-    suppressed = RL104_MAINTENANCE_POSITIVE.replace(
+    # Suppressions are line-scoped: RL204 anchors at the def line, so a
+    # comment on the mutation line does not silence it.
+    at_mutation = RL104_MAINTENANCE_POSITIVE.replace(
         "catalog.document = document",
         "catalog.document = document"
-        "  # repro-lint: disable=RL104 (caller installs)",
+        "  # repro-lint: disable=RL204 (caller installs)",
     )
-    # Suppressions are strictly line-scoped: silencing RL104 at the
-    # mutation line leaves the def-anchored RL204 finding standing.
-    assert codes(lint_text(suppressed, "maintenance/engine.py")) == ["RL204"]
-    both = suppressed.replace(
+    assert codes(lint_text(at_mutation, "maintenance/engine.py")) == [
+        "RL204"
+    ]
+    at_def = RL104_MAINTENANCE_POSITIVE.replace(
         "def install(catalog, document, views):",
         "def install(catalog, document, views):"
         "  # repro-lint: disable=RL204 (caller installs)",
     )
-    assert lint_text(both, "maintenance/engine.py") == []
+    assert lint_text(at_def, "maintenance/engine.py") == []
 
 
 # -- RL105: exception discipline -----------------------------------------------
@@ -517,26 +572,23 @@ def test_malformed_baseline_raises_lint_error(tmp_path):
 
 # -- CLI + seeded violations (acceptance criteria) -----------------------------
 
+#: One seeded violation per fixture family -> (path, source, the one
+#: code it fires).  The retired per-file codes keep their fixtures, now
+#: fired by the rule that owns the invariant.
 SEEDED = {
-    "RL101": ("rl101.py", RL101_POSITIVE),
-    "RL102": ("storage/rl102.py", RL102_POSITIVE),
-    "RL103": ("service/rl103.py", "import random\n"),
-    "RL104": ("planner.py", RL104_POSITIVE),
-    "RL105": ("rl105.py", "def f():\n    raise ValueError('x')\n"),
-    "RL107": ("service/core.py", RL107_POSITIVE),
-}
-
-#: Interprocedural RL2xx rules that close the same contract as a
-#: per-file rule co-fire on its minimal seed fixture.
-SEEDED_COMPANIONS = {
-    "RL102": {"RL203"},
-    "RL104": {"RL204"},
+    "RL101": ("rl101.py", RL101_POSITIVE, "RL201"),
+    "RL102": ("storage/rl102.py", RL102_POSITIVE, "RL203"),
+    "RL103": ("service/rl103.py", "import random\n", "RL103"),
+    "RL104": ("planner.py", RL104_POSITIVE, "RL204"),
+    "RL105": ("rl105.py", "def f():\n    raise ValueError('x')\n", "RL105"),
+    "RL106": ("service/rl106.py", RL106_RETRY_LOOP, "RL106"),
+    "RL107": ("service/core.py", RL107_POSITIVE, "RL107"),
 }
 
 
-@pytest.mark.parametrize("code", sorted(SEEDED))
-def test_cli_exits_nonzero_on_each_seeded_violation(tmp_path, capsys, code):
-    rel, source = SEEDED[code]
+@pytest.mark.parametrize("fixture", sorted(SEEDED))
+def test_cli_exits_nonzero_on_each_seeded_violation(tmp_path, capsys, fixture):
+    rel, source, code = SEEDED[fixture]
     root = tmp_path / "pkg"
     _write_module(root, rel, source)
     baseline = tmp_path / "baseline.json"
@@ -546,8 +598,7 @@ def test_cli_exits_nonzero_on_each_seeded_violation(tmp_path, capsys, code):
     payload = json.loads(capsys.readouterr().out)
     assert exit_code == 1
     assert payload["counts"]["per_rule"][code] >= 1
-    expected = {code} | SEEDED_COMPANIONS.get(code, set())
-    assert {f["code"] for f in payload["findings"]} == expected
+    assert {f["code"] for f in payload["findings"]} == {code}
 
 
 def test_cli_clean_tree_exits_zero(tmp_path, capsys):
