@@ -5,8 +5,9 @@ codecs, list reads and cursor advancement (served from packed columns,
 and — for a list built with ``columnar=False``, as the spills are —
 decoded through the pool), the engines' ``CountingCursor`` over the
 columns, B+-tree descent, the positional DAG buffer's admit-and-flush
-and the match enumerator — plus the document half of a durable commit:
-serializing the document and applying one delta to it.  These establish
+and the match enumerator — plus three steps of a durable commit:
+serializing the document, applying one delta to it, and a SHIFT repair
+of one view list.  These establish
 the unit costs behind the macro benchmarks' wall-clock numbers (and
 catch substrate regressions early).
 """
@@ -332,6 +333,24 @@ def _middle_deltas(document):
         "delete": DeleteSubtree(root_start=middle.start),
         "rename": RenameTag(node_start=middle.start, new_tag="renamed"),
     }
+
+
+def test_bench_slotted_shift(benchmark, xmark_doc):
+    """A SHIFT repair of one LE_p slotted list at the middle insert's cut:
+    the clone's columns derived from the parent's, and every page copied
+    to a fresh id, the ones whose labels moved re-packed from the
+    columns.  Rounds are fixed because each one allocates the list's
+    pages again."""
+    view = materialize(xmark_doc, parse_pattern("//item//text"), "LEp")
+    stored = view.lists["text"]
+    applied = apply_delta(xmark_doc, _middle_deltas(xmark_doc)["insert"])
+    cut, amount = applied.shift_start, applied.shift_amount
+    clone = benchmark.pedantic(stored.shifted, args=(((cut, amount),),),
+                               rounds=20)
+    assert list(clone.columns.starts) == [
+        start + amount if start >= cut else start
+        for start in stored.columns.starts
+    ]
 
 
 @pytest.mark.parametrize("kind", ["insert", "delete", "rename"])

@@ -158,10 +158,11 @@ def _shift_view(
     The shift map is strictly monotone on surviving labels, so document
     order, containment among view nodes, entry indexes — and therefore
     every stored pointer and every LE_p materialization decision — are
-    all preserved verbatim.  The relabelling itself runs at page level
-    (``view.relabeled`` → ``list.shifted`` → codec bulk shift): records
-    are never decoded, which is what makes a SHIFT repair asymptotically
-    cheaper than rematerializing the view.
+    all preserved verbatim.  ``view.relabeled`` → ``list.shifted`` derives
+    each clone's label columns from its parent's (a bisect and a bulk add
+    per op) and relabels the pages in bulk; no record is decoded, which
+    is what makes a SHIFT repair asymptotically cheaper than
+    rematerializing the view.
     """
     shift_ops = tuple((op.shift_start, op.shift_amount) for op in ops)
     return ViewInfo(

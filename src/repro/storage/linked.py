@@ -184,8 +184,9 @@ class LinkedElementView:
         preserves document order, containment among view nodes and entry
         indexes, so every stored pointer, every LE_p materialization
         decision and the pointer statistics carry over verbatim — only
-        the label bytes inside the pages change (in one bulk pass per
-        page, without decoding records).
+        the label bytes inside the pages and the label columns change
+        (each list's columns derived from its parent's, no record
+        decoded).
         """
         view = LinkedElementView.__new__(LinkedElementView)
         view.pattern = self.pattern

@@ -26,6 +26,7 @@ from repro.errors import StorageError
 from repro.storage.pager import Pager
 
 _DECODER_IDS = iter(range(1, 1 << 30))
+_LABEL_PAIR = struct.Struct("<II")
 
 
 class StoredList:
@@ -135,16 +136,18 @@ class StoredList:
 
     # -- maintenance -----------------------------------------------------------
 
-    def shifted(self, ops: Sequence[tuple[int, int]]) -> "StoredList":  # repro-lint: disable=RL203 (maintenance bulk rewrite, not measured evaluation I/O)
+    def shifted(self, ops: Sequence[tuple[int, int]]) -> "StoredList":  # repro-lint: disable=RL203 (maintenance copy-on-write relabel; columns derived, not read)
         """Copy-on-write clone with every record's region labels run
         through the piecewise shifts ``ops`` (incremental-maintenance
         SHIFT repair).
 
         The shift map is monotone, so membership, order, page fill and
-        entry indexes are all preserved; the codec relabels each page in
-        one bulk pass without decoding records.  Repaired pages are
-        freshly allocated — the source pages are never patched — so a
-        crash before the manifest commit leaves the original list intact.
+        entry indexes are all preserved.  The codec relabels each page in
+        one bulk pass, and the clone's columns are derived from this
+        list's (:meth:`~repro.storage.records.ElementColumns.shifted`):
+        no record is decoded.  Repaired pages are freshly allocated — the
+        source pages are never patched — so a crash before the manifest
+        commit leaves the original list intact.
         """
         if not self._finalized:
             raise StorageError(f"list {self.name!r} not finalized")
@@ -163,7 +166,8 @@ class StoredList:
             remaining -= count
         clone._length = self._length
         clone._finalized = True
-        clone._build_columns()
+        if self._columns is not None:
+            clone._columns = self._columns.shifted(ops)
         return clone
 
     # -- persistence ---------------------------------------------------------
@@ -402,34 +406,47 @@ class SlottedList:
 
     # -- maintenance -----------------------------------------------------------
 
-    def shifted(self, ops: Sequence[tuple[int, int]]) -> "SlottedList":  # repro-lint: disable=RL203 (maintenance bulk rewrite, not measured evaluation I/O)
+    def shifted(self, ops: Sequence[tuple[int, int]]) -> "SlottedList":  # repro-lint: disable=RL203 (maintenance copy-on-write relabel; columns derived, not read)
         """Copy-on-write clone with all region labels shifted.
 
-        Labels occupy fixed-width fields inside the variable-width
-        records, so each record is relabelled in place through the slot
-        directory and the page layout survives byte-for-byte (modulo the
-        label bytes themselves).  See :meth:`StoredList.shifted`.
+        The clone's columns are derived from this list's
+        (:meth:`~repro.storage.records.ElementColumns.shifted`), and its
+        pages are written from them: labels occupy fixed-width fields
+        inside the variable-width records, so a page whose labels moved
+        gets each record's label pair packed at the offset its slot
+        names, and a page whose labels did not move is copied
+        byte-for-byte.  No record is decoded, and a list without columns
+        (``columnar=False``) cannot be shifted.  Every page still goes to
+        a fresh page id; see :meth:`StoredList.shifted`.
         """
         if not self._finalized:
             raise StorageError(f"list {self.name!r} not finalized")
+        old = self._columns
+        if old is None:
+            raise StorageError(f"list {self.name!r} has no columns to shift")
         clone = SlottedList(self.pager, self.codec, name=self.name)
+        new = clone._columns = old.shifted(ops)
         page_file = self.pager.page_file
-        shift_at = self.codec.shift_labels_at
+        pack_into = _LABEL_PAIR.pack_into
+        labels_at = self.codec.LABELS_AT
         for first_index, count, page_id in self._directory:
+            stop = first_index + count
+            starts = new.starts[first_index:stop]
+            ends = new.ends[first_index:stop]
             # Maintenance-time rewrite, outside any measured evaluation.
-            raw = bytearray(page_file.read_page_raw(page_id))
-            for slot in range(count):
-                (offset,) = struct.unpack_from(
-                    "<H", raw, self._HEADER + slot * self._SLOT
-                )
-                shift_at(raw, offset, ops)
+            raw = page_file.read_page_raw(page_id)
+            if (starts != old.starts[first_index:stop]
+                    or ends != old.ends[first_index:stop]):
+                raw = bytearray(raw)
+                offsets = struct.unpack_from(f"<{count}H", raw, self._HEADER)
+                for offset, start, end in zip(offsets, starts, ends):
+                    pack_into(raw, offset + labels_at, start, end)
             new_id = page_file.allocate()
-            page_file.write_page(new_id, bytes(raw))
+            page_file.write_page(new_id, raw)
             clone._directory.append((first_index, count, new_id))
         clone._length = self._length
         clone._payload_bytes = self._payload_bytes
         clone._finalized = True
-        clone._build_columns()
         return clone
 
     # -- persistence ---------------------------------------------------------

@@ -13,9 +13,11 @@ sentinels:
 
 from __future__ import annotations
 
+import copy
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from typing import NamedTuple
 
 from repro.errors import StorageError
@@ -67,6 +69,12 @@ class ElementColumns:
     :meth:`entry` rebuilds the record object for the list's own readers
     (``read`` / ``scan`` / ``ListCursor``); the engines never call it —
     they carry an entry as its index into these columns.
+
+    Columns are never mutated once their list is finalized or attached:
+    only :meth:`append` and the codecs' ``extend_columns`` write them, and
+    only while the list's columns are being built.  A SHIFT clone
+    (:meth:`shifted`) relies on it and shares every column the shift
+    leaves alone with its parent.
     """
 
     __slots__ = ("starts", "ends", "levels")
@@ -90,30 +98,34 @@ class ElementColumns:
             self.starts[index], self.ends[index], self.levels[index]
         )
 
+    def shifted(self, ops) -> "ElementColumns":
+        """The same records with region labels run through the piecewise
+        shifts ``ops``: new ``starts`` / ``ends``, every other column
+        shared with ``self``."""
+        clone = copy.copy(self)
+        clone.starts, clone.ends = _shift_labels(self.starts, self.ends, ops)
+        return clone
 
-class LinkedColumns:
+
+class LinkedColumns(ElementColumns):
     """Packed columns of a linked-record list (LE and LE_p).
 
     Besides the region-label columns this carries one signed pointer-slot
     column per pointer kind; pointer sentinels keep their decoded values
     (``NULL_POINTER`` / ``UNMATERIALIZED_POINTER``) so fast-path consumers
-    branch on the same ints the record objects would expose.
+    branch on the same ints the record objects would expose.  The
+    immutability contract and :meth:`shifted` are
+    :class:`ElementColumns`'; a shift shares the pointer columns too.
     """
 
-    __slots__ = ("starts", "ends", "levels", "following", "descendant",
-                 "children")
+    __slots__ = ("following", "descendant", "children")
     kind = "linked"
 
     def __init__(self, num_children: int):
-        self.starts = array("I")
-        self.ends = array("I")
-        self.levels = array("I")
+        super().__init__()
         self.following = array("i")
         self.descendant = array("i")
         self.children = tuple(array("i") for _ in range(num_children))
-
-    def __len__(self) -> int:
-        return len(self.starts)
 
     def append(self, entry: "LinkedEntry") -> None:
         self.starts.append(entry.start)
@@ -172,6 +184,25 @@ def _shift_column(column: array, ops) -> array:
             value + amount if value >= cut else value for value in column
         ))
     return column
+
+
+def _shift_labels(starts: array, ends: array, ops) -> tuple[array, array]:
+    """Run a list's start and end columns through ``ops``.
+
+    The rule is :func:`_shift_column`'s, each op in the label space the
+    previous one left, but the work is per op rather than per value:
+    ``starts`` is sorted, so one bisect splits the list into a head that
+    stays and a tail that moves whole.  A tail entry's end is at least its
+    start, hence past the cut, so only the head's ends (the entries that
+    may contain the cut) take the per-value test.
+    """
+    for cut, amount in ops:
+        split = bisect_left(starts, cut)
+        add = amount.__add__
+        head = _shift_column(ends[:split], ((cut, amount),))
+        starts = starts[:split] + array("I", map(add, starts[split:]))
+        ends = head + array("I", map(add, ends[split:]))
+    return starts, ends
 
 
 def _shift_fixed_page(
@@ -405,6 +436,10 @@ class CompactLinkedCodec:
     _LABEL = _LABEL
     _POINTER = struct.Struct("<I")
     MAX_CHILDREN = 12
+    #: Byte offset of a record's start/end pair, right after the flag word.
+    #: Labels are full-width u32 whichever pointers follow, so relabelling
+    #: a record never changes its width or the slotted page around it.
+    LABELS_AT = _FLAGS.size
 
     def __init__(self, num_children: int):
         if not 0 <= num_children <= self.MAX_CHILDREN:
@@ -481,23 +516,6 @@ class CompactLinkedCodec:
             start, end, level, decoded[0], decoded[1], tuple(children)
         )
         return entry, cursor - offset
-
-    _PAIR = struct.Struct("<II")
-
-    def shift_labels_at(self, buf: bytearray, offset: int, ops) -> None:
-        """Relabel one record's start/end in place.
-
-        Labels are always full-width u32 regardless of which pointers are
-        present, so the record's width (and the slotted page layout around
-        it) never changes.
-        """
-        start, end = self._PAIR.unpack_from(buf, offset + 2)
-        for cut, amount in ops:
-            if start >= cut:
-                start += amount
-            if end >= cut:
-                end += amount
-        self._PAIR.pack_into(buf, offset + 2, start, end)
 
 
 def element_codec() -> ElementCodec:

@@ -3,8 +3,9 @@
 For seeded random update sequences over XMark and NASA fragments, a
 catalog maintained incrementally through
 :func:`repro.maintenance.apply_updates` must be **byte-identical** to a
-catalog materialized fresh from the final document: same page bytes per
-list, same entry counts, same pointer statistics, and same query answers
+catalog materialized fresh from the final document: same page bytes and
+packed columns per list, same entry counts, same pointer statistics, and
+same query answers
 with identical I/O counters.  Every repaired view's stored entry counts
 must also equal the exact solution-list sizes on the new document (the
 planner reads them as measured ``|L_q|`` instead of re-matching).  Runs
@@ -53,6 +54,9 @@ def build(document, patterns, scheme):
 
 
 def fingerprint(catalog):
+    """Per view: every list's page bytes and the columns the engines read
+    (a SHIFT derives a clone's columns from its parent's, not from the
+    pages, so the pages alone would not catch a wrong derived column)."""
     rows = {}
     for (name, scheme), info in catalog.entries():
         payload = []
@@ -60,9 +64,11 @@ def fingerprint(catalog):
             manifest = stored.manifest()
             ids = (manifest["page_ids"] if "page_ids" in manifest
                    else [row[2] for row in manifest["directory"]])
+            columns = stored.columns
             payload.append((tag, len(stored), tuple(
                 catalog.pager.page_file.read_page_raw(i) for i in ids
-            )))
+            ), columns.starts, columns.ends, columns.levels,
+                columns.following, columns.descendant, columns.children))
         rows[(name, scheme.value)] = (
             tuple(payload),
             info.num_pointers,

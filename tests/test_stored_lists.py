@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import random_trees
 from repro.errors import StorageError
 from repro.storage.lists import SlottedList, StoredList
 from repro.storage.pager import Pager
@@ -16,6 +20,7 @@ from repro.storage.records import (
     LinkedEntry,
     compact_linked_codec,
     element_codec,
+    linked_codec,
 )
 
 
@@ -193,3 +198,128 @@ def test_columnar_and_pool_served_lists_agree(twin, size, script):
     for op, index in script:
         columnar, served = (outcome(*side, op, index) for side in sides)
         assert columnar == served, (op, index)
+
+
+# -- SHIFT: a clone's columns derived from its parent's, pages relabelled ---------
+
+def shift_label(value, ops):
+    """The SHIFT rule for one label: each op in the space the last one left."""
+    for cut, amount in ops:
+        if value >= cut:
+            value += amount
+    return value
+
+
+def relabel_slotted_page(raw, ops):
+    """Per-record reference relabel of one compact slotted page."""
+    page = bytearray(raw)
+    (count,) = struct.unpack_from("<H", page, 0)
+    for slot in range(count):
+        (offset,) = struct.unpack_from("<H", page, 2 + 2 * slot)
+        labels = struct.unpack_from("<II", page, offset + 2)
+        struct.pack_into("<II", page, offset + 2,
+                         *(shift_label(value, ops) for value in labels))
+    return bytes(page)
+
+
+def tree_entries(seed):
+    """Linked records for the ``a`` nodes of a small random tree: real
+    region labels, so ends nest, with gaps where the other nodes sit."""
+    document = random_trees.generate(
+        size=40, tags=("a", "b"), max_depth=6, seed=seed
+    )
+    return [
+        LinkedEntry(
+            node.start, node.end, node.level,
+            k + 1 if k % 2 else NULL_POINTER,
+            UNMATERIALIZED_POINTER if k % 3 else k,
+            (k if k % 4 else NULL_POINTER, NULL_POINTER),
+        )
+        for k, node in enumerate(document.tag_list("a"))
+    ]
+
+
+def draw_op(data, labels):
+    """One ``(cut, amount)`` op in the space of the sorted ``labels``: an
+    insert anywhere (below the first label, above the last, on a label),
+    or a delete of a label run no record uses, as a real delete is."""
+    top = labels[-1] + 1 if labels else 0
+    if data.draw(st.booleans(), label="insert"):
+        cut = data.draw(st.one_of(
+            st.just(0), st.just(top), st.integers(0, top),
+            *([st.sampled_from(labels)] if labels else []),
+        ), label="cut")
+        return cut, 2 * data.draw(st.integers(1, 8), label="width")
+    bounds = [-1, *labels, top + 3]
+    free = [(lo + 1, hi - 1) for lo, hi in zip(bounds, bounds[1:])
+            if hi - lo > 1]
+    low, high = data.draw(st.sampled_from(free), label="free run")
+    first = data.draw(st.integers(low, high), label="first")
+    last = data.draw(st.integers(first, high), label="last")
+    return last + 1, first - last - 1
+
+
+SHIFT_LISTS = {
+    "element": lambda pager: StoredList(pager, element_codec()),
+    "linked": lambda pager: StoredList(pager, linked_codec(2)),
+    "compact": lambda pager: SlottedList(pager, compact_linked_codec(2)),
+}
+
+
+def column_fields(columns):
+    pointers = (
+        (columns.following, columns.descendant, *columns.children)
+        if columns.kind == "linked" else ()
+    )
+    return [columns.starts, columns.ends, columns.levels, *pointers]
+
+
+@pytest.mark.parametrize("kind", sorted(SHIFT_LISTS))
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_shift_derives_columns_from_parent(kind, seed, data):
+    """A SHIFT clone's derived columns equal a fresh decode of its pages
+    and the per-label rule; a slotted clone's pages equal the per-record
+    reference relabel; levels and pointers are shared, not copied; and
+    the parent — which a pinned generation may still read — is unchanged."""
+    pager = Pager(page_size=64)
+    read_raw = pager.page_file.read_page_raw
+    entries = tree_entries(seed)
+    if kind == "element":
+        entries = [ElementEntry(*entry[:3]) for entry in entries]
+    parent = SHIFT_LISTS[kind](pager)
+    parent.extend(entries)
+    parent.finalize()
+    columns_before = [array(c.typecode, c)
+                      for c in column_fields(parent.columns)]
+    pages_before = [read_raw(i) for i in parent.page_map()[0]]
+
+    labels = sorted(v for entry in entries for v in entry[:2])
+    ops = []
+    for __ in range(data.draw(st.integers(1, 4), label="ops")):
+        op = draw_op(data, labels)
+        ops.append(op)
+        labels = [shift_label(value, [op]) for value in labels]
+    clone = parent.shifted(ops)
+
+    derived = column_fields(clone.columns)
+    fresh = type(parent).attach(pager, parent.codec, clone.manifest())
+    assert derived == column_fields(fresh.columns)
+    assert list(derived[0]) == [shift_label(e.start, ops) for e in entries]
+    assert list(derived[1]) == [shift_label(e.end, ops) for e in entries]
+    assert all(shared is own for shared, own
+               in zip(derived[2:], column_fields(parent.columns)[2:]))
+    if kind == "compact":
+        assert [read_raw(i) for i in clone.page_map()[0]] == [
+            relabel_slotted_page(raw, ops) for raw in pages_before
+        ]
+    assert column_fields(parent.columns) == columns_before
+    assert [read_raw(i) for i in parent.page_map()[0]] == pages_before
+    assert list(parent.scan()) == entries
+
+
+def test_shift_refuses_a_slotted_list_without_columns():
+    """The relabel is written from the columns; there is no second path."""
+    stored, __ = compact_linked_twin(4, columnar=False)
+    with pytest.raises(StorageError):
+        stored.shifted([(0, 2)])
