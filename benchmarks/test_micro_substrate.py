@@ -2,8 +2,8 @@
 
 Per-operation costs of the building blocks every engine sits on: record
 codecs, list reads and cursor advancement (served from packed columns,
-and — for a list built with ``columnar=False``, as the spills are —
-decoded through the pool), the engines' ``CountingCursor`` over the
+and — for comparison — through the pool-served reference reader of
+``tests/rowwise_reference.py``), the engines' ``CountingCursor`` over the
 columns, B+-tree descent, the positional DAG buffer's admit-and-flush
 and the match enumerator — plus three steps of a durable commit:
 serializing the document, applying one delta to it, and a SHIFT repair
@@ -42,28 +42,22 @@ from repro.xmltree.document import DocumentBuilder
 from repro.xmltree.parser import parse_xml_file
 from repro.xmltree.writer import write_xml_file
 from tests.collector_probe import collections_started, started_inside_take
+from tests.rowwise_reference import PoolServedList
 
 N = 2000
 
 
-def _build_list(columnar: bool) -> StoredList:
-    pager = Pager()
-    stored = StoredList(
-        pager, element_codec(), name="micro", columnar=columnar
-    )
+@pytest.fixture(scope="module")
+def element_list():
+    stored = StoredList(Pager(), element_codec(), name="micro")
     stored.extend(ElementEntry(i * 3, i * 3 + 2, 1) for i in range(N))
     return stored.finalize()
 
 
 @pytest.fixture(scope="module")
-def element_list():
-    return _build_list(columnar=True)
-
-
-@pytest.fixture(scope="module")
-def pool_list():
-    """The same list built with ``columnar=False``: pool-served decode."""
-    return _build_list(columnar=False)
+def reference_list(element_list):
+    """The same pages through the reference reader: pool-served decode."""
+    return PoolServedList(element_list)
 
 
 def test_bench_element_codec_roundtrip(benchmark):
@@ -96,7 +90,7 @@ def test_bench_compact_codec_roundtrip(benchmark):
     assert benchmark(run) == entry
 
 
-def test_bench_pool_served_scan(benchmark, element_list):
+def test_bench_columnar_scan(benchmark, element_list):
     def run():
         total = 0
         for entry in element_list.scan():
@@ -118,19 +112,19 @@ def test_bench_cursor_advance(benchmark, element_list):
     assert benchmark(run) == N
 
 
-def test_bench_pool_served_scan_no_columns(benchmark, pool_list):
+def test_bench_reference_reader_scan(benchmark, reference_list):
     def run():
         total = 0
-        for entry in pool_list.scan():
+        for entry in reference_list.scan():
             total += entry.start
         return total
 
     assert benchmark(run) > 0
 
 
-def test_bench_cursor_advance_no_columns(benchmark, pool_list):
+def test_bench_reference_reader_cursor(benchmark, reference_list):
     def run():
-        cursor = pool_list.cursor()
+        cursor = reference_list.cursor()
         count = 0
         while cursor.current is not None:
             count += 1
@@ -333,6 +327,14 @@ def _middle_deltas(document):
         "delete": DeleteSubtree(root_start=middle.start),
         "rename": RenameTag(node_start=middle.start, new_tag="renamed"),
     }
+
+
+def test_bench_materialize_lep_view(benchmark, xmark_doc):
+    """An LE_p view built as its lists' columns, the slotted pages written
+    from them; no page is decoded back."""
+    view = benchmark(materialize, xmark_doc, parse_pattern("//item//text"),
+                     "LEp")
+    assert len(view.lists["text"].columns) == len(view.lists["text"])
 
 
 def test_bench_slotted_shift(benchmark, xmark_doc):

@@ -39,7 +39,7 @@ from repro.algorithms.base import KEYS, Counters, EvalResult, Match
 from repro.errors import EvaluationError
 from repro.storage.lists import StoredList
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
-from repro.storage.records import ElementEntry, MatchKeyCodec, element_codec
+from repro.storage.records import ElementColumns, ElementEntry, element_codec
 from repro.tpq.enumeration import Enumeration, MatchPlan
 from repro.tpq.pattern import Pattern
 
@@ -401,23 +401,19 @@ class DagBuffer:
         back, one list per query tag.
 
         Models the disk-based approach's extra I/O: the partition's portion
-        of F is written out and re-read before match computation.  The
-        rows are the element record's three labels, packed and paged
-        exactly as the element codec packs them, but written from and
-        decoded to plain int rows — no record on either side.
+        of F is written out and re-read before match computation.  A tag's
+        three label columns become an element list's columns, its pages
+        are written from them, and the read-back is an accounted scan of
+        that list (``touch_all``) — no record on either side.
         """
         assert self.spill_pager is not None
         reloaded: tuple[list, list, list] = ([], [], [])
         for tag, *labels in zip(self.plan.tags, *columns):
-            stored = StoredList(
-                self.spill_pager, MatchKeyCodec(3), name=f"spill:{tag}",
-                columnar=False,  # written once, scanned once: no reuse
+            spilled = StoredList.from_columns(
+                self.spill_pager, element_codec(),
+                ElementColumns().extend_fields(*labels), name=f"spill:{tag}",
             )
-            stored.extend(zip(*labels))
-            stored.finalize()
-            rows = list(stored.scan())
-            for column, values in zip(
-                reloaded, zip(*rows) if rows else ((), (), ())
-            ):
+            spilled.touch_all()
+            for column, values in zip(reloaded, spilled.columns.fields):
                 column.append(values)
         return reloaded

@@ -7,7 +7,7 @@ drag in?" — the properties the RL2xx interprocedural rules reason about:
 ``allocates-records``   builds ``ElementEntry``/``LinkedEntry`` record objects
                         (``element_of``, ``columns.entry``, a property-style
                         ``cursor.current`` read)
-``reference-decode``    calls a pool-served record reader
+``reference-decode``    calls a record-at-a-time list reader
                         (``StoredList.read``/``scan``) from ``algorithms/``
 ``loop-exception-setup``
                         sets up ``try`` inside a ``for``/``while`` loop
@@ -107,9 +107,9 @@ RECORD_CONSTRUCTORS = frozenset({
 #: a property (``cursor.current``) — any load of one allocates.
 RECORD_FACTORY_ATTRS = frozenset({"entry", "current"})
 
-#: Pool-served record readers (``StoredList.read`` / ``scan``).  Hot loops
-#: run on the packed columns; a call to one of these decodes a record per
-#: entry.
+#: Record-at-a-time list readers (``StoredList.read`` / ``scan``).  Hot
+#: loops run on the packed columns; a call to one of these builds a record
+#: per entry.
 REFERENCE_HELPERS = frozenset({"read", "scan"})
 
 #: Calls that read page bytes without going through the pool's counted

@@ -106,7 +106,7 @@ class TransitiveHotPurityRule(_GraphRule):
     name = "transitive-hot-purity"
     description = (
         "A registered hot function must not construct record objects,"
-        " call pool-served record readers (read/scan) or set up"
+        " call record-at-a-time list readers (read/scan) or set up"
         " try/except inside a loop — in its own body, and, for an"
         " algorithms/ root, in any algorithms/-layer callee up to the"
         " emission sinks.  Storage-layer callees are exempt: the lists'"

@@ -18,15 +18,17 @@ clear the cache outright through ``invalidate_results``.
 
 Spill buffer
 ------------
-Large match streams are not kept as Python lists: above
-``spill_threshold`` keys the stream is packed row-per-key into pager
-pages via :class:`~repro.storage.records.MatchKeyCodec` on the cache's
-**own** pager.  Rehydration reads back through that pager's buffer
-pool, so every replayed key is accounted as a logical (and, on a cold
-pool, physical) read in :attr:`io` — the cache's I/O is observable,
-never hidden, and never mixed into query outcomes (those replay the
-original run's recorded I/O).  The cache is bounded twice: entry count
-(LRU) and total spilled/resident bytes (``byte_budget``).  Page space
+Large match streams are not kept as Python lists: from
+:data:`SPILL_THRESHOLD` keys on, the stream becomes a match-key list
+(:class:`~repro.storage.records.MatchKeyCodec`: one ``u32`` column per
+key slot, paged row-per-key) on the cache's **own** pager, handed its
+columns whole.  Rehydration is an accounted scan of that list (the key
+columns zipped back into rows), so every replayed key is accounted as a
+logical (and, on a cold pool, physical) read in :attr:`io` — the
+cache's I/O is observable, never hidden, and never mixed into query
+outcomes (those replay the original run's recorded I/O).  The cache is
+bounded twice: entry count (LRU) and total spilled/resident bytes
+(:data:`BYTE_BUDGET`).  Page space
 of evicted entries is reclaimed wholesale when the cache is cleared
 (every catalog mutation), and by compaction in between: once the pages
 of evicted entries outnumber those of live ones, the live streams are
@@ -44,6 +46,12 @@ from repro.storage.lists import StoredList
 from repro.storage.pager import IOStats, Pager
 from repro.storage.records import MatchKeyCodec
 
+#: Max total bytes across cached streams (LRU-evicted past it).
+BYTE_BUDGET = 32 << 20
+#: Streams with at least this many match keys are spilled to pager pages
+#: instead of held as Python lists.
+SPILL_THRESHOLD = 256
+
 
 @dataclass
 class _StreamEntry:
@@ -59,19 +67,10 @@ class StreamCache:
 
     Args:
         capacity: max cached nodes; ``<= 0`` disables the cache.
-        byte_budget: max total bytes across entries (LRU-evicted past it).
-        spill_threshold: streams with at least this many match keys are
-            packed into pager pages instead of held as Python lists.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        byte_budget: int = 32 << 20,
-        spill_threshold: int = 256,
-    ):
-        self._cache = LRUCache(capacity, weight_budget=byte_budget)
-        self.spill_threshold = spill_threshold
+    def __init__(self, capacity: int):
+        self._cache = LRUCache(capacity, weight_budget=BYTE_BUDGET)
         self._pager: Pager | None = Pager() if capacity > 0 else None
         self._retired_io = IOStats()
         self._spill_serial = 0
@@ -109,7 +108,8 @@ class StreamCache:
         if entry is None:
             return None
         if entry.stored is not None:
-            keys = list(entry.stored.scan())
+            entry.stored.touch_all()
+            keys = list(zip(*entry.stored.columns.fields))
         else:
             keys = list(entry.result.match_keys)
         return replace(entry.result, match_keys=keys)
@@ -119,8 +119,11 @@ class StreamCache:
             return
         keys = result.match_keys
         stored = None
-        if len(keys) >= self.spill_threshold and self._pager is not None:
-            stored = self._pack(keys, MatchKeyCodec(len(keys[0])))
+        if len(keys) >= SPILL_THRESHOLD and self._pager is not None:
+            codec = MatchKeyCodec(len(keys[0]))
+            stored = self._pack(
+                codec, codec.make_columns().extend_fields(*zip(*keys))
+            )
             weight = stored.size_bytes
             self.spilled_streams += 1
             self.spilled_bytes += weight
@@ -132,15 +135,11 @@ class StreamCache:
                         weight=weight)
         self._compact()
 
-    def _pack(self, keys, codec: MatchKeyCodec) -> StoredList:
+    def _pack(self, codec: MatchKeyCodec, columns) -> StoredList:
         self._spill_serial += 1
-        stored = StoredList(
-            self._pager, codec, name=f"stream:{self._spill_serial}",
-            columnar=False,
+        return StoredList.from_columns(
+            self._pager, codec, columns, name=f"stream:{self._spill_serial}"
         )
-        stored.extend(keys)
-        stored.finalize()
-        return stored
 
     def evict(self, predicate) -> int:
         """Drop entries whose *key* matches ``predicate`` (GC of reaped
@@ -168,7 +167,8 @@ class StreamCache:
             return
         self._pager = Pager()
         for entry in live:
-            entry.stored = self._pack(entry.stored.scan(), entry.stored.codec)
+            entry.stored.touch_all()  # the copy reads every key once
+            entry.stored = self._pack(entry.stored.codec, entry.stored.columns)
         self._retire(old)
 
     def _retire(self, pager: Pager) -> None:

@@ -9,14 +9,46 @@ structural joins — but the scheme is the most compact (Table IV).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.errors import StorageError
 from repro.storage.lists import ListCursor, StoredList
 from repro.storage.pager import Pager
-from repro.storage.records import ElementEntry, element_codec
+from repro.storage.records import ElementColumns, element_codec
 from repro.tpq.pattern import Pattern
-from repro.xmltree.document import Node
+from repro.xmltree.document import Node, NodeView
+
+
+class SolutionLabels(NamedTuple):
+    """One view node's solution list as parallel label lists (document
+    order); ``indexes`` / ``parents`` (document node and parent indexes)
+    are gathered only for view nodes on a parent-child edge."""
+
+    starts: list[int]
+    ends: list[int]
+    levels: list[int]
+    indexes: Sequence[int]
+    parents: Sequence[int]
+
+
+def solution_labels(nodes: Sequence[Node], tree: bool) -> SolutionLabels:
+    if isinstance(nodes, NodeView):
+        columns = nodes.document.columns
+        return SolutionLabels(
+            nodes.gather(columns.start),
+            nodes.gather(columns.end),
+            nodes.gather(columns.level),
+            nodes.rows if tree else (),
+            nodes.gather(columns.parent) if tree else (),
+        )
+    nodes = list(nodes)
+    return SolutionLabels(
+        [node.start for node in nodes],
+        [node.end for node in nodes],
+        [node.level for node in nodes],
+        [node.index for node in nodes] if tree else (),
+        [node.parent_index for node in nodes] if tree else (),
+    )
 
 
 class ElementView:
@@ -24,7 +56,8 @@ class ElementView:
 
     Attributes:
         pattern: the view's tree pattern.
-        lists: one :class:`StoredList` of :class:`ElementEntry` per view tag.
+        lists: one :class:`StoredList` of :class:`ElementEntry` per view
+            tag, handed its label columns whole.
     """
 
     scheme_name = "E"
@@ -40,10 +73,11 @@ class ElementView:
                 raise StorageError(
                     f"no solution list supplied for view node {qnode.tag!r}"
                 )
-            stored = StoredList(pager, element_codec(), name=qnode.tag)
-            for node in nodes:
-                stored.append(ElementEntry(node.start, node.end, node.level))
-            self.lists[qnode.tag] = stored.finalize()
+            labels = solution_labels(nodes, tree=False)
+            self.lists[qnode.tag] = StoredList.from_columns(
+                pager, element_codec(),
+                ElementColumns().extend_fields(*labels[:3]), name=qnode.tag,
+            )
 
     # -- maintenance ---------------------------------------------------------
 

@@ -26,20 +26,21 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import StorageError
+from repro.storage.element import SolutionLabels, solution_labels
 from repro.storage.lists import ListCursor, SlottedList, StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import (
     NULL_POINTER,
     UNMATERIALIZED_POINTER,
-    LinkedEntry,
+    LinkedColumns,
     compact_linked_codec,
     linked_codec,
 )
 from repro.tpq.pattern import Pattern, PatternNode
-from repro.xmltree.document import Node, NodeView
+from repro.xmltree.document import Node
 
 
 class PointerKind(enum.Enum):
@@ -67,38 +68,6 @@ class PointerStats:
             "following": self.following,
             "total": self.total,
         }
-
-
-class _Solutions(NamedTuple):
-    """One view node's solution list as parallel label lists (document
-    order); ``indexes`` / ``parents`` (document node and parent indexes)
-    are gathered only for view nodes on a parent-child edge."""
-
-    starts: list[int]
-    ends: list[int]
-    levels: list[int]
-    indexes: Sequence[int]
-    parents: Sequence[int]
-
-
-def _solutions(nodes: Sequence[Node], tree: bool) -> _Solutions:
-    if isinstance(nodes, NodeView):
-        columns = nodes.document.columns
-        return _Solutions(
-            nodes.gather(columns.start),
-            nodes.gather(columns.end),
-            nodes.gather(columns.level),
-            nodes.rows if tree else (),
-            nodes.gather(columns.parent) if tree else (),
-        )
-    nodes = list(nodes)
-    return _Solutions(
-        [node.start for node in nodes],
-        [node.end for node in nodes],
-        [node.level for node in nodes],
-        [node.index for node in nodes] if tree else (),
-        [node.parent_index for node in nodes] if tree else (),
-    )
 
 
 class LinkedElementView:
@@ -145,7 +114,7 @@ class LinkedElementView:
 
     def _build(self, solution_lists: Mapping[str, Sequence[Node]]) -> None:
         solutions = {
-            qnode.tag: _solutions(
+            qnode.tag: solution_labels(
                 solution_lists.get(qnode.tag, ()),
                 tree=(
                     (qnode.parent is not None and qnode.axis.is_pc)
@@ -155,25 +124,19 @@ class LinkedElementView:
             for qnode in self.pattern.nodes
         }
         for qnode in self.pattern.nodes:
-            stored = self._new_list(qnode)
-            stored.extend(self._build_list(qnode, solutions))
-            self.lists[qnode.tag] = stored.finalize()
-
-    def _new_list(self, qnode: PatternNode) -> StoredList | SlottedList:
-        if self.partial:
-            # LE_p drops many pointers: variable-width compact records
-            # in slotted pages keep the view strictly smaller than LE
-            # (the Table IV property).
-            return SlottedList(
-                self.pager,
-                compact_linked_codec(len(qnode.children)),
+            if self.partial:
+                # LE_p drops many pointers: variable-width compact records
+                # in slotted pages keep the view strictly smaller than LE
+                # (the Table IV property).
+                layout = SlottedList
+                codec = compact_linked_codec(len(qnode.children))
+            else:
+                layout = StoredList
+                codec = linked_codec(len(qnode.children))
+            self.lists[qnode.tag] = layout.from_columns(
+                self.pager, codec, self._build_list(qnode, solutions),
                 name=qnode.tag,
             )
-        return StoredList(
-            self.pager,
-            linked_codec(len(qnode.children)),
-            name=qnode.tag,
-        )
 
     def relabeled(
         self, ops: Sequence[tuple[int, int]]
@@ -207,22 +170,22 @@ class LinkedElementView:
         return view
 
     def _build_list(
-        self, qnode: PatternNode, solutions: dict[str, _Solutions]
-    ) -> list[LinkedEntry]:
+        self, qnode: PatternNode, solutions: dict[str, SolutionLabels]
+    ) -> LinkedColumns:
+        """``qnode``'s list as columns: its labels and, per pointer kind,
+        the pointer column built over the solution labels."""
         own = solutions[qnode.tag]
-        children = [
-            self._child_pointers(own, solutions[child.tag], child)
-            for child in qnode.children
-        ]
-        return list(map(
-            LinkedEntry,
+        return LinkedColumns(len(qnode.children)).extend_fields(
             own.starts,
             own.ends,
             own.levels,
             self._following_pointers(qnode, own, solutions),
             self._descendant_pointers(own),
-            zip(*children) if children else [()] * len(own.starts),
-        ))
+            *(
+                self._child_pointers(own, solutions[child.tag], child)
+                for child in qnode.children
+            ),
+        )
 
     def _materialize_if_far(self, source: int, target: int) -> int:
         """Apply the LE_p heuristic to a following/descendant pointer."""
@@ -232,7 +195,7 @@ class LinkedElementView:
             return UNMATERIALIZED_POINTER
         return target
 
-    def _descendant_pointers(self, own: _Solutions) -> list[int]:
+    def _descendant_pointers(self, own: SolutionLabels) -> list[int]:
         """Same-type descendant with the smallest start.
 
         Lists are in document order, so the smallest-start descendant of
@@ -257,8 +220,8 @@ class LinkedElementView:
     def _following_pointers(
         self,
         qnode: PatternNode,
-        own: _Solutions,
-        solutions: dict[str, _Solutions],
+        own: SolutionLabels,
+        solutions: dict[str, SolutionLabels],
     ) -> list[int]:
         """Same-type following node with the smallest start, constrained to
         the same lowest parent-type ancestor in the view when one exists."""
@@ -291,8 +254,8 @@ class LinkedElementView:
 
     def _child_pointers(
         self,
-        parents: _Solutions,
-        children: _Solutions,
+        parents: SolutionLabels,
+        children: SolutionLabels,
         child_qnode: PatternNode,
     ) -> list[int]:
         """Per parent entry, the child-query-node partner with smallest start.
@@ -369,7 +332,7 @@ class LinkedElementView:
 
 
 def _lowest_view_ancestors(
-    nodes: _Solutions, candidates: _Solutions
+    nodes: SolutionLabels, candidates: SolutionLabels
 ) -> list[object]:
     """For each node, the start label of its lowest ancestor among
     ``candidates`` (both lists in document order), or None.

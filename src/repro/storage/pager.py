@@ -180,10 +180,9 @@ class PageFile:
     def read_page_raw(self, page_id: int) -> bytes:
         """Read a page without touching the I/O statistics.
 
-        Used for work that is not part of any measured evaluation: building
-        packed columns at view finalize/attach time, and re-decoding a page
-        whose mirrored residency (see :meth:`BufferPool.touch`) was already
-        accounted as a physical read.
+        Used for work that is not part of any measured evaluation: decoding
+        a list's pages into its columns when it is attached, and the
+        maintenance relabel of a slotted list's pages.
         """
         self._check(page_id)
         self._file.seek(page_id * self.page_size)
@@ -214,21 +213,22 @@ class PageFile:
         self.close()
 
 
-#: Residency placeholder for pages touched through the columnar fast path:
-#: the page is resident (it occupies a pool slot and ages through the LRU
-#: like any other) but was never decoded.  A later :meth:`BufferPool.get`
-#: decodes it lazily without re-counting the physical read.
+#: Residency marker for pages a list touched: the page is resident (it
+#: occupies a pool slot and ages through the LRU like any other) but has
+#: no decoded payload.  A decoder id belongs to one reader, and a reader
+#: either touches or gets, so :meth:`BufferPool.get` never finds one.
 _TOUCHED = object()
 
 
 class BufferPool:
     """LRU page cache over a :class:`PageFile`.
 
-    The pool caches *decoded* page payloads supplied by the caller's decode
-    function, so record unpacking also happens at most once per residency.
+    :meth:`get` caches *decoded* page payloads supplied by the caller's
+    decode function, so unpacking happens at most once per residency (the
+    B+-tree's nodes are read this way).
 
-    :meth:`touch` is the accounting mirror used by the columnar fast path:
-    it performs the exact same logical/physical-read bookkeeping and LRU
+    :meth:`touch` is the accounting mirror every list read uses: it
+    performs the exact same logical/physical-read bookkeeping and LRU
     state transitions as :meth:`get` without decoding the page, so a run
     that reads record fields from packed columns reports byte-identical
     I/O statistics to one that reads through the pool.
@@ -262,13 +262,7 @@ class BufferPool:
             if key != self._mru:
                 self._pages.move_to_end(key)
                 self._mru = key
-            if cached is not _TOUCHED:
-                return cached
-            # Touched but never decoded: the physical read was already
-            # accounted when the mirrored residency was established.
-            decoded = decode(self.page_file.read_page_raw(page_id))
-            self._pages[key] = decoded
-            return decoded
+            return cached
         raw = self.page_file.read_page(page_id)
         self.stats.physical_reads += 1
         decoded = decode(raw)

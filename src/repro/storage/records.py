@@ -1,4 +1,4 @@
-"""Fixed-width record codecs for the storage schemes.
+"""Record codecs and packed columns for the storage schemes.
 
 All schemes pack region labels as little-endian unsigned 32-bit integers.
 Pointers are list-local entry indexes (equivalent to the paper's
@@ -9,6 +9,13 @@ sentinels:
 * ``UNMATERIALIZED_POINTER`` — the pointer exists conceptually but was not
   materialized under the LE\\_p heuristic (Section III-C); readers must fall
   back to sequential advancement.
+
+A list's in-memory form is its packed columns, one flat array per record
+field; pages are their serialization.  A fixed-width page is every
+column's words interleaved in field order (:func:`pack_pages` writes it,
+:func:`extend_columns` reads it back when a list is attached).  Each
+codec's per-record ``encode`` / ``decode`` is the format reference the
+bulk writers are tested against.
 """
 
 from __future__ import annotations
@@ -18,16 +25,18 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.errors import StorageError
 
-#: Bulk column building reinterprets raw little-endian page bytes as native
-#: arrays; fall back to struct iteration anywhere that identity breaks.
-_NATIVE_U32 = sys.byteorder == "little" and array("I").itemsize == 4
+#: Page words are little-endian u32 (``array("I")``); a big-endian host
+#: byte-swaps each bulk array once, on the way in and on the way out.
+_SWAP = sys.byteorder == "big"
 
 NULL_POINTER = -1
 UNMATERIALIZED_POINTER = -2
+#: The largest entry index a signed 32-bit pointer column holds.
+_MAX_POINTER = (1 << 31) - 1
 
 _NULL_RAW = 0xFFFFFFFF
 _UNMATERIALIZED_RAW = 0xFFFFFFFE
@@ -59,26 +68,39 @@ class LinkedEntry(NamedTuple):
     children: tuple[int, ...]
 
 
-class ElementColumns:
+class _Columns:
+    """What every column set shares: ``fields``, each column in the
+    record's on-page field order."""
+
+    __slots__ = ()
+
+    def extend_fields(self, *fields):
+        """Extend each column by the matching sequence of ``fields`` (in
+        ``fields`` order): a view hands over whole columns this way.
+        Returns ``self``."""
+        for column, values in zip(self.fields, fields, strict=True):
+            column.extend(values)
+        return self
+
+
+class ElementColumns(_Columns):
     """Packed per-field columns of an element-record list.
 
-    The decode-once substrate of the columnar fast path: ``starts``,
-    ``ends`` and ``levels`` are flat :class:`array.array` columns aligned
-    by entry index, so binary searches and cursor advancement compare raw
-    ints without per-access page decoding or NamedTuple allocation.
-    :meth:`entry` rebuilds the record object for the list's own readers
-    (``read`` / ``scan`` / ``ListCursor``); the engines never call it —
-    they carry an entry as its index into these columns.
+    The one in-memory form of a list: ``starts``, ``ends`` and ``levels``
+    are flat :class:`array.array` columns aligned by entry index, so binary
+    searches and cursor advancement compare raw ints without NamedTuple
+    allocation.  :meth:`entry` rebuilds the record object for the list's
+    own readers (``read`` / ``scan`` / ``ListCursor``); the engines never
+    call it — they carry an entry as its index into these columns.
 
     Columns are never mutated once their list is finalized or attached:
-    only :meth:`append` and the codecs' ``extend_columns`` write them, and
-    only while the list's columns are being built.  A SHIFT clone
+    only :meth:`append`, :meth:`extend_fields` and :func:`extend_columns`
+    write them, and only while the list is being built.  A SHIFT clone
     (:meth:`shifted`) relies on it and shares every column the shift
     leaves alone with its parent.
     """
 
     __slots__ = ("starts", "ends", "levels")
-    kind = "element"
 
     def __init__(self):
         self.starts = array("I")
@@ -88,7 +110,12 @@ class ElementColumns:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def append(self, entry: "ElementEntry") -> None:
+    @property
+    def fields(self) -> tuple[array, ...]:
+        return (self.starts, self.ends, self.levels)
+
+    def append(self, entry) -> None:
+        """Append one record (anything with ``start``/``end``/``level``)."""
         self.starts.append(entry.start)
         self.ends.append(entry.end)
         self.levels.append(entry.level)
@@ -119,7 +146,6 @@ class LinkedColumns(ElementColumns):
     """
 
     __slots__ = ("following", "descendant", "children")
-    kind = "linked"
 
     def __init__(self, num_children: int):
         super().__init__()
@@ -127,10 +153,24 @@ class LinkedColumns(ElementColumns):
         self.descendant = array("i")
         self.children = tuple(array("i") for _ in range(num_children))
 
+    @property
+    def fields(self) -> tuple[array, ...]:
+        return (self.starts, self.ends, self.levels,
+                self.following, self.descendant, *self.children)
+
     def append(self, entry: "LinkedEntry") -> None:
-        self.starts.append(entry.start)
-        self.ends.append(entry.end)
-        self.levels.append(entry.level)
+        """Append one record, rejecting a wrong child-pointer count or a
+        pointer outside the signed 32-bit columns."""
+        if len(entry.children) != len(self.children):
+            raise StorageError(
+                f"expected {len(self.children)} child pointers,"
+                f" got {len(entry.children)}"
+            )
+        pointers = (entry.following, entry.descendant, *entry.children)
+        if (min(pointers) < UNMATERIALIZED_POINTER
+                or max(pointers) > _MAX_POINTER):
+            raise StorageError(f"pointer in {pointers} out of encodable range")
+        super().append(entry)
         self.following.append(entry.following)
         self.descendant.append(entry.descendant)
         for column, child in zip(self.children, entry.children):
@@ -145,6 +185,82 @@ class LinkedColumns(ElementColumns):
             self.descendant[index],
             tuple(column[index] for column in self.children),
         )
+
+
+class TupleColumns(_Columns):
+    """Packed columns of a tuple-scheme list: one :class:`ElementColumns`
+    per component, in the view's preorder.
+
+    The list is sorted by the composite key of component starts, so only
+    component 0's ``starts`` are sorted — which is why :meth:`shifted`
+    bisects that component alone.
+    """
+
+    __slots__ = ("components",)
+
+    def __init__(self, arity: int):
+        self.components = tuple(ElementColumns() for _ in range(arity))
+
+    def __len__(self) -> int:
+        return len(self.components[0])
+
+    @property
+    def fields(self) -> tuple[array, ...]:
+        return tuple(
+            column for component in self.components
+            for column in component.fields
+        )
+
+    def append(self, entries) -> None:
+        """Append one tuple record (one labelled entry per component)."""
+        if len(entries) != len(self.components):
+            raise StorageError(
+                f"expected {len(self.components)} components,"
+                f" got {len(entries)}"
+            )
+        for component, entry in zip(self.components, entries):
+            component.append(entry)
+
+    def entry(self, index: int) -> tuple[ElementEntry, ...]:
+        return tuple(component.entry(index) for component in self.components)
+
+    def shifted(self, ops) -> "TupleColumns":
+        """The same tuples with every component's labels shifted: component
+        0 by :meth:`ElementColumns.shifted`'s bisect, the unsorted others
+        by the per-value rule; every ``levels`` column is shared."""
+        first, *rest = self.components
+        clone = copy.copy(self)
+        clone.components = (first.shifted(ops), *(
+            _shift_unsorted(component, ops) for component in rest
+        ))
+        return clone
+
+
+class MatchKeyColumns(_Columns):
+    """Packed columns of a match-key list: one u32 column per key slot."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, arity: int):
+        self.keys = tuple(array("I") for _ in range(arity))
+
+    def __len__(self) -> int:
+        return len(self.keys[0])
+
+    @property
+    def fields(self) -> tuple[array, ...]:
+        return self.keys
+
+    def append(self, key: tuple[int, ...]) -> None:
+        if len(key) != len(self.keys):
+            raise StorageError(
+                f"expected {len(self.keys)} components, got {len(key)}"
+            )
+        for column, value in zip(self.keys, key):
+            column.append(value)
+
+    def entry(self, index: int) -> tuple[int, ...]:
+        return tuple(column[index] for column in self.keys)
 
 
 def _encode_pointer(value: int) -> int:
@@ -165,16 +281,51 @@ def _decode_pointer(raw: int) -> int:
     return raw
 
 
-def _reinterpret_signed(column: array) -> array:
-    """Reinterpret an unsigned 32-bit pointer column as signed.
+def _retyped(column: array, typecode: str) -> array:
+    """``column``'s 32-bit words reinterpreted as ``typecode``.
 
-    The on-page sentinel encodings are exactly the two's-complement images
-    of the decoded values (``0xFFFFFFFF`` -> ``NULL_POINTER`` = -1,
+    Pointer columns are signed and their page words unsigned.  The on-page
+    sentinel encodings are exactly the two's-complement images of the
+    decoded values (``0xFFFFFFFF`` -> ``NULL_POINTER`` = -1,
     ``0xFFFFFFFE`` -> ``UNMATERIALIZED_POINTER`` = -2), so one bulk
-    reinterpretation decodes a whole pointer column.  Real pointers are
-    list entry indexes, far below 2**31.
+    reinterpretation converts a whole pointer column either way.
     """
-    return array("i", column.tobytes())
+    if column.typecode == typecode:
+        return column
+    return array(typecode, column.tobytes())
+
+
+def pack_pages(columns, per_page: int) -> Iterator[bytes]:
+    """The fixed-width pages of ``columns``, ``per_page`` records each.
+
+    Each page is a zeroed ``u32`` array with every field's column slice
+    assigned at its stride (``flat[field::stride]``); the bytes equal the
+    concatenated per-record ``encode`` output of the page's records.
+    """
+    words = [_retyped(column, "I") for column in columns.fields]
+    stride = len(words)
+    total = len(columns)
+    for low in range(0, total, per_page):
+        high = min(low + per_page, total)
+        flat = array("I", bytes(4 * stride * (high - low)))
+        for field, column in enumerate(words):
+            flat[field::stride] = column[low:high]
+        if _SWAP:
+            flat.byteswap()
+        yield flat.tobytes()
+
+
+def extend_columns(columns, raw: bytes, count: int) -> None:
+    """Append the ``count`` fixed-width records at the head of page bytes
+    ``raw`` to ``columns``: one bulk reinterpretation of the page and a
+    strided slice per field (the inverse of :func:`pack_pages`)."""
+    fields = columns.fields
+    stride = len(fields)
+    flat = array("I", raw[: 4 * stride * count])
+    if _SWAP:
+        flat.byteswap()
+    for field, column in enumerate(fields):
+        column.extend(_retyped(flat[field::stride], column.typecode))
 
 
 def _shift_column(column: array, ops) -> array:
@@ -205,38 +356,13 @@ def _shift_labels(starts: array, ends: array, ops) -> tuple[array, array]:
     return starts, ends
 
 
-def _shift_fixed_page(
-    raw: bytes,
-    count: int,
-    width: int,
-    fields: int,
-    label_fields: tuple[int, ...],
-    ops,
-) -> bytes:
-    """Relabel the label fields of ``count`` fixed-width records.
-
-    Every record is ``fields`` little-endian u32 values wide with region
-    labels at the ``label_fields`` positions; everything else (levels,
-    pointer slots, the zero-padded page tail) is copied through verbatim,
-    so a monotone shift leaves the page byte-identical to a rebuild from
-    the relabelled entries.
-    """
-    if not _NATIVE_U32:  # pragma: no cover - exotic platforms
-        out = bytearray(raw[: count * width])
-        u32 = struct.Struct("<I")
-        for record in range(count):
-            base = record * width
-            for index in label_fields:
-                (value,) = u32.unpack_from(out, base + index * 4)
-                for cut, amount in ops:
-                    if value >= cut:
-                        value += amount
-                u32.pack_into(out, base + index * 4, value)
-        return bytes(out) + raw[count * width:]
-    flat = array("I", raw[: count * width])
-    for index in label_fields:
-        flat[index::fields] = _shift_column(flat[index::fields], ops)
-    return flat.tobytes() + raw[count * width:]
+def _shift_unsorted(columns: ElementColumns, ops) -> ElementColumns:
+    """:meth:`ElementColumns.shifted` for columns whose starts are not
+    sorted: every label takes the per-value rule."""
+    clone = copy.copy(columns)
+    clone.starts = _shift_column(columns.starts, ops)
+    clone.ends = _shift_column(columns.ends, ops)
+    return clone
 
 
 class ElementCodec:
@@ -250,31 +376,8 @@ class ElementCodec:
     def decode(self, raw: bytes, offset: int = 0) -> ElementEntry:
         return ElementEntry(*_LABEL.unpack_from(raw, offset))
 
-    def decode_page(self, raw: bytes, count: int) -> list[ElementEntry]:
-        """Decode ``count`` records from page bytes in one bulk pass."""
-        return list(map(
-            ElementEntry._make, _LABEL.iter_unpack(raw[: count * self.width])
-        ))
-
     def make_columns(self) -> ElementColumns:
         return ElementColumns()
-
-    def extend_columns(
-        self, columns: ElementColumns, raw: bytes, count: int
-    ) -> None:
-        """Bulk-append ``count`` records from raw page bytes to columns."""
-        if not _NATIVE_U32:  # pragma: no cover - exotic platforms
-            for offset in range(0, count * self.width, self.width):
-                columns.append(self.decode(raw, offset))
-            return
-        flat = array("I", raw[: count * self.width])
-        columns.starts.extend(flat[0::3])
-        columns.ends.extend(flat[1::3])
-        columns.levels.extend(flat[2::3])
-
-    def shift_page(self, raw: bytes, count: int, ops) -> bytes:
-        """Bulk-relabel the start/end labels of ``count`` records."""
-        return _shift_fixed_page(raw, count, self.width, 3, (0, 1), ops)
 
 
 class LinkedCodec:
@@ -313,31 +416,6 @@ class LinkedCodec:
     def make_columns(self) -> LinkedColumns:
         return LinkedColumns(self.num_children)
 
-    def extend_columns(
-        self, columns: LinkedColumns, raw: bytes, count: int
-    ) -> None:
-        """Bulk-append ``count`` records from raw page bytes to columns."""
-        if not _NATIVE_U32:  # pragma: no cover - exotic platforms
-            for offset in range(0, count * self.width, self.width):
-                columns.append(self.decode(raw, offset))
-            return
-        stride = 5 + self.num_children
-        flat = array("I", raw[: count * self.width])
-        columns.starts.extend(flat[0::stride])
-        columns.ends.extend(flat[1::stride])
-        columns.levels.extend(flat[2::stride])
-        columns.following.extend(_reinterpret_signed(flat[3::stride]))
-        columns.descendant.extend(_reinterpret_signed(flat[4::stride]))
-        for slot, column in enumerate(columns.children):
-            column.extend(_reinterpret_signed(flat[5 + slot :: stride]))
-
-    def shift_page(self, raw: bytes, count: int, ops) -> bytes:
-        """Bulk-relabel start/end; pointer slots are entry indexes and
-        survive a shift untouched."""
-        return _shift_fixed_page(
-            raw, count, self.width, 5 + self.num_children, (0, 1), ops
-        )
-
 
 class TupleCodec:
     """Codec for tuple-scheme records: ``arity`` concatenated labels.
@@ -370,16 +448,8 @@ class TupleCodec:
             for i in range(0, len(values), 3)
         )
 
-    def shift_page(self, raw: bytes, count: int, ops) -> bytes:
-        """Bulk-relabel the start/end labels of every tuple component."""
-        label_fields = tuple(
-            index
-            for component in range(self.arity)
-            for index in (3 * component, 3 * component + 1)
-        )
-        return _shift_fixed_page(
-            raw, count, self.width, 3 * self.arity, label_fields, ops
-        )
+    def make_columns(self) -> TupleColumns:
+        return TupleColumns(self.arity)
 
 
 class MatchKeyCodec:
@@ -407,11 +477,13 @@ class MatchKeyCodec:
     def decode(self, raw: bytes, offset: int = 0) -> tuple[int, ...]:
         return self._struct.unpack_from(raw, offset)
 
-    def decode_page(self, raw: bytes, count: int) -> list[tuple[int, ...]]:
-        width = self.width
-        unpack_from = self._struct.unpack_from
-        return [unpack_from(raw, offset)
-                for offset in range(0, count * width, width)]
+    def make_columns(self) -> MatchKeyColumns:
+        return MatchKeyColumns(self.arity)
+
+
+#: A following/descendant pointer's 2-bit compact flag; anything else is a
+#: present pointer (``0b10``).
+_TWO_BIT = {NULL_POINTER: 0, UNMATERIALIZED_POINTER: 1}
 
 
 class CompactLinkedCodec:
@@ -451,17 +523,7 @@ class CompactLinkedCodec:
         # Upper bound on one record's width (used for page-fit checks).
         self.max_width = 2 + 12 + 4 * (2 + num_children)
 
-    @staticmethod
-    def _two_bit(value: int) -> int:
-        if value == NULL_POINTER:
-            return 0
-        if value == UNMATERIALIZED_POINTER:
-            return 1
-        return 2
-
     def make_columns(self) -> LinkedColumns:
-        # Variable-width records cannot be bulk-reinterpreted; the slotted
-        # list builds these columns by appending decoded entries.
         return LinkedColumns(self.num_children)
 
     def encode(self, entry: LinkedEntry) -> bytes:
@@ -470,8 +532,8 @@ class CompactLinkedCodec:
                 f"expected {self.num_children} child pointers,"
                 f" got {len(entry.children)}"
             )
-        flags = self._two_bit(entry.following)
-        flags |= self._two_bit(entry.descendant) << 2
+        flags = _TWO_BIT.get(entry.following, 2)
+        flags |= _TWO_BIT.get(entry.descendant, 2) << 2
         present: list[int] = []
         if entry.following >= 0:
             present.append(entry.following)
@@ -487,6 +549,27 @@ class CompactLinkedCodec:
                  self._LABEL.pack(entry.start, entry.end, entry.level)]
         parts.extend(self._POINTER.pack(p) for p in present)
         return b"".join(parts)
+
+    def pack_records(self, columns: LinkedColumns) -> Iterator[bytes]:
+        """Every record of ``columns`` in :meth:`encode`'s layout, packed
+        straight from the column ints (no record object): one struct per
+        count of present pointers."""
+        if any(UNMATERIALIZED_POINTER in column for column in columns.children):
+            raise StorageError("child pointers are always materialized")
+        packs = [struct.Struct(f"<HIII{present}I").pack
+                 for present in range(3 + self.num_children)]
+        bits = [1 << (4 + i) for i in range(self.num_children)]
+        for start, end, level, following, descendant, *children in zip(
+            *columns.fields
+        ):
+            flags = _TWO_BIT.get(following, 2)
+            flags |= _TWO_BIT.get(descendant, 2) << 2
+            present = [p for p in (following, descendant) if p >= 0]
+            for bit, child in zip(bits, children):
+                if child >= 0:
+                    flags |= bit
+                    present.append(child)
+            yield packs[len(present)](flags, start, end, level, *present)
 
     def decode(self, raw: bytes, offset: int = 0) -> tuple[LinkedEntry, int]:
         """Decode one record; returns ``(entry, width)``."""

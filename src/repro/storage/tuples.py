@@ -15,7 +15,7 @@ from typing import Sequence
 from repro.errors import StorageError
 from repro.storage.lists import ListCursor, StoredList
 from repro.storage.pager import Pager
-from repro.storage.records import ElementEntry, tuple_codec
+from repro.storage.records import tuple_codec
 from repro.tpq.pattern import Pattern
 from repro.xmltree.document import Node
 
@@ -38,22 +38,14 @@ class TupleView:
         self.pager = pager
         self.tags = pattern.tags()
         codec = tuple_codec(len(self.tags))
-        stored = StoredList(pager, codec, name=pattern.to_xpath())
+        columns = codec.make_columns()
         for match in sorted(
             matches, key=lambda m: tuple(node.start for node in m)
         ):
-            if len(match) != len(self.tags):
-                raise StorageError(
-                    f"match arity {len(match)} does not fit view arity"
-                    f" {len(self.tags)}"
-                )
-            stored.append(
-                tuple(
-                    ElementEntry(node.start, node.end, node.level)
-                    for node in match
-                )
-            )
-        self.tuples = stored.finalize()
+            columns.append(match)  # the nodes' labels, per component
+        self.tuples = StoredList.from_columns(
+            pager, codec, columns, name=pattern.to_xpath()
+        )
 
     # -- maintenance ---------------------------------------------------------
 

@@ -2,23 +2,28 @@
 
 Until PR 19 this code lived inside ``CountingCursor`` and ``TagSource``
 behind an environment switch: every cursor move and every label probe
-decodes a record through the buffer pool (``StoredList.read`` /
-``ListCursor`` over a list *without* packed columns), and a buffered
-position's labels are resolved from the records those reads already paid
-for.  It left ``src/`` because no production run could reach it; it stays
-here because it shares no cursor or label code with
+decodes a record through the buffer pool, and a buffered position's
+labels are resolved from the records those reads already paid for.  It
+left ``src/`` because no production run could reach it; it stays here
+because it shares no cursor or label code with
 ``repro.algorithms.{base,access}`` — only the engines themselves, which
 take it through the ``sources`` mapping they already accept — so
 ``tests/test_columnar_fastpath.py`` can hold the columnar kernels to it
 on answers, work counters and pager I/O.
 
-The row-wise lists are ``columnar=False`` re-attachments of the same
-pages the production lists own (:func:`rowwise_twin`), so both sides read
-the same bytes.
+Its lists are :class:`PoolServedList` readers over the pages the
+production lists own, so both sides read the same bytes: ``read``,
+``scan`` and a cursor served by ``BufferPool.get``, each page decoded
+record by record with the codec's own ``decode``.  Lists themselves have
+no such read path — their columns are their only in-memory form — so
+this reader is what the columns' ``touch`` accounting is held to.
 """
 
 from __future__ import annotations
 
+import itertools
+import struct
+from bisect import bisect_right
 from contextlib import closing, nullcontext
 from operator import attrgetter
 from typing import Sequence
@@ -28,17 +33,107 @@ from repro.algorithms.engine import evaluate, evaluate_quantum
 from repro.algorithms.pathstack import pathstack
 from repro.algorithms.twigstack import twigstack
 from repro.algorithms.viewjoin import viewjoin, viewjoin_quantum
+from repro.errors import StorageError
 from repro.storage.catalog import ViewCatalog
 from repro.storage.linked import LinkedElementView
 from repro.storage.pager import IOStats, Pager
 
 
-def rowwise_twin(stored):
-    """``stored``'s pages attached again as a list without columns."""
-    return type(stored).attach(
-        stored.pager, stored.codec, stored.manifest(), name=stored.name,
-        columnar=False,
-    )
+#: Pool keys of the reference readers: negative, so they never meet a
+#: production list's decoder id in a shared pool.
+_READER_IDS = itertools.count(-1, -1)
+
+
+class PoolServedList:
+    """``read`` / ``scan`` / ``cursor`` over a list's pages through
+    ``BufferPool.get``, decoding a page record by record with the codec's
+    per-record ``decode`` at most once per pool residency.
+
+    Built from ``stored``'s manifest — fixed slots or a slotted
+    directory — on ``stored``'s pager, under a pool key of its own.
+    """
+
+    def __init__(self, stored):
+        self.pager = stored.pager
+        self.codec = stored.codec
+        self.name = stored.name
+        self._decoder_id = next(_READER_IDS)
+        manifest = stored.manifest()
+        self._length = manifest["length"]
+        self._slotted = "directory" in manifest
+        if self._slotted:
+            rows = manifest["directory"]
+            self._page_ids = [row[2] for row in rows]
+            self._breaks = [row[0] for row in rows]
+        else:
+            per_page = self.pager.page_size // self.codec.width
+            self._page_ids = list(manifest["page_ids"])
+            self._breaks = list(range(0, self._length, per_page))
+        self._breaks.append(self._length)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def _decode_page(self, raw: bytes, count: int) -> list:
+        if self._slotted:  # a u16 record count, then u16 record offsets
+            offsets = struct.unpack_from(f"<{count}H", raw, 2)
+            return [self.codec.decode(raw, offset)[0] for offset in offsets]
+        width = self.codec.width
+        return [self.codec.decode(raw, offset)
+                for offset in range(0, count * width, width)]
+
+    def read(self, index: int):
+        if not 0 <= index < self._length:
+            raise StorageError(f"entry index {index} out of range")
+        page = bisect_right(self._breaks, index, 0, len(self._page_ids)) - 1
+        first, stop = self._breaks[page], self._breaks[page + 1]
+        records = self.pager.pool.get(
+            self._page_ids[page], self._decoder_id,
+            lambda raw: self._decode_page(raw, stop - first),
+        )
+        return records[index - first]
+
+    def scan(self):
+        for index in range(self._length):
+            yield self.read(index)
+
+    def cursor(self) -> "PoolServedCursor":
+        return PoolServedCursor(self)
+
+
+class PoolServedCursor:
+    """``ListCursor``'s contract with every move a pool-served ``read``."""
+
+    def __init__(self, stored: PoolServedList):
+        self.list = stored
+        self.position = 0
+        self.current = stored.read(0) if len(stored) else None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.current is None
+
+    def advance(self) -> None:
+        if self.current is None:
+            return
+        self.position += 1
+        self.current = (
+            self.list.read(self.position)
+            if self.position < len(self.list) else None
+        )
+
+    def seek(self, index: int) -> None:
+        if index >= len(self.list):
+            self.position = len(self.list)
+            self.current = None
+            return
+        if index < 0:
+            raise StorageError(f"cannot seek to negative index {index}")
+        self.position = index
+        self.current = self.list.read(index)
+
+    def peek(self, index: int):
+        return self.list.read(index)
 
 
 class _RecordField:
@@ -88,7 +183,7 @@ class RecordLabels:
 
 
 class RowwiseCursor:
-    """``CountingCursor``'s contract over a pool-served ``ListCursor``:
+    """``CountingCursor``'s contract over a :class:`PoolServedCursor`:
     the same attributes and counter attributions, every move a decoded
     record, every record kept in ``seen`` by position."""
 
@@ -156,7 +251,7 @@ class RowwiseCursor:
 
 
 class RowwiseSource:
-    """``TagSource``'s contract over a list without columns (no B+-tree:
+    """``TagSource``'s contract over a :class:`PoolServedList` (no B+-tree:
     the indexed descent never touched the row-wise code)."""
 
     def __init__(self, view, tag: str, stored):
@@ -259,7 +354,7 @@ class RowwiseEngines:
                 if query.has_tag(tag):
                     stored = view.list_for(tag)
                     if stored not in self._twins:
-                        self._twins[stored] = rowwise_twin(stored)
+                        self._twins[stored] = PoolServedList(stored)
                     sources[tag] = RowwiseSource(
                         view, tag, self._twins[stored]
                     )

@@ -31,8 +31,8 @@ from repro.tpq.parser import parse_pattern
 from tests.rowwise_reference import (
     ColumnarEngines,
     RowwiseEngines,
+    PoolServedList,
     RowwiseSource,
-    rowwise_twin,
 )
 
 # (query, covering views, engines) — mixed twig/path shapes so every
@@ -153,8 +153,7 @@ def test_bisect_start_paths_agree(seed, data):
         assert fast.labels is fast.stored.columns is not None
         indexed = TagSource(view, "a")
         indexed.ensure_index()
-        slow = RowwiseSource(view, "a", rowwise_twin(fast.stored))
-        assert slow.stored.columns is None
+        slow = RowwiseSource(view, "a", PoolServedList(fast.stored))
         for value in probes:
             landed = fast.bisect_start(value, Counters())
             assert landed == indexed.bisect_start(value, Counters())

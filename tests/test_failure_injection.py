@@ -23,6 +23,7 @@ from repro.storage.pager import PageFile, Pager
 from repro.storage.persistence import load_catalog, save_catalog
 from repro.storage.records import ElementEntry, element_codec
 from repro.tpq.parser import parse_pattern
+from tests.rowwise_reference import PoolServedList
 
 
 def test_truncated_page_file_detected(tmp_path):
@@ -37,22 +38,24 @@ def test_truncated_page_file_detected(tmp_path):
 
 
 def test_corrupted_page_decodes_to_garbage_not_crash(small_doc):
-    """Bit-flips inside a page produce wrong labels, not exceptions —
+    """Bit-flips inside a page produce wrong labels, not exceptions, for a
+    reader that decodes the page (the pool-served reference reader) —
     and the validation layer above (document construction) rejects them."""
     pager = Pager(page_size=64)
-    stored = StoredList(pager, element_codec(), name="t", columnar=False)
+    stored = StoredList(pager, element_codec(), name="t")
     stored.append(ElementEntry(1, 2, 0))
     stored.finalize()
     page_id, __ = stored.page_of(0)
     pager.page_file.write_page(page_id, b"\xff" * 12)
     pager.pool.clear()
-    entry = stored.read(0)
+    entry = PoolServedList(stored).read(0)
     assert entry.start == 0xFFFFFFFF  # garbage is visible, not masked
 
 
 def test_columnar_reads_serve_finalize_time_snapshot():
-    """Packed columns are built once at finalize; page corruption after
-    that point is invisible to columnar reads (decode-once invariant)."""
+    """A list's columns are its records and its pages their serialization
+    (pages are decoded only on attach); page corruption after finalize is
+    invisible to columnar reads."""
     pager = Pager(page_size=64)
     stored = StoredList(pager, element_codec(), name="t")
     stored.append(ElementEntry(1, 2, 0))

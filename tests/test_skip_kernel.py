@@ -13,8 +13,9 @@ accounting in bulk (``BufferPool.touch_run``).  Each test drives one
 cursor through the kernel and a twin cursor (same entries, its own
 pager) through the loop, then compares every observable; the twin is
 either another ``CountingCursor`` or the row-wise reference cursor
-(``tests/rowwise_reference.py``) over a list without columns, whose
-``advance_past`` *is* the literal loop over pool-served records.
+(``tests/rowwise_reference.py``) over the pool-served reader of the same
+pages, whose ``advance_past`` *is* the literal loop over records decoded
+through the pool.
 """
 
 from __future__ import annotations
@@ -25,25 +26,26 @@ from repro.algorithms.base import Counters, CountingCursor
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import ElementEntry, element_codec
-from tests.rowwise_reference import RowwiseCursor
+from tests.rowwise_reference import PoolServedList, RowwiseCursor
 
 #: Small pages so a modest list spans many pages (page crossings are the
 #: interesting accounting case).
 PAGE_SIZE = 64
 
 
-def make_cursor(num=40, columnar=True, stride=3):
+def make_cursor(num=40, reference=False, stride=3):
     """A cursor over a fresh list: the kernel's ``CountingCursor``, or
-    with ``columnar=False`` the row-wise reference cursor."""
+    with ``reference=True`` the row-wise reference cursor over the
+    list's pages."""
     pager = Pager(page_size=PAGE_SIZE)
-    stored = StoredList(pager, element_codec(), columnar=columnar)
+    stored = StoredList(pager, element_codec())
     stored.extend(
         ElementEntry(stride * i, stride * i + 1, 0) for i in range(num)
     )
     stored.finalize()
-    if columnar:
-        return CountingCursor(stored, Counters()), pager
-    return RowwiseCursor(stored, Counters(), {}), pager
+    if reference:
+        return RowwiseCursor(PoolServedList(stored), Counters(), {}), pager
+    return CountingCursor(stored, Counters()), pager
 
 
 def literal_skip(cursor, bound):
@@ -65,11 +67,11 @@ def observables(cursor, pager):
     )
 
 
-def assert_twins_equal(bounds, num=40, columnar=True, interleave=0):
+def assert_twins_equal(bounds, num=40, reference=False, interleave=0):
     """Drive the kernel and the literal loop through the same script
-    (``columnar=False``: the loop runs on the reference cursor)."""
+    (``reference=True``: the loop runs on the reference cursor)."""
     fast, fast_pager = make_cursor(num)
-    slow, slow_pager = make_cursor(num, columnar=columnar)
+    slow, slow_pager = make_cursor(num, reference=reference)
     for bound in bounds:
         fast.advance_past(bound)
         literal_skip(slow, bound)
@@ -125,10 +127,10 @@ def test_kernel_composes_with_plain_advances():
 def test_non_columnar_fallback_matches_loop():
     """The literal loop on the row-wise reference cursor — until PR 19
     ``CountingCursor``'s own fallback for a list without columns."""
-    assert_twins_equal([5, 29, 60, 118], columnar=False)
-    assert_twins_equal([9, 33, 57, 81, 105], columnar=False, interleave=2)
-    cursor, _ = make_cursor(10, columnar=False)
-    assert cursor.cursor.list.columns is None  # really pool-served
+    assert_twins_equal([5, 29, 60, 118], reference=True)
+    assert_twins_equal([9, 33, 57, 81, 105], reference=True, interleave=2)
+    cursor, _ = make_cursor(10, reference=True)
+    assert isinstance(cursor.cursor.list, PoolServedList)  # pool-served
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -137,7 +139,7 @@ def test_kernel_matches_loop_on_derived_bound_scripts(seed):
     # scramble keyed by the seed) covering short hops and long leaps.
     bounds = sorted((seed * 7 + k * k * 11) % 130 for k in range(9))
     assert_twins_equal(bounds, num=42)
-    assert_twins_equal(bounds, num=42, columnar=False)
+    assert_twins_equal(bounds, num=42, reference=True)
 
 
 # -- touch_run: the bulk accounting mirror -------------------------------------
