@@ -1,7 +1,8 @@
 """CI smoke: the online adaptive view advisor every run.
 
-Records a canned repeated-structure workload into a fresh advisor-enabled
-service, runs one advisor cycle, and asserts the adoption contract:
+Records a canned repeated-structure workload through an
+:class:`OnlineAdvisor` over a plain service, runs one advisor cycle, and
+asserts the adoption contract:
 
 * at least one view was adopted and the measured storage stays under the
   configured budget;
@@ -9,8 +10,9 @@ service, runs one advisor cycle, and asserts the adoption contract:
   counts, cached/refuted flags) to the pre-adoption truth;
 * the adopted views **strictly reduce** the measured work and logical
   reads of the workload (the whole point of adopting them);
-* the recorded log replays deterministically: planning adoption twice
-  from the same log yields the identical decision sequence.
+* the recorded log replays deterministically: a serialize/load round
+  trip of it (the offline ``advise --from-log`` path) plans the
+  identical decision sequence as the live log.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ def result_key(batch):
 
 def main() -> int:
     from repro.datasets import random_trees
-    from repro.selection.online import plan_adoption
+    from repro.selection.estimates import (
+        CalibratedStatistics,
+        DocumentStatistics,
+    )
+    from repro.selection.online import (
+        OnlineAdvisor,
+        WorkloadLog,
+        plan_adoption,
+    )
     from repro.service import QueryService
     from repro.storage.catalog import ViewCatalog
     from repro.workloads import repeated_batch
@@ -37,15 +47,15 @@ def main() -> int:
     budget = 150_000.0
 
     with ViewCatalog(doc) as catalog:
-        with QueryService(
-            catalog, advisor=True, advisor_budget_bytes=budget
-        ) as service:
+        with QueryService(catalog) as service:
+            advisor = OnlineAdvisor(service, budget_bytes=budget)
             before = service.evaluate_batch(workload.queries)
-            plan = service.advisor_cycle()
+            advisor.record(before.outcomes)
+            plan = advisor.cycle()
             assert plan.adopt, "canned workload must adopt at least one view"
 
-            metrics = service.advisor_metrics()
-            assert metrics["enabled"] and metrics["cycles"] == 1
+            metrics = advisor.metrics()
+            assert metrics["cycles"] == 1
             assert metrics["adopted_bytes"] <= budget, (
                 metrics["adopted_bytes"], budget,
             )
@@ -63,20 +73,20 @@ def main() -> int:
                 f" {before.io.logical_reads} -> {after.io.logical_reads}"
             )
 
-            # Determinism: the same recorded log plans identically.
-            log = service.advisor_log
-            from repro.selection.estimates import (
-                CalibratedStatistics,
-                DocumentStatistics,
-            )
-
-            stats = DocumentStatistics.collect(doc)
-            calibration = CalibratedStatistics.from_log(stats, log)
-            one = plan_adoption(log, calibration, budget_bytes=budget)
-            two = plan_adoption(log, calibration, budget_bytes=budget)
-            assert [d.as_dict() for d in one.decisions] == [
-                d.as_dict() for d in two.decisions
-            ], "advisor decisions must be deterministic for a fixed log"
+    # Determinism: the saved log replays to the live log's plan.
+    log = advisor.log
+    replayed = WorkloadLog.loads(log.dumps())
+    stats = DocumentStatistics.collect(doc)
+    live, offline = (
+        plan_adoption(
+            each, CalibratedStatistics.from_log(stats, each),
+            budget_bytes=budget,
+        )
+        for each in (log, replayed)
+    )
+    assert [d.as_dict() for d in live.decisions] == [
+        d.as_dict() for d in offline.decisions
+    ], "a saved log must replay to the live log's decisions"
 
     print(
         "advisor smoke ok:"

@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      dest="from_log",
                      help="replay a recorded WorkloadLog (JSON, from"
                           " `batch --record-log` or"
-                          " QueryService.advisor_log.save) and print the"
+                          " OnlineAdvisor.log.save) and print the"
                           " deterministic adopt/drop plan")
     adv.add_argument("--budget", type=float, default=float(1 << 20),
                      help="storage budget in bytes for --from-log plans")
@@ -479,11 +479,12 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import time
 
+    from repro.selection import WorkloadLog
     from repro.service import QueryService
 
+    log = WorkloadLog()
     with QueryService.open(
-        args.store, result_cache_size=args.result_cache,
-        advisor=args.record_log is not None,
+        args.store, result_cache_size=args.result_cache
     ) as service:
         service.warmup(args.queries)
         elapsed = []
@@ -499,6 +500,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                     args.queries, emit_matches=False,
                 )
             elapsed.append(time.perf_counter() - begin)
+            for outcome in batch.outcomes:
+                log.record(outcome)
         assert batch is not None
         elapsed.sort()
         rows = [
@@ -530,8 +533,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f" {metrics['stream_hits']} stream hit(s);"
             f" executed work {metrics['executed_work']}"
         )
-        log = service.advisor_log
-        if args.record_log is not None and log is not None:
+        if args.record_log is not None:
             log.harvest_catalog(service.catalog)
             log.save(args.record_log)
             print(

@@ -129,11 +129,13 @@ class ContinuationMalformed(ContinuationError):
 class ContinuationExpired(ContinuationError):
     """Raised when an intact continuation token is no longer resumable.
 
-    The suspended position referenced state that has since been
-    invalidated: a maintenance commit (``apply_updates``) shifted region
-    labels, a quarantine or advisor cycle dropped a planned view, the
-    worker pool was respawned, or the service shut down.  The client must
-    restart the query from ``POST /query``.
+    The suspended position referenced state that is gone: its pinned
+    store generation was garbage-collected, a quarantine or
+    ``QueryService.drop`` removed a view it planned over from the live
+    generation, the service shut down, or another service instance
+    issued the token.  A maintenance commit or a pool respawn alone does
+    not expire a token.  The client must restart the query from
+    ``POST /query``.
     """
 
 

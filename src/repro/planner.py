@@ -167,9 +167,10 @@ class Planner:
     def deregister(self, name: str) -> bool:
         """Remove one registered view by name (else canonical xpath).
 
-        The adoption controller's drop hook: the pattern leaves the
-        candidate set for every future plan and any quarantine entry is
-        cleared (a rematerialized successor starts with a clean record).
+        :meth:`repro.service.QueryService.drop`'s planner half: the
+        pattern leaves the candidate set for every future plan and any
+        quarantine entry is cleared (a rematerialized successor starts
+        with a clean record).
         Bumps the generation so memoized plans that used the view are
         dropped.  Returns True when a registration was actually removed.
         """

@@ -13,7 +13,7 @@ from repro.selection.online import (
     AdoptedView,
     AdoptionDecision,
     AdoptionPlan,
-    Measurement,
+    OnlineAdvisor,
     QueryObservation,
     WorkloadLog,
     advisor_view_name,
@@ -46,7 +46,7 @@ __all__ = [
     "AdoptedView",
     "AdoptionDecision",
     "AdoptionPlan",
-    "Measurement",
+    "OnlineAdvisor",
     "QueryObservation",
     "WorkloadLog",
     "advisor_view_name",

@@ -2,17 +2,14 @@
 
 Offline, the advisor (``selection/workload_advisor.py``) picks views for
 a *fixed* workload on *estimated* list sizes.  Served traffic drifts,
-and the serving layer already measures exactly the
-quantities the cost model guesses at: per-query work and I/O counters
-(:class:`Measurement`), and — for every materialized view — the exact
-q-type list cardinalities the estimates approximate.  This module closes
-the loop in three deterministic pieces:
+and every materialized view already stores the exact q-type list
+cardinalities the estimates approximate.  This module closes the loop
+in four deterministic pieces:
 
-1. :class:`WorkloadLog` — a compact, serializable aggregate of the live
+1. :class:`WorkloadLog` — a compact, serializable aggregate of the
    query stream: per-pattern demand weight (decayed across advisor
-   cycles so stale traffic ages out), measured counters, cache/replay
-   telemetry, and the measured per-view list cardinalities harvested
-   from the catalog.
+   cycles so stale traffic ages out) and the measured per-view list
+   cardinalities harvested from the catalog.
 2. :class:`~repro.selection.estimates.CalibratedStatistics` — the
    measured-first size source: ``list_size`` answers from the harvested
    cardinalities and falls back to the independence-assumption estimate
@@ -24,10 +21,10 @@ the loop in three deterministic pieces:
    currently adopted set)`` — no wall clock, no randomness — so a
    recorded log replays to the identical plan offline
    (``viewjoin advise --from-log``).
-
-:class:`repro.service.QueryService` owns the serving-side integration
-(recording, the background cycle cadence, materialization and full
-cache/worker invalidation on adopt/drop).
+4. :class:`OnlineAdvisor` — the controller loop outside the service:
+   it records the outcomes its caller hands it and applies each cycle's
+   plan through the service's public ``register`` and ``drop``, which
+   carry the full cache/worker invalidation.
 """
 
 from __future__ import annotations
@@ -37,7 +34,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.errors import PatternParseError, SelectionError
-from repro.selection.estimates import catalog_list_sizes
+from repro.selection.estimates import (
+    CalibratedStatistics,
+    DocumentStatistics,
+    catalog_list_sizes,
+)
 from repro.selection.workload_advisor import recommend_for_workload
 from repro.tpq.parser import parse_pattern
 from repro.tpq.pattern import Pattern
@@ -47,46 +48,17 @@ from repro.tpq.pattern import Pattern
 #: never dropped by the controller.
 ADVISOR_PREFIX = "adv:"
 
+#: Demand-weight decay applied at the end of every :class:`OnlineAdvisor`
+#: cycle: how fast traffic that stopped arriving loses its budget claim.
+DECAY = 0.5
+
+#: Largest candidate view, in pattern nodes, the online controller mines.
+MAX_VIEW_SIZE = 4
+
 
 def advisor_view_name(xpath: str) -> str:
     """The catalog/planner name of an advisor-adopted view."""
     return ADVISOR_PREFIX + xpath
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """Measured per-query counters: the single authoritative contract.
-
-    Every answered query exposes exactly one of these
-    (:attr:`repro.service.QueryOutcome.measured`); the workload recorder
-    and external consumers read it instead of digging through the raw
-    ``counters``/``io`` objects and re-deriving totals.  All fields are
-    the run's *recorded* deterministic values — for cached/shared
-    replays they equal what an independent execution would have
-    measured (the service's replay-accounting contract), i.e. the
-    query's logical demand.
-    """
-
-    #: scalar CPU-side work (``Counters.work``).
-    work: int
-    elements_scanned: int
-    comparisons: int
-    logical_reads: int
-    physical_reads: int
-    matches: int
-    #: wall-clock of the run (the only non-deterministic field).
-    elapsed_s: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "work": self.work,
-            "elements_scanned": self.elements_scanned,
-            "comparisons": self.comparisons,
-            "logical_reads": self.logical_reads,
-            "physical_reads": self.physical_reads,
-            "matches": self.matches,
-            "elapsed_s": self.elapsed_s,
-        }
 
 
 @dataclass
@@ -94,64 +66,22 @@ class QueryObservation:
     """Aggregated stream record for one canonical query pattern."""
 
     query: str
-    #: lifetime arrival count (never decayed; telemetry).
-    count: int = 0
     #: decayed demand weight — what the controller ranks by.  Each
     #: advisor cycle multiplies it by the decay factor, so patterns that
     #: stop arriving age out and their views become drop candidates.
     weight: float = 0.0
-    work: int = 0
-    elements_scanned: int = 0
-    logical_reads: int = 0
-    physical_reads: int = 0
-    matches: int = 0
-    elapsed_s: float = 0.0
-    cache_hits: int = 0
-    shared_replays: int = 0
-    refuted: int = 0
-    degraded: int = 0
-    errors: int = 0
-    #: view names of the last recorded plan (usage telemetry).
-    plan_views: tuple[str, ...] = ()
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "query": self.query,
-            "count": self.count,
-            "weight": round(self.weight, 6),
-            "work": self.work,
-            "elements_scanned": self.elements_scanned,
-            "logical_reads": self.logical_reads,
-            "physical_reads": self.physical_reads,
-            "matches": self.matches,
-            "elapsed_s": round(self.elapsed_s, 6),
-            "cache_hits": self.cache_hits,
-            "shared_replays": self.shared_replays,
-            "refuted": self.refuted,
-            "degraded": self.degraded,
-            "errors": self.errors,
-            "plan_views": list(self.plan_views),
-        }
+        return {"query": self.query, "weight": round(self.weight, 6)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "QueryObservation":
+        """Read an observation; keys other than ``query`` and ``weight``
+        (the telemetry counters older logs carried) are ignored."""
         try:
             return cls(
                 query=str(payload["query"]),
-                count=int(payload.get("count", 0)),
                 weight=float(payload.get("weight", 0.0)),
-                work=int(payload.get("work", 0)),
-                elements_scanned=int(payload.get("elements_scanned", 0)),
-                logical_reads=int(payload.get("logical_reads", 0)),
-                physical_reads=int(payload.get("physical_reads", 0)),
-                matches=int(payload.get("matches", 0)),
-                elapsed_s=float(payload.get("elapsed_s", 0.0)),
-                cache_hits=int(payload.get("cache_hits", 0)),
-                shared_replays=int(payload.get("shared_replays", 0)),
-                refuted=int(payload.get("refuted", 0)),
-                degraded=int(payload.get("degraded", 0)),
-                errors=int(payload.get("errors", 0)),
-                plan_views=tuple(payload.get("plan_views", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SelectionError(
@@ -183,44 +113,20 @@ class WorkloadLog:
     def record(self, outcome) -> None:
         """Fold one answered query into the log.
 
-        ``outcome`` is duck-typed against the
-        :class:`repro.service.QueryOutcome` contract: ``query``,
-        ``measured`` (a :class:`Measurement`), and the
-        ``cached``/``shared``/``refuted``/``degraded``/``error`` flags.
-        Counters are accumulated for cached and shared replays too —
-        the recorded values equal what an independent execution would
-        have measured, so the totals represent the pattern's logical
-        demand (what the view set would have to absorb without caching).
+        ``outcome`` is duck-typed: only its ``query``, ``refuted`` and
+        ``error`` fields are read, so any
+        :class:`repro.service.QueryOutcome` and a done
+        :class:`repro.service.QuantumOutcome` both qualify.  A refuted
+        or failed arrival is counted and keeps the pattern's
+        first-arrival slot, but adds no demand weight.
         """
         obs = self._queries.get(outcome.query)
         if obs is None:
             obs = QueryObservation(query=outcome.query)
             self._queries[outcome.query] = obs
         self.recorded += 1
-        obs.count += 1
-        if outcome.refuted:
-            obs.refuted += 1
-            return
-        if getattr(outcome, "error", ""):
-            obs.errors += 1
-            return
-        obs.weight += 1.0
-        measured: Measurement = outcome.measured
-        obs.work += measured.work
-        obs.elements_scanned += measured.elements_scanned
-        obs.logical_reads += measured.logical_reads
-        obs.physical_reads += measured.physical_reads
-        obs.matches += measured.matches
-        obs.elapsed_s += measured.elapsed_s
-        if outcome.cached:
-            obs.cache_hits += 1
-        elif getattr(outcome, "shared", False):
-            obs.shared_replays += 1
-        if getattr(outcome, "degraded", False):
-            obs.degraded += 1
-        plan_views = tuple(getattr(outcome, "plan_views", ()))
-        if plan_views:
-            obs.plan_views = plan_views
+        if not (outcome.refuted or outcome.error):
+            obs.weight += 1.0
 
     def harvest_catalog(self, catalog) -> int:
         """Record the exact list cardinalities the catalog's views store
@@ -231,7 +137,7 @@ class WorkloadLog:
         self.view_cardinalities.update(measured)
         return len(measured)
 
-    def decay(self, factor: float = 0.5, floor: float = 0.5) -> int:
+    def decay(self, factor: float = DECAY, floor: float = 0.5) -> int:
         """Age demand weights by ``factor``; prune observations whose
         weight fell below ``floor``.  Called at the end of each advisor
         cycle so traffic that stopped arriving loses its claim on the
@@ -397,7 +303,7 @@ def plan_adoption(
     budget_bytes: float,
     adopted: Mapping[str, float] | None = None,
     existing: Iterable[str] = (),
-    max_view_size: int = 4,
+    max_view_size: int = MAX_VIEW_SIZE,
     min_weight: float = 1.0,
 ) -> AdoptionPlan:
     """Deterministic budgeted adopt/keep/drop plan for the logged demand.
@@ -555,12 +461,157 @@ def rebalance_to_budget(
     return evict
 
 
+class OnlineAdvisor:
+    """The adoption loop over a serving ``service``, from outside it.
+
+    The caller hands it answered outcomes (:meth:`record`) and decides
+    when to run a :meth:`cycle`.  ``service`` is duck-typed against
+    :class:`repro.service.QueryService`: the advisor reads its
+    ``catalog`` and ``planner.registered`` and changes the view set only
+    through its public ``register`` and ``drop``, so adopting or
+    dropping a view invalidates exactly what any registration does.
+    Views the advisor adopts are named ``adv:<xpath>``; it never drops a
+    view it did not adopt.
+    """
+
+    def __init__(self, service, budget_bytes: float) -> None:
+        self.service = service
+        #: storage budget for advisor-owned views.
+        self.budget_bytes = float(budget_bytes)
+        self.log = WorkloadLog()
+        self._adopted: dict[str, AdoptedView] = {}
+        self._events: list[dict[str, object]] = []
+        self._cycles = 0
+        self._stats: DocumentStatistics | None = None
+        self._stats_epoch: int | None = None
+
+    def record(self, outcomes: Iterable) -> None:
+        """Fold answered outcomes into the log (see
+        :meth:`WorkloadLog.record` for what an outcome must carry)."""
+        for outcome in outcomes:
+            self.log.record(outcome)
+
+    def _statistics(self) -> DocumentStatistics:
+        """Document statistics cached per maintenance epoch (the document
+        only changes at maintenance commits)."""
+        catalog = self.service.catalog
+        epoch = catalog.maintenance_epoch
+        if self._stats is None or self._stats_epoch != epoch:
+            self._stats = DocumentStatistics.collect(catalog.document)
+            self._stats_epoch = epoch
+        return self._stats
+
+    def cycle(self) -> AdoptionPlan:
+        """Run one adoption cycle: calibrate, plan, adopt/drop, decay.
+
+        Harvests measured list cardinalities from every materialized
+        catalog view into the log, asks :func:`plan_adoption` for a
+        budgeted adopt/keep/drop plan over the logged demand, drops and
+        registers accordingly, evicts (lowest benefit density first)
+        until the *measured* bytes fit the budget, then decays the log.
+
+        Deterministic: decisions are a pure function of the recorded log
+        and the catalog's measured sizes (no wall clock, no randomness).
+        """
+        service, log = self.service, self.log
+        self._cycles += 1
+        cycle = self._cycles
+        stats = self._statistics()
+        log.harvest_catalog(service.catalog)
+        user_views = {
+            view.to_xpath()
+            for view in service.planner.registered
+            if not (view.name or "").startswith(ADVISOR_PREFIX)
+        }
+        plan = plan_adoption(
+            log,
+            CalibratedStatistics.from_log(stats, log),
+            budget_bytes=self.budget_bytes,
+            adopted={
+                xpath: view.bytes for xpath, view in self._adopted.items()
+            },
+            existing=user_views,
+        )
+        for decision in plan.decisions:
+            if decision.action == "drop":
+                self._events.append({"cycle": cycle, **decision.as_dict()})
+        for xpath in plan.drop:
+            self._drop(xpath)
+        for pattern in plan.adopt:
+            xpath = pattern.to_xpath()
+            name = advisor_view_name(xpath)
+            # Register by canonical text: the planner names parsed
+            # patterns, and the ``adv:`` name is what marks the view as
+            # advisor-owned (droppable) in catalog and planner alike.
+            service.register(xpath, name=name)
+            measured_bytes = float(sum(
+                info.size_bytes
+                for (view_name, __), info in service.catalog.entries()
+                if view_name == name
+            ))
+            benefit = next(
+                (
+                    decision.benefit
+                    for decision in plan.decisions
+                    if decision.action == "adopt"
+                    and decision.xpath == xpath
+                ),
+                0.0,
+            )
+            self._adopted[xpath] = AdoptedView(
+                name=name, xpath=xpath, bytes=measured_bytes,
+                benefit=benefit, cycle=cycle,
+            )
+            self._events.append({
+                "cycle": cycle, "action": "adopt", "view": xpath,
+                "bytes": round(measured_bytes, 1),
+                "benefit": round(benefit, 1),
+                "reason": "best remaining benefit density within budget",
+            })
+        # The knapsack packed by *estimated* bytes for new candidates;
+        # materialization just measured the truth.  Evict (lowest
+        # benefit density first) until the measured total fits again.
+        for xpath in rebalance_to_budget(self._adopted, self.budget_bytes):
+            view = self._adopted[xpath]
+            self._events.append({
+                "cycle": cycle, "action": "drop", "view": xpath,
+                "bytes": round(view.bytes, 1),
+                "benefit": round(view.benefit, 1),
+                "reason": "measured bytes exceeded the budget after"
+                          " materialization",
+            })
+            self._drop(xpath)
+        log.decay()
+        return plan
+
+    def _drop(self, xpath: str) -> None:
+        self.service.drop(self._adopted.pop(xpath).name)
+
+    def metrics(self) -> dict[str, object]:
+        """Recorder/controller telemetry for operators and benches."""
+        return {
+            "recorded": self.log.recorded,
+            "patterns": len(self.log),
+            "cycles": self._cycles,
+            "budget_bytes": self.budget_bytes,
+            "adopted_bytes": sum(
+                view.bytes for view in self._adopted.values()
+            ),
+            "adopted_views": [
+                view.as_dict() for view in self._adopted.values()
+            ],
+            "events": list(self._events),
+        }
+
+
 __all__ = [
     "ADVISOR_PREFIX",
     "AdoptedView",
     "AdoptionDecision",
     "AdoptionPlan",
-    "Measurement",
+    "DECAY",
+    "MAX_VIEW_SIZE",
+    "OnlineAdvisor",
     "QueryObservation",
     "WorkloadLog",
     "advisor_view_name",

@@ -5,7 +5,7 @@ Public surface::
     from repro.service import QueryService
 
     service = QueryService(catalog)          # or QueryService.open(store)
-    service.register("//a//b")
+    service.register("//a//b")               # service.drop(name) undoes it
     service.warmup(queries)
     one   = service.evaluate("//a//b//c")
     batch = service.evaluate_batch(queries)
@@ -26,20 +26,12 @@ answers the first quantum of a query under a
 returns a :class:`QuantumOutcome` carrying an opaque continuation token;
 ``resume_quantum`` picks the run back up, one quantum per call, until
 ``done``.  Concatenated pages are byte-identical to the one-shot
-answer, and stale tokens (maintenance commit, pool respawn, shutdown)
-die as typed :class:`~repro.errors.ContinuationExpired`.  The asyncio
-HTTP front end in :mod:`repro.server` is a thin shell over these two
-calls.
-
-``QueryService(..., advisor=True)`` additionally records every answered
-query into a :class:`~repro.selection.online.WorkloadLog` and (on a
-configurable cadence, or via explicit ``advisor_cycle()`` calls)
-auto-materializes/drops views under a storage budget using measured
-counters — the online adaptive view advisor
-(:mod:`repro.selection.online`).
+answer, and dead tokens (generation garbage-collected, a planned view
+quarantined or dropped, shutdown) die as typed
+:class:`~repro.errors.ContinuationExpired`.  The asyncio HTTP front end
+in :mod:`repro.server` is a thin shell over these two calls.
 """
 
-from repro.selection.online import Measurement, WorkloadLog
 from repro.service.continuation import decode_token, encode_token
 from repro.service.core import (
     BatchResult,
@@ -63,13 +55,11 @@ __all__ = [
     "EvalJob",
     "JobFailure",
     "JobResult",
-    "Measurement",
     "QuantumOutcome",
     "QueryOutcome",
     "QueryService",
     "SharedStats",
     "StreamCache",
-    "WorkloadLog",
     "decode_token",
     "encode_token",
     "merge_results",

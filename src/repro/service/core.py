@@ -38,7 +38,7 @@ non-deterministic outputs.
 Cache layers
 ------------
 * the planner's **plan cache** (parse → cover → :class:`Plan`, memoized
-  per catalog generation; invalidated by ``register`` /
+  per catalog generation; invalidated by ``register`` / ``drop`` /
   ``adopt_catalog_views``);
 * an optional keyed **result cache** in the service itself
   (``result_cache_size > 0``), keyed by store generation (DESIGN.md
@@ -92,20 +92,6 @@ from repro.errors import (
 )
 from repro.planner import Plan, Planner
 from repro.resilience import faults
-from repro.selection.online import (
-    ADVISOR_PREFIX,
-    AdoptedView,
-    AdoptionPlan,
-    Measurement,
-    WorkloadLog,
-    advisor_view_name,
-    plan_adoption,
-    rebalance_to_budget,
-)
-from repro.selection.estimates import (
-    CalibratedStatistics,
-    DocumentStatistics,
-)
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.policy import Deadline, RetryPolicy, wait
 from repro.service.jobs import (
@@ -165,27 +151,6 @@ class QueryOutcome:
     #: stream (batch CSE or stream cache) instead of its own engine run.
     #: Counters/I-O are still the run's recorded (deterministic) values.
     shared: bool = False
-
-    @property
-    def measured(self) -> Measurement:
-        """The single authoritative measured-counter contract.
-
-        External consumers (the workload recorder, benchmarks, user
-        telemetry) read this instead of re-deriving totals from the raw
-        ``counters``/``io`` objects.  For cached and shared replays the
-        values are the run's *recorded* deterministic accounting — equal
-        to what an independent execution would have measured, i.e. the
-        query's logical demand.
-        """
-        return Measurement(
-            work=self.counters.work,
-            elements_scanned=self.counters.elements_scanned,
-            comparisons=self.counters.comparisons,
-            logical_reads=self.io.logical_reads,
-            physical_reads=self.io.physical_reads,
-            matches=self.match_count,
-            elapsed_s=self.elapsed_s,
-        )
 
 
 @dataclass
@@ -289,20 +254,6 @@ class QueryService:
             executor's sub-plan stream cache; 0 disables cross-batch
             stream replay (within-batch CSE still applies).
         prune_with_dataguide: refute impossible queries before running.
-        advisor: turn the online adaptive view advisor on — record the
-            query stream into a :class:`WorkloadLog` and (when
-            ``advisor_interval > 0``) periodically run
-            :meth:`advisor_cycle` to auto-materialize/drop views under
-            ``advisor_budget_bytes``.  Off (the default), recording and
-            the loop are disabled entirely — no per-query overhead
-            beyond one attribute check.
-        advisor_budget_bytes: storage budget for advisor-owned views.
-        advisor_interval: recorded outcomes between automatic advisor
-            cycles; 0 leaves cycles to explicit :meth:`advisor_cycle`
-            calls.
-        advisor_max_view_size: largest candidate view in pattern nodes.
-        advisor_decay: demand-weight decay applied after each cycle
-            (how fast stale traffic loses its claim on the budget).
         generation_budget_bytes: disk high-water mark for archived
             store generations (DESIGN.md §16) — after every durable
             commit the service auto-reaps unpinned generation archives
@@ -324,11 +275,6 @@ class QueryService:
         retry_policy: RetryPolicy | None = None,
         failure_threshold: int = 3,
         verify: bool = False,
-        advisor: bool = False,
-        advisor_budget_bytes: float = float(1 << 20),
-        advisor_interval: int = 0,
-        advisor_max_view_size: int = 4,
-        advisor_decay: float = 0.5,
         generation_budget_bytes: int | None = None,
     ):
         if (catalog is None) == (store_path is None):
@@ -396,22 +342,6 @@ class QueryService:
         self._job_retries = 0
         self._pool_respawns = 0
         self._deadline_expiries = 0
-        # One None-check per answered query is the advisor's entire
-        # disabled-path overhead.
-        self._advisor_log: WorkloadLog | None = (
-            WorkloadLog() if advisor else None
-        )
-        self._advisor_budget = float(advisor_budget_bytes)
-        self._advisor_interval = int(advisor_interval)
-        self._advisor_max_view_size = int(advisor_max_view_size)
-        self._advisor_decay = float(advisor_decay)
-        self._advisor_adopted: dict[str, AdoptedView] = {}
-        self._advisor_events: list[dict[str, object]] = []
-        self._advisor_cycles = 0
-        self._advisor_since_cycle = 0
-        self._advisor_stats: DocumentStatistics | None = None
-        self._advisor_stats_epoch: int | None = None
-
     @classmethod
     def open(cls, store_path, **kwargs) -> "QueryService":
         """Attach a service to a persisted view store."""
@@ -424,6 +354,24 @@ class QueryService:
         pattern = self.planner.register(pattern, name=name)
         self.invalidate_results()
         return pattern
+
+    def drop(self, name: str) -> bool:
+        """Deregister and delete the view ``name``: the inverse of
+        :meth:`register`.
+
+        Three layers move together, as in :meth:`_quarantine`: the
+        planner stops planning over the view (generation bump → plan
+        cache), the catalog drops its rows (version bump → the next
+        snapshot re-saves and pooled workers reattach), and the result
+        and stream caches are emptied.  A suspended chain that planned
+        over the view expires, typed, at resume's per-view check.
+        Returns False, changing nothing, when no such view exists.
+        """
+        deregistered = self.planner.deregister(name)
+        removed = self.catalog.remove_view(name)
+        if deregistered or removed:
+            self.invalidate_results()
+        return deregistered or removed
 
     def adopt_catalog_views(self) -> int:
         adopted = self.planner.adopt_catalog_views()
@@ -695,178 +643,6 @@ class QueryService:
         metrics["stream_spilled_bytes"] = self._stream_cache.spilled_bytes
         return metrics
 
-    # -- online advisor -------------------------------------------------------
-
-    @property
-    def advisor_log(self) -> WorkloadLog | None:
-        """The live workload log, ``None`` when the advisor is off."""
-        return self._advisor_log
-
-    def _advisor_observe(self, outcomes: Sequence[QueryOutcome]) -> None:
-        """Fold answered queries into the workload log; run a cycle when
-        the configured cadence is due.  No-op (one attribute check) when
-        the advisor is disabled."""
-        log = self._advisor_log
-        if log is None:
-            return
-        for outcome in outcomes:
-            log.record(outcome)
-        self._advisor_since_cycle += len(outcomes)
-        if (
-            self._advisor_interval > 0
-            and self._advisor_since_cycle >= self._advisor_interval
-        ):
-            self.advisor_cycle()
-
-    def _advisor_statistics(self) -> DocumentStatistics:
-        """Document statistics cached per maintenance epoch (the document
-        only changes at maintenance commits)."""
-        epoch = self.catalog.maintenance_epoch
-        if self._advisor_stats is None or self._advisor_stats_epoch != epoch:
-            self._advisor_stats = DocumentStatistics.collect(
-                self.catalog.document
-            )
-            self._advisor_stats_epoch = epoch
-        return self._advisor_stats
-
-    def advisor_cycle(self) -> AdoptionPlan:
-        """Run one adoption cycle: calibrate, plan, adopt/drop, decay.
-
-        Harvests measured list cardinalities from every materialized
-        catalog view into the log (calibrating the cost model), asks the
-        controller for a budgeted adopt/keep/drop plan over the logged
-        demand, then applies it through the ordinary registration path —
-        adopted views materialize immediately (PR 4 maintenance keeps
-        them fresh; the circuit breaker can quarantine them like any
-        other view) and drops invalidate everything a ``register`` /
-        ``apply_updates`` would: planner generation (plan cache), result
-        and stream caches, and — via the catalog version bump — the
-        worker snapshot and pooled-worker attachments.
-
-        Deterministic: decisions are a pure function of the recorded log
-        and the catalog's measured sizes (no wall clock, no randomness).
-        Raises :class:`ServiceError` when the advisor is disabled.
-        """
-        log = self._advisor_log
-        if log is None:
-            raise ServiceError(
-                "advisor is disabled on this service (advisor=False)"
-            )
-        self._advisor_since_cycle = 0
-        self._advisor_cycles += 1
-        cycle = self._advisor_cycles
-        stats = self._advisor_statistics()
-        log.harvest_catalog(self.catalog)
-        calibration = CalibratedStatistics.from_log(stats, log)
-        user_views = {
-            view.to_xpath()
-            for view in self.planner.registered
-            if not (view.name or "").startswith(ADVISOR_PREFIX)
-        }
-        plan = plan_adoption(
-            log,
-            calibration,
-            budget_bytes=self._advisor_budget,
-            adopted={
-                xpath: view.bytes
-                for xpath, view in self._advisor_adopted.items()
-            },
-            existing=user_views,
-            max_view_size=self._advisor_max_view_size,
-        )
-        for decision in plan.decisions:
-            if decision.action == "drop":
-                self._advisor_events.append(
-                    {"cycle": cycle, **decision.as_dict()}
-                )
-        self._drop_advisor_views(plan.drop)
-        for pattern in plan.adopt:
-            xpath = pattern.to_xpath()
-            name = advisor_view_name(xpath)
-            # Register by canonical text: the planner names parsed
-            # patterns, and the ``adv:`` name is what marks the view as
-            # advisor-owned (droppable) in catalog and planner alike.
-            self.register(xpath, name=name)
-            measured_bytes = float(sum(
-                info.size_bytes
-                for (view_name, __), info in self.catalog.entries()
-                if view_name == name
-            ))
-            benefit = next(
-                (
-                    decision.benefit
-                    for decision in plan.decisions
-                    if decision.action == "adopt"
-                    and decision.xpath == xpath
-                ),
-                0.0,
-            )
-            self._advisor_adopted[xpath] = AdoptedView(
-                name=name, xpath=xpath, bytes=measured_bytes,
-                benefit=benefit, cycle=cycle,
-            )
-            self._advisor_events.append({
-                "cycle": cycle, "action": "adopt", "view": xpath,
-                "bytes": round(measured_bytes, 1),
-                "benefit": round(benefit, 1),
-                "reason": "best remaining benefit density within budget",
-            })
-        # The knapsack packed by *estimated* bytes for new candidates;
-        # materialization just measured the truth.  Evict (lowest
-        # benefit density first) until the measured total fits again.
-        for xpath in rebalance_to_budget(
-            self._advisor_adopted, self._advisor_budget
-        ):
-            self._advisor_events.append({
-                "cycle": cycle, "action": "drop", "view": xpath,
-                "bytes": round(self._advisor_adopted[xpath].bytes, 1),
-                "benefit": round(self._advisor_adopted[xpath].benefit, 1),
-                "reason": "measured bytes exceeded the budget after"
-                          " materialization",
-            })
-            self._drop_advisor_views([xpath])
-        log.decay(self._advisor_decay)
-        return plan
-
-    def _drop_advisor_views(self, xpaths: Sequence[str]) -> None:
-        """Drop advisor-owned views with full invalidation.
-
-        Mirrors :meth:`_quarantine`: the planner stops planning over the
-        view (generation bump → plan cache), the catalog drops its rows
-        (version bump → next snapshot re-saves and pooled workers
-        reattach), and the result/stream caches are emptied.
-        """
-        dropped = False
-        for xpath in xpaths:
-            adopted = self._advisor_adopted.pop(xpath, None)
-            if adopted is None:
-                continue
-            self.planner.deregister(adopted.name)
-            self.catalog.remove_view(adopted.name)
-            dropped = True
-        if dropped:
-            self.invalidate_results()
-            # Sessions survive: resume's per-view check expires (typed)
-            # exactly the ones that planned over a dropped view.
-
-    def advisor_metrics(self) -> dict[str, object]:
-        """Recorder/controller telemetry for operators and benches."""
-        log = self._advisor_log
-        return {
-            "enabled": log is not None,
-            "recorded": log.recorded if log is not None else 0,
-            "patterns": len(log) if log is not None else 0,
-            "cycles": self._advisor_cycles,
-            "budget_bytes": self._advisor_budget,
-            "adopted_bytes": sum(
-                view.bytes for view in self._advisor_adopted.values()
-            ),
-            "adopted_views": [
-                view.as_dict() for view in self._advisor_adopted.values()
-            ],
-            "events": list(self._advisor_events),
-        }
-
     # -- warm-up --------------------------------------------------------------
 
     def warmup(self, queries: Sequence[Pattern | str]) -> int:
@@ -925,9 +701,7 @@ class QueryService:
         :class:`StoreCorrupt`.
         """
         read = self._resolve_read(as_of, mode, emit_matches, "raise")
-        outcome = self._read_one(read, read.planner.plan(query))
-        self._advisor_observe((outcome,))
-        return outcome
+        return self._read_one(read, read.planner.plan(query))
 
     def evaluate_batch(
         self,
@@ -1315,10 +1089,6 @@ class QueryService:
         for outcome in outcomes:
             counters.merge(outcome.counters)
             io.merge(outcome.io)
-        # Batch chokepoint of the workload recorder: every batch outcome
-        # passes through here exactly once (``evaluate`` records its
-        # own), outside the per-job loops.
-        self._advisor_observe(outcomes)
         return BatchResult(
             outcomes, counters, io, time.perf_counter() - begin
         )
@@ -1435,9 +1205,9 @@ class QueryService:
         read = self._resolve_read(as_of, mode, emit_matches, "degrade")
         plan = read.planner.plan(query)
         if Algorithm.parse(plan.algorithm) is not Algorithm.VIEWJOIN:
-            outcome = self._read_one(read, plan)
-            self._advisor_observe((outcome,))
-            return self._quantum_from_outcome(outcome, preemptible=False)
+            return self._quantum_from_outcome(
+                self._read_one(read, plan), preemptible=False
+            )
         refuted = self._lookup(read, plan, cacheable=False)
         if refuted is not None:
             return self._quantum_from_outcome(refuted)
@@ -1462,20 +1232,21 @@ class QueryService:
             ContinuationMalformed: the token bytes or payload are damaged
                 (truncated, bit-flipped, tampered) — typed, never a crash.
             ContinuationExpired: the token is intact but dead — its
-                pinned generation has been garbage-collected, its
-                session died with a quarantine-era GC, advisor drop or
-                shutdown, or it was issued by another service instance.
-                A maintenance commit alone no longer expires tokens: the
-                chain resumes against its generation's pinned snapshot.
+                pinned generation has been garbage-collected, a view it
+                planned over was quarantined or dropped, the service
+                was closed, or it was issued by another service
+                instance.  A maintenance commit alone no longer expires
+                tokens: the chain resumes against its generation's
+                pinned snapshot.
         """
         cont = Continuation.from_payload(decode_token(token))
         if cont.sid not in self._continuations:
             raise self._expired(
                 cont,
                 f"continuation {cont.sid!r} is not live on this service"
-                " (its generation was garbage-collected, or it expired"
-                " with a quarantine, advisor drop, or shutdown — or was"
-                " issued by another service instance)",
+                " (its generation was garbage-collected or the service"
+                " was closed — or it was issued by another service"
+                " instance)",
             )
         try:
             read = self._resolve_read(

@@ -145,3 +145,36 @@ def test_query_store_with_base_fallback(xml_file, tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus"])
+
+
+def test_batch_record_log_replays_deterministically(xml_file, tmp_path,
+                                                    capsys):
+    """`batch --record-log` saves every repeat's outcomes; `advise
+    --from-log` turns the saved log into the same plan on every run."""
+    import json
+
+    store = tmp_path / "store3"
+    log_path = tmp_path / "wl.json"
+    query = "//open_auctions//open_auction//bidder//increase"
+    assert main([
+        "materialize", str(xml_file), str(store),
+        "--view", "//open_auctions//bidder", "--scheme", "LEp",
+    ]) == 0
+    assert main([
+        "batch", str(store), "--query", query, "--query", query,
+        "--repeats", "2", "--record-log", str(log_path),
+    ]) == 0
+    assert "workload log written" in capsys.readouterr().out
+    saved = json.loads(log_path.read_text())
+    assert saved["recorded"] == 4
+    assert [entry["query"] for entry in saved["queries"]] == [query]
+    assert "//open_auctions//bidder" in saved["view_cardinalities"]
+    outputs = []
+    for _ in range(2):
+        assert main([
+            "advise", str(xml_file), "--from-log", str(log_path),
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "4 recorded outcome(s)" in outputs[0]
+    assert "adopt:" in outputs[0]
+    assert outputs[0] == outputs[1]

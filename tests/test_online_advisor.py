@@ -2,19 +2,23 @@
 
 Covers the measured-cost calibration layer (``CalibratedStatistics``
 answering exactly for harvested views, estimate fallback otherwise),
-the workload log contract (recording, decay, JSON round-trip), the
-budgeted adoption controller (adopt/keep/drop churn under a drifting
-workload, determinism for a fixed log), and the service integration
-(cache/planner coherence on adopt and drop, parallel equality, the
-``advisor=False`` default).
+the workload log contract (recording, decay, JSON round-trip, logs in
+the older telemetry-carrying format), the budgeted adoption controller
+(adopt/keep/drop churn under a drifting workload, determinism for a
+fixed log), and :class:`OnlineAdvisor` driving a service from outside
+(cache/planner coherence on adopt and drop, parallel equality, recording
+a finished continuation chain).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.algorithms.preempt import QuantumBudget
 from repro.datasets import random_trees
-from repro.errors import SelectionError, ServiceError
+from repro.errors import SelectionError
 from repro.selection.estimates import (
     CalibratedStatistics,
     DocumentStatistics,
@@ -24,7 +28,7 @@ from repro.selection.estimates import (
 from repro.selection.online import (
     ADVISOR_PREFIX,
     AdoptedView,
-    Measurement,
+    OnlineAdvisor,
     WorkloadLog,
     advisor_view_name,
     plan_adoption,
@@ -52,12 +56,6 @@ def truth_keys(doc, query):
         tuple(n.start for n in m)
         for m in find_embeddings(doc, parse_pattern(query))
     )
-
-
-def advisor_service(catalog, **kwargs):
-    kwargs.setdefault("advisor", True)
-    kwargs.setdefault("advisor_budget_bytes", 150_000.0)
-    return QueryService(catalog, **kwargs)
 
 
 # -- calibration ---------------------------------------------------------------
@@ -100,49 +98,29 @@ def test_calibration_falls_back_for_unseen(doc, stats):
 # -- workload log --------------------------------------------------------------
 
 
-def outcome_stub(query, *, work=100, refuted=False, cached=False, error=""):
-    class _Outcome:
-        pass
-
-    o = _Outcome()
-    o.query = query
-    o.refuted = refuted
-    o.cached = cached
-    o.shared = False
-    o.degraded = False
-    o.error = error
-    o.plan_views = ("//a//b",)
-    o.measured = Measurement(
-        work=work, elements_scanned=work // 2, comparisons=work // 4,
-        logical_reads=work // 5, physical_reads=0, matches=3,
-        elapsed_s=0.0,
-    )
-    return o
+def outcome_stub(query, *, refuted=False, error=""):
+    """The three fields :meth:`WorkloadLog.record` reads."""
+    return SimpleNamespace(query=query, refuted=refuted, error=error)
 
 
 def test_log_records_and_aggregates():
     log = WorkloadLog()
-    log.record(outcome_stub("//a//b", work=100))
-    log.record(outcome_stub("//a//b", work=40, cached=True))
+    log.record(outcome_stub("//a//b"))
+    log.record(outcome_stub("//a//b"))
     log.record(outcome_stub("//c"))
     assert len(log) == 2
     assert log.recorded == 3
-    obs = log.get("//a//b")
-    assert obs.count == 2 and obs.weight == 2.0
-    # Cached replays record their full logical demand.
-    assert obs.work == 140 and obs.cache_hits == 1
-    assert obs.plan_views == ("//a//b",)
+    assert log.get("//a//b").weight == 2.0
+    assert [o.query for o in log.observations()] == ["//a//b", "//c"]
 
 
 def test_log_refuted_and_error_carry_no_weight():
     log = WorkloadLog()
     log.record(outcome_stub("//a//x", refuted=True))
     log.record(outcome_stub("//a//y", error="boom"))
+    assert log.recorded == 2
     assert log.get("//a//x").weight == 0.0
-    assert log.get("//a//x").refuted == 1
     assert log.get("//a//y").weight == 0.0
-    assert log.get("//a//y").errors == 1
-    assert log.get("//a//x").work == 0
 
 
 def test_log_decay_prunes_stale_demand():
@@ -159,7 +137,7 @@ def test_log_decay_prunes_stale_demand():
 
 def test_log_json_round_trip():
     log = WorkloadLog()
-    log.record(outcome_stub("//a//b", work=100))
+    log.record(outcome_stub("//a//b"))
     log.record(outcome_stub("//c", refuted=True))
     log.view_cardinalities["//a//b"] = {"a": 40, "b": 55}
     clone = WorkloadLog.loads(log.dumps())
@@ -266,8 +244,8 @@ def test_once_refuted_pattern_can_still_earn_a_view(stats):
     calibration = CalibratedStatistics(stats)
     assert not plan_adoption(log, calibration, budget_bytes=1e9).adopt
     for _ in range(8):
-        log.record(outcome_stub("//a//b//c", work=2_000))
-    assert log.get("//a//b//c").refuted == 1
+        log.record(outcome_stub("//a//b//c"))
+    assert log.get("//a//b//c").weight == 8.0
     assert plan_adoption(log, calibration, budget_bytes=1e9).adopt
 
 
@@ -278,8 +256,8 @@ def test_hot_query_earns_exact_view(doc, stats):
     hot = "//a[//b]//c"
     log = WorkloadLog()
     for _ in range(25):
-        log.record(outcome_stub(hot, work=5_000))
-    log.record(outcome_stub("//a//c", work=100))
+        log.record(outcome_stub(hot))
+    log.record(outcome_stub("//a//c"))
     calibration = CalibratedStatistics(stats)
     plan = plan_adoption(log, calibration, budget_bytes=1e9)
     assert hot in {p.to_xpath() for p in plan.adopt}
@@ -305,23 +283,67 @@ def test_rebalance_to_budget_evicts_lowest_density_first():
     assert rebalance_to_budget(adopted, 600.0) == ["//b//c", "//c//d"]
 
 
-# -- service integration -------------------------------------------------------
+# -- logs written before the log kept only demand weights ---------------------
+
+#: ``WorkloadLog.as_dict()`` of ``OLD_STREAM`` as the build that also
+#: recorded per-pattern telemetry wrote it: fifteen keys per observation.
+OLD_FORMAT_LOG = {
+    "recorded": 12,
+    "queries": [
+        {"query": "//a//b//c", "count": 5, "weight": 5.0, "work": 3500,
+         "elements_scanned": 1750, "logical_reads": 700,
+         "physical_reads": 0, "matches": 15, "elapsed_s": 0.0,
+         "cache_hits": 0, "shared_replays": 0, "refuted": 0,
+         "degraded": 0, "errors": 0, "plan_views": ["//a//b"]},
+        {"query": "//b//c", "count": 3, "weight": 3.0, "work": 2100,
+         "elements_scanned": 1050, "logical_reads": 420,
+         "physical_reads": 0, "matches": 9, "elapsed_s": 0.0,
+         "cache_hits": 0, "shared_replays": 0, "refuted": 0,
+         "degraded": 0, "errors": 0, "plan_views": ["//a//b"]},
+        {"query": "//a//d", "count": 1, "weight": 0.0, "work": 0,
+         "elements_scanned": 0, "logical_reads": 0, "physical_reads": 0,
+         "matches": 0, "elapsed_s": 0.0, "cache_hits": 0,
+         "shared_replays": 0, "refuted": 1, "degraded": 0, "errors": 0,
+         "plan_views": []},
+        {"query": "//a//c", "count": 3, "weight": 2.0, "work": 1400,
+         "elements_scanned": 700, "logical_reads": 280,
+         "physical_reads": 0, "matches": 6, "elapsed_s": 0.0,
+         "cache_hits": 0, "shared_replays": 0, "refuted": 0,
+         "degraded": 0, "errors": 1, "plan_views": ["//a//b"]},
+    ],
+    "view_cardinalities": {"//a//b": {"a": 40, "b": 55}},
+}
+
+OLD_STREAM = (
+    [outcome_stub("//a//b//c")] * 5
+    + [outcome_stub("//b//c")] * 3
+    + [outcome_stub("//a//d", refuted=True)]
+    + [outcome_stub("//a//c")] * 2
+    + [outcome_stub("//a//c", error="boom")]
+)
 
 
-def test_query_outcome_measured_contract(doc):
-    with ViewCatalog(doc) as catalog:
-        with QueryService(catalog) as service:
-            outcome = service.evaluate("//a//b//c")
-    measured = outcome.measured
-    assert isinstance(measured, Measurement)
-    assert measured.work == outcome.counters.work
-    assert measured.elements_scanned == outcome.counters.elements_scanned
-    assert measured.comparisons == outcome.counters.comparisons
-    assert measured.logical_reads == outcome.io.logical_reads
-    assert measured.physical_reads == outcome.io.physical_reads
-    assert measured.matches == outcome.match_count
-    assert measured.elapsed_s == outcome.elapsed_s
-    assert measured.as_dict()["work"] == measured.work
+def test_old_format_log_replays_to_the_same_plan(stats):
+    old = WorkloadLog.from_dict(OLD_FORMAT_LOG)
+    new = WorkloadLog()
+    for outcome in OLD_STREAM:
+        new.record(outcome)
+    new.view_cardinalities["//a//b"] = {"a": 40, "b": 55}
+    assert old.as_dict() == new.as_dict()
+    plans = [
+        plan_adoption(
+            log, CalibratedStatistics.from_log(stats, log),
+            budget_bytes=200_000.0,
+        )
+        for log in (old, new)
+    ]
+    assert plans[0].decisions
+    assert [d.as_dict() for d in plans[0].decisions] == [
+        d.as_dict() for d in plans[1].decisions
+    ]
+
+
+# -- OnlineAdvisor over a service ---------------------------------------------
 
 
 def test_adoption_coherence_and_identical_answers(doc):
@@ -329,17 +351,19 @@ def test_adoption_coherence_and_identical_answers(doc):
     and catalog version bump, caches empty, answers byte-identical."""
     workload = repeated_batch(24, overlap=0.6, seed=5)
     with ViewCatalog(doc) as catalog:
-        with advisor_service(catalog) as service:
+        with QueryService(catalog) as service:
+            advisor = OnlineAdvisor(service, budget_bytes=150_000.0)
             before = service.evaluate_batch(workload.queries)
+            advisor.record(before.outcomes)
             generation = service.planner.generation
             version = service.catalog.version
-            plan = service.advisor_cycle()
+            plan = advisor.cycle()
             assert plan.adopt
             assert service.planner.generation > generation
             assert service.catalog.version > version
             assert len(service._stream_cache) == 0
             adopted_names = {
-                view.name for view in service._advisor_adopted.values()
+                view["name"] for view in advisor.metrics()["adopted_views"]
             }
             assert adopted_names
             assert all(n.startswith(ADVISOR_PREFIX) for n in adopted_names)
@@ -364,16 +388,23 @@ def test_drop_coherence(doc):
     the next answers match fresh ground truth."""
     workload = repeated_batch(24, overlap=0.6, seed=5)
     with ViewCatalog(doc) as catalog:
-        with advisor_service(catalog, advisor_decay=0.0) as service:
-            service.evaluate_batch(workload.queries)
-            plan = service.advisor_cycle()
+        with QueryService(catalog) as service:
+            advisor = OnlineAdvisor(service, budget_bytes=150_000.0)
+            advisor.record(service.evaluate_batch(workload.queries).outcomes)
+            plan = advisor.cycle()
             assert plan.adopt
-            # decay=0.0 wiped all demand: the next cycle drops everything.
+            # With no new traffic every cycle halves the demand weights
+            # until no pattern clears the floor and every view is dropped.
             generation = service.planner.generation
             version = service.catalog.version
-            plan = service.advisor_cycle()
-            assert plan.drop and not plan.adopt
-            assert not service._advisor_adopted
+            dropped = []
+            for _ in range(64):
+                plan = advisor.cycle()
+                dropped += plan.drop
+                if not advisor.metrics()["adopted_views"]:
+                    break
+            assert dropped and not plan.adopt
+            assert not advisor.metrics()["adopted_views"]
             assert service.planner.generation > generation
             assert service.catalog.version > version
             assert not any(
@@ -389,9 +420,10 @@ def test_drop_coherence(doc):
 def test_parallel_equality_post_adoption(doc):
     workload = repeated_batch(16, overlap=0.6, seed=5)
     with ViewCatalog(doc) as catalog:
-        with advisor_service(catalog) as service:
-            service.evaluate_batch(workload.queries)
-            assert service.advisor_cycle().adopt
+        with QueryService(catalog) as service:
+            advisor = OnlineAdvisor(service, budget_bytes=150_000.0)
+            advisor.record(service.evaluate_batch(workload.queries).outcomes)
+            assert advisor.cycle().adopt
             sequential = service.evaluate_batch(workload.queries)
             service.invalidate_results()
             parallel = service.evaluate_parallel(workload.queries, workers=2)
@@ -412,42 +444,42 @@ def test_churn_under_drifting_workload(doc):
     adopted_per_phase = []
     dropped_total = 0
     with ViewCatalog(doc) as catalog:
-        with advisor_service(
-            catalog, advisor_budget_bytes=budget
-        ) as service:
+        with QueryService(catalog) as service:
+            advisor = OnlineAdvisor(service, budget_bytes=budget)
             for workload in phases:
-                service.evaluate_batch(workload.queries)
-                plan = service.advisor_cycle()
+                batch = service.evaluate_batch(workload.queries)
+                advisor.record(batch.outcomes)
+                plan = advisor.cycle()
                 dropped_total += len(plan.drop)
-                metrics = service.advisor_metrics()
+                metrics = advisor.metrics()
                 assert metrics["adopted_bytes"] <= budget
                 adopted_per_phase.append(
-                    set(service._advisor_adopted)
+                    {view["xpath"] for view in metrics["adopted_views"]}
                 )
-            metrics = service.advisor_metrics()
+            metrics = advisor.metrics()
     assert any(adopted_per_phase), "drifting phases must adopt views"
     # The phase-1 hot set is not simply carried forever: drift churns it.
     assert dropped_total > 0 or adopted_per_phase[0] != adopted_per_phase[-1]
     assert metrics["cycles"] == len(phases)
+    assert metrics["recorded"] == sum(len(w.queries) for w in phases)
     assert metrics["events"], "adopt/drop events must be recorded"
     assert all("cycle" in event for event in metrics["events"])
 
 
-def test_advisor_interval_runs_cycles_automatically(doc):
-    workload = repeated_batch(12, overlap=0.6, seed=5)
-    with ViewCatalog(doc) as catalog:
-        with advisor_service(catalog, advisor_interval=6) as service:
-            for query in workload.queries:
-                service.evaluate(query)
-            assert service.advisor_metrics()["cycles"] >= 2
-
-
-def test_advisor_disabled_by_default(doc):
+def test_finished_quantum_chain_is_recordable(doc):
+    """A ViewJoin chain answered quantum by quantum feeds the log like a
+    one-shot answer: its done outcome carries the fields ``record``
+    reads."""
+    query = "//a//b//c"
     with ViewCatalog(doc) as catalog:
         with QueryService(catalog) as service:
-            assert service.advisor_log is None
-            service.evaluate("//a//b")  # records nothing, raises nothing
-            metrics = service.advisor_metrics()
-            assert not metrics["enabled"] and metrics["recorded"] == 0
-            with pytest.raises(ServiceError):
-                service.advisor_cycle()
+            advisor = OnlineAdvisor(service, budget_bytes=150_000.0)
+            outcome = service.evaluate_quantum(
+                query, budget=QuantumBudget(max_steps=1)
+            )
+            assert outcome.preemptible and not outcome.done
+            while not outcome.done:
+                outcome = service.resume_quantum(outcome.token)
+            advisor.record([outcome])
+    assert advisor.log.recorded == 1
+    assert advisor.log.get(query).weight == 1.0

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.preempt import QuantumBudget
 from repro.datasets import random_trees
-from repro.errors import ServiceError
+from repro.errors import ContinuationExpired, ServiceError
 from repro.service import EvalJob, QueryService, run_job
 from repro.storage.catalog import ViewCatalog
 from repro.storage.persistence import save_catalog
@@ -81,6 +82,43 @@ def test_result_cache_hit_and_invalidation(doc, service):
     third = service.evaluate("//a//b//c")
     assert not third.cached
     assert third.match_keys == first.match_keys
+
+
+def test_drop_is_the_inverse_of_register(doc, service):
+    """Dropping a registered view invalidates what registering it did:
+    planner generation, catalog version, result and stream caches, and a
+    suspended chain that planned over it; answers stay correct."""
+    suspended = service.evaluate_quantum(
+        "//a//b//c", budget=QuantumBudget(max_steps=1)
+    )
+    assert not suspended.done and "//a//b" in suspended.plan_views
+    service.evaluate_batch(QUERIES)
+    service.evaluate("//a[//b]//c")
+    assert len(service._result_cache) and len(service._stream_cache)
+    generation = service.planner.generation
+    version = service.catalog.version
+    assert service.drop("//a//b")
+    assert service.planner.generation > generation
+    assert service.catalog.version > version
+    assert len(service._result_cache) == 0
+    assert len(service._stream_cache) == 0
+    assert "//a//b" not in service.catalog.view_names()
+    with pytest.raises(ContinuationExpired):
+        service.resume_quantum(suspended.token)
+    for query in QUERIES:
+        outcome = service.evaluate(query)
+        assert "//a//b" not in outcome.plan_views
+        assert outcome.match_keys == truth_keys(doc, query), query
+
+
+def test_drop_unknown_view_changes_nothing(service):
+    service.evaluate("//a//b//c")
+    generation = service.planner.generation
+    version = service.catalog.version
+    assert not service.drop("//no//such")
+    assert service.planner.generation == generation
+    assert service.catalog.version == version
+    assert service.evaluate("//a//b//c").cached
 
 
 def test_result_cache_disabled_by_default(doc):
