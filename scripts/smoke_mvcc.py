@@ -13,7 +13,12 @@ whole time — benign latency, never data loss, so the acceptance bar is
 * the suspended chain, resumed across the whole storm, must drain
   byte-identical (pages + counters) to its pre-storm one-shot run;
 * generation GC under a zero budget must keep the archive at exactly
-  the pinned generation, never reaping it.
+  the pinned generation, never reaping it;
+* after the service is closed and the store reopened, every kept
+  generation — an archive of hard links to files later commits
+  replaced — must load with ``load_catalog(generation=g)`` and answer
+  exactly the ground truth captured when it was pinned, and the reopened
+  current generation the truth of the last commit.
 
 A hard watchdog fails the run if it wedges; the CI wrapper additionally
 bounds the wall clock with ``timeout``.
@@ -46,7 +51,7 @@ def main() -> int:
     from repro.service import QueryService
     from repro.storage.catalog import ViewCatalog
     from repro.storage.generations import list_generations
-    from repro.storage.persistence import save_catalog
+    from repro.storage.persistence import load_catalog, save_catalog
     from repro.tpq.naive import find_embeddings
     from repro.tpq.parser import parse_pattern
 
@@ -94,6 +99,8 @@ def main() -> int:
             pin = service.pin_generation()
             at_pin = {q: sorted(service.evaluate(q).match_keys)
                       for q in QUERIES}
+            pin_truth = {q: truth(service.catalog.document, q)
+                         for q in QUERIES}
             faults.install(FaultPlan.parse(FAULTS))
             commits = reads = 0
             try:
@@ -168,6 +175,27 @@ def main() -> int:
                 print(f"FAIL: storm saw {metrics['failed_queries']} failed"
                       f" / {metrics['degraded_queries']} degraded reads")
                 return 1
+            final = {q: truth(service.catalog.document, q) for q in QUERIES}
+            truths = {pin: pin_truth, service.generation: final}
+
+        # Restart: a fresh service over the store, then every kept
+        # generation attached on its own from its archived links.
+        with QueryService.open(str(store)) as service:
+            for query in QUERIES:
+                if sorted(service.evaluate(query).match_keys) != final[query]:
+                    print(f"FAIL: reopened store answers {query} wrong")
+                    return 1
+        kept = list_generations(store)
+        for generation in kept:
+            with load_catalog(store, generation=generation) as catalog, \
+                    QueryService(catalog) as archived:
+                archived.adopt_catalog_views()
+                for query in QUERIES:
+                    keys = sorted(archived.evaluate(query).match_keys)
+                    if keys != truths[generation][query]:
+                        print(f"FAIL: generation {generation} answers"
+                              f" {query} wrong after the restart")
+                        return 1
 
         print(f"fault plan    : {FAULTS}")
         print(f"storm         : {commits} commits / {reads} reads"
@@ -176,6 +204,8 @@ def main() -> int:
               f" pinned generation {pin} survived every sweep")
         print(f"chain         : {suspended.quanta} quanta,"
               f" byte-identical across the storm")
+        print(f"restart       : generations {kept} reloaded, answers"
+              f" equal to their pin-time truth")
         if commits + reads < 200:
             print("FAIL: storm too small to count as acceptance evidence")
             return 1

@@ -14,8 +14,11 @@ Region labels make delta application a *piecewise shift*: a subtree of
 * renaming shifts nothing.
 
 :func:`apply_delta` builds the post-delta :class:`Document` — column
-slices of the input plus shifted copies of the moved runs; the input
-document is never mutated — and an :class:`AppliedDelta` record
+slices of the input plus shifted copies of the moved runs, and its
+per-tag index spliced the same way; the input document is never mutated,
+and the new one neither refers to it nor re-validates the rows it did
+not touch (a valid parent plus a builder-made subtree is valid by
+construction) — and an :class:`AppliedDelta` record
 carrying the shift map, the touched element types and the inserted /
 deleted label material — everything :mod:`repro.maintenance.repair`
 needs to fix a materialized view without re-matching it.
@@ -24,6 +27,7 @@ needs to fix a materialized view without re-matching it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -105,6 +109,56 @@ def _index_at_start(document: Document, start: int) -> int:
     return i
 
 
+def _spliced_index(
+    document: Document,
+    tags: tuple[str, ...],
+    at: int,
+    stop: int,
+    grafted: dict[str, array],
+) -> dict[str, array]:
+    """``document``'s per-tag index after its rows ``[at, stop)`` are
+    replaced by new rows: ``grafted`` maps a tag to the new rows' indexes
+    (already in the new numbering), and every row from ``stop`` on moves
+    by the difference.  Per tag one bisect and a bulk add over the tail;
+    an array nothing happens to is shared, not copied."""
+    moved = sum(map(len, grafted.values())) - (stop - at)
+    by_tag: dict[str, array] = {}
+    for tag in tags:
+        rows = document.tag_indexes(tag)
+        lo = bisect_left(rows, at)
+        hi = bisect_left(rows, stop, lo)
+        new = grafted.get(tag)
+        if lo == hi and new is None and (not moved or lo == len(rows)):
+            if rows:
+                by_tag[tag] = rows
+            continue
+        spliced = rows[:lo]
+        if new is not None:
+            spliced += new
+        spliced += (
+            array("i", [i + moved for i in rows[hi:]]) if moved
+            else rows[hi:]
+        )
+        if spliced:
+            by_tag[tag] = spliced
+    return by_tag
+
+
+def _open_ends(
+    end: array, parent: array, stop: int, innermost: int, amount: int
+) -> array:
+    """``end[:stop]`` with ``amount`` added to the end of ``innermost``
+    and of each of its ancestors.  Every row before the cut starts before
+    it, so the rows whose regions are still open there are exactly those:
+    the parent of an insert (or the parent of a deleted subtree) and
+    their ancestors.  Every other head row ends before the cut."""
+    head = end[:stop]
+    while innermost >= 0:
+        head[innermost] += amount
+        innermost = parent[innermost]
+    return head
+
+
 def _subtree_document(rows: Sequence[tuple[str, int]]) -> Document:
     try:
         return document_from_tuples(rows, name="inserted-subtree")
@@ -123,7 +177,8 @@ def _apply_insert(document: Document, delta: InsertSubtree) -> AppliedDelta:
             f"insert position {delta.position} exceeds the {len(children)}"
             f" children of node @{start[p]}"
         )
-    subtree = _subtree_document(delta.rows).columns
+    grafting = _subtree_document(delta.rows)
+    subtree = grafting.columns
     if delta.position == len(children):
         cut = end[p]
         at = document.subtree_end(p)
@@ -143,9 +198,7 @@ def _apply_insert(document: Document, delta: InsertSubtree) -> AppliedDelta:
     new = Columns(
         start[:at] + grafted_start
         + array("i", [s + width for s in start[at:]]),
-        # Prefix nodes all start before the cut; only still-open regions
-        # (ancestors and earlier-closing siblings of ancestors) end after it.
-        array("i", [e + width if e >= cut else e for e in end[:at]])
+        _open_ends(end, parent, at, p, width)
         + grafted_end + array("i", [e + width for e in end[at:]]),
         level[:at] + grafted_level + level[at:],
         parent[:at]
@@ -154,12 +207,17 @@ def _apply_insert(document: Document, delta: InsertSubtree) -> AppliedDelta:
         tag_id[:at] + grafted_tag + tag_id[at:],
         tuple(ids),
     )
+    offset = at.__add__
+    by_tag = _spliced_index(document, new.tags, at, at, {
+        tag: array("i", map(offset, grafting.tag_indexes(tag)))
+        for tag in subtree.tags
+    })
     inserted = tuple(zip(
         [subtree.tags[t] for t in subtree.tag_id],
         grafted_start, grafted_end, grafted_level,
     ))
     return AppliedDelta(
-        document=Document.from_columns(new, name=document.name),
+        document=Document._trusted(new, by_tag, document.name),
         kind=delta.kind,
         touched_tags=frozenset(subtree.tags),
         shift_start=cut,
@@ -180,9 +238,7 @@ def _apply_delete(document: Document, delta: DeleteSubtree) -> AppliedDelta:
 
     new = Columns(
         start[:first] + array("i", [s - width for s in start[last:]]),
-        # Survivors never end inside [a, b]: those labels all belong to
-        # the deleted subtree.
-        array("i", [e - width if e > b else e for e in end[:first]])
+        _open_ends(end, parent, first, parent[first], -width)
         + array("i", [e - width for e in end[last:]]),
         level[:first] + level[last:],
         parent[:first]
@@ -190,8 +246,9 @@ def _apply_delete(document: Document, delta: DeleteSubtree) -> AppliedDelta:
         tag_id[:first] + tag_id[last:],
         tags,
     )
+    by_tag = _spliced_index(document, tags, first, last, {})
     return AppliedDelta(
-        document=Document.from_columns(new, name=document.name),
+        document=Document._trusted(new, by_tag, document.name),
         kind=delta.kind,
         touched_tags=frozenset(tags[t] for t in set(tag_id[first:last])),
         shift_start=a,
@@ -213,8 +270,12 @@ def _apply_rename(document: Document, delta: RenameTag) -> AppliedDelta:
     tag_id[target] = ids.setdefault(delta.new_tag, len(ids))
     # Labels do not move: the label columns are shared with the input.
     new = columns._replace(tag_id=tag_id, tags=tuple(ids))
+    by_tag = _spliced_index(
+        document, new.tags, target, target + 1,
+        {delta.new_tag: array("i", [target])},
+    )
     return AppliedDelta(
-        document=Document.from_columns(new, name=document.name),
+        document=Document._trusted(new, by_tag, document.name),
         kind=delta.kind,
         touched_tags=touched,
         shift_start=0,

@@ -9,11 +9,16 @@ bumps ``version`` and ``maintenance_epoch`` so planners, result caches,
 snapshots and worker attachments all invalidate.
 
 :func:`update_store` / :func:`recover_store` are the durable variants
-over a ``save_catalog`` store directory.  Ordering is WAL-first::
+over a ``save_catalog`` store directory.  Ordering is WAL-first (the log
+record is the first durable write)::
 
+    derive the new document         (in memory, from its parent's
+                                     columns; rejects bad deltas)
     append + fsync wal.jsonl        (logical intent, replayable)
     repair views -> fresh pages     (old pages never patched)
-    rewrite document.xml, manifest  (atomic os.replace; bumps
+    write + fsync document.xml.tmp
+    link outgoing generation        (hard links into generations/)
+    replace document.xml, manifest  (atomic os.replace; bumps
                                      store_version, records wal_lsn)
 
 A crash at any point leaves either the old store (tail replays on

@@ -1,14 +1,15 @@
 """Generation-chained store manifests (MVCC snapshots, DESIGN.md §16).
 
-A maintenance commit used to rewrite ``manifest.json``/``document.xml``
-in place, making the pre-commit state unreachable the instant the
+A maintenance commit replaces ``manifest.json``/``document.xml``, which
+alone would make the pre-commit state unreachable the instant the
 replace landed.  Because view repairs are copy-on-write (repaired lists
 go to freshly allocated pages; old pages are never patched —
 ``maintenance/repair.py``), the *pages* of every past commit are still
 physically present in ``pages.bin``.  This module keeps the metadata
 alive too: before :func:`~repro.storage.persistence.commit_store`
-publishes a new manifest, it archives the outgoing one (plus its
-document) into an immutable, numbered generation file::
+publishes a new manifest, it hard-links the outgoing one (plus its
+document) into an immutable, numbered generation file — the replace
+then gives the store fresh files and leaves the archived ones alone::
 
     <store>/
       document.xml          current generation's data tree
@@ -95,14 +96,17 @@ def load_generation_manifest(
 
 
 def archive_current_generation(directory: str | os.PathLike) -> int | None:
-    """Copy the store's current manifest + document into the archive.
+    """Hard-link the store's current manifest + document into the archive.
 
     Called by ``commit_store`` *before* it replaces ``manifest.json``,
-    so the outgoing generation stays loadable after the commit.  The
-    copy is additive and idempotent: the ``<N>.json`` marker is written
-    last (atomically), so a crash mid-archive leaves at worst an
-    ignored orphan ``<N>.xml``.  Returns the archived generation number,
-    or ``None`` when the store has no manifest yet (first save).
+    so the outgoing generation stays loadable after the commit.  Both
+    files are only ever published by ``os.replace``, never written in
+    place, so a link pins the outgoing bytes in O(1) and nothing is
+    copied, re-read or re-written.  The document is linked first and the
+    ``<N>.json`` marker last, so a crash mid-archive leaves at worst an
+    orphan ``<N>.xml`` nothing reads, which the next archive of ``N``
+    replaces.  Returns the archived generation number, or ``None`` when
+    the store has no manifest yet (first save).
     """
     target = pathlib.Path(directory)
     manifest_path = target / "manifest.json"
@@ -116,21 +120,14 @@ def archive_current_generation(directory: str | os.PathLike) -> int | None:
     marker = generation_manifest_path(target, generation)
     if marker.exists():
         return generation
-    root = generation_dir(target)
-    root.mkdir(parents=True, exist_ok=True)
-    doc_copy = generation_document_path(target, generation)
-    tmp_doc = doc_copy.with_suffix(".xml.tmp")
-    shutil.copyfile(target / "document.xml", tmp_doc)
-    with open(tmp_doc, "rb+") as handle:
-        os.fsync(handle.fileno())
-    os.replace(tmp_doc, doc_copy)
-    manifest["generation"] = generation
-    tmp_manifest = marker.with_suffix(".json.tmp")
-    with open(tmp_manifest, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest, indent=2))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_manifest, marker)
+    generation_dir(target).mkdir(parents=True, exist_ok=True)
+    document = generation_document_path(target, generation)
+    try:
+        os.link(target / "document.xml", document)
+    except FileExistsError:  # an orphan left by a crash mid-archive
+        os.unlink(document)
+        os.link(target / "document.xml", document)
+    os.link(manifest_path, marker)
     return generation
 
 

@@ -13,17 +13,19 @@ Store layout::
       document.xml     the data tree (current generation)
       pages.bin        all views' pages, compacted
       manifest.json    catalog metadata (current generation)
-      generations/     archived manifests+documents of past commits
+      generations/     manifests+documents of past commits, hard
+                       links to the files each commit replaced
                        (``storage/generations.py``; MVCC snapshots)
 
 Crash atomicity: every file is written to a ``*.tmp`` sibling, fsynced,
-and moved into place with ``os.replace``; the manifest goes last, so a
-crash at any injected fault point leaves the previous store fully
-readable.  The residual window *between* the individual replaces (new
-``pages.bin``, old ``manifest.json``) is outside the injected fault
-model — and harmless anyway, because the manifest's ``page_checksums``
-no longer match and verification reports the store corrupt instead of
-serving stale pages as current.
+and moved into place with ``os.replace`` — never written in place, which
+is what lets the archive link instead of copy; the manifest (compact
+JSON) goes last, so a crash at any injected fault point leaves the
+previous store fully readable.  The residual window *between* the
+individual replaces (new ``pages.bin``, old ``manifest.json``) is
+outside the injected fault model — and harmless anyway, because the
+manifest's ``page_checksums`` no longer match and verification reports
+the store corrupt instead of serving stale pages as current.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _write_manifest(target: pathlib.Path, manifest: dict) -> None:
     """Atomically replace ``manifest.json`` (tmp file + fsync + rename)."""
     tmp = target / "manifest.json.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest, indent=2))
+        handle.write(json.dumps(manifest, separators=(",", ":")))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target / "manifest.json")
@@ -189,9 +191,10 @@ def commit_store(
     The maintenance counterpart of :func:`save_catalog`: repaired view
     pages were already appended (copy-on-write) to the store's own
     ``pages.bin``, so nothing is copied — the page file is flushed, the
-    outgoing generation's manifest+document are archived under
-    ``generations/`` (so pinned readers can still attach them), then
-    ``document.xml`` and ``manifest.json`` are atomically replaced.  The
+    new document is written to a temp file, the outgoing generation's
+    manifest+document are hard-linked under ``generations/`` (so pinned
+    readers can still attach them), then ``document.xml`` and
+    ``manifest.json`` are atomically replaced.  The
     manifest gets a bumped ``store_version`` (== its generation number)
     and, when given, the new ``wal_lsn`` high-water mark.  Returns the
     new store version.
@@ -214,8 +217,8 @@ def commit_store(
     views = [_view_record(info) for info in catalog.views()]
     checksums = _store_checksums(catalog, views)
     # Archive the outgoing generation before anything is replaced: the
-    # copy is additive and idempotent, so a crash mid-archive leaves the
-    # previous store fully intact (plus at worst an orphan archive file).
+    # links are additive and idempotent, so a crash mid-archive leaves the
+    # previous store fully intact (plus at worst an orphan archive link).
     archive_current_generation(target)
     # A crash up to here (the injected store-write fault) loses nothing:
     # repaired pages were appended copy-on-write, so the old manifest

@@ -109,7 +109,9 @@ class Document:
     The constructor validates label consistency (document order, strictly
     nested regions, parent levels) so that every downstream component can
     rely on them.  :meth:`from_columns` builds a document from columns
-    directly and runs the same validation.
+    directly and runs the same validation.  :class:`DocumentBuilder` and
+    delta application (:mod:`repro.maintenance.apply`) produce valid
+    labels by construction and skip it.
     """
 
     def __init__(self, nodes: Sequence[Node], name: str = "document"):
@@ -139,19 +141,27 @@ class Document:
         document._init(columns, name)
         return document
 
+    @classmethod
+    def _trusted(
+        cls, columns: Columns, by_tag: dict[str, array], name: str
+    ) -> "Document":
+        """A document over ``columns`` that are valid by construction,
+        with ``by_tag`` as its per-tag index: neither is checked.  For
+        builders that cannot produce bad labels (:class:`DocumentBuilder`,
+        delta application); columns from anywhere else go through
+        :meth:`from_columns`."""
+        document = cls.__new__(cls)
+        document.name = name
+        document.columns = columns
+        #: tag -> indexes of its nodes, ascending; only tags that occur.
+        document._by_tag = by_tag
+        return document
+
     def _init(self, columns: Columns, name: str) -> None:
         self.name = name
         self.columns = columns
         self._validate()
-        rows: list[list[int]] = [[] for __ in columns.tags]
-        for i, tag_id in enumerate(columns.tag_id):
-            rows[tag_id].append(i)
-        #: tag -> indexes of its nodes, ascending; only tags that occur.
-        self._by_tag: dict[str, array] = {
-            tag: array("i", indexes)
-            for tag, indexes in zip(columns.tags, rows)
-            if indexes
-        }
+        self._by_tag = _tag_index(columns)
 
     def _validate(self) -> None:
         start, end, level, parent, tag_id, tags = self.columns
@@ -349,6 +359,18 @@ class Document:
 _NO_ROWS = array("i")
 
 
+def _tag_index(columns: Columns) -> dict[str, array]:
+    """tag -> indexes of its rows, ascending; only tags that occur."""
+    rows: list[list[int]] = [[] for __ in columns.tags]
+    for i, tag_id in enumerate(columns.tag_id):
+        rows[tag_id].append(i)
+    return {
+        tag: array("i", indexes)
+        for tag, indexes in zip(columns.tags, rows)
+        if indexes
+    }
+
+
 class NodeView(Sequence[Node]):
     """Flyweight nodes of ``document`` at the indexes ``rows`` (a range or
     an index array), as a read-only sequence; a slice is another view.
@@ -457,15 +479,24 @@ class DocumentBuilder:
             raise ReproError(
                 f"{len(self._stack)} element(s) still open; close them first"
             )
+        if not self._start:
+            raise ReproError("a document must contain at least one node")
+        # Open and close events take consecutive counters, so the labels
+        # are valid by construction; what is left is a second root, which
+        # would open after the first one closed.
+        if self._end[0] != self._counter - 1:
+            second = self._parent.index(-1, 1)
+            raise ReproError(
+                f"a second root opens at label {self._start[second]};"
+                " a document has exactly one root"
+            )
         # Copies: a builder that keeps going must not reach into the
         # columns of a document it already built.
-        return Document.from_columns(
-            Columns(
-                self._start[:], self._end[:], self._level[:], self._parent[:],
-                self._tag_id[:], tuple(self._tag_ids),
-            ),
-            name=self.name,
+        columns = Columns(
+            self._start[:], self._end[:], self._level[:], self._parent[:],
+            self._tag_id[:], tuple(self._tag_ids),
         )
+        return Document._trusted(columns, _tag_index(columns), self.name)
 
 
 class _ElementContext:

@@ -13,7 +13,12 @@ that reads a document must not be able to tell them apart:
   ``AppliedDelta`` fields as the object ``apply_delta``;
 * ``random_update_sequence`` — the benchmark's storm deltas and every
   ``maintenance.*`` exact count — draws exactly the deltas it always
-  drew (pinned digests).
+  drew (pinned digests);
+* a document ``apply_delta`` derives from its parent without validating
+  it equals ``Document.from_columns`` of the same columns — columns, tag
+  table, per-tag index and every accessor — passes an explicit
+  validation, and lets its parent be collected; so does everything
+  ``DocumentBuilder`` builds; bad deltas still fail typed.
 
 Plus the flyweight contract itself: a document holds no per-node Python
 object, and nodes compare by label, not identity.
@@ -25,18 +30,33 @@ import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
 from repro.datasets import random_trees, xmark
 from repro.datasets.updates import random_update_sequence
-from repro.errors import ReproError
+from repro.errors import MaintenanceError, ReproError
+from repro.maintenance import apply_updates
 from repro.maintenance.apply import apply_delta
-from repro.maintenance.deltas import delta_to_dict
+from repro.maintenance.deltas import (
+    DeleteSubtree,
+    InsertSubtree,
+    RenameTag,
+    delta_to_dict,
+)
+from repro.storage.catalog import ViewCatalog
+from repro.tpq.parser import parse_pattern
 from repro.tpq.matching import solution_nodes
 from repro.tpq.naive import find_embeddings, find_solution_nodes_naive
 from repro.xmltree.dataguide import DataGuide
-from repro.xmltree.document import Document, Node, document_from_tuples
+from repro.xmltree.document import (
+    Document,
+    DocumentBuilder,
+    Node,
+    document_from_tuples,
+)
+from repro.xmltree.parser import parse_xml
 from repro.xmltree.writer import write_xml
 from tests.object_document_reference import (
     apply_delta_objects,
@@ -244,3 +264,171 @@ def test_nodes_are_equal_by_label_not_identity(small_doc):
 def test_validation_rejects_malformed_columns(nodes):
     with pytest.raises(ReproError):
         Document(nodes)
+
+
+# -- documents derived without validation ----------------------------------------
+
+
+def assert_same_document(doc: Document, ref: Document, every: int = 1):
+    """``doc`` and ``ref`` agree on their columns, per-tag index and every
+    accessor (navigation checked at every ``every``-th node)."""
+    assert doc.columns == ref.columns
+    assert doc._by_tag == ref._by_tag
+    assert rows(doc.nodes) == rows(ref.nodes)
+    assert doc.tags() == ref.tags()
+    assert doc.summary() == ref.summary()
+    tags = sorted(ref.tags()) + ["absent"]
+    for tag in tags:
+        assert doc.tag_indexes(tag) == ref.tag_indexes(tag)
+        assert rows(doc.tag_list(tag)) == rows(ref.tag_list(tag))
+        assert doc.tag_count(tag) == ref.tag_count(tag)
+    for i in range(0, len(ref), every):
+        node, twin = doc.nodes[i], ref.nodes[i]
+        assert doc.index_at(node.start) == i
+        assert doc.subtree_end(i) == ref.subtree_end(i)
+        assert doc.child_indexes(i) == ref.child_indexes(i)
+        assert row(doc.parent(node)) == row(ref.parent(twin))
+        assert rows(doc.ancestors(node)) == rows(ref.ancestors(twin))
+        for tag in tags:
+            assert rows(doc.descendants_by_tag(node, tag)) == rows(
+                ref.descendants_by_tag(twin, tag)
+            )
+            assert row(doc.lowest_ancestor_by_tag(node, tag)) == row(
+                ref.lowest_ancestor_by_tag(twin, tag)
+            )
+
+
+def check_derivations(doc: Document, deltas, every: int = 1) -> None:
+    for delta in deltas:
+        derived = apply_delta(doc, delta).document
+        derived._validate()
+        assert_same_document(
+            derived, Document.from_columns(derived.columns, doc.name), every
+        )
+        doc = derived
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_derived_document_equals_validated_rebuild_on_random_trees(seed):
+    doc = random_trees.generate(
+        size=40 + 15 * seed, tags=list(TAGS), max_depth=3 + seed % 5,
+        seed=seed,
+    )
+    # Alien tags make inserts and renames grow the tag table; small trees
+    # make deletes empty a tag's index.
+    deltas, __ = random_update_sequence(
+        doc, count=40, seed=seed, tag_pool=list(TAGS) + ["x", "y"],
+        max_subtree=5,
+    )
+    kinds = {delta.kind for delta in deltas}
+    assert kinds == {"insert-subtree", "delete-subtree", "rename-tag"}
+    check_derivations(doc, deltas)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_derived_document_equals_validated_rebuild_on_xmark(seed):
+    doc = xmark.generate(scale=0.5, seed=seed)
+    deltas, __ = random_update_sequence(doc, count=20, seed=seed)
+    check_derivations(doc, deltas, every=97)
+
+
+def chain_document(depth: int = 200) -> Document:
+    builder = DocumentBuilder("chain")
+    for level in range(depth):
+        builder.open("a" if level % 2 else "b")
+    for __ in range(depth):
+        builder.close()
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_trees.generate(size=500, max_depth=8, seed=11),
+        lambda: xmark.generate(scale=0.5, seed=42),
+        lambda: parse_xml(write_xml(random_trees.generate(size=300, seed=5))),
+        lambda: document_from_tuples(
+            [("r", 0), ("a", 1), ("b", 2), ("a", 1)]
+        ),
+        lambda: document_from_tuples([("only", 0)]),
+        chain_document,
+    ],
+    ids=["random", "xmark", "parsed", "tuples", "single", "chain"],
+)
+def test_builder_documents_pass_explicit_validation(build):
+    doc = build()
+    doc._validate()
+    assert_same_document(
+        doc, Document.from_columns(doc.columns, doc.name),
+        every=max(1, len(doc) // 200),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda b: None,  # no node at all
+        lambda b: (b.leaf("r"), b.leaf("s")),  # a second root
+        lambda b: b.open("r"),  # still open
+    ],
+)
+def test_builder_rejects_what_validation_would(build):
+    builder = DocumentBuilder()
+    build(builder)
+    with pytest.raises(ReproError):
+        builder.build()
+
+
+def test_parent_document_is_collectable_after_a_commit():
+    doc = random_trees.generate(size=200, tags=list(TAGS), seed=9)
+    deltas, __ = random_update_sequence(doc, count=2, seed=9)
+    parent = weakref.ref(doc)
+    applied = apply_delta(doc, deltas[0])
+    del doc
+    gc.collect()
+    assert parent() is None
+    assert len(applied.document) > 0
+
+    with ViewCatalog(applied.document) as catalog:
+        catalog.add(parse_pattern("//a//b"), "LEp")
+        previous = weakref.ref(catalog.document)
+        del applied
+        apply_updates(catalog, deltas[1:])
+        gc.collect()
+        assert previous() is None
+        catalog.document._validate()
+
+
+def _unchecked_insert(parent_start: int, rows) -> InsertSubtree:
+    """An insert whose rows skipped the delta's own checks (as a delta
+    object built field by field would)."""
+    delta = object.__new__(InsertSubtree)
+    object.__setattr__(delta, "parent_start", parent_start)
+    object.__setattr__(delta, "position", 0)
+    object.__setattr__(delta, "rows", tuple(rows))
+    return delta
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        InsertSubtree(parent_start=10_000, position=0, rows=(("x", 0),)),
+        InsertSubtree(parent_start=0, position=99, rows=(("x", 0),)),
+        DeleteSubtree(root_start=0),
+        DeleteSubtree(root_start=10_000),
+        RenameTag(node_start=10_000, new_tag="x"),
+        _unchecked_insert(0, []),
+        _unchecked_insert(0, [("x", 0), ("y", 0)]),
+        _unchecked_insert(0, [("x", 0), ("y", 2)]),
+        "not a delta",
+    ],
+    ids=[
+        "insert-missing-parent", "insert-position", "delete-root",
+        "delete-missing", "rename-missing", "insert-no-rows",
+        "insert-two-roots", "insert-skips-a-level", "unknown",
+    ],
+)
+def test_bad_deltas_still_raise_maintenance_error(delta):
+    doc = random_trees.generate(size=60, tags=list(TAGS), seed=4)
+    with pytest.raises(MaintenanceError):
+        apply_delta(doc, delta)

@@ -15,13 +15,19 @@ The contract under test:
   hard-pinned one, and sessions on a reaped generation die **typed**
   (:class:`ContinuationExpired`) on their next resume;
 * a sustained update storm (chaos-style, seeded fault plan installed)
-  produces **zero** failed and **zero** degraded reads.
+  produces **zero** failed and **zero** degraded reads;
+* the archive is hard links to the files each commit replaced: a crash
+  between the two links, or between the archive and the replace, loses
+  nothing, and stores whose archive holds copies keep working.
 """
 
 from __future__ import annotations
 
 import base64
+import json
+import os
 import random
+import shutil
 
 import pytest
 
@@ -31,14 +37,18 @@ from repro.datasets import random_trees
 from repro.errors import (
     ContinuationExpired,
     ContinuationMalformed,
+    FaultInjected,
     ServiceError,
     StorageError,
 )
-from repro.maintenance import DeleteSubtree, InsertSubtree
+from repro.maintenance import DeleteSubtree, InsertSubtree, recover_store
 from repro.resilience import FaultPlan, faults
 from repro.service import QueryService
 from repro.storage.catalog import ViewCatalog
+from repro.storage import generations
 from repro.storage.generations import (
+    generation_document_path,
+    generation_manifest_path,
     list_generations,
     load_generation_manifest,
 )
@@ -408,3 +418,164 @@ def test_update_storm_zero_failed_zero_degraded_reads(store):
         assert metrics["failed_queries"] == 0
         assert metrics["degraded_queries"] == 0
         service.unpin_generation(pin)
+
+
+# -- the linked archive: crash windows and stores archived by copy -------------
+
+
+def pinned_answers(catalog) -> dict:
+    """Every query's match keys as a service over ``catalog`` serves them."""
+    with QueryService(catalog) as service:
+        service.adopt_catalog_views()
+        return {q: list(service.evaluate(q).match_keys) for q in QUERIES}
+
+
+def test_crash_between_document_and_marker_link_leaves_tolerated_orphan(
+    store, monkeypatch
+):
+    link = os.link
+
+    def crash_before_marker(source, name):
+        if str(name).endswith(".json"):
+            raise FaultInjected("injected crash before the marker link")
+        link(source, name)
+
+    with QueryService.open(store) as service:
+        outgoing = service.generation
+        before = pinned_answers(service.catalog)
+        delta = one_delta(service, random.Random(21))
+        monkeypatch.setattr(generations.os, "link", crash_before_marker)
+        with pytest.raises(FaultInjected):
+            service.apply_updates([delta])
+        monkeypatch.undo()
+    # An orphan document link and no marker: the generation is not
+    # archived, and the store itself was never replaced.
+    assert generation_document_path(store, outgoing).exists()
+    assert not generation_manifest_path(store, outgoing).exists()
+    assert outgoing not in list_generations(store)
+    assert read_store_version(store)[0] == outgoing
+    # Reopening replays the logged delta; its commit archives the same
+    # generation over the orphan instead of failing on it.
+    with QueryService.open(store) as service:
+        assert service.generation == outgoing + 1
+        for query in QUERIES:
+            assert sorted(service.evaluate(query).match_keys) == truth_keys(
+                service.catalog.document, query
+            )
+    assert list_generations(store) == [outgoing]
+    with load_catalog(store, generation=outgoing) as pinned:
+        assert pinned_answers(pinned) == before
+
+
+def test_crash_after_archive_before_replace_keeps_generation_loadable(store):
+    with QueryService.open(store) as service:
+        outgoing = service.generation
+        pin = service.pin_generation()
+        before = {q: list(service.evaluate(q).match_keys) for q in QUERIES}
+        faults.install(FaultPlan.parse("seed=1;store-write=torn:1.0"))
+        try:
+            with pytest.raises(FaultInjected):
+                service.apply_updates([one_delta(service, random.Random(22))])
+        finally:
+            faults.uninstall()
+        # Archived, not yet replaced: the archive links the very files the
+        # store still serves as current.
+        assert list_generations(store) == [outgoing]
+        assert read_store_version(store)[0] == outgoing
+        assert os.path.samefile(
+            generation_document_path(store, outgoing), store / "document.xml"
+        )
+        with load_catalog(store, generation=outgoing) as archived:
+            assert pinned_answers(archived) == before
+        # The pinned reader in the crashed process still answers exactly.
+        for query in QUERIES:
+            assert list(service.evaluate(query, as_of=pin).match_keys) == (
+                before[query]
+            )
+    assert recover_store(store) == 1
+    assert read_store_version(store)[0] == outgoing + 1
+    assert not os.path.samefile(
+        generation_document_path(store, outgoing), store / "document.xml"
+    )
+    with load_catalog(store, generation=outgoing) as pinned:
+        assert pinned_answers(pinned) == before
+    with QueryService.open(store) as service:
+        for query in QUERIES:
+            assert sorted(service.evaluate(query).match_keys) == truth_keys(
+                service.catalog.document, query
+            )
+
+
+def archive_by_copy(store) -> None:
+    """Rewrite ``store`` as a store whose archive holds copies: every
+    archived document a separate file, every manifest (archived and
+    current) indented JSON."""
+    for generation in list_generations(store):
+        document = generation_document_path(store, generation)
+        shutil.copyfile(document, document.with_suffix(".copy"))
+        os.replace(document.with_suffix(".copy"), document)
+    for path in [
+        *(generation_manifest_path(store, g) for g in list_generations(store)),
+        store / "manifest.json",
+    ]:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        path.with_suffix(".indented").write_text(
+            json.dumps(manifest, indent=2), encoding="utf-8"
+        )
+        os.replace(path.with_suffix(".indented"), path)
+
+
+def test_store_archived_by_copy_opens_pins_commits_and_reaps(store):
+    answers: dict[int, dict] = {}
+    with QueryService.open(store) as service:
+        for seed in range(3):
+            answers[service.generation] = pinned_answers(service.catalog)
+            storm(service, 1, seed=30 + seed)
+    archive_by_copy(store)
+    archived = list_generations(store)
+    assert len(archived) == 3
+    inodes = {
+        os.stat(generation_document_path(store, g)).st_ino for g in archived
+    }
+    assert os.stat(store / "document.xml").st_ino not in inodes
+
+    with QueryService.open(store) as service:
+        current = service.generation
+        answers[current] = pinned_answers(service.catalog)
+        pin = service.pin_generation()
+        storm(service, 2, seed=40)
+        assert list_generations(store) == archived + [current, current + 1]
+        # The indented manifest was linked, not re-written.
+        assert "\n  " in generation_manifest_path(store, current).read_text()
+        for generation, expected in answers.items():
+            with load_catalog(store, generation=generation) as pinned:
+                assert pinned_answers(pinned) == expected
+        assert list(service.evaluate(QUERY, as_of=pin).match_keys) == (
+            answers[current][QUERY]
+        )
+        # No archived file shares an inode with the store's current files.
+        live = {
+            os.stat(store / name).st_ino
+            for name in ("document.xml", "manifest.json")
+        }
+        files = sorted(generations.generation_dir(store).iterdir())
+        assert files and not live & {os.stat(f).st_ino for f in files}
+
+        sizes = {
+            g: os.stat(generation_manifest_path(store, g)).st_size
+            + os.stat(generation_document_path(store, g)).st_size
+            for g in list_generations(store)
+        }
+        budget = sizes[current] + sizes[current + 1]
+        report = service.gc_generations(budget_bytes=budget)
+        assert report.bytes_before == sum(sizes.values())
+        assert set(report.reaped) == set(archived)
+        assert report.bytes_after == budget
+        assert report.bytes_after == sum(
+            os.stat(f).st_size
+            for f in generations.generation_dir(store).iterdir()
+        )
+        assert list_generations(store) == [current, current + 1]
+        service.unpin_generation(pin)
+    with load_catalog(store, generation=current) as pinned:
+        assert pinned_answers(pinned) == answers[current]

@@ -1,19 +1,22 @@
 """The one-pass XML writer against the recursive reference writer.
 
-``repro.xmltree.writer`` walks the document's columns once, in document
-order, with an explicit stack of open elements, and hands lines to the
-file at most ``CHUNK_LINES`` per ``write``.  The recursive writer it
-replaced (``tests/object_document_reference.py``) is the reference: the
-output must be byte-identical at every indent, on random trees, on
-XMark and on a chain far deeper than the interpreter's recursion limit —
-the depth at which the recursive writer failed, and with it every
-``save_catalog`` / ``commit_store`` of such a document.
+``repro.xmltree.writer`` walks the document's level and tag columns
+once, in document order, looks each line up in a (level, tag) table it
+fills on first use, and hands lines to the file at most ``CHUNK_LINES``
+per ``write``.  The recursive writer it replaced
+(``tests/object_document_reference.py``) is the reference: the output
+must be byte-identical at every indent, on random trees, on XMark, on a
+document with more distinct tags than the line tables keep, and on
+chains far deeper than the interpreter's recursion limit — the depth at
+which the recursive writer failed, and with it every ``save_catalog`` /
+``commit_store`` of such a document.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import random
 import shutil
 import sys
 
@@ -27,14 +30,23 @@ from repro.storage.persistence import save_catalog
 from repro.tpq.naive import find_embeddings
 from repro.tpq.parser import parse_pattern
 from repro.xmltree.document import document_from_tuples
-from repro.xmltree.parser import parse_xml
-from repro.xmltree.writer import CHUNK_LINES, _write, write_xml
+from repro.xmltree.parser import parse_xml, parse_xml_file
+from repro.xmltree.writer import (
+    CHUNK_LINES,
+    _write,
+    write_xml,
+    write_xml_file,
+)
 from tests.object_document_reference import (
     object_document,
     write_xml_recursive,
 )
 
 DEPTH = 10_000
+
+#: Depth of the deepest chain: five times :data:`DEPTH`, written unindented
+#: (indented, its padding alone would be gigabytes).
+DEEPEST = 50_000
 
 
 class HashingSink:
@@ -175,3 +187,42 @@ def test_write_xml_to_text_handle_matches_string(small_doc):
     out = io.StringIO()
     _write(small_doc, out, 2)
     assert out.getvalue() == write_xml(small_doc)
+
+
+def many_tags(count: int = 600, seed: int = 3):
+    """A random tree of ``count`` nodes, each with its own element type,
+    up to 40 levels deep: more distinct (level, tag) lines than the
+    writer's line tables keep."""
+    rng = random.Random(seed)
+    rows = [("t0", 0)]
+    depth = 0
+    for i in range(1, count):
+        depth = rng.randint(1, min(depth + 1, 40))
+        rows.append((f"t{i}", depth))
+    return document_from_tuples(rows, name="many-tags")
+
+
+def labels_of(document) -> list[tuple]:
+    return [(n.tag, n.start, n.end, n.level, n.parent_index) for n in document]
+
+
+def test_fifty_thousand_levels_match_reference_and_round_trip(tmp_path):
+    doc = deep_chain(DEEPEST)
+    assert columnar_sink(doc, 0).hexdigest() == reference_digest(doc, 0)
+    path = tmp_path / "deepest.xml"
+    write_xml_file(doc, path, indent=0)
+    again = parse_xml_file(path)
+    assert labels_of(again) == labels_of(doc)
+    assert again.max_depth() == DEEPEST - 1
+
+
+@pytest.mark.parametrize("indent", [0, 2, 3])
+def test_hundreds_of_tags_match_reference_and_round_trip(tmp_path, indent):
+    doc = many_tags()
+    assert len(doc.tags()) > 500
+    assert columnar_sink(doc, indent).hexdigest() == reference_digest(
+        doc, indent
+    )
+    path = tmp_path / "tags.xml"
+    write_xml_file(doc, path, indent=indent)
+    assert labels_of(parse_xml_file(path)) == labels_of(doc)
