@@ -1,7 +1,7 @@
 """CI smoke: replay a canned update log against a golden rebuild.
 
 Builds a deterministic store, appends a fixed WAL (insert, rename,
-delete — one of each repair class), and replays it through
+delete — one of each delta kind), and replays it through
 :func:`repro.maintenance.engine.recover_store` exactly the way a crashed
 maintenance commit would be finished on reattach.  The recovered store
 must be byte-identical (page payloads, entry counts, pointer stats) to a
@@ -45,6 +45,7 @@ def main() -> int:
         UpdateLog,
         WAL_FILENAME,
         apply_deltas,
+        apply_updates,
         recover_store,
     )
     from repro.service import QueryService
@@ -59,8 +60,8 @@ def main() -> int:
 
     doc = random_trees.generate(size=200, max_depth=8, seed=3)
     patterns = [("//a//b", "w1"), ("//c", "w2")]
-    # The canned log: a shift (alien tag), a splice trigger (rename to a
-    # viewed tag) and a structural delete.  Each delta addresses the
+    # The canned log: a shift (alien tag), a rebuild trigger (rename to
+    # a viewed tag) and a structural delete.  Each delta addresses the
     # document produced by the previous ones, exactly as a producer
     # would have written them.
     deltas = [
@@ -79,6 +80,11 @@ def main() -> int:
             for xpath, name in patterns:
                 catalog.add(parse_pattern(xpath, name=name), "LEp")
             save_catalog(catalog, store)
+            # The same commit in memory: the repair actions recovery
+            # will take, one per view.
+            actions = apply_updates(catalog, deltas).action_counts()
+        unknown = set(actions) - {"noop", "shift", "rebuild", "drop"}
+        assert not unknown, f"unknown repair actions {sorted(unknown)}"
 
         # Append the canned WAL out-of-band — the store now looks like a
         # maintenance commit that logged its deltas and died before
@@ -110,7 +116,8 @@ def main() -> int:
     print(
         "maintenance smoke ok:"
         f" replayed {len(deltas)}-delta WAL, recovered store byte-equal"
-        " to golden rebuild, answers match ground truth"
+        " to golden rebuild, answers match ground truth;"
+        f" actions {dict(sorted(actions.items()))}"
     )
     return 0
 

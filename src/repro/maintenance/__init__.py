@@ -11,9 +11,9 @@ document changes, without paying full rematerialization on every write:
   region and recording the label-shift map the view repairs need;
 * :mod:`repro.maintenance.wal` — the replayable durable update log kept
   alongside ``save_catalog`` output;
-* :mod:`repro.maintenance.repair` — per-view repair: NOOP / SHIFT /
-  SPLICE when the delta leaves the view's solution structure intact,
-  REBUILD (or DROP, for derived result views) when it does not;
+* :mod:`repro.maintenance.repair` — per-view repair: NOOP / SHIFT when
+  the delta touches no tag of the view, REBUILD (or DROP, for derived
+  result views) when it does;
 * :mod:`repro.maintenance.engine` — the commit orchestration
   (:func:`apply_updates`), store commit/recovery and the report type.
 

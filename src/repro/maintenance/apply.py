@@ -19,9 +19,9 @@ per-tag index spliced the same way; the input document is never mutated,
 and the new one neither refers to it nor re-validates the rows it did
 not touch (a valid parent plus a builder-made subtree is valid by
 construction) — and an :class:`AppliedDelta` record
-carrying the shift map, the touched element types and the inserted /
-deleted label material — everything :mod:`repro.maintenance.repair`
-needs to fix a materialized view without re-matching it.
+carrying the shift map and the touched element types (all
+:mod:`repro.maintenance.repair` needs to classify a view and shift it
+without re-matching) plus the inserted / deleted label material.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ class AppliedDelta:
     inserted: tuple[tuple[str, int, int, int], ...] = ()
     deleted_range: tuple[int, int] | None = None
     renamed: tuple[int, str, str] | None = None
-
-    def shift(self, label: int) -> int:
-        """Map one surviving pre-delta label into the post-delta space."""
-        if self.shift_amount and label >= self.shift_start:
-            return label + self.shift_amount
-        return label
 
 
 def apply_delta(document: Document, delta: Delta) -> AppliedDelta:

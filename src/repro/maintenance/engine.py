@@ -76,10 +76,7 @@ class MaintenanceReport:
     def repaired(self) -> int:
         """Views kept current without rematerialization."""
         counts = self.action_counts()
-        return (
-            counts.get("noop", 0) + counts.get("shift", 0)
-            + counts.get("splice", 0)
-        )
+        return counts.get("noop", 0) + counts.get("shift", 0)
 
     @property
     def rebuilt(self) -> int:
@@ -128,7 +125,7 @@ def repair_catalog(
     for (name, scheme), info in catalog.entries():
         decision = classify(info, changes)
         if force_rebuild and decision.action in (
-            RepairAction.NOOP, RepairAction.SHIFT, RepairAction.SPLICE,
+            RepairAction.NOOP, RepairAction.SHIFT,
         ) and not info.derived:
             decision = RepairDecision(
                 RepairAction.REBUILD, reason="forced rebuild"

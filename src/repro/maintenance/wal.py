@@ -9,8 +9,7 @@ The prefix is the byte length of the JSON body; ``crc`` is the CRC32 of
 the canonical ``{"lsn",...,"op":...}`` encoding.  Together they make
 every corruption class detectable: a *torn* append (crash mid-write)
 fails the length check, a *garbled* record (bit rot) fails the CRC.
-Records written before this format (bare JSON lines) still parse, just
-without integrity protection.
+A line without the prefix (a bare JSON object) is an invalid record.
 
 LSNs are contiguous and start at 1.  The store manifest records the
 highest LSN its pages reflect (``wal_lsn``), so recovery is a pure
@@ -176,33 +175,26 @@ class UpdateLog:
     @staticmethod
     def _parse_record(text: str) -> tuple[int, dict]:
         """One record line -> ``(lsn, op)``; raises :class:`_InvalidRecord`
-        with a reason for every invalid shape (torn, garbled,
-        legacy-broken)."""
-        if text[0].isdigit():
-            prefix, sep, body = text.partition(" ")
-            if not sep or not prefix.isdigit():
-                raise _InvalidRecord("bad length prefix")
-            if len(body.encode("utf-8")) != int(prefix):
-                raise _InvalidRecord(
-                    f"length mismatch (declared {prefix},"
-                    f" got {len(body.encode('utf-8'))})"
-                )
-            record = json.loads(body)
-            crc = record.get("crc")
-            lsn = int(record["lsn"])
-            op = record["op"]
-            expected = zlib.crc32(
-                _canonical(lsn, op).encode("utf-8")
-            ) & 0xFFFFFFFF
-            if crc != expected:
-                raise _InvalidRecord(
-                    f"checksum mismatch (recorded {crc}, computed"
-                    f" {expected})"
-                )
-            return lsn, op
-        # Legacy record: bare JSON line, no length prefix or checksum.
-        record = json.loads(text)
-        return int(record["lsn"]), record["op"]
+        with a reason for every invalid shape (torn, garbled, or a line
+        without the length prefix)."""
+        prefix, sep, body = text.partition(" ")
+        if not sep or not prefix.isdigit():
+            raise _InvalidRecord("bad length prefix")
+        if len(body.encode("utf-8")) != int(prefix):
+            raise _InvalidRecord(
+                f"length mismatch (declared {prefix},"
+                f" got {len(body.encode('utf-8'))})"
+            )
+        record = json.loads(body)
+        crc = record.get("crc")
+        lsn = int(record["lsn"])
+        op = record["op"]
+        expected = zlib.crc32(_canonical(lsn, op).encode("utf-8")) & 0xFFFFFFFF
+        if crc != expected:
+            raise _InvalidRecord(
+                f"checksum mismatch (recorded {crc}, computed {expected})"
+            )
+        return lsn, op
 
     def _records(self) -> Iterable[tuple[int, dict]]:
         self._torn_tail = False

@@ -247,13 +247,10 @@ class QueryService:
             exclusive with ``store_path``).
         store_path: a ``save_catalog`` store directory to attach
             read-mostly; the service owns (and closes) the loaded catalog.
-        scheme / algorithm: defaults handed to the planner.
-        plan_cache_size: LRU size of the planner's plan cache.
+        scheme / algorithm: defaults handed to the planner (which keeps
+            a 128-plan cache and refutes impossible queries against the
+            DataGuide before running them).
         result_cache_size: LRU size of the keyed result cache; 0 disables.
-        stream_cache_size: LRU size (in eval nodes) of the shared
-            executor's sub-plan stream cache; 0 disables cross-batch
-            stream replay (within-batch CSE still applies).
-        prune_with_dataguide: refute impossible queries before running.
         generation_budget_bytes: disk high-water mark for archived
             store generations (DESIGN.md §16) — after every durable
             commit the service auto-reaps unpinned generation archives
@@ -268,10 +265,7 @@ class QueryService:
         store_path: str | None = None,
         scheme: Scheme | str = Scheme.LINKED_PARTIAL,
         algorithm: Algorithm | str = Algorithm.VIEWJOIN,
-        plan_cache_size: int = 128,
         result_cache_size: int = 0,
-        stream_cache_size: int = 32,
-        prune_with_dataguide: bool = True,
         retry_policy: RetryPolicy | None = None,
         failure_threshold: int = 3,
         verify: bool = False,
@@ -297,8 +291,8 @@ class QueryService:
             catalog,
             scheme=scheme,
             algorithm=algorithm,
-            prune_with_dataguide=prune_with_dataguide,
-            plan_cache_size=plan_cache_size,
+            prune_with_dataguide=True,
+            plan_cache_size=128,
         )
         if self._store_path is not None:
             self.planner.adopt_catalog_views()
@@ -310,7 +304,9 @@ class QueryService:
         #: is the *store's*, independent of the in-memory catalog's).
         self._snapshot_generation: int | None = None
         self._result_cache = LRUCache(result_cache_size)
-        self._stream_cache = StreamCache(stream_cache_size)
+        # The shared executor's cross-batch sub-plan streams, LRU over
+        # 32 eval nodes.
+        self._stream_cache = StreamCache(32)
         # MVCC state (DESIGN.md §16): pinned pre-commit snapshots by
         # generation, explicit user-pin refcounts, and GC accounting.
         self._generation_snapshots: dict[int, _GenerationPin] = {}

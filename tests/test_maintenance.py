@@ -24,6 +24,7 @@ from repro.maintenance import (
     recover_store,
     update_store,
 )
+from repro.maintenance.wal import _record_line
 from repro.storage.catalog import Scheme, ViewCatalog, ViewInfo, materialize
 from repro.storage.persistence import (
     commit_store,
@@ -198,18 +199,38 @@ def test_wal_append_read_replay(tmp_path):
     assert tail == [(3, DeleteSubtree(root_start=9))]
 
 
+DELETE_OP = {"kind": "delete-subtree", "root_start": 1}
+BARE_RECORD = '{"lsn":1,"op":{"kind":"delete-subtree","root_start":1}}\n'
+
+
 def test_wal_rejects_corruption(tmp_path):
     path = tmp_path / WAL_FILENAME
-    path.write_text('{"lsn": 1, "op": {"kind": "delete-subtree",'
-                    ' "root_start": 1}}\n{"lsn": 3, "op": {}}\n')
+    # Valid records whose LSNs skip 2.
+    path.write_text(_record_line(1, DELETE_OP) + _record_line(3, {}))
     with pytest.raises(MaintenanceError):
         UpdateLog(path).tip()
     # An invalid record followed by a valid one is corruption, not a
     # torn tail — the log must refuse it.
-    path.write_text('not json\n{"lsn": 1, "op": {"kind": "delete-subtree",'
-                    ' "root_start": 1}}\n')
+    path.write_text("not json\n" + _record_line(1, DELETE_OP))
     with pytest.raises(MaintenanceError):
         UpdateLog(path).tip()
+
+
+def test_wal_bare_json_line_is_an_invalid_record(tmp_path):
+    path = tmp_path / WAL_FILENAME
+    # No length prefix, no CRC: followed by a valid record it is corruption.
+    path.write_text(BARE_RECORD + _record_line(2, DELETE_OP))
+    with pytest.raises(MaintenanceError):
+        UpdateLog(path).tip()
+    # As the last line it is a torn tail, truncated by the next append.
+    path.write_text(_record_line(1, DELETE_OP) + BARE_RECORD)
+    log = UpdateLog(path)
+    assert log.tip() == 1 and log.torn_tail_detected
+    assert log.append([DeleteSubtree(root_start=3)]) == 2
+    assert path.read_text() == (
+        _record_line(1, DELETE_OP)
+        + _record_line(2, {"kind": "delete-subtree", "root_start": 3})
+    )
 
 
 def test_wal_tolerates_torn_tail(tmp_path):
@@ -337,14 +358,16 @@ def test_classify_rename_disjoint_is_noop(small_doc):
     assert decision.action is RepairAction.NOOP
 
 
-def test_classify_single_node_touched_is_splice(small_doc):
+def test_classify_single_node_touched_is_rebuild(small_doc):
+    # A one-node view's solution list is its tag's index in the new
+    # document, so a touched one-node view rebuilds like any other.
     decision = classify_for(small_doc, "//c", [
         InsertSubtree(parent_start=node(small_doc, "g").start, position=0,
                       rows=(("c", 0),)),
         DeleteSubtree(root_start=node(small_doc, "d").start),  # kills c2
     ])
-    assert decision.action is RepairAction.SPLICE
-    assert len(decision.ops) == 2
+    assert decision.action is RepairAction.REBUILD
+    assert decision.ops == ()
 
 
 def test_classify_twig_touched_is_rebuild(small_doc):
@@ -411,7 +434,8 @@ def test_commit_matches_rebuild_and_invalidates(small_doc):
     assert fingerprint(catalog) == fingerprint(reference)
     # The repair path actually avoided rebuilds where it could.
     actions = report.action_counts()
-    assert actions.get("splice") and actions.get("rebuild")
+    assert set(actions) <= {"noop", "shift", "rebuild"}
+    assert actions.get("shift") and actions.get("rebuild")
 
 
 def test_empty_commit_is_noop(small_doc):

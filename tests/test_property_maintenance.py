@@ -9,8 +9,9 @@ same query answers
 with identical I/O counters.  Every repaired view's stored entry counts
 must also equal the exact solution-list sizes on the new document (the
 planner reads them as measured ``|L_q|`` instead of re-matching).  Runs
-for LE and LE_p (2 datasets x 2 schemes x ``SEQUENCES`` seeds = 100
-sequences).
+for every scheme — T, E, LE and LE_p — (2 datasets x 4 schemes x
+``SEQUENCES`` seeds = 200 sequences); each dataset carries a one-node
+view (``"single"``) next to its twigs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.datasets import nasa, xmark
 from repro.datasets.updates import random_update_sequence
 from repro.maintenance import apply_updates
 from repro.selection import ExactSizes
-from repro.storage.catalog import ViewCatalog
+from repro.storage.catalog import Scheme, ViewCatalog
 from repro.tpq.parser import parse_pattern
 
 SEQUENCES = 25
@@ -56,35 +57,39 @@ def build(document, patterns, scheme):
 def fingerprint(catalog):
     """Per view: every list's page bytes and the columns the engines read
     (a SHIFT derives a clone's columns from its parent's, not from the
-    pages, so the pages alone would not catch a wrong derived column)."""
+    pages, so the pages alone would not catch a wrong derived column).
+    A tuple view's one list is keyed by ``""``."""
     rows = {}
     for (name, scheme), info in catalog.entries():
+        view = info.view
+        lists = {"": view.tuples} if hasattr(view, "tuples") else view.lists
         payload = []
-        for tag, stored in sorted(info.view.lists.items()):
+        for tag, stored in sorted(lists.items()):
             manifest = stored.manifest()
             ids = (manifest["page_ids"] if "page_ids" in manifest
                    else [row[2] for row in manifest["directory"]])
-            columns = stored.columns
             payload.append((tag, len(stored), tuple(
                 catalog.pager.page_file.read_page_raw(i) for i in ids
-            ), columns.starts, columns.ends, columns.levels,
-                columns.following, columns.descendant, columns.children))
+            ), stored.columns.fields))
+        stats = getattr(view, "pointer_stats", None)
         rows[(name, scheme.value)] = (
             tuple(payload),
             info.num_pointers,
-            info.view.pointer_stats.as_dict(),
+            stats.as_dict() if stats is not None else None,
         )
     return rows
 
 
 def stale_list_sizes(catalog):
     """Views whose stored entry counts differ from the exact ``|L_q|``
-    on the catalog's current document."""
+    on the catalog's current document (a tuple view stores no per-tag
+    lists, so the planner reads no counts from it)."""
     exact = ExactSizes(catalog.document)
     return [
         name
         for (name, __), info in catalog.entries()
-        if info.view.entry_counts() != {
+        if hasattr(info.view, "entry_counts")
+        and info.view.entry_counts() != {
             tag: exact.list_size(info.pattern, tag)
             for tag in info.pattern.tags()
         }
@@ -93,9 +98,10 @@ def stale_list_sizes(catalog):
 
 def answers(catalog, query_text, views):
     query = parse_pattern(query_text)
+    scheme = catalog.views()[0].scheme
     result = evaluate(
         query, catalog, [parse_pattern(x, name=n) for x, n in views],
-        "VJ", catalog.views()[0].scheme,
+        "IJ" if scheme is Scheme.TUPLE else "VJ", scheme,
     )
     # io_ms is wall-clock; only the read counters are deterministic.
     return (
@@ -106,7 +112,7 @@ def answers(catalog, query_text, views):
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-@pytest.mark.parametrize("scheme", ["LE", "LEp"])
+@pytest.mark.parametrize("scheme", ["T", "E", "LE", "LEp"])
 def test_incremental_equals_rebuild(dataset, scheme):
     generate, patterns, query_text, tag_pool = DATASETS[dataset]
     base = generate()
