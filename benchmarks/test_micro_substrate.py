@@ -7,7 +7,8 @@ and — for comparison — through the pool-served reference reader of
 columns, B+-tree descent, the positional DAG buffer's admit-and-flush
 and the match enumerator — plus three steps of a durable commit:
 serializing the document, applying one delta to it, and a SHIFT repair
-of one view list.  These establish
+of one view list — and the two halves of opening a store: parsing its
+``document.xml`` and attaching its LE_p view lists.  These establish
 the unit costs behind the macro benchmarks' wall-clock numbers (and
 catch substrate regressions early).
 """
@@ -25,9 +26,10 @@ from repro.datasets import random_trees
 from repro.maintenance.apply import apply_delta
 from repro.maintenance.deltas import DeleteSubtree, InsertSubtree, RenameTag
 from repro.storage.btree import BPlusTreeIndex
-from repro.storage.catalog import materialize
+from repro.storage.catalog import ViewCatalog, materialize
 from repro.storage.lists import StoredList
 from repro.storage.pager import Pager
+from repro.storage.persistence import load_catalog, save_catalog
 from repro.storage.records import (
     ElementEntry,
     LinkedEntry,
@@ -38,6 +40,7 @@ from repro.storage.records import (
 from repro.tpq.enumeration import enumerate_matches
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
+from repro.workloads import xmark as xmark_queries
 from repro.xmltree.document import DocumentBuilder
 from repro.xmltree.parser import parse_xml_file
 from repro.xmltree.writer import write_xml_file
@@ -313,6 +316,43 @@ def test_bench_write_xml_file(benchmark, xmark_doc, tmp_path):
     path = tmp_path / "document.xml"
     benchmark(write_xml_file, xmark_doc, path)
     assert len(parse_xml_file(path)) == len(xmark_doc)
+
+
+def test_bench_parse_xml_file(benchmark, xmark_doc, tmp_path):
+    """A saved document read back: the regex token loop appending the
+    columns, as every store attach does first."""
+    path = tmp_path / "document.xml"
+    write_xml_file(xmark_doc, path)
+    parsed = benchmark(parse_xml_file, path)
+    assert parsed.columns == xmark_doc.columns
+
+
+def test_bench_load_catalog(benchmark, xmark_doc, tmp_path):
+    """Attaching a saved store of every XMark query's views in LE_p: the
+    document parse plus each slotted list's pages decoded in bulk."""
+    store = tmp_path / "store"
+    with ViewCatalog(xmark_doc) as catalog:
+        for spec in xmark_queries.ALL_QUERIES:
+            for view in spec.views:
+                catalog.add(view, "LEp")
+        save_catalog(catalog, store)
+        expected = {
+            (info.pattern.to_xpath(), tag): stored.columns.fields
+            for info in catalog.views()
+            for tag, stored in info.view.lists.items()
+        }
+
+    def run():
+        attached = load_catalog(store)
+        attached.close()
+        return attached
+
+    attached = benchmark(run)
+    assert {
+        (info.pattern.to_xpath(), tag): stored.columns.fields
+        for info in attached.views()
+        for tag, stored in info.view.lists.items()
+    } == expected
 
 
 def _middle_deltas(document):

@@ -72,20 +72,6 @@ class MaintenanceReport:
             counts[row.action] = counts.get(row.action, 0) + 1
         return counts
 
-    @property
-    def repaired(self) -> int:
-        """Views kept current without rematerialization."""
-        counts = self.action_counts()
-        return counts.get("noop", 0) + counts.get("shift", 0)
-
-    @property
-    def rebuilt(self) -> int:
-        return self.action_counts().get("rebuild", 0)
-
-    @property
-    def dropped(self) -> int:
-        return self.action_counts().get("drop", 0)
-
     def as_dict(self) -> dict[str, object]:
         return {
             "deltas": self.deltas,

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from repro.errors import StorageError
+from repro.errors import StorageError, StoreCorrupt
 from repro.storage.pager import Pager
 from repro.storage.records import extend_columns, pack_pages
 
@@ -306,20 +306,31 @@ class SlottedList(_ColumnList):
     def _build_columns(self, manifest: dict) -> None:  # repro-lint: disable=RL203 (attach-time column build; reads accounted at access time via touch)
         """Decode the manifest's pages into the columns (uncounted reads).
 
-        Variable-width records cannot be bulk-reinterpreted, so this
-        decodes each record through the codec at the offset its slot
-        names and appends it.
+        A page's slot offsets go straight to the codec's bulk decoder
+        (``unpack_records``), which reads each record by the shape of its
+        flag word and fills the columns a page at a time.  A page whose
+        header disagrees with the directory, or whose slots or records
+        fall outside it, raises :class:`~repro.errors.StoreCorrupt`
+        naming the page; checksums stay with the reads that follow.
         """
         self._directory = [tuple(row) for row in manifest["directory"]]
         self._payload_bytes = int(manifest["payload_bytes"])
-        append = self._columns.append
-        decode = self.codec.decode
+        unpack_records = self.codec.unpack_records
         read_raw = self.pager.page_file.read_page_raw
         for __, count, page_id in self._directory:
             # Attach-time read, deliberately uncounted (docstring).
             raw = read_raw(page_id)
-            for offset in struct.unpack_from(f"<{count}H", raw, self._HEADER):
-                append(decode(raw, offset)[0])
+            slots = self._HEADER + count * self._SLOT
+            try:
+                stored, *offsets = struct.unpack_from(f"<{count + 1}H", raw)
+                if stored != count or min(offsets, default=slots) < slots:
+                    raise StorageError("slot directory out of bounds")
+                unpack_records(raw, offsets, self._columns)
+            except (StorageError, struct.error) as exc:
+                raise StoreCorrupt(
+                    f"page {page_id} of list {self.name!r}: {exc}",
+                    pages=(page_id,),
+                ) from exc
 
     def page_map(self) -> tuple[list[int], array]:
         """``(page_ids, breaks)`` where ``breaks[k]`` is the first entry

@@ -13,9 +13,10 @@ sentinels:
 A list's in-memory form is its packed columns, one flat array per record
 field; pages are their serialization.  A fixed-width page is every
 column's words interleaved in field order (:func:`pack_pages` writes it,
-:func:`extend_columns` reads it back when a list is attached).  Each
+:func:`extend_columns` reads it back when a list is attached; LE_p
+slotted records have ``pack_records`` / ``unpack_records``).  Each
 codec's per-record ``encode`` / ``decode`` is the format reference the
-bulk writers are tested against.
+bulk writers and readers are tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from repro.errors import StorageError
@@ -484,6 +486,8 @@ class MatchKeyCodec:
 #: A following/descendant pointer's 2-bit compact flag; anything else is a
 #: present pointer (``0b10``).
 _TWO_BIT = {NULL_POINTER: 0, UNMATERIALIZED_POINTER: 1}
+#: The values of absent pointers, appended to a compact record's words.
+_ABSENT = (NULL_POINTER, UNMATERIALIZED_POINTER)
 
 
 class CompactLinkedCodec:
@@ -522,6 +526,8 @@ class CompactLinkedCodec:
         self.num_children = num_children
         # Upper bound on one record's width (used for page-fit checks).
         self.max_width = 2 + 12 + 4 * (2 + num_children)
+        #: flags value -> :meth:`shape`, filled as flag words are met.
+        self._shapes: dict[int, tuple] = {}
 
     def make_columns(self) -> LinkedColumns:
         return LinkedColumns(self.num_children)
@@ -570,6 +576,47 @@ class CompactLinkedCodec:
                     flags |= bit
                     present.append(child)
             yield packs[len(present)](flags, start, end, level, *present)
+
+    def unpack_records(self, raw: bytes, offsets, columns: LinkedColumns) -> None:
+        """Append the records at ``offsets`` in page bytes ``raw`` to
+        ``columns`` (the inverse of :meth:`pack_records`): each read into a
+        row by its flag word's cached :meth:`shape`, the rows transposed
+        into the columns at once.  A record past the end of ``raw`` or a
+        pointer past the signed columns raises :class:`StorageError`."""
+        shapes = self._shapes
+        rows = []
+        try:
+            for offset in offsets:
+                flags = raw[offset] | raw[offset + 1] << 8
+                shape = shapes.get(flags)
+                if shape is None:
+                    shape = shapes[flags] = self.shape(flags)
+                unpack, row = shape
+                rows.append(row(unpack(raw, offset) + _ABSENT))
+            if rows:
+                columns.extend_fields(*zip(*rows))
+        except (IndexError, OverflowError, struct.error) as exc:
+            raise StorageError(f"corrupt compact record: {exc}") from exc
+
+    def shape(self, flags: int):
+        """``(unpack, row)`` for flag word ``flags``: ``unpack(raw,
+        offset)`` reads the flags, label and present pointer words, and
+        ``row(words + _ABSENT)`` orders them, absent pointers included, as
+        the columns' fields.  :meth:`decode`'s rules: codes ``0b10`` and
+        ``0b11`` are present, flag bits past the children are ignored."""
+        codes = (flags & 0b11, flags >> 2 & 0b11)
+        bits = [flags >> (4 + i) & 1 for i in range(self.num_children)]
+        present = sum(code > 1 for code in codes) + sum(bits)
+        null, unmaterialized = 4 + present, 5 + present  # _ABSENT's words
+        slots = [(code > 1, unmaterialized if code == 1 else null)
+                 for code in codes]
+        slots += [(bit, null) for bit in bits]
+        picks = [1, 2, 3]
+        word = 4
+        for is_present, otherwise in slots:
+            picks.append(word if is_present else otherwise)
+            word += is_present
+        return struct.Struct(f"<H3I{present}I").unpack_from, itemgetter(*picks)
 
     def decode(self, raw: bytes, offset: int = 0) -> tuple[LinkedEntry, int]:
         """Decode one record; returns ``(entry, width)``."""

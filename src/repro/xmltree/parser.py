@@ -6,20 +6,39 @@ data, comments, processing instructions, CDATA sections, and an optional XML
 declaration / DOCTYPE line.  Entities are left unexpanded since text content
 does not influence tree pattern matching.
 
-The parser is a single linear scan; position information is preserved in
-error messages.
+The parser is one compiled-regex token loop.  A token is the character
+data before a ``<`` plus the markup there, so tokens tile the text; the
+loop appends the columns under :class:`DocumentBuilder`'s counter rule
+and hands them to ``Document._trusted``.  Every quantifier runs over a
+class its neighbour cannot match or ends a name at a negative lookahead,
+so no name splits and every input is decided in linear time.  Errors
+carry the offset of the failing ``<`` or character data.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
+from array import array
 
 from repro.errors import XmlParseError
-from repro.xmltree.document import Document, DocumentBuilder
+from repro.xmltree.document import Columns, Document, _tag_index
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*(?![A-Za-z0-9_:.\-])"
+_ATTRIBUTE = rf"""\s*{_NAME}(?:\s*=\s*(?:"[^"]*"|'[^']*'))?"""
+_TOKEN = re.compile(
+    rf"""([^<]*)(?:<(?:
+        /({_NAME})\s*>                         # 2: end tag
+      | ({_NAME})(?:{_ATTRIBUTE})*\s*(/?)>     # 3: start tag, 4: "/" if empty
+      | (!(?=--)(?s:.*?)-->                    # 5: comment
+        | !\[CDATA\[(?s:.*?)\]\]>              #    CDATA section
+        | !(?!--|\[CDATA\[)[^>]*>              #    declaration
+        | (?=\?)(?s:.*?)\?>)                   #    processing instruction
+      | ()                                     # 6: malformed markup
+    )|\Z)""",
+    re.VERBOSE,
+)
 
 
 def parse_xml(text: str, name: str = "document") -> Document:
@@ -28,8 +47,68 @@ def parse_xml(text: str, name: str = "document") -> Document:
     Raises:
         XmlParseError: on malformed markup or mismatched tags.
     """
-    parser = _Parser(text)
-    return parser.run(name)
+    starts, ends, levels = array("i"), array("i"), array("i")
+    parents, tag_column = array("i"), array("i")
+    tag_ids: dict[str, int] = {}
+    stack: list[int] = []  # indexes of the open elements
+    counter = 0
+    for match in _TOKEN.finditer(text):
+        data, closed, opened, empty, skipped, bad = match.groups()
+        if not stack and data and not data.isspace():
+            raise XmlParseError(
+                "character data outside the root element", match.start()
+            )
+        if opened is not None:
+            if stack:
+                parent = stack[-1]
+            elif starts:
+                raise XmlParseError("multiple root elements", match.end(1))
+            else:
+                parent = -1
+            tag_id = tag_ids.get(opened)
+            if tag_id is None:
+                tag_id = tag_ids[opened] = len(tag_ids)
+            starts.append(counter)
+            levels.append(len(stack))
+            parents.append(parent)
+            tag_column.append(tag_id)
+            if empty:
+                ends.append(counter + 1)
+                counter += 2
+            else:
+                stack.append(len(ends))
+                ends.append(-1)
+                counter += 1
+        elif closed is not None:
+            if not stack:
+                raise XmlParseError(
+                    f"unexpected end tag </{closed}>", match.end(1)
+                )
+            index = stack.pop()
+            expected = tag_column[index]
+            if tag_ids.get(closed) != expected:
+                raise XmlParseError(
+                    f"mismatched end tag </{closed}>, expected"
+                    f" </{list(tag_ids)[expected]}>", match.end(1),
+                )
+            ends[index] = counter
+            counter += 1
+        elif bad is not None:
+            at = match.end(1)
+            raise XmlParseError(
+                f"malformed or unterminated markup {text[at:at + 16]!r}", at
+            )
+        elif skipped is None:
+            break  # end of text
+    if stack:
+        tag = list(tag_ids)[tag_column[stack[-1]]]
+        raise XmlParseError(
+            f"unclosed element <{tag}> at end of input", len(text)
+        )
+    if not starts:
+        raise XmlParseError("no root element found", 0)
+    columns = Columns(starts, ends, levels, parents, tag_column, tuple(tag_ids))
+    return Document._trusted(columns, _tag_index(columns), name)
 
 
 def parse_xml_file(path: str | os.PathLike[str]) -> Document:
@@ -37,136 +116,3 @@ def parse_xml_file(path: str | os.PathLike[str]) -> Document:
     with io.open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return parse_xml(text, name=os.path.basename(os.fspath(path)))
-
-
-class _Parser:
-    """Recursive-descent-free linear scanner over the XML text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    def run(self, name: str) -> Document:
-        builder = DocumentBuilder(name)
-        open_tags: list[str] = []
-        saw_root = False
-        while self.pos < self.length:
-            lt = self.text.find("<", self.pos)
-            if lt < 0:
-                trailing = self.text[self.pos :].strip()
-                if trailing:
-                    raise XmlParseError(
-                        "character data outside the root element", self.pos
-                    )
-                break
-            # Character data between tags is ignored for labelling purposes,
-            # but data outside the root element is an error.
-            between = self.text[self.pos : lt]
-            if between.strip() and not open_tags:
-                raise XmlParseError(
-                    "character data outside the root element", self.pos
-                )
-            self.pos = lt
-            self._dispatch_markup(builder, open_tags)
-            if open_tags or len(builder):
-                saw_root = True
-        if open_tags:
-            raise XmlParseError(
-                f"unclosed element <{open_tags[-1]}> at end of input", self.pos
-            )
-        if not saw_root:
-            raise XmlParseError("no root element found", 0)
-        return builder.build()
-
-    def _dispatch_markup(
-        self, builder: DocumentBuilder, open_tags: list[str]
-    ) -> None:
-        text = self.text
-        pos = self.pos
-        if text.startswith("<!--", pos):
-            self._skip_until("-->", "unterminated comment")
-        elif text.startswith("<![CDATA[", pos):
-            self._skip_until("]]>", "unterminated CDATA section")
-        elif text.startswith("<!", pos):
-            self._skip_until(">", "unterminated declaration")
-        elif text.startswith("<?", pos):
-            self._skip_until("?>", "unterminated processing instruction")
-        elif text.startswith("</", pos):
-            self._close_tag(builder, open_tags)
-        else:
-            self._open_tag(builder, open_tags)
-
-    def _skip_until(self, terminator: str, message: str) -> None:
-        end = self.text.find(terminator, self.pos)
-        if end < 0:
-            raise XmlParseError(message, self.pos)
-        self.pos = end + len(terminator)
-
-    def _read_name(self) -> str:
-        start = self.pos
-        if start >= self.length or self.text[start] not in _NAME_START:
-            raise XmlParseError("expected an XML name", start)
-        pos = start + 1
-        while pos < self.length and self.text[pos] in _NAME_CHARS:
-            pos += 1
-        self.pos = pos
-        return self.text[start:pos]
-
-    def _skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _open_tag(self, builder: DocumentBuilder, open_tags: list[str]) -> None:
-        if not open_tags and len(builder):
-            raise XmlParseError("multiple root elements", self.pos)
-        self.pos += 1  # consume '<'
-        tag = self._read_name()
-        self._skip_attributes()
-        if self.text.startswith("/>", self.pos):
-            self.pos += 2
-            builder.leaf(tag)
-            return
-        if self.pos >= self.length or self.text[self.pos] != ">":
-            raise XmlParseError(f"malformed start tag <{tag}", self.pos)
-        self.pos += 1
-        builder.open(tag)
-        open_tags.append(tag)
-
-    def _close_tag(self, builder: DocumentBuilder, open_tags: list[str]) -> None:
-        self.pos += 2  # consume '</'
-        tag = self._read_name()
-        self._skip_whitespace()
-        if self.pos >= self.length or self.text[self.pos] != ">":
-            raise XmlParseError(f"malformed end tag </{tag}", self.pos)
-        self.pos += 1
-        if not open_tags:
-            raise XmlParseError(f"unexpected end tag </{tag}>", self.pos)
-        expected = open_tags.pop()
-        if expected != tag:
-            raise XmlParseError(
-                f"mismatched end tag </{tag}>, expected </{expected}>", self.pos
-            )
-        builder.close()
-
-    def _skip_attributes(self) -> None:
-        """Scan past attributes, validating quote balance."""
-        while True:
-            self._skip_whitespace()
-            if self.pos >= self.length:
-                raise XmlParseError("unterminated start tag", self.pos)
-            ch = self.text[self.pos]
-            if ch in (">",) or self.text.startswith("/>", self.pos):
-                return
-            self._read_name()
-            self._skip_whitespace()
-            if self.pos < self.length and self.text[self.pos] == "=":
-                self.pos += 1
-                self._skip_whitespace()
-                if self.pos >= self.length or self.text[self.pos] not in "\"'":
-                    raise XmlParseError("attribute value must be quoted", self.pos)
-                quote = self.text[self.pos]
-                end = self.text.find(quote, self.pos + 1)
-                if end < 0:
-                    raise XmlParseError("unterminated attribute value", self.pos)
-                self.pos = end + 1

@@ -6,6 +6,8 @@ wrong data, when the backing store misbehaves.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.errors import (
@@ -17,6 +19,7 @@ from repro.errors import (
 )
 from repro.maintenance import RenameTag, UpdateLog, WAL_FILENAME
 from repro.resilience import FaultPlan, faults, verify_store
+from repro.resilience.guard import read_manifest
 from repro.storage.catalog import ViewCatalog, materialize
 from repro.storage.lists import StoredList
 from repro.storage.pager import PageFile, Pager
@@ -130,6 +133,31 @@ def test_checksum_catches_at_rest_bit_flip(stored_catalog):
         assert 0 in info.value.pages
     finally:
         catalog.close()
+
+
+@pytest.mark.parametrize("slot", [0xFFFF, "record-overruns", 0],
+                         ids=["past-page", "record-overruns", "in-header"])
+def test_corrupt_slot_offset_fails_typed_at_attach(small_doc, tmp_path, slot):
+    """A flipped slot-offset word of an LE_p page — pointing past the page,
+    at a record that would run off its end, or into the slot directory —
+    refuses the attach with a StoreCorrupt naming the page (it used to
+    escape as a bare ``struct.error``), without an up-front CRC pass."""
+    store = tmp_path / "store"
+    with ViewCatalog(small_doc) as catalog:
+        catalog.add(parse_pattern("//a//b", name="vab"), "LEp")
+        save_catalog(catalog, store)
+    manifest = read_manifest(store)
+    page_size = manifest["page_size"]
+    __, __, page_id = manifest["views"][0]["lists"]["a"]["directory"][0]
+    if slot == "record-overruns":
+        slot = page_size - 3
+    pages = store / "pages.bin"
+    blob = bytearray(pages.read_bytes())
+    struct.pack_into("<H", blob, page_id * page_size + 2, slot)
+    pages.write_bytes(bytes(blob))
+    with pytest.raises(StoreCorrupt) as info:
+        load_catalog(store)
+    assert info.value.pages == (page_id,)
 
 
 @pytest.mark.parametrize("kind", ["corrupt", "short"])

@@ -15,6 +15,7 @@ from repro.errors import StorageError
 from repro.storage.lists import SlottedList, StoredList
 from repro.storage.pager import Pager
 from repro.storage.records import (
+    _ABSENT,
     NULL_POINTER,
     UNMATERIALIZED_POINTER,
     CompactLinkedCodec,
@@ -183,10 +184,10 @@ def random_entry(rng):
                         rng.randrange(256))
 
 
-def random_linked(rng, compact):
+def random_linked(rng, compact, children=2):
     return LinkedEntry(
         *random_entry(rng), random_pointer(rng), random_pointer(rng),
-        (random_pointer(rng, compact), random_pointer(rng, compact)),
+        tuple(random_pointer(rng, compact) for _ in range(children)),
     )
 
 
@@ -201,6 +202,13 @@ CODECS = {
                   lambda rng: (rng.randrange(1 << 32), rng.randrange(1 << 32))),
     "compact": (compact_linked_codec(2), SlottedList,
                 lambda rng: random_linked(rng, compact=True)),
+    **{
+        f"compact-{children}": (
+            compact_linked_codec(children), SlottedList,
+            lambda rng, k=children: random_linked(rng, True, k),
+        )
+        for children in (0, 1, CompactLinkedCodec.MAX_CHILDREN)
+    },
 }
 
 
@@ -219,6 +227,11 @@ def test_pages_are_the_columns_serialization(kind, page_size, seed, size):
     rng = random.Random(seed)
     records = [make(rng) for _ in range(size)]
     pager = Pager(page_size=page_size)
+    if layout is SlottedList and codec.max_width + 4 > page_size:
+        # a widest record (70 bytes at 12 children) must fit one page
+        with pytest.raises(StorageError):
+            layout(pager, codec)
+        return
     stored = layout(pager, codec)
     stored.extend(records)
     stored.finalize()
@@ -229,6 +242,33 @@ def test_pages_are_the_columns_serialization(kind, page_size, seed, size):
     attached = layout.attach(pager, codec, stored.manifest())
     assert attached.columns.fields == stored.columns.fields
     assert list(attached.scan()) == records
+
+
+@pytest.mark.parametrize("children", [0, 3, CompactLinkedCodec.MAX_CHILDREN])
+def test_every_flag_word_shape_reads_what_decode_reads(children):
+    """For every 16-bit flag word — code ``0b11`` (a present pointer to
+    ``decode``) and bits past the child pointers (ignored) included — the
+    bulk decoder reads the record ``decode`` reads: its per-shape layout
+    gives the same entry and width, and ``unpack_records`` over all 65 536
+    records at once fills the same columns."""
+    codec = compact_linked_codec(children)
+    words = tuple(range(100, 100 + 2 + CompactLinkedCodec.MAX_CHILDREN))
+    raws = [struct.pack("<H3I14I", flags, 7, 9, 2, *words)
+            for flags in range(1 << 16)]
+    expected = codec.make_columns()
+    for flags, raw in enumerate(raws):
+        entry, width = codec.decode(raw)
+        unpack, row = codec.shape(flags)
+        read = unpack(raw, 0)
+        assert LinkedEntry(*(fields := row(read + _ABSENT))[:5],
+                           fields[5:]) == entry
+        assert 4 * len(read) - 2 == width
+        expected.append(entry)
+    bulk = codec.make_columns()
+    stride = len(raws[0])
+    codec.unpack_records(b"".join(raws), range(0, len(raws) * stride, stride),
+                         bulk)
+    assert bulk.fields == expected.fields
 
 
 BAD_RECORDS = {
