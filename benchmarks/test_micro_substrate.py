@@ -7,8 +7,10 @@ and — for comparison — through the pool-served reference reader of
 columns, B+-tree descent, the positional DAG buffer's admit-and-flush
 and the match enumerator — plus three steps of a durable commit:
 serializing the document, applying one delta to it, and a SHIFT repair
-of one view list — and the two halves of opening a store: parsing its
-``document.xml`` and attaching its LE_p view lists.  These establish
+of one view list, and the DataGuide derived from a commit's delta
+beside its full build — the two halves of opening a store: parsing its
+``document.xml`` and attaching its LE_p view lists, and one result-cache
+hit through ``QueryService.evaluate``.  These establish
 the unit costs behind the macro benchmarks' wall-clock numbers (and
 catch substrate regressions early).
 """
@@ -37,10 +39,12 @@ from repro.storage.records import (
     compact_linked_codec,
     linked_codec,
 )
+from repro.service import QueryService
 from repro.tpq.enumeration import enumerate_matches
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
 from repro.workloads import xmark as xmark_queries
+from repro.xmltree.dataguide import DataGuide
 from repro.xmltree.document import DocumentBuilder
 from repro.xmltree.parser import parse_xml_file
 from repro.xmltree.writer import write_xml_file
@@ -407,3 +411,41 @@ def test_bench_apply_delta(benchmark, xmark_doc, kind):
     else:
         expected = len(xmark_doc) + len(getattr(delta, "rows", ()))
     assert len(applied.document) == expected
+
+
+def _guide_summary(guide: DataGuide) -> list:
+    return sorted((path, guide.count_of(path)) for path in guide.paths())
+
+
+def test_bench_dataguide_build(benchmark, xmark_doc):
+    """The whole-document DataGuide build a commit used to force on the
+    next live read: one pass over the parent and tag-id columns."""
+    guide = benchmark(DataGuide, xmark_doc)
+    assert guide.count_of((xmark_doc.nodes[0].tag,)) == 1
+
+
+def test_bench_dataguide_derived(benchmark, xmark_doc):
+    """The guide a commit derives instead, for the middle insert: the
+    summary nodes on the inserted paths copied and recounted."""
+    applied = apply_delta(xmark_doc, _middle_deltas(xmark_doc)["insert"])
+    guide = DataGuide(xmark_doc)
+    derived = benchmark(guide.derived, [applied])
+    assert _guide_summary(derived) == _guide_summary(
+        DataGuide(applied.document)
+    )
+
+
+def test_bench_service_cached_read(benchmark, xmark_doc):
+    """One result-cache hit through ``QueryService.evaluate``: the plan
+    cache, the plan's stored refutation flag and the keyed result cache,
+    no engine run."""
+    spec = xmark_queries.ALL_QUERIES[0]
+    text = spec.query.to_xpath()
+    with ViewCatalog(xmark_doc) as catalog:
+        with QueryService(catalog, result_cache_size=16) as service:
+            for view in spec.views:
+                service.register(view)
+            first = service.evaluate(text)
+            outcome = benchmark(service.evaluate, text)
+            assert outcome.cached and not outcome.refuted
+            assert outcome.match_keys == first.match_keys

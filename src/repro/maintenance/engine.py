@@ -175,7 +175,7 @@ def apply_updates(
         catalog, document, changes, force_rebuild=force_rebuild
     )
     report.views.extend(rows)
-    catalog.install_maintained(document, new_views)
+    catalog.install_maintained(document, new_views, changes)
     return report
 
 

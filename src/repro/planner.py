@@ -49,6 +49,9 @@ class Plan:
     algorithm: Algorithm
     scheme: Scheme
     explanation: list[str] = field(default_factory=list)
+    #: The DataGuide proves the query matches nothing (decided once,
+    #: when the plan is built: plans never outlive a maintenance epoch).
+    refuted: bool = False
 
     @property
     def all_views(self) -> list[Pattern]:
@@ -82,13 +85,11 @@ class Planner:
         catalog: ViewCatalog,
         scheme: Scheme | str = Scheme.LINKED_PARTIAL,
         algorithm: Algorithm | str = Algorithm.VIEWJOIN,
-        prune_with_dataguide: bool = True,
         plan_cache_size: int = 128,
     ):
         self.catalog = catalog
         self.scheme = Scheme.parse(scheme)
         self.algorithm = Algorithm.parse(algorithm)
-        self.prune_with_dataguide = prune_with_dataguide
         self._registered: list[Pattern] = []
         self._dataguide = None
         # parse → containment → greedy cover → Plan is a pure function of
@@ -113,18 +114,25 @@ class Planner:
         Ordinary ``version`` bumps (warm-up materializations) never
         invalidate plans — the view *set* the planner registered is what
         plans depend on.  A maintenance commit is different: the document
-        changed (DataGuide stale), views may have been dropped, and every
-        memoized plan may reference dead state.  Keyed off
+        changed, views may have been dropped, and every memoized plan
+        (with its refutation) may reference dead state.  The DataGuide
+        of the one commit just made is derived from its deltas; after
+        any other gap it is dropped and rebuilt on demand.  Keyed off
         ``catalog.maintenance_epoch``; called lazily from :meth:`plan` /
-        :meth:`refutes` / :meth:`register` so external committers (e.g.
-        another handle to the same catalog) are picked up too.  Returns
-        True when a re-sync happened.
+        :meth:`register` so external committers (e.g. another handle to
+        the same catalog) are picked up too.  Returns True when a
+        re-sync happened.
         """
         epoch = self.catalog.maintenance_epoch
         if epoch == self._maintenance_epoch:
             return False
+        guide = self._dataguide
+        follows = epoch == self._maintenance_epoch + 1
         self._maintenance_epoch = epoch
-        self._dataguide = None
+        self._dataguide = (
+            guide.derived(self.catalog.last_changes)
+            if guide is not None and follows else None
+        )
         surviving = self.catalog.view_names()
         self._registered = [
             view for view in self._registered
@@ -220,8 +228,8 @@ class Planner:
         :meth:`~repro.storage.catalog.ViewCatalog.pin_snapshot`: the
         clone carries this planner's current registered/quarantined view
         sets and generation, but plans against the snapshot catalog —
-        its DataGuide is rebuilt lazily over the snapshot's (pre-commit)
-        document, and because the snapshot's ``maintenance_epoch`` never
+        it shares this planner's (pre-commit, never mutated) DataGuide,
+        and because the snapshot's ``maintenance_epoch`` never
         moves again, :meth:`sync_catalog` on the clone is a permanent
         no-op.  Plan caches stay per-planner, so a pinned reader's plan
         hits survive however many commits land on the live planner.
@@ -230,9 +238,10 @@ class Planner:
             catalog,
             scheme=self.scheme,
             algorithm=self.algorithm,
-            prune_with_dataguide=self.prune_with_dataguide,
             plan_cache_size=max(self._plan_cache.capacity, 8),
         )
+        if self._maintenance_epoch == catalog.maintenance_epoch:
+            clone._dataguide = self._dataguide
         clone._registered = list(self._registered)
         clone._quarantined = set(self._quarantined)
         clone._generation = self._generation
@@ -262,7 +271,9 @@ class Planner:
         Plans are cached by canonical pattern text until the next
         registration; the caller always receives a private copy, so
         mutating ``explanation`` (as :meth:`answer` does) never corrupts
-        the cached entry.
+        the cached entry.  ``refuted`` is decided here, on a miss, by
+        embedding the query into the DataGuide: a cache hit never
+        touches the guide.
         """
         self.sync_catalog()
         if isinstance(query, str):
@@ -272,18 +283,16 @@ class Planner:
         if cached is not None:
             return self._copy_plan(cached)
         plan = self._build_plan(query)
+        plan.refuted = not self._guide().may_match(query)
         self._plan_cache.put(key, plan)
         return self._copy_plan(plan)
 
     @staticmethod
     def _copy_plan(plan: Plan) -> Plan:
         return Plan(
-            query=plan.query,
-            views=list(plan.views),
-            base_views=list(plan.base_views),
-            algorithm=plan.algorithm,
-            scheme=plan.scheme,
-            explanation=list(plan.explanation),
+            plan.query, list(plan.views), list(plan.base_views),
+            plan.algorithm, plan.scheme, list(plan.explanation),
+            plan.refuted,
         )
 
     def _build_plan(self, query: Pattern) -> Plan:
@@ -372,20 +381,6 @@ class Planner:
     def _base_view(self, qnode: PatternNode) -> Pattern:
         return Pattern(PatternNode(qnode.tag), name=f"base:{qnode.tag}")
 
-    def refutes(self, query: Pattern | str) -> bool:
-        """True when the DataGuide proves ``query`` can match nothing.
-
-        Always False when ``prune_with_dataguide`` is off.  Exposed so
-        callers that bypass :meth:`answer` (the query service) apply the
-        same pruning decision as the planner itself.
-        """
-        if not self.prune_with_dataguide:
-            return False
-        self.sync_catalog()
-        if isinstance(query, str):
-            query = parse_pattern(query)
-        return not self._guide().may_match(query)
-
     # -- execution -------------------------------------------------------------------
 
     def answer(
@@ -401,7 +396,7 @@ class Planner:
         any view.
         """
         plan = self.plan(query)
-        if self.refutes(plan.query):
+        if plan.refuted:
             plan.explanation.append(
                 "DataGuide refutation: no document path can match;"
                 " evaluation skipped"

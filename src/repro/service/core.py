@@ -248,8 +248,8 @@ class QueryService:
         store_path: a ``save_catalog`` store directory to attach
             read-mostly; the service owns (and closes) the loaded catalog.
         scheme / algorithm: defaults handed to the planner (which keeps
-            a 128-plan cache and refutes impossible queries against the
-            DataGuide before running them).
+            a 128-plan cache; each plan records whether the DataGuide
+            refutes its query, and refuted queries never run).
         result_cache_size: LRU size of the keyed result cache; 0 disables.
         generation_budget_bytes: disk high-water mark for archived
             store generations (DESIGN.md §16) — after every durable
@@ -291,7 +291,6 @@ class QueryService:
             catalog,
             scheme=scheme,
             algorithm=algorithm,
-            prune_with_dataguide=True,
             plan_cache_size=128,
         )
         if self._store_path is not None:
@@ -401,11 +400,12 @@ class QueryService:
           document are archived first, so pinned readers stay
           answerable) — and pooled workers detect the rewrite and
           reattach;
-        * the planner re-syncs (stale DataGuide and plans dropped,
-          dropped views deregistered).  The result and stream caches
-          are **not** purged: their keys carry the generation, so the
-          commit rolls them — pinned readers keep their pre-commit
-          hits, post-commit reads key fresh entries.
+        * the planner re-syncs (DataGuide derived from the commit's
+          deltas, plans dropped, dropped views deregistered).  The
+          result and stream caches are **not** purged: their keys carry
+          the generation, so the commit rolls them — pinned readers
+          keep their pre-commit hits, post-commit reads key fresh
+          entries.
 
         If anything still references the outgoing generation (a
         suspended continuation session or a user pin), a frozen
@@ -1104,10 +1104,11 @@ class QueryService:
         self, read: _Read, plan: Plan, cacheable: bool = True
     ) -> QueryOutcome | None:
         """The lookup stage: answer without executing — refuted by the
-        DataGuide, or replayed from the result cache (skipped for
-        quanta: a paginated answer is a stream, not a cacheable value).
+        DataGuide (``plan.refuted``, decided when the plan was built),
+        or replayed from the result cache (skipped for quanta: a
+        paginated answer is a stream, not a cacheable value).
         Returns ``None`` when the plan must run."""
-        if read.planner.refutes(plan.query):
+        if plan.refuted:
             return self._empty_outcome(plan, refuted=True)
         if cacheable:
             cached = self._result_cache.get(self._result_key(read, plan))

@@ -172,6 +172,9 @@ class ViewCatalog:
         #: by ``load_catalog``/``commit_store``.  Snapshot catalogs from
         #: :meth:`pin_snapshot` keep the pre-commit value forever.
         self.generation = 0
+        #: The delta records of the last maintenance commit (planners
+        #: derive their DataGuide from them); empty before the first.
+        self.last_changes: tuple = ()
         self._borrowed_pager = False
 
     @staticmethod
@@ -279,17 +282,20 @@ class ViewCatalog:
         self,
         document: Document,
         views: dict[tuple[str, Scheme], ViewInfo],
+        changes: Iterable,
     ) -> None:
         """Atomically swap in a post-maintenance document and view set.
 
         Only the maintenance engine calls this: the new views must
         already be materialized against ``document`` on this catalog's
-        pager.  Bumps both change markers (so snapshots, workers and
+        pager, and ``changes`` are the ``AppliedDelta`` records that led
+        to it.  Bumps both change markers (so snapshots, workers and
         plan caches all invalidate) and drops buffer-pool residency —
         decoded pages cached from replaced views must not serve reads.
         """
         self.document = document
         self._views = dict(views)
+        self.last_changes = tuple(changes)
         self.version += 1
         self.maintenance_epoch += 1
         self.generation += 1

@@ -372,14 +372,19 @@ class SlottedList(_ColumnList):
             ends = new.ends[first_index:stop]
             # Maintenance-time rewrite, outside any measured evaluation.
             raw = page_file.read_page_raw(page_id)
+            # A verbatim copy carries its source's recorded CRC.
+            crc = page_file.expected_crc.get(page_id)
             if (starts != old.starts[first_index:stop]
                     or ends != old.ends[first_index:stop]):
                 raw = bytearray(raw)
                 offsets = struct.unpack_from(f"<{count}H", raw, self._HEADER)
                 for offset, start, end in zip(offsets, starts, ends):
                     pack_into(raw, offset + labels_at, start, end)
+                crc = None
             new_id = page_file.allocate()
             page_file.write_page(new_id, raw)
+            if crc is not None:
+                page_file.expected_crc[new_id] = crc
             clone._directory.append((first_index, count, new_id))
         clone._payload_bytes = self._payload_bytes
         clone._finalized = True

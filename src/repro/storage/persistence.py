@@ -248,20 +248,21 @@ def commit_store(
 
 
 def _store_checksums(catalog: ViewCatalog, views: list[dict]) -> dict[int, int]:  # repro-lint: disable=RL203 (commit-time checksum pass, not measured evaluation I/O)
-    """Fresh CRC32s for every page the view records reference, read from
-    the flushed at-rest bytes (commit-time bookkeeping, not measured
-    evaluation I/O — hence the raw read)."""
+    """CRC32s for every page the view records reference.  A page still
+    in ``expected_crc`` (one this commit did not write) keeps its
+    recorded CRC, so at-rest corruption stays detectable; only pages
+    written since are CRC'd, from the flushed bytes (commit-time
+    bookkeeping, not measured evaluation I/O — hence the raw read)."""
     from repro.resilience.guard import manifest_view_pages
 
     page_file = catalog.pager.page_file
-    checksums: dict[int, int] = {}
-    for page_ids in manifest_view_pages({"views": views}).values():
-        for page_id in page_ids:
-            if page_id not in checksums:
-                checksums[page_id] = page_checksum(
-                    page_file.read_page_raw(page_id)
-                )
-    return checksums
+    recorded = page_file.expected_crc
+    return {
+        page_id: recorded[page_id] if page_id in recorded
+        else page_checksum(page_file.read_page_raw(page_id))
+        for page_ids in manifest_view_pages({"views": views}).values()
+        for page_id in page_ids
+    }
 
 
 def _copy_pages(

@@ -13,11 +13,15 @@ repository:
 
 The summary is built in one pass over the document and is typically tiny
 (one node per distinct path, independent of how many instances share it).
+A maintenance commit *derives* the next guide from its delta records
+(``derived``): only the summary nodes on touched paths are copied and
+recounted, and the outgoing guide stays valid for pinned readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.tpq.pattern import Pattern, PatternNode
 from repro.xmltree.document import Document
@@ -32,45 +36,102 @@ class GuideNode:
     count: int = 0
     children: dict[str, "GuideNode"] = field(default_factory=dict)
 
-    def child(self, tag: str) -> "GuideNode | None":
-        return self.children.get(tag)
+
+def _own(node: GuideNode, fresh: dict[int, GuideNode]) -> GuideNode:
+    """``node`` if this derivation made it, else its first copy."""
+    if id(node) in fresh:
+        return node
+    copy = GuideNode(node.tag, node.depth, node.count, dict(node.children))
+    fresh[id(copy)] = copy
+    return copy
 
 
 class DataGuide:
-    """The strong DataGuide of a document, with instance counts."""
+    """The strong DataGuide of a document, with instance counts.
+
+    Never mutated once built: :meth:`derived` copies what it changes.
+    """
 
     def __init__(self, document: Document):
-        columns = document.columns
-        self.root = GuideNode(tag=columns.tags[columns.tag_id[0]], depth=0)
-        self._size = 1
-        self._build(document)
+        #: The document summarized (a delete's paths are read from it).
+        self.document = document
+        self.root, self._size = GuideNode("", -1), 0  # above the root
+        self._merge(document, 0, len(document), 1, {})
+        [self.root] = self.root.children.values()
 
-    def _build(self, document: Document) -> None:
-        # One pass over the parent and tag-id columns (a parent precedes
-        # its children) maps every document node to its summary node,
-        # kept as a bare ``[count, {tag id: child}]`` pair ...
+    def derived(self, changes: Sequence) -> "DataGuide":
+        """The guide of the document the ``AppliedDelta`` records
+        ``changes`` lead to from this one's.
+
+        Copy-on-write along the touched paths: an insert adds its
+        subtree's paths under its parent's path, a delete subtracts its
+        subtree's paths (read from the pre-delta document) and drops
+        paths left with no instance, and a rename is both.  ``self`` is
+        left untouched.  A root rename re-roots the summary: a full build.
+        """
+        guide = object.__new__(DataGuide)
+        guide.root, guide._size = self.root, self._size
+        fresh: dict[int, GuideNode] = {}
+        before = self.document
+        for change in changes:
+            after = change.document
+            if change.inserted:
+                first = after.index_at(change.inserted[0][1])
+                stop = first + len(change.inserted)
+            else:
+                at = (change.deleted_range or change.renamed)[0]
+                first = before.index_at(at)
+                if not first:
+                    return DataGuide(changes[-1].document)
+                stop = before.subtree_end(first)
+                guide._merge(before, first, stop, -1, fresh)
+            if not change.deleted_range:
+                guide._merge(after, first, stop, 1, fresh)
+            before = after
+        guide.document = before
+        return guide
+
+    def _merge(self, document, first, stop, sign, fresh) -> None:
+        """Add ``sign`` per instance of the paths of ``document``'s rows
+        ``[first, stop)`` (one subtree) below its parent's path.  A
+        summary node is copied the first time it changes (``fresh``
+        holds the copies), and a path left with no instance is dropped."""
+        node = self.root = _own(self.root, fresh)
+        for above in reversed(document.ancestors(document.nodes[first])[:-1]):
+            child = _own(node.children[above.tag], fresh)
+            node.children[above.tag] = child
+            node = child
         __, __, __, parent, tag_id, tags = document.columns
-        top: list = [1, {}]
-        summary_of = [top] * len(tag_id)
-        for i, p, t in zip(range(1, len(tag_id)), parent[1:], tag_id[1:]):
-            children = summary_of[p][1]
-            child = children.get(t)
-            if child is None:
-                child = children[t] = [0, {}]
-            child[0] += 1
-            summary_of[i] = child
-        # ... and the few summary nodes become GuideNodes afterwards.
-        self.root.count = 1
-        stack = [(self.root, top[1])]
+        # One pass over the parent and tag-id columns (a parent precedes
+        # its children) maps every row to a bare ``[count, {tag id:
+        # child}]`` pair ...
+        top = {tag_id[first]: [1, {}]}
+        summary_of = [top[tag_id[first]]] * (stop - first)
+        for i, p, t in zip(range(1, stop - first), parent[first + 1:stop],
+                           tag_id[first + 1:stop]):
+            children = summary_of[p - first][1]
+            pair = children.get(t)
+            if pair is None:
+                pair = children[t] = [0, {}]
+            pair[0] += 1
+            summary_of[i] = pair
+        # ... and the few summary nodes are merged in afterwards.
+        stack = [(node, top)]
         while stack:
-            guide, children = stack.pop()
-            for t, (count, grandchildren) in children.items():
-                child = GuideNode(
-                    tag=tags[t], depth=guide.depth + 1, count=count
-                )
-                guide.children[child.tag] = child
-                self._size += 1
-                stack.append((child, grandchildren))
+            node, children = stack.pop()
+            for t, (count, below) in children.items():
+                tag = tags[t]
+                child = node.children.get(tag)
+                if child is None:
+                    child = GuideNode(tag, node.depth + 1)
+                    fresh[id(child)] = child
+                    self._size += 1
+                child = node.children[tag] = _own(child, fresh)
+                child.count += sign * count
+                if not child.count:
+                    del node.children[tag]
+                    self._size -= 1
+                stack.append((child, below))
 
     def __len__(self) -> int:
         """Number of distinct label paths in the document."""
@@ -79,13 +140,7 @@ class DataGuide:
     # -- navigation ------------------------------------------------------------
 
     def nodes(self) -> list[GuideNode]:
-        result = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            result.append(node)
-            stack.extend(node.children.values())
-        return result
+        return self._descendants_pool(self.root)
 
     def paths(self) -> list[tuple[str, ...]]:
         """All distinct root paths as tag tuples."""
@@ -106,7 +161,7 @@ class DataGuide:
         if not path or path[0] != node.tag:
             return 0
         for tag in path[1:]:
-            node = node.child(tag)
+            node = node.children.get(tag)
             if node is None:
                 return 0
         return node.count
@@ -146,11 +201,7 @@ class DataGuide:
             if child.axis.is_pc:
                 pool = list(at.children.values())
             else:
-                pool = [
-                    node
-                    for node in self._descendants_pool(at)
-                    if node is not at
-                ]
+                pool = self._descendants_pool(at)[:-1]  # all but ``at``
             if not self._embeds(child, pool):
                 return False
         return True

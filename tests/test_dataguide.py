@@ -5,7 +5,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import random_trees
+import pytest
+
+from repro.datasets import random_trees, xmark
+from repro.datasets.updates import random_update_sequence
+from repro.maintenance.apply import apply_delta, apply_deltas
 from repro.tpq.naive import find_embeddings
 from repro.tpq.parser import parse_pattern
 from repro.xmltree.dataguide import DataGuide
@@ -96,3 +100,72 @@ def test_pruning_is_complete_for_matches(seed, query_text):
     query = parse_pattern(query_text)
     if find_embeddings(doc, query):
         assert guide.may_match(query)
+
+
+# -- derivation from commit deltas --------------------------------------------
+
+
+def summary(guide: DataGuide) -> dict[tuple[str, ...], int]:
+    """Every root path with its count, read off the summary nodes."""
+    counts = {}
+    stack = [(guide.root, ())]
+    while stack:
+        node, prefix = stack.pop()
+        path = prefix + (node.tag,)
+        counts[path] = node.count
+        stack.extend((child, path) for child in node.children.values())
+    return counts
+
+
+def assert_derivation_matches_rebuild(doc, deltas):
+    """After every delta the derived guide equals a full build of the
+    new document; the guide it was derived from never changes."""
+    guide, dropped = DataGuide(doc), 0
+    for delta in deltas:
+        change = apply_delta(doc, delta)
+        outgoing = summary(guide)
+        derived = guide.derived([change])
+        assert summary(guide) == outgoing
+        rebuilt = DataGuide(change.document)
+        assert summary(derived) == summary(rebuilt)
+        assert len(derived) == len(rebuilt)
+        assert derived.document is change.document
+        dropped += len(derived) < len(guide)
+        guide, doc = derived, change.document
+    return dropped
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_derived_equals_rebuild_on_random_trees(seed):
+    doc = random_trees.generate(
+        size=150, tags=list("abcdef"), max_depth=8, seed=seed
+    )
+    deltas, __ = random_update_sequence(doc, count=25, seed=seed)
+    assert_derivation_matches_rebuild(doc, deltas)
+
+
+def test_derivation_drops_paths_whose_last_instance_goes():
+    doc = random_trees.generate(size=60, tags=list("abcdefgh"), seed=3)
+    deltas, __ = random_update_sequence(doc, count=60, seed=3)
+    assert assert_derivation_matches_rebuild(doc, deltas) > 0
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_derived_equals_rebuild_on_xmark(seed):
+    doc = xmark.generate(scale=0.1, seed=seed)
+    deltas, __ = random_update_sequence(doc, count=20, seed=seed)
+    assert_derivation_matches_rebuild(doc, deltas)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_derivation_over_a_whole_commit(seed):
+    """A multi-delta commit derives in one call: each delete reads the
+    document of the turn before it."""
+    doc = random_trees.generate(size=120, seed=seed)
+    deltas, final = random_update_sequence(doc, count=15, seed=seed)
+    __, changes = apply_deltas(doc, deltas)
+    guide = DataGuide(doc)
+    outgoing = summary(guide)
+    derived = guide.derived(changes)
+    assert summary(derived) == summary(DataGuide(final))
+    assert summary(guide) == outgoing

@@ -17,9 +17,15 @@ from repro.errors import (
     StorageError,
     StoreCorrupt,
 )
-from repro.maintenance import RenameTag, UpdateLog, WAL_FILENAME
+from repro.maintenance import (
+    InsertSubtree,
+    RenameTag,
+    UpdateLog,
+    WAL_FILENAME,
+    update_store,
+)
 from repro.resilience import FaultPlan, faults, verify_store
-from repro.resilience.guard import read_manifest
+from repro.resilience.guard import manifest_view_pages, read_manifest
 from repro.storage.catalog import ViewCatalog, materialize
 from repro.storage.lists import StoredList
 from repro.storage.pager import PageFile, Pager
@@ -158,6 +164,46 @@ def test_corrupt_slot_offset_fails_typed_at_attach(small_doc, tmp_path, slot):
     with pytest.raises(StoreCorrupt) as info:
         load_catalog(store)
     assert info.value.pages == (page_id,)
+
+
+def test_commit_does_not_launder_at_rest_corruption(small_doc, tmp_path):
+    """A commit re-records the CRC of only the pages it wrote.  A flipped
+    byte in a page of a NOOP view, and in a page a SHIFT copies verbatim
+    (its CRC travels to the copy), stays named by ``verify_store``."""
+    store = tmp_path / "store"
+    with ViewCatalog(small_doc) as catalog:
+        catalog.add(parse_pattern("//c", name="vc"), "LEp")
+        catalog.add(parse_pattern("//f", name="vf"), "LEp")
+        save_catalog(catalog, store)
+    page_size = read_manifest(store)["page_size"]
+    pages = store / "pages.bin"
+    blob = bytearray(pages.read_bytes())
+    for [page_id] in manifest_view_pages(read_manifest(store)).values():
+        last = (page_id + 1) * page_size - 1
+        assert blob[last] == 0  # slack after the records: decoding unharmed
+        blob[last] ^= 0x01
+    pages.write_bytes(bytes(blob))
+    assert set(verify_store(store).bad_views) == {"vc", "vf"}
+
+    # Both views are tag-disjoint from a rename of ``g``: NOOP.
+    [g] = [node for node in small_doc.nodes if node.tag == "g"]
+    report = update_store(store, [RenameTag(node_start=g.start, new_tag="h")])
+    assert report.action_counts() == {"noop": 2}
+    assert set(verify_store(store).bad_views) == {"vc", "vf"}
+
+    # An insert after every label of both views: a verbatim-copy SHIFT.
+    report = update_store(store, [InsertSubtree(
+        parent_start=small_doc.nodes[0].start, position=2,
+        rows=(("zzz", 0),),
+    )])
+    assert report.action_counts() == {"shift": 2}
+    verdict = verify_store(store)
+    assert set(verdict.bad_views) == {"vc", "vf"}
+    assert set(verdict.bad_pages) == {
+        page_id for [page_id] in manifest_view_pages(
+            read_manifest(store)
+        ).values()
+    }
 
 
 @pytest.mark.parametrize("kind", ["corrupt", "short"])

@@ -59,6 +59,7 @@ from repro.storage.persistence import (
 )
 from repro.tpq.naive import find_embeddings
 from repro.tpq.parser import parse_pattern
+from repro.xmltree.dataguide import DataGuide
 
 QUERIES = ["//a//b//c", "//a[//b]//c", "//a//b"]
 QUERY = "//a[//b]//c"
@@ -202,6 +203,52 @@ def test_pinned_reads_survive_update_storm(scheme, algorithm):
         assert svc.resilience_metrics()["pinned_generations"] == 0
         with pytest.raises(ServiceError, match="not pinned"):
             svc.evaluate(QUERY, as_of=pin)
+    finally:
+        svc.close()
+
+
+def test_pinned_reader_keeps_pre_commit_refutation():
+    """A commit that adds path P: the reader pinned before it still has
+    its P-query refuted (its planner shares the pre-commit DataGuide),
+    the live reader does not."""
+    svc = memory_service()
+    try:
+        assert svc.evaluate("//zzz").refuted  # builds the live guide
+        pin = svc.pin_generation()
+        parent = [n for n in svc.catalog.document.nodes if n.tag == "a"][0]
+        svc.apply_updates([InsertSubtree(
+            parent_start=parent.start, position=0, rows=(("zzz", 0),)
+        )])
+        assert svc.evaluate("//a//zzz", as_of=pin).refuted
+        live = svc.evaluate("//a//zzz")
+        assert not live.refuted and live.match_count >= 1
+    finally:
+        svc.close()
+
+
+def test_pinned_planner_guide_is_never_mutated():
+    svc = memory_service()
+    try:
+        svc.evaluate(QUERY)  # builds the live guide
+        guide = svc.planner._dataguide
+        before = sorted(
+            (path, guide.count_of(path)) for path in guide.paths()
+        )
+        pin = svc.pin_generation()
+        storm(svc, 5, seed=6)
+        pinned = svc._generation_snapshots[pin].planner
+        assert pinned._dataguide is guide
+        assert sorted(
+            (path, guide.count_of(path)) for path in guide.paths()
+        ) == before
+        live = svc.planner._dataguide
+        assert live is not guide
+        rebuilt = DataGuide(svc.catalog.document)
+        assert sorted(
+            (path, live.count_of(path)) for path in live.paths()
+        ) == sorted(
+            (path, rebuilt.count_of(path)) for path in rebuilt.paths()
+        )
     finally:
         svc.close()
 

@@ -122,14 +122,6 @@ def test_dataguide_pruning_skips_evaluation(doc):
         assert catalog.views() == []
 
 
-def test_dataguide_pruning_can_be_disabled(doc):
-    with ViewCatalog(doc) as catalog:
-        planner = Planner(catalog, prune_with_dataguide=False)
-        plan, result = planner.answer("//zzz")
-        assert result.match_count == 0
-        assert not any("DataGuide" in note for note in plan.explanation)
-
-
 def test_dataguide_pruning_never_blocks_real_matches(doc):
     with ViewCatalog(doc) as catalog:
         planner = Planner(catalog)

@@ -75,6 +75,25 @@ def test_apply_updates_refreshes_dataguide(doc):
             assert not outcome.refuted and outcome.match_count == 1
 
 
+def test_deleting_last_instance_refutes_on_next_live_read(doc):
+    """The derived guide drops a path with its last instance, so the
+    next live read of a query over that path is refuted again."""
+    with ViewCatalog(doc) as catalog:
+        with QueryService(catalog) as svc:
+            svc.register("//a//b")
+            root = doc.nodes[0]
+            svc.apply_updates([
+                InsertSubtree(parent_start=root.start, position=0,
+                              rows=(("zzz", 0), ("yyy", 1))),
+            ])
+            assert not svc.evaluate("//zzz//yyy").refuted
+            zzz = first(svc.catalog.document, "zzz")
+            svc.apply_updates([DeleteSubtree(root_start=zzz.start)])
+            for query in ("//zzz//yyy", "//zzz", "//yyy"):
+                outcome = svc.evaluate(query)
+                assert outcome.refuted and outcome.match_count == 0
+
+
 def test_apply_updates_commits_store_and_workers_reattach(doc, tmp_path):
     store = tmp_path / "store"
     with ViewCatalog(doc) as catalog:
