@@ -5,7 +5,8 @@ codecs, list reads and cursor advancement (served from packed columns,
 and — for comparison — through the pool-served reference reader of
 ``tests/rowwise_reference.py``), the engines' ``CountingCursor`` over the
 columns, B+-tree descent, the positional DAG buffer's admit-and-flush
-and the match enumerator — plus three steps of a durable commit:
+and the match enumerator (its columns beside the tuple view built from
+them) — plus three steps of a durable commit:
 serializing the document, applying one delta to it, and a SHIFT repair
 of one view list, and the DataGuide derived from a commit's delta
 beside its full build — the two halves of opening a store: parsing its
@@ -22,7 +23,7 @@ import gc
 import pytest
 
 from repro.algorithms.access import build_sources
-from repro.algorithms.base import KEYS, Counters, CountingCursor
+from repro.algorithms.base import KEYS, Counters, CountingCursor, match_rows
 from repro.algorithms.dag import DagBuffer, page_capacity
 from repro.datasets import random_trees
 from repro.maintenance.apply import apply_delta
@@ -40,7 +41,7 @@ from repro.storage.records import (
     linked_codec,
 )
 from repro.service import QueryService
-from repro.tpq.enumeration import enumerate_matches
+from repro.tpq.enumeration import MatchPlan, enumerate_matches
 from repro.tpq.matching import solution_nodes
 from repro.tpq.parser import parse_pattern
 from repro.workloads import xmark as xmark_queries
@@ -48,7 +49,7 @@ from repro.xmltree.dataguide import DataGuide
 from repro.xmltree.document import DocumentBuilder
 from repro.xmltree.parser import parse_xml_file
 from repro.xmltree.writer import write_xml_file
-from tests.collector_probe import collections_started, started_inside_take
+from tests.collector_probe import collections_started, started_inside
 from tests.rowwise_reference import PoolServedList
 
 N = 2000
@@ -223,7 +224,7 @@ def _one_partition(xpath: str, leaves: dict[str, int], emit_matches=True):
 
 def _flushed(dag: DagBuffer) -> int:
     dag.flush()
-    return len(dag.matches)
+    return len(dag.output.columns[0])
 
 
 @pytest.mark.parametrize("candidates", [10, 1000])
@@ -246,21 +247,29 @@ def test_bench_flush_heavy_partition_collector_on(benchmark, emit):
     outside the timing).
 
     CI runs this file under ``--benchmark-disable-gc``, which is why no
-    micro ever showed what the collector cost a heavy query (two thirds
-    of it: DESIGN.md §17, "The collector is a layer"): one tuple per
-    match trips the young threshold 70-odd times per flush, and every
-    pass walks tuples that cannot be garbage.  So the callable switches
-    the collector on itself, whatever the flag says, and puts it back as
-    it found it; the probe asserts that no collection starts inside
-    ``Enumeration.take`` — and that some did outside it, i.e. that the
-    collector really was on."""
+    micro ever showed what the collector cost a heavy query when a flush
+    built one tuple per match (two thirds of it: DESIGN.md §17, "The
+    collector is a layer").  So the callable switches the collector on
+    itself, whatever the flag says, and puts it back as it found it.
+    The flush builds columns, allocating per candidate and not per
+    match, so the gate is that **no collection starts during the flush
+    at all**; each round's set-up ends with an explicit collection, so
+    the young generation a flush starts from is empty and the gate
+    measures the flush alone."""
     side = 224
     admitted = _one_partition("//a[//b]//c", {"b": side, "c": side}, emit)
+    enabled = []
+
+    def collected() -> tuple:
+        dag = admitted()
+        gc.collect()
+        return (dag,), {}
 
     def flush_collector_on(dag: DagBuffer) -> int:
         was_enabled = gc.isenabled()
         gc.enable()
         try:
+            enabled.append(gc.isenabled())
             return _flushed(dag)
         finally:
             if not was_enabled:
@@ -269,12 +278,41 @@ def test_bench_flush_heavy_partition_collector_on(benchmark, emit):
     was_enabled = gc.isenabled()
     with collections_started() as started:
         flushed = benchmark.pedantic(
-            flush_collector_on, setup=lambda: ((admitted(),), {}), rounds=9
+            flush_collector_on, setup=collected, rounds=9
         )
     assert flushed == side * side
     assert gc.isenabled() is was_enabled
-    assert started
-    assert started_inside_take(started) == []
+    assert enabled and all(enabled)
+    assert started  # the set-up's collections: the probe was live
+    assert started_inside(started, DagBuffer.flush) == []
+
+
+@pytest.mark.parametrize("view", ["columns", "tuples"])
+def test_bench_take_heavy_product(benchmark, view):
+    """A full-range ``take`` over the 224 x 224 heavy-partition product
+    (50 176 matches), as the columns a flush keeps, and as the tuple
+    view a caller that promises rows builds from them on first access
+    (``EvalResult.matches``): the cost the columns defer stays in
+    sight."""
+    side = 224
+    pattern = parse_pattern("//a[//b]//c")
+    starts = [
+        [0],
+        list(range(1, 2 * side, 2)),
+        list(range(2 * side + 1, 4 * side, 2)),
+    ]
+    ends = [[4 * side + 1], [start + 1 for start in starts[1]],
+            [start + 1 for start in starts[2]]]
+    levels = [[0], [1] * side, [1] * side]
+    opened = MatchPlan(pattern).open(starts, ends, levels)
+    columns = opened.take(0, opened.total)
+    if view == "columns":
+        built = benchmark(opened.take, 0, opened.total)
+        assert built == columns
+    else:
+        built = benchmark(match_rows, columns)
+        assert built == list(zip(*columns))
+    assert len(built[0] if view == "columns" else built) == side * side
 
 
 def test_bench_admit_and_flush_many_partitions(benchmark):
@@ -307,7 +345,7 @@ def test_bench_admit_and_flush_many_partitions(benchmark):
                 dag.add("b", leaves.position, leaves.start, leaves.end)
                 leaves.advance()
         dag.flush()
-        return counters.flushes, len(dag.matches)
+        return counters.flushes, len(dag.output.columns[0])
 
     flushes, matches = benchmark(run)
     assert matches == partitions * (size - 1)

@@ -26,7 +26,7 @@ echo "== benchmark smoke (micro substrate) =="
 # --benchmark-disable-gc keeps the unit costs free of collector pauses,
 # and is why no micro showed what the collector cost a heavy query; the
 # heavy-partition flush case switches it back on inside its own callable
-# and asserts that no collection starts inside Enumeration.take.
+# and asserts that no collection starts during DagBuffer.flush at all.
 REPRO_BENCH_SCALE=0.1 python -m pytest benchmarks/test_micro_substrate.py \
     -q --benchmark-warmup=off --benchmark-min-rounds=1 \
     --benchmark-disable-gc --benchmark-columns=median

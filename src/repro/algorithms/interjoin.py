@@ -68,8 +68,11 @@ def interjoin(
     matches = run.execute()
     counters = run.counters
     counters.matches = len(matches)
+    if emit_matches:
+        return EvalResult.from_rows(
+            matches, counters, peak_buffer_entries=run.peak_tuples
+        )
     return EvalResult(
-        matches=matches if emit_matches else [],
         match_count=len(matches),
         counters=counters,
         peak_buffer_entries=run.peak_tuples,
@@ -295,11 +298,7 @@ class _InterJoinRun:
     def _finalize(
         self, tags: list[str], tuples: list[_PartialTuple]
     ) -> list[_PartialTuple]:
-        """Reorder components to query preorder and sort the output."""
+        """Reorder components to query preorder (the result sorts
+        them: :meth:`EvalResult.from_rows`)."""
         order = [tags.index(tag) for tag in self.chain]
-        result = [tuple(t[i] for i in order) for t in tuples]
-        # Lexicographic tuple comparison decides on the leading starts
-        # (starts are document-unique), matching the tuple-of-starts key
-        # without building one per output tuple.
-        result.sort()
-        return result
+        return [tuple(t[i] for i in order) for t in tuples]

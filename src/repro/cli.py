@@ -382,11 +382,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"matches: {result.match_count}")
     print(f"counters: {result.counters.as_dict()}")
     print(f"io: {result.io.as_dict()}")
-    for match in result.matches[: args.show_matches]:
-        print("  " + ", ".join(
-            f"{tag}@{entry.start}" for tag, entry in zip(query.tags(), match)
-        ))
+    _print_matches(query, result, args.show_matches)
     return 0
+
+
+def _print_matches(query, result, limit: int) -> None:
+    """The first ``limit`` matches, one line each: sliced from the
+    result's columns, no other match is built."""
+    head = [column[:limit] for column in result.columns]
+    for starts in zip(*head):
+        print("  " + ", ".join(
+            f"{tag}@{start}" for tag, start in zip(query.tags(), starts)
+        ))
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -709,12 +716,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(plan.describe())
         print(f"matches: {result.match_count}")
         print(f"counters: {result.counters.as_dict()}")
-        query = plan.query
-        for match in result.matches[: args.show_matches]:
-            print("  " + ", ".join(
-                f"{tag}@{entry.start}"
-                for tag, entry in zip(query.tags(), match)
-            ))
+        _print_matches(plan.query, result, args.show_matches)
     finally:
         catalog.close()
     return 0

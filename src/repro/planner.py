@@ -403,9 +403,7 @@ class Planner:
             )
             from repro.algorithms.base import Counters
 
-            return plan, EvalResult(
-                matches=[], match_count=0, counters=Counters()
-            )
+            return plan, EvalResult(match_count=0, counters=Counters())
         if not plan.all_views:
             raise SelectionError("nothing covers the query")
         result = evaluate(

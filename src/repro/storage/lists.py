@@ -27,6 +27,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from repro.errors import StorageError, StoreCorrupt
+from repro.resilience.guard import page_checksum
 from repro.storage.pager import Pager
 from repro.storage.records import extend_columns, pack_pages
 
@@ -358,6 +359,13 @@ class SlottedList(_ColumnList):
         names, and a page whose labels did not move is copied
         byte-for-byte.  No record is decoded or re-encoded.  Every page
         still goes to a fresh page id; see :meth:`StoredList.shifted`.
+
+        A verbatim copy keeps its source's recorded CRC, so damage stays
+        visible on the copy.  A re-packed page is checked against its
+        source's recorded CRC first and raises
+        :class:`~repro.errors.StoreCorrupt` naming the source page on a
+        mismatch: the commit would record the copy's CRC fresh and
+        launder the damage.
         """
         self._check_finalized()
         old = self._columns
@@ -376,6 +384,15 @@ class SlottedList(_ColumnList):
             crc = page_file.expected_crc.get(page_id)
             if (starts != old.starts[first_index:stop]
                     or ends != old.ends[first_index:stop]):
+                # A re-packed copy gets a fresh CRC at commit: its
+                # source must be intact, or the copy would launder it.
+                if crc is not None and page_checksum(raw) != crc:
+                    raise StoreCorrupt(
+                        f"page {page_id} of list {self.name!r} failed its"
+                        f" checksum (expected {crc}) before a SHIFT"
+                        " re-packed it",
+                        pages=(page_id,),
+                    )
                 raw = bytearray(raw)
                 offsets = struct.unpack_from(f"<{count}H", raw, self._HEADER)
                 for offset, start, end in zip(offsets, starts, ends):

@@ -192,7 +192,7 @@ def test_a_closed_partition_waits_unless_it_overhangs_or_fills_a_page():
     assert dag.max_buffered_end("a") == 30 and dag.open_ancestor("a", 22, 23)
     dag.flush()
     assert dag.counters.flushes == 1  # both partitions, document order
-    assert keys_of(dag.matches) == [(0, 1), (20, 21)]
+    assert keys_of(dag.result().matches) == [(0, 1), (20, 21)]
     assert dag.peak_entries == 4
 
     # a candidate admitted with its parent's subtree that ends after the
@@ -210,7 +210,7 @@ def test_a_closed_partition_waits_unless_it_overhangs_or_fills_a_page():
     for start in (0, 20, 40, 60, 80):
         partition(dag, start)
     assert dag.counters.flushes == 2 and dag.buffered_entries == 2
-    assert keys_of(dag.matches) == [(0, 1), (20, 21), (40, 41), (60, 61)]
+    assert keys_of(dag.result().matches) == [(0, 1), (20, 21), (40, 41), (60, 61)]
 
 
 # -- sink: one batch per flush ---------------------------------------------------
