@@ -10,12 +10,14 @@ snapshots and worker attachments all invalidate.
 
 :func:`update_store` / :func:`recover_store` are the durable variants
 over a ``save_catalog`` store directory.  Ordering is WAL-first (the log
-record is the first durable write)::
+record is the first durable write the store depends on: repair only
+appends pages that no manifest references yet)::
 
     derive the new document         (in memory, from its parent's
                                      columns; rejects bad deltas)
+    repair views -> fresh pages     (old pages never patched; a
+                                     refused repair logs nothing)
     append + fsync wal.jsonl        (logical intent, replayable)
-    repair views -> fresh pages     (old pages never patched)
     write + fsync document.xml.tmp
     link outgoing generation        (hard links into generations/)
     replace document.xml, manifest  (atomic os.replace; bumps
@@ -143,9 +145,10 @@ def apply_updates(
         catalog: the live catalog to maintain.
         deltas: updates, applied in order; an empty sequence is a no-op
             commit (no version bump, nothing logged).
-        wal: update log to append to (after validation, before any view
-            state changes) — pass the store's log for durable commits,
-            None for in-memory catalogs or replay-of-already-logged work.
+        wal: update log to append to (after validation and view
+            repair, before the catalog installs anything) — pass the
+            store's log for durable commits, None for in-memory catalogs
+            or replay-of-already-logged work.
         force_rebuild: rematerialize every (non-derived) view from the
             new document instead of repairing — the naive baseline the
             maintenance benchmark and differential tests compare against.
@@ -159,8 +162,6 @@ def apply_updates(
     if not deltas:
         return report
     document, changes = apply_deltas(catalog.document, deltas)
-    if wal is not None:
-        wal.append(deltas)
     report.deltas = len(changes)
     for change in changes:
         if change.kind == "insert-subtree":
@@ -174,6 +175,12 @@ def apply_updates(
     new_views, rows = repair_catalog(
         catalog, document, changes, force_rebuild=force_rebuild
     )
+    # Logged once every view is repaired: a repair that refuses the
+    # commit (a damaged page it would re-pack) leaves no pending record
+    # for the next open to replay into the same refusal.  The repairs
+    # only appended copy-on-write pages no manifest references yet.
+    if wal is not None:
+        wal.append(deltas)
     report.views.extend(rows)
     catalog.install_maintained(document, new_views, changes)
     return report
